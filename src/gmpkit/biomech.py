@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import emg as emg_module
-from .errors import IntegrationError
-from .signals import SampledSignal, write_csv, read_csv
+from .errors import DataError, IntegrationError
+from .signals import SampledSignal
 
 N_DIRECTIONS = 8
 
@@ -354,53 +354,78 @@ def make_cohort(
     return subjects
 
 
-# -- trial CSV interchange ---------------------------------------------------
+# -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two files. The main file carries one row per
-# robot-rate sample with header t,fx,fy,vx,vy,emg1..emg4, where the EMG
-# columns are the raw EMG linearly interpolated onto the robot grid (for
-# inspection/plotting). The companion file carries the native-rate EMG
-# (t,emg1..emg4); analysis always uses the companion.
+# A trial is stored as two raw float64 arrays written with np.save: the
+# robot-rate force and velocity, shape (n, 4) with columns fx, fy, vx, vy,
+# and the EMG at its native rate, shape (n, 4). The arrays carry samples
+# only; rates, start times and channel labels are stored once per run, in
+# the "streams" doc of the manifest (see trial_streams).
 
 
-def emg_companion_path(path) -> str:
-    text = str(path)
-    if text.endswith(".csv"):
-        return text[: -len(".csv")] + "_emg.csv"
-    return text + "_emg.csv"
+def trial_streams(robot_rate: float, emg_rate: float) -> dict:
+    """Rate, start time and channel labels of the two stored trial arrays."""
+    emg_channels = [f"emg{i + 1}" for i in range(len(DEFAULT_MVC_RMS_MV))]
+    return {
+        "robot": {"rate_hz": robot_rate, "start_time_s": 0.0, "channels": ["fx", "fy", "vx", "vy"]},
+        "emg": {"rate_hz": emg_rate, "start_time_s": 0.0, "channels": emg_channels},
+    }
 
 
-def save_trial_csv(trial: TrialRecord, path) -> None:
-    t_robot = trial.force.times()
-    t_emg = trial.emg.times()
-    emg_on_robot = np.column_stack(
-        [np.interp(t_robot, t_emg, trial.emg.data[:, ch]) for ch in range(trial.emg.n_channels)]
-    )
-    main = SampledSignal(
-        sample_rate=trial.force.sample_rate,
-        start_time=trial.force.start_time,
-        channels=("fx", "fy", "vx", "vy") + tuple(f"emg{i + 1}" for i in range(trial.emg.n_channels)),
-        data=np.column_stack([trial.force.data, trial.velocity.data, emg_on_robot]),
-    )
-    write_csv(main, path)
-    write_csv(trial.emg, emg_companion_path(path))
+def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
+    """Write a trial as two .npy arrays (force/velocity, EMG).
+
+    The name is historical: trials were once stored as CSV text.
+    """
+    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]))
+    np.save(emg_path, trial.emg.data)
+
+
+def _load_samples(path, n_channels: int, min_samples: int) -> np.ndarray:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != n_channels:
+        raise DataError(
+            f"{path}: expected float64 samples of shape (n, {n_channels}), "
+            f"got {data.dtype} {data.shape}"
+        )
+    if data.shape[0] < min_samples:
+        raise DataError(f"{path}: {data.shape[0]} samples, expected at least {min_samples}")
+    n_bad = np.count_nonzero(~np.isfinite(data))
+    if n_bad:
+        raise DataError(f"{path}: {n_bad} non-finite samples")
+    return data
 
 
 def load_trial_csv(
     path,
+    emg_path,
+    streams: dict,
     condition: TrialCondition,
     spec: PerturbationSpec,
     subject_id: str,
 ) -> TrialRecord:
-    main = read_csv(path)
-    emg = read_csv(emg_companion_path(path))
-    force = SampledSignal(main.sample_rate, main.start_time, ("fx", "fy"), main.data[:, 0:2])
-    velocity = SampledSignal(main.sample_rate, main.start_time, ("vx", "vy"), main.data[:, 2:4])
+    """Read a trial written by :func:`save_trial_csv`.
+
+    ``streams`` is the manifest doc of :func:`trial_streams`; the signals
+    take their rates, start times and labels from it. Both arrays must span
+    the perturbation's duration (the EMG grid may end one sample early).
+    The name is historical: trials were once stored as CSV text.
+
+    Raises DataError for a missing, torn or short file, a wrong shape or
+    dtype, and non-finite samples.
+    """
+    robot, emg = streams["robot"], streams["emg"]
+    rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]
+    main = _load_samples(path, len(labels), round(spec.duration * rate) + 1)
+    emg_data = _load_samples(emg_path, len(emg["channels"]), round(spec.duration * emg["rate_hz"]))
     return TrialRecord(
         condition=condition,
-        force=force,
-        velocity=velocity,
-        emg=emg,
+        force=SampledSignal(rate, start, labels[0:2], main[:, 0:2]),
+        velocity=SampledSignal(rate, start, labels[2:4], main[:, 2:4]),
+        emg=SampledSignal(emg["rate_hz"], emg["start_time_s"], emg["channels"], emg_data),
         spec=spec,
         subject_id=subject_id,
     )

@@ -72,7 +72,7 @@ def _cmd_simulate(config: StudyConfig) -> int:
 
 
 def _cmd_analyze(config: StudyConfig) -> int:
-    result = analyze_study(config.output.dir)
+    result = analyze_study(config.output.dir, config=config)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     complete = sum(1 for m in result.maps.values() if m.complete)
@@ -82,7 +82,7 @@ def _cmd_analyze(config: StudyConfig) -> int:
     )
     if result.missing_fraction > MISSING_TRIAL_BUDGET:
         print(
-            f"error: {result.n_missing}/{result.n_expected} trials missing "
+            f"error: {result.n_missing}/{result.n_expected} trials missing or unreadable "
             f"(> {MISSING_TRIAL_BUDGET:.0%})",
             file=sys.stderr,
         )
@@ -133,6 +133,11 @@ def main(argv=None) -> int:
         if args.command == "stabilize":
             return _cmd_stabilize(config, args.map)
         # all
+        if config.cohort.subjects < 2:
+            raise ConfigError(
+                f"gmpkit all needs cohort.subjects >= 2 (got {config.cohort.subjects}): "
+                "its stats stage compares subjects; run simulate and analyze instead"
+            )
         code = _cmd_simulate(config)
         if code == EXIT_OK:
             code = _cmd_analyze(config)

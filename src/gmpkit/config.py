@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, asdict
 
-from .biomech import LimbParams
+from .biomech import DEFAULT_MVC_RMS_MV, LimbParams
 from .errors import ConfigError
 
 
@@ -102,6 +102,11 @@ class StudyConfig:
             raise ConfigError("rates.robot_hz too low for the protocol frequencies")
         if self.rates.emg_hz <= 2 * 450.0:
             raise ConfigError("rates.emg_hz must exceed twice the EMG band edge")
+        n_emg = len(DEFAULT_MVC_RMS_MV)
+        if not self.emg.feedback_channels or any(
+            not 0 <= ch < n_emg for ch in self.emg.feedback_channels
+        ):
+            raise ConfigError(f"emg.feedback_channels must be channel indices in 0..{n_emg - 1}")
         if self.output.jobs < 1:
             raise ConfigError("output.jobs must be >= 1")
         if self.stabilizer.field_kind not in ("negative-damping", "delayed-spring"):

@@ -27,6 +27,10 @@ class IntegrationError(GmpkitError, RuntimeError):
     """Fixed-step integration cannot proceed (step too large / blow-up)."""
 
 
+class DataError(GmpkitError):
+    """A stored input is unreadable, damaged, or of an unsupported schema."""
+
+
 class DegenerateTrialError(GmpkitError, ValueError):
     """A trial carries too little motion energy to identify anything."""
 

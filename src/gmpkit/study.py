@@ -4,8 +4,9 @@ Owns the on-disk layout of a run:
 
     out/
       manifest.json                         run manifest
-      mvc/<subject>_rep<k>_emg.csv          MVC calibration recordings
-      trials/<subject>_<test>_d<i>.csv      force/velocity (+ EMG companion)
+      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float64
+      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4)
+      trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4)
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps
       analysis/gmp_median.json              cohort median map
@@ -15,7 +16,9 @@ Owns the on-disk layout of a run:
 
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
-order, so parallel workers produce byte-identical files.
+order, so parallel workers produce byte-identical files. The .npy arrays
+hold samples only; their rates, start time and channel labels are stored
+once, under "streams" in the manifest.
 """
 
 from __future__ import annotations
@@ -37,17 +40,18 @@ from .biomech import (
     make_cohort,
     save_trial_csv,
     simulate_trial,
+    trial_streams,
 )
-from .config import ScenarioConfig, StudyConfig, frequency_labels
+from .config import EmgConfig, ScenarioConfig, StudyConfig, frequency_labels
 from .emg import MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import ConfigError, DegenerateSampleError, GmpkitError, MapRangeError
+from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MVC_REPETITIONS = 2
 MVC_DURATION_S = 3.0
@@ -99,8 +103,8 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
             np.random.SeedSequence((seed, subject_idx, 90, rep)),
             rate=config.rates.emg_hz,
         )
-        rel = f"mvc/{subject.subject_id}_rep{rep + 1}_emg.csv"
-        write_csv(rec, out / rel)
+        rel = f"mvc/{subject.subject_id}_rep{rep + 1}_emg.npy"
+        np.save(out / rel, rec.data)
         recordings.append(rec)
         rec_paths.append(rel)
     cal = estimate_mvc(recordings, config.emg.rms_window_s, config.emg.rms_stride_s)
@@ -131,18 +135,20 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
                 activation_label=test["activation_label"],
                 frequency_label=test["frequency_label"],
             )
-            rel = f"trials/{subject.subject_id}_{test['code']}_d{direction}.csv"
-            save_trial_csv(trial, out / rel)
+            trial_id = f"{subject.subject_id}_{test['code']}_d{direction}"
+            robot_file, emg_file = f"trials/{trial_id}.npy", f"trials/{trial_id}_emg.npy"
+            save_trial_csv(trial, out / robot_file, out / emg_file)
             trials.append(
                 {
-                    "trial_id": f"{subject.subject_id}_{test['code']}_d{direction}",
+                    "trial_id": trial_id,
                     "test": test["code"],
                     "direction": direction,
                     "activation_label": test["activation_label"],
                     "frequency_label": test["frequency_label"],
                     "frequency_hz": test["frequency_hz"],
                     "target_pct_mvc": test["target_pct_mvc"],
-                    "csv": rel,
+                    "robot_file": robot_file,
+                    "emg_file": emg_file,
                 }
             )
     params = subject.params
@@ -206,6 +212,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "config": config.as_dict(),
+        "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
         "subjects": subject_docs,
     }
     _check_manifest_files(manifest, out)
@@ -215,12 +222,10 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
 
 def _check_manifest_files(manifest: dict, out: Path) -> None:
     for subject in manifest["subjects"]:
-        for rel in subject["mvc_recordings"]:
+        trial_files = [t[key] for t in subject["trials"] for key in ("robot_file", "emg_file")]
+        for rel in subject["mvc_recordings"] + trial_files:
             if not (out / rel).exists():
                 raise GmpkitError(f"manifest references missing file {rel}")
-        for trial in subject["trials"]:
-            if not (out / trial["csv"]).exists():
-                raise GmpkitError(f"manifest references missing file {trial['csv']}")
 
 
 def load_manifest(out_dir) -> dict:
@@ -237,7 +242,7 @@ class AnalysisResult:
     maps: dict[str, GmpMap]
     median: GmpMap | None
     n_expected: int
-    n_missing: int
+    n_missing: int  # trials not analyzed: file absent or unreadable
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -245,16 +250,39 @@ class AnalysisResult:
         return self.n_missing / self.n_expected if self.n_expected else 0.0
 
 
-def analyze_study(out_dir, manifest: dict | None = None) -> AnalysisResult:
-    """Estimate EoP on the analysis window of every trial and build maps."""
+def analyze_study(out_dir, manifest: dict | None = None,
+                  config: StudyConfig | None = None) -> AnalysisResult:
+    """Estimate EoP on the analysis window of every trial and build maps.
+
+    The analysis settings, ``protocol.analysis_window_s`` and ``[emg]``,
+    come from ``config``, or from the manifest's copy of the simulation
+    config when ``config`` is None. What was simulated (duration,
+    amplitude, rates, grid) always comes from the manifest. A trial whose
+    file is absent or unreadable is skipped with a warning and counted in
+    ``n_missing``.
+    """
     out = Path(out_dir)
     manifest = manifest or load_manifest(out)
-    config_doc = manifest["config"]
-    protocol = config_doc["protocol"]
-    emg_cfg = config_doc["emg"]
-    window = Window(
-        protocol["duration_s"] - protocol["analysis_window_s"], protocol["duration_s"]
-    )
+    version = manifest.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise DataError(
+            f"manifest schema version {version} is not supported (this gmpkit reads "
+            f"schema {SCHEMA_VERSION}); re-run simulate"
+        )
+    protocol = manifest["config"]["protocol"]
+    if config is None:
+        window_s = protocol["analysis_window_s"]
+        emg_doc = manifest["config"]["emg"]
+        emg_cfg = EmgConfig(**{**emg_doc, "feedback_channels": tuple(emg_doc["feedback_channels"])})
+    else:
+        window_s, emg_cfg = config.protocol.analysis_window_s, config.emg
+    duration = protocol["duration_s"]
+    if window_s > duration:
+        raise ConfigError(
+            f"protocol.analysis_window_s = {window_s} exceeds the simulated duration_s = {duration}"
+        )
+    window = Window(duration - window_s, duration)
+    streams = manifest["streams"]
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
@@ -268,10 +296,9 @@ def analyze_study(out_dir, manifest: dict | None = None) -> AnalysisResult:
         subject_estimates = []
         for entry in subject["trials"]:
             n_expected += 1
-            path = out / entry["csv"]
-            if not path.exists():
+            if not (out / entry["robot_file"]).exists():
                 n_missing += 1
-                warnings.append(f"missing trial file {entry['csv']}")
+                warnings.append(f"missing trial file {entry['robot_file']}")
                 continue
             condition = TrialCondition(
                 direction_index=entry["direction"],
@@ -282,17 +309,23 @@ def analyze_study(out_dir, manifest: dict | None = None) -> AnalysisResult:
                 frequency=entry["frequency_hz"],
                 amplitude=protocol["amplitude_m"],
                 direction_index=entry["direction"],
-                duration=protocol["duration_s"],
+                duration=duration,
             )
-            trial = load_trial_csv(path, condition, spec, subject["subject_id"])
+            try:
+                trial = load_trial_csv(out / entry["robot_file"], out / entry["emg_file"],
+                                       streams, condition, spec, subject["subject_id"])
+            except DataError as exc:
+                n_missing += 1
+                warnings.append(f"unreadable trial {entry['trial_id']}: {exc}")
+                continue
             subject_estimates.append(
                 estimate_eop(
                     trial,
                     window,
                     cal=cal,
-                    feedback_channels=tuple(emg_cfg["feedback_channels"]),
-                    rms_window=emg_cfg["rms_window_s"],
-                    rms_stride=emg_cfg["rms_stride_s"],
+                    feedback_channels=emg_cfg.feedback_channels,
+                    rms_window=emg_cfg.rms_window_s,
+                    rms_stride=emg_cfg.rms_stride_s,
                 )
             )
         gmp_map = build_map(subject_estimates, subject["subject_id"])

@@ -175,7 +175,9 @@ def test_criterion_5_passivity_ledger(full_study):
             from gmpkit.biomech import TrialCondition
 
             trial = load_trial_csv(
-                out / entry["csv"],
+                out / entry["robot_file"],
+                out / entry["emg_file"],
+                manifest["streams"],
                 TrialCondition(entry["direction"], entry["activation_label"], entry["frequency_label"]),
                 PerturbationSpec(
                     frequency=entry["frequency_hz"], amplitude=protocol["amplitude_m"],

@@ -13,7 +13,9 @@ from gmpkit.biomech import (
     perturbation_direction,
     save_trial_csv,
     simulate_trial,
+    trial_streams,
 )
+from gmpkit.emg import EMG_RATE
 from gmpkit.errors import DegenerateTrialError, IntegrationError
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import Window
@@ -180,24 +182,33 @@ def test_cohort_jitter_within_bounds():
     assert cohort == again
 
 
+def save_and_load(trial, tmp_path):
+    """Round-trip a trial through the .npy trial store at its simulated rates."""
+    path, emg_path = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
+    save_trial_csv(trial, path, emg_path)
+    streams = trial_streams(1000.0, EMG_RATE)
+    return load_trial_csv(path, emg_path, streams, trial.condition, trial.spec, trial.subject_id)
+
+
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
-    path = tmp_path / "trial.csv"
-    save_trial_csv(trial, path)
-    assert (tmp_path / "trial_emg.csv").exists()
-    back = load_trial_csv(path, trial.condition, trial.spec, trial.subject_id)
-    np.testing.assert_array_equal(back.force.data, trial.force.data)
-    np.testing.assert_array_equal(back.velocity.data, trial.velocity.data)
-    np.testing.assert_array_equal(back.emg.data, trial.emg.data)
-    with open(path) as fh:
-        assert fh.readline().strip() == "t,fx,fy,vx,vy,emg1,emg2,emg3,emg4"
+    back = save_and_load(trial, tmp_path)
+    assert np.array_equal(back.force.data, trial.force.data)
+    assert np.array_equal(back.velocity.data, trial.velocity.data)
+    assert np.array_equal(back.emg.data, trial.emg.data)
+    assert back.force.sample_rate == back.velocity.sample_rate == 1000.0
+    assert back.emg.sample_rate == EMG_RATE
+    for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
+                              (back.emg, trial.emg)):
+        assert loaded.sample_rate == simulated.sample_rate
+        assert loaded.start_time == simulated.start_time
+        assert loaded.channels == simulated.channels
+    assert np.load(tmp_path / "trial.npy").shape == (trial.force.n_samples, 4)
 
 
 def test_trial_csv_estimates_agree(tmp_path):
     trial = run(LimbParams(), seed=9)
-    path = tmp_path / "trial.csv"
-    save_trial_csv(trial, path)
-    back = load_trial_csv(path, trial.condition, trial.spec, trial.subject_id)
+    back = save_and_load(trial, tmp_path)
     direct = estimate_eop(trial, ANALYSIS_WINDOW)
     loaded = estimate_eop(back, ANALYSIS_WINDOW)
     assert loaded.xi == pytest.approx(direct.xi, rel=1e-12)

@@ -60,6 +60,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("[protocol]\nfrequencies = 3.0,1.0\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text("[emg]\nfeedback_channels = 0,7\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_single_frequency_protocol(tmp_path):
@@ -79,7 +82,7 @@ def test_simulate_trial_counts_single_subject_one_frequency(tmp_path):
     manifest = load_manifest(out)
     trials = [t for s in manifest["subjects"] for t in s["trials"]]
     assert len(trials) == 16  # 1 subject x 2 activations x 8 directions
-    assert len(list((out / "trials").glob("*.csv"))) == 32  # trial + EMG companion
+    assert len(list((out / "trials").glob("*.npy"))) == 32  # force/velocity + EMG per trial
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     result = analyze_study(out)
     assert result.maps["S1"].complete
@@ -93,7 +96,8 @@ def test_parallel_workers_match_serial_bytes(tmp_path):
     path_b = tmp_path / "study_b.ini"
     path_b.write_text(TINY + f"\n[output]\ndir = {tmp_path / 'parallel'}\n")
     assert cli.main(["simulate", "--config", str(path_b), "--jobs", "2"]) == cli.EXIT_OK
-    serial_trials = sorted((tmp_path / "serial" / "trials").glob("*.csv"))
+    serial_trials = sorted((tmp_path / "serial" / "trials").glob("*.npy"))
+    assert len(serial_trials) == 128  # 2 subjects x 32 trials x 2 arrays
     for trial in serial_trials:
         twin = tmp_path / "parallel" / "trials" / trial.name
         assert twin.read_bytes() == trial.read_bytes(), trial.name
@@ -140,15 +144,15 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 def test_seed_flag_changes_outputs(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path), "--seed", "1"]) == cli.EXIT_OK
-    first = (out / "trials" / "S1_LR_d0.csv").read_bytes()
+    first = (out / "trials" / "S1_LR_d0.npy").read_bytes()
     assert cli.main(["simulate", "--config", str(path), "--seed", "2"]) == cli.EXIT_OK
-    assert (out / "trials" / "S1_LR_d0.csv").read_bytes() != first
+    assert (out / "trials" / "S1_LR_d0.npy").read_bytes() != first
 
 
 def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    victim = out / "trials" / "S1_HS_d3.csv"
+    victim = out / "trials" / "S1_HS_d3.npy"
     victim.unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     err = capsys.readouterr().err
@@ -162,10 +166,36 @@ def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
 def test_analyze_fails_above_missing_budget(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    victims = sorted(p for p in (out / "trials").glob("S1_*_d*.csv") if "emg" not in p.name)
+    victims = sorted(p for p in (out / "trials").glob("S1_*_d*.npy") if "emg" not in p.name)
     for victim in victims[:10]:
         victim.unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
+
+
+def test_analyze_takes_analysis_settings_from_its_config(tmp_path):
+    path, out = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
+    two_seconds = (out / "analysis" / "eop_estimates.csv").read_bytes()
+    shorter, _ = write_config(tmp_path, TINY.replace("window_s = 2.0", "window_s = 1.0"), out=out)
+    assert cli.main(["analyze", "--config", str(shorter)]) == cli.EXIT_OK
+    assert (out / "analysis" / "eop_estimates.csv").read_bytes() != two_seconds
+
+
+def test_analyze_refuses_window_longer_than_simulated_trials(tmp_path, capsys):
+    path, out = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    # valid against the config's own 10 s duration, not against the 3 s trials
+    longer, _ = write_config(tmp_path, "[protocol]\nanalysis_window_s = 4.0\n", out=out)
+    assert cli.main(["analyze", "--config", str(longer)]) == cli.EXIT_CONFIG
+    assert "analysis_window_s" in capsys.readouterr().err
+
+
+def test_all_refuses_single_subject_before_simulating(tmp_path, capsys):
+    path, out = write_config(tmp_path, TINY.replace("subjects = 2", "subjects = 1"))
+    assert cli.main(["all", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert ">= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stabilize_passive_scenario(tmp_path):
@@ -225,4 +255,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 1" in proc.stdout
+    assert "format schema 2" in proc.stdout

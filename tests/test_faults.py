@@ -1,0 +1,147 @@
+"""Fault injection: damaged or partial study inputs end in typed errors.
+
+Each test damages a copy of one small simulated study and runs
+``gmpkit analyze`` in-process, so an exception that escaped the CLI's
+typed error handling would fail the test.
+"""
+
+import json
+import re
+import shutil
+
+import numpy as np
+import pytest
+
+from gmpkit import cli
+from gmpkit.biomech import PerturbationSpec, TrialCondition, load_trial_csv
+from gmpkit.errors import DataError
+from gmpkit.study import load_manifest
+
+STUDY = """
+[cohort]
+subjects = 2
+seed = 31
+
+[protocol]
+duration_s = 3.0
+analysis_window_s = 2.0
+"""
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("faults")
+    path = root / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {root / 'out'}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    return root / "out"
+
+
+@pytest.fixture
+def study(simulated, tmp_path):
+    """A fresh copy of the simulated study and a config that points at it."""
+    out = tmp_path / "out"
+    shutil.copytree(simulated, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    return out, path
+
+
+def analyze(path, capsys):
+    code = cli.main(["analyze", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def truncate(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def rewrite(path, fn):
+    np.save(path, fn(np.load(path)))
+
+
+def test_truncated_trial_is_one_warning(study, capsys):
+    out, path = study
+    truncate(out / "trials" / "S1_LR_d0.npy")
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert "unreadable trial S1_LR_d0" in err
+    summary = json.loads((out / "analysis" / "summary.json").read_text())
+    assert summary["n_missing"] == 1
+    assert summary["complete_maps"] == ["S2"]
+
+
+def test_damage_above_budget_fails_analysis(study, capsys):
+    out, path = study
+    trials = sorted(p for p in (out / "trials").glob("S1_*_d*.npy") if "emg" not in p.name)
+    # 4 deleted + 3 torn = 7 of 64 trials, above the 10% budget only when
+    # the two kinds of failure are counted together
+    for victim in trials[:4]:
+        victim.unlink()
+    for victim in trials[4:7]:
+        truncate(victim)
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert "7/64 trials missing or unreadable" in err
+
+
+def test_nan_sample_is_rejected(study, capsys):
+    out, path = study
+
+    def poison(data):
+        data[1500, 0] = np.nan
+        return data
+
+    rewrite(out / "trials" / "S2_HS_d5.npy", poison)
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert "unreadable trial S2_HS_d5" in err
+    assert "1 non-finite samples" in err
+
+
+def test_deleted_emg_file_is_one_warning(study, capsys):
+    out, path = study
+    (out / "trials" / "S1_HR_d2_emg.npy").unlink()
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert "unreadable trial S1_HR_d2" in err
+    assert "S1_HR_d2_emg.npy" in err
+
+
+def test_schema_1_manifest_is_a_typed_error(study, capsys):
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 1
+    del manifest["streams"]
+    for subject in manifest["subjects"]:
+        for entry in subject["trials"]:
+            entry["csv"] = entry.pop("robot_file").replace(".npy", ".csv")
+            del entry["emg_file"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert "schema version 1" in err
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda data: data[:-1], "samples, expected at least 3001"),
+        (lambda data: data.astype(np.float32), "expected float64 samples"),
+        (lambda data: data[:, :3], "shape (n, 4)"),
+        (lambda data: data.ravel(), "shape (n, 4)"),
+    ],
+)
+def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
+    manifest = load_manifest(simulated)
+    entry = manifest["subjects"][0]["trials"][0]
+    robot = tmp_path / "trial.npy"
+    np.save(robot, damage(np.load(simulated / entry["robot_file"])))
+    condition = TrialCondition(entry["direction"], entry["activation_label"], entry["frequency_label"])
+    spec = PerturbationSpec(entry["frequency_hz"], 0.03, entry["direction"], duration=3.0)
+    with pytest.raises(DataError, match=re.escape(reason)):
+        load_trial_csv(robot, simulated / entry["emg_file"], manifest["streams"],
+                       condition, spec, "S1")
