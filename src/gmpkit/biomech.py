@@ -48,7 +48,7 @@ import numpy as np
 
 from . import emg as emg_module
 from .errors import DataError, IntegrationError
-from .signals import SampledSignal
+from .signals import SampledSignal, first_order_recurrence
 
 N_DIRECTIONS = 8
 
@@ -208,8 +208,10 @@ def activation_series(
     """Activation trajectory: exact exponential lag plus AR(1) noise.
 
     The lag solution is evaluated in closed form (not stepped), and the
-    multiplicative noise is an AR(1) process with ~0.2 s correlation time,
-    so the series is step-size-consistent and replayable.
+    multiplicative noise is an AR(1) process with ~0.2 s correlation time
+    (unit stationary variance, started at zero, evaluated by
+    :func:`signals.first_order_recurrence`), so the series is
+    step-size-consistent and replayable.
     """
     t = np.arange(n_samples) * dt
     if act.rise_time > 0:
@@ -219,9 +221,7 @@ def activation_series(
     if act.tracking_noise > 0 and act.target_pct_mvc > 0:
         rho = math.exp(-dt / _NOISE_CORR_TIME)
         eps = rng.standard_normal(n_samples)
-        from scipy.signal import lfilter
-
-        w = lfilter([math.sqrt(1.0 - rho * rho)], [1.0, -rho], eps)
+        w = first_order_recurrence(np.full(n_samples, rho), math.sqrt(1.0 - rho * rho) * eps)
         mean = mean * (1.0 + act.tracking_noise * w)
     return np.clip(mean, 0.0, 1.0)
 
@@ -260,7 +260,10 @@ def simulate_trial(
     The prescribed kinematics are evaluated analytically; only the Maxwell
     branch force is stepped, with a fixed-step implicit (unconditionally
     stable) update, and the activation lag uses its exact exponential
-    solution. ``seed`` may be an int or a numpy SeedSequence.
+    solution. The implicit update is linear in the branch force, so the
+    whole trajectory is one first-order recurrence, evaluated by the
+    doubling scan of :func:`signals.first_order_recurrence` rather than a
+    per-sample loop. ``seed`` may be an int or a numpy SeedSequence.
     """
     if rate < 20.0 * spec.frequency:
         raise IntegrationError(
@@ -288,11 +291,12 @@ def simulate_trial(
     f_m = np.zeros(n_samples)
     if np.max(b_m) > 1e-12:
         k_m = params.maxwell_stiffness
-        b_m = np.maximum(b_m, 1e-12)
-        fm = 0.0
-        for idx in range(1, n_samples):
-            fm = (fm + h * k_m * v_ax[idx]) / (1.0 + h * k_m / b_m[idx])
-            f_m[idx] = fm
+        # implicit step f[n] = (f[n-1] + h*k_m*v[n]) / (1 + h*k_m/b_m[n]),
+        # from f[0] = 0, as one linear recurrence
+        decay = 1.0 / (1.0 + h * k_m / np.maximum(b_m, 1e-12))
+        drive = h * k_m * v_ax * decay
+        decay[0] = drive[0] = 0.0
+        f_m = first_order_recurrence(decay, drive)
     f_ax = params.mass * acc_ax + g * params.base_damping * v_ax + params.stiffness * x_ax + f_m
     if not np.all(np.isfinite(f_ax)):
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
@@ -396,6 +400,12 @@ def _load_samples(path, n_channels: int, min_samples: int) -> np.ndarray:
     n_bad = np.count_nonzero(~np.isfinite(data))
     if n_bad:
         raise DataError(f"{path}: {n_bad} non-finite samples")
+    # np.load returns a view of a flat buffer: freeze both, so the signals
+    # built on the samples share them instead of copying them
+    base = data
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
     return data
 
 

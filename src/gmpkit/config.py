@@ -11,8 +11,10 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, asdict
 
-from .biomech import DEFAULT_MVC_RMS_MV, LimbParams
+from .biomech import DEFAULT_MVC_RMS_MV, N_DIRECTIONS, LimbParams
+from .emg import BAND_HZ
 from .errors import ConfigError
+from .stabilizer import FIELD_KINDS
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,12 @@ class StudyConfig:
                 raise ConfigError(f"protocol.{name} must be within [0, 1]")
         if self.rates.robot_hz < 20.0 * max(p.frequencies):
             raise ConfigError("rates.robot_hz too low for the protocol frequencies")
-        if self.rates.emg_hz <= 2 * 450.0:
+        if self.rates.emg_hz <= 2 * BAND_HZ[1]:
             raise ConfigError("rates.emg_hz must exceed twice the EMG band edge")
+        if not (self.emg.rms_window_s > 0 and self.emg.rms_stride_s > 0):
+            raise ConfigError("emg.rms_window_s and emg.rms_stride_s must be > 0")
+        if self.emg.rms_window_s > p.duration_s:
+            raise ConfigError("emg.rms_window_s exceeds protocol.duration_s")
         n_emg = len(DEFAULT_MVC_RMS_MV)
         if not self.emg.feedback_channels or any(
             not 0 <= ch < n_emg for ch in self.emg.feedback_channels
@@ -109,10 +115,10 @@ class StudyConfig:
             raise ConfigError(f"emg.feedback_channels must be channel indices in 0..{n_emg - 1}")
         if self.output.jobs < 1:
             raise ConfigError("output.jobs must be >= 1")
-        if self.stabilizer.field_kind not in ("negative-damping", "delayed-spring"):
+        if self.stabilizer.field_kind not in FIELD_KINDS:
             raise ConfigError(f"unknown stabilizer.field_kind {self.stabilizer.field_kind!r}")
-        if not 0 <= self.stabilizer.direction < 8:
-            raise ConfigError("stabilizer.direction must be in 0..7")
+        if not 0 <= self.stabilizer.direction < N_DIRECTIONS:
+            raise ConfigError(f"stabilizer.direction must be in 0..{N_DIRECTIONS - 1}")
 
     def as_dict(self) -> dict:
         doc = {

@@ -7,6 +7,12 @@ drive the pooled %MVC readout used as the activation axis of the maps.
 %MVC is the sliding-window RMS of the raw EMG normalized by the RMS
 recorded at maximum voluntary contraction. Envelope window and stride
 default to 0.25 s / 0.05 s, standard surface-EMG practice.
+
+The raw EMG is white noise through a causal 4th-order Butterworth
+band-pass (20-450 Hz), computed with numpy alone: the filter is designed
+as zeros, poles and gain and applied as a frequency response to an FFT
+that also covers the filter's impulse-response tail
+(:func:`signals.butter_bandpass`).
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import DegenerateSampleError
-from .signals import SampledSignal, Window, rms
+from .signals import SampledSignal, Window, butter_bandpass, rms
 
 EMG_RATE = 2148.0  # Hz
 
@@ -77,6 +82,10 @@ def synthesize_emg(
     ``activation * mvc_rms`` in expectation. The activation signal may be
     at any rate; it is interpolated onto the output grid. A single
     activation channel drives all EMG channels (co-activation).
+
+    The noise of all channels is drawn at once, channel after channel from
+    one stream, and filtered causally from rest in one batched FFT
+    (:func:`signals.butter_bandpass`).
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -85,16 +94,15 @@ def synthesize_emg(
     t_out = activation.start_time + np.arange(n_out) / rate
     t_act = activation.times()
 
-    sos = sps.butter(order, [band[0] / (rate / 2.0), band[1] / (rate / 2.0)], btype="bandpass", output="sos")
+    noise = butter_bandpass(rng.standard_normal((n_channels, n_out)), order, band, rate)
+    std = noise.std(axis=1)
+    drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
     out = np.empty((n_out, n_channels))
     for ch in range(n_channels):
-        act_col = activation.data[:, min(ch, activation.n_channels - 1)]
-        drive = np.interp(t_out, t_act, act_col)
-        noise = sps.sosfilt(sos, rng.standard_normal(n_out))
-        std = noise.std()
-        if std > 0:
-            noise = noise / std
-        out[:, ch] = drive * mvc_rms[ch] * noise
+        drive = drives[min(ch, len(drives) - 1)]
+        scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
+        out[:, ch] = drive * mvc_rms[ch] * scaled
+    out.flags.writeable = False  # the signal takes it over without a copy
     return SampledSignal(
         sample_rate=rate,
         start_time=activation.start_time,

@@ -1,8 +1,10 @@
 """Uniformly sampled multichannel signals.
 
 The numerical substrate for the whole toolkit: slicing by time window,
-trapezoidal quadrature of inner products, sliding-window RMS, and the CSV
-interchange format.
+trapezoidal quadrature of inner products, sliding-window RMS, the CSV
+interchange format, and two filter kernels in plain numpy: a first-order
+linear recurrence (the Maxwell branch and the AR(1) activation noise) and
+a causal Butterworth band-pass (the EMG noise).
 
 Conventions
 -----------
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,8 +82,9 @@ class SampledSignal:
             raise ValueError(
                 f"{len(channels)} channel labels for {data.shape[1]} data columns"
             )
-        data = data.copy()
-        data.flags.writeable = False
+        if _mutable(data):
+            data = data.copy()
+            data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channels", channels)
 
@@ -139,6 +143,20 @@ class SampledSignal:
         )
 
 
+def _mutable(data: np.ndarray) -> bool:
+    """Whether ``data``, or an array it views, may still be written to.
+
+    A read-only array that owns its memory, or that views only read-only
+    arrays, can be shared as it is; anything else is copied.
+    """
+    base = data
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    return base is not None
+
+
 def _check_aligned(a: SampledSignal, b: SampledSignal) -> None:
     if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-12):
         raise AlignmentError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
@@ -192,8 +210,11 @@ def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -
         raise WindowRangeError(
             f"RMS window of {n_win} samples longer than signal ({signal.n_samples})"
         )
-    sq = signal.data.astype(float) ** 2
-    csum = np.vstack([np.zeros((1, signal.n_channels)), np.cumsum(sq, axis=0)])
+    # squares and their running sums share one buffer: no full-length temporaries
+    csum = np.empty((signal.n_samples + 1, signal.n_channels))
+    csum[0] = 0.0
+    np.square(signal.data, out=csum[1:])
+    np.cumsum(csum[1:], axis=0, out=csum[1:])
     starts = np.arange(0, signal.n_samples - n_win + 1, n_stride)
     means = (csum[starts + n_win] - csum[starts]) / n_win
     out = np.sqrt(means)
@@ -204,6 +225,115 @@ def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -
         channels=signal.channels,
         data=out,
     )
+
+
+# -- filter kernels --------------------------------------------------------
+
+
+def first_order_recurrence(a, b) -> np.ndarray:
+    """``y[n] = a[n] * y[n-1] + b[n]`` for all n, with ``y[-1] = 0``.
+
+    A doubling scan: after the pass with stride s, ``(a[n], y[n])`` is the
+    affine map of the 2s steps ending at n, applied to zero. log2(n)
+    vectorized passes replace the n-step Python loop. Every partial product
+    of ``a`` stays within [0, 1] when 0 <= a <= 1, so the scan is as
+    stable as the loop; it only sums the terms in another order.
+    """
+    a = np.array(a, dtype=float)
+    y = np.array(b, dtype=float)
+    if a.ndim != 1 or a.shape != y.shape:
+        raise ValueError(f"a and b must be 1-D of one length, got {a.shape} and {y.shape}")
+    n = len(y)
+    stride = 1
+    while stride < n:
+        y[stride:] += a[stride:] * y[:-stride]
+        a[stride:] = a[stride:] * a[:-stride]
+        stride *= 2
+    return y
+
+
+# the band-pass FFT covers the impulse response until it has decayed by this
+_TAIL_DECAY = 1e-20
+
+
+def butter_bandpass_zpk(
+    order: int, band: tuple[float, float], rate: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zeros, poles and gain of a digital Butterworth band-pass.
+
+    The classic bilinear design, step for step: the analog prototype's
+    poles on the left unit half-circle, band edges (as fractions of
+    Nyquist) prewarped for the bilinear transform, the low-pass to
+    band-pass transform, then the bilinear transform. Any order >= 1.
+    """
+    low, high = band
+    if order < 1 or not 0 < low < high < rate / 2.0:
+        raise ValueError(f"need order >= 1 and 0 < band < rate/2, got {order}, {band}, {rate}")
+    # analog prototype: unit-circle poles, no zeros, unit gain
+    proto = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
+    # edges as fractions of Nyquist, prewarped at a normalized rate of 2
+    fs2 = 4.0
+    warped = fs2 * np.tan(np.pi * np.array([low, high]) / (rate / 2.0) / 2.0)
+    bw = warped[1] - warped[0]
+    wo = math.sqrt(warped[0] * warped[1])
+    # low-pass to band-pass: each pole splits in two, order zeros at s = 0
+    p_lp = proto * bw / 2.0
+    shift = np.sqrt(p_lp**2 - wo**2)
+    poles_s = np.concatenate((p_lp + shift, p_lp - shift))
+    # bilinear transform: s = 0 maps to z = 1, s = infinity to z = -1
+    poles = (fs2 + poles_s) / (fs2 - poles_s)
+    zeros = np.concatenate((np.ones(order), -np.ones(order)))
+    gain = float(bw**order * np.real(fs2**order / np.prod(fs2 - poles_s)))
+    return zeros, poles, gain
+
+
+def _fast_fft_length(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@lru_cache(maxsize=16)
+def _bandpass_response(
+    order: int, band: tuple[float, float], rate: float, n: int
+) -> tuple[int, np.ndarray]:
+    """FFT length for ``n`` samples and the band-pass's response on its rfft grid.
+
+    The FFT covers the n samples plus the impulse response's tail: the
+    samples until the slowest pole has decayed by _TAIL_DECAY.
+    """
+    zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
+    tail = math.ceil(math.log(_TAIL_DECAY) / math.log(float(np.max(np.abs(poles)))))
+    nfft = _fast_fft_length(n + tail)
+    z = np.exp(2j * np.pi * np.arange(nfft // 2 + 1) / nfft)
+    response = np.full(len(z), gain, dtype=complex)
+    for zero in zeros:
+        response *= z - zero
+    for pole in poles:
+        response /= z - pole
+    response.flags.writeable = False
+    return nfft, response
+
+
+def butter_bandpass(x, order: int, band: tuple[float, float], rate: float) -> np.ndarray:
+    """Causal Butterworth band-pass of ``x`` along its last axis, from rest.
+
+    Multiplies the ``rfft`` by the filter's frequency response. The FFT is
+    long enough to hold the signal plus the impulse response's tail, so the
+    circular convolution equals the causal time-domain filter (second-order
+    sections started from zero state) to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    nfft, response = _bandpass_response(order, (float(band[0]), float(band[1])), float(rate), n)
+    return np.fft.irfft(np.fft.rfft(x, nfft) * response, nfft)[..., :n]
 
 
 # -- CSV interchange -------------------------------------------------------

@@ -188,6 +188,11 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
                    jobs: int | None = None) -> dict:
     """Run the full protocol for the whole cohort; returns the manifest."""
     config.validate()
+    if config.emg.rms_window_s > MVC_DURATION_S:
+        raise ConfigError(
+            f"emg.rms_window_s = {config.emg.rms_window_s} exceeds the "
+            f"{MVC_DURATION_S} s MVC recordings"
+        )
     seed = config.cohort.seed if seed is None else seed
     jobs = config.output.jobs if jobs is None else jobs
     out = Path(out_dir)
@@ -281,6 +286,10 @@ def analyze_study(out_dir, manifest: dict | None = None,
         raise ConfigError(
             f"protocol.analysis_window_s = {window_s} exceeds the simulated duration_s = {duration}"
         )
+    if emg_cfg.rms_window_s > duration:
+        raise ConfigError(
+            f"emg.rms_window_s = {emg_cfg.rms_window_s} exceeds the simulated duration_s = {duration}"
+        )
     window = Window(duration - window_s, duration)
     streams = manifest["streams"]
     analysis_dir = out / "analysis"
@@ -347,9 +356,14 @@ def analyze_study(out_dir, manifest: dict | None = None,
     for subject_id, gmp_map in maps.items():
         save_map_json(gmp_map, analysis_dir / f"gmp_{subject_id}.json")
         save_spider_csv(gmp_map, analysis_dir / f"spider_{subject_id}.csv")
+    median_files = (analysis_dir / "gmp_median.json", analysis_dir / "spider_median.csv")
     if median is not None:
-        save_map_json(median, analysis_dir / "gmp_median.json")
-        save_spider_csv(median, analysis_dir / "spider_median.csv")
+        save_map_json(median, median_files[0])
+        save_spider_csv(median, median_files[1])
+    else:
+        # a previous run's median would otherwise pass for this run's
+        for path in median_files:
+            path.unlink(missing_ok=True)
     result = AnalysisResult(
         estimates=estimates,
         maps=maps,

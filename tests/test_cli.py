@@ -191,6 +191,47 @@ def test_analyze_refuses_window_longer_than_simulated_trials(tmp_path, capsys):
     assert "analysis_window_s" in capsys.readouterr().err
 
 
+def test_analyze_refuses_rms_window_longer_than_simulated_trials(tmp_path, capsys):
+    path, out = write_config(
+        tmp_path, "[cohort]\nsubjects = 1\n\n[protocol]\nduration_s = 2.0\nanalysis_window_s = 1.0\n"
+    )
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    # valid against the config's own 10 s duration, not against the 2 s trials
+    longer, _ = write_config(
+        tmp_path, "[protocol]\nanalysis_window_s = 1.0\n\n[emg]\nrms_window_s = 5.0\n", out=out
+    )
+    assert cli.main(["analyze", "--config", str(longer)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rms_window_s" in err and "Traceback" not in err
+
+
+def test_config_refuses_rms_window_longer_than_recordings(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[protocol]\nduration_s = 2.0\nanalysis_window_s = 1.0\n\n[emg]\nrms_window_s = 5.0\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    # the 3 s MVC recordings bound the window too, before anything is simulated
+    path, out = write_config(tmp_path, "[emg]\nrms_window_s = 4.0\n")
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_failed_reanalysis_removes_stale_median(tmp_path):
+    path, out = write_config(
+        tmp_path,
+        "[cohort]\nsubjects = 1\n\n"
+        "[protocol]\nduration_s = 2.0\nanalysis_window_s = 1.0\nfrequencies = 1.0\n",
+    )
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
+    median_files = [out / "analysis" / "gmp_median.json", out / "analysis" / "spider_median.csv"]
+    assert all(p.exists() for p in median_files)
+    for victim in ("S1_LR_d0.npy", "S1_LS_d5.npy"):  # 2 of 16 trials
+        (out / "trials" / victim).unlink()
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
+    assert not any(p.exists() for p in median_files)
+
+
 def test_all_refuses_single_subject_before_simulating(tmp_path, capsys):
     path, out = write_config(tmp_path, TINY.replace("subjects = 2", "subjects = 1"))
     assert cli.main(["all", "--config", str(path)]) == cli.EXIT_CONFIG

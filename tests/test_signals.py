@@ -1,13 +1,19 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import signal as sps  # independent oracle for the filter kernels
 
 from gmpkit.errors import AlignmentError, WindowRangeError
 from gmpkit.signals import (
     SampledSignal,
     Window,
+    butter_bandpass,
+    butter_bandpass_zpk,
+    first_order_recurrence,
     inner_product_integral,
     l2_norm_integral,
     read_csv,
@@ -44,6 +50,24 @@ def test_signal_data_is_readonly():
     sig = make_signal(np.sin)
     with pytest.raises(ValueError):
         sig.data[0, 0] = 1.0
+
+
+def test_signal_shares_only_frozen_arrays():
+    frozen = np.arange(6.0).reshape(3, 2).copy()
+    frozen.flags.writeable = False
+    assert SampledSignal(1.0, 0.0, ("a", "b"), frozen).data is frozen
+    view = frozen[:, :1]
+    assert SampledSignal(1.0, 0.0, ("a",), view).data is view
+    # a read-only view of a writeable array could still change under the signal
+    live = np.arange(6.0).reshape(3, 2).copy()
+    window = live[:, :1]
+    window.flags.writeable = False
+    sig = SampledSignal(1.0, 0.0, ("a",), window)
+    live[0, 0] = 99.0
+    assert sig.data[0, 0] == 0.0
+    sig = SampledSignal(1.0, 0.0, ("a", "b"), live)
+    live[1, 1] = -1.0
+    assert sig.data[1, 1] == 3.0
 
 
 def test_slice_last_five_seconds():
@@ -177,6 +201,16 @@ def test_rms_window_longer_than_signal():
         rms(sig, window_len=1.0, stride=0.05)
 
 
+def test_rms_matches_stacked_cumsum():
+    # the preallocated buffer gives the same bits as stacking a zero row
+    data = np.random.default_rng(3).standard_normal((4001, 3))
+    sig = SampledSignal(2000.0, 0.5, ("a", "b", "c"), data)
+    csum = np.vstack([np.zeros((1, 3)), np.cumsum(data**2, axis=0)])
+    starts = np.arange(0, 4001 - 500 + 1, 100)
+    expected = np.sqrt((csum[starts + 500] - csum[starts]) / 500)
+    np.testing.assert_array_equal(rms(sig, 0.25, 0.05).data, expected)
+
+
 def test_rms_output_rate():
     sig = make_signal(np.sin, duration=10.0, rate=1000.0)
     out = rms(sig, window_len=0.25, stride=0.05)
@@ -198,3 +232,78 @@ def test_csv_write_is_deterministic(tmp_path):
     write_csv(sig, tmp_path / "a.csv")
     write_csv(sig, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# -- filter kernels -----------------------------------------------------------
+
+
+def _relative_error(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10001])
+def test_first_order_recurrence_matches_loop(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.0, 1.0, n)
+    b = rng.standard_normal(n)
+    expected = np.empty(n)
+    y = 0.0
+    for k in range(n):
+        y = a[k] * y + b[k]
+        expected[k] = y
+    assert _relative_error(first_order_recurrence(a, b), expected) <= 1e-12
+
+
+def test_first_order_recurrence_matches_lfilter():
+    # constant coefficient: the AR(1) filter y[n] = rho*y[n-1] + c*x[n]
+    rho = math.exp(-1e-3 / 0.2)
+    x = np.random.default_rng(5).standard_normal(20001)
+    c = math.sqrt(1.0 - rho * rho)
+    expected = sps.lfilter([c], [1.0, -rho], x)
+    actual = first_order_recurrence(np.full(len(x), rho), c * x)
+    assert _relative_error(actual, expected) <= 1e-12
+
+
+def test_first_order_recurrence_leaves_inputs_alone():
+    a, b = np.full(8, 0.5), np.ones(8)
+    first_order_recurrence(a, b)
+    np.testing.assert_array_equal(a, 0.5)
+    np.testing.assert_array_equal(b, 1.0)
+    with pytest.raises(ValueError):
+        first_order_recurrence(np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("band, rate", [((20.0, 450.0), 2148.0), ((5.0, 40.0), 200.0)])
+def test_butter_bandpass_zpk_matches_scipy(order, band, rate):
+    zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
+    ref_z, ref_p, ref_k = sps.butter(order, band, btype="bandpass", fs=rate, output="zpk")
+    np.testing.assert_allclose(np.sort_complex(zeros), np.sort_complex(ref_z), atol=1e-12)
+    np.testing.assert_allclose(np.sort_complex(poles), np.sort_complex(ref_p), rtol=1e-12)
+    assert gain == pytest.approx(ref_k, rel=1e-12)
+
+
+def test_butter_bandpass_zpk_rejects_bad_band():
+    for order, band in ((0, (20.0, 450.0)), (4, (450.0, 20.0)), (4, (20.0, 1100.0))):
+        with pytest.raises(ValueError):
+            butter_bandpass_zpk(order, band, 2148.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [50, 6445, 21481])
+def test_butter_bandpass_matches_sosfilt(order, n):
+    x = np.random.default_rng(order * n).standard_normal((3, n))
+    sos = sps.butter(order, (20.0, 450.0), btype="bandpass", fs=2148.0, output="sos")
+    expected = sps.sosfilt(sos, x, axis=-1)
+    actual = butter_bandpass(x, order, (20.0, 450.0), 2148.0)
+    assert actual.shape == x.shape
+    assert _relative_error(actual, expected) <= 1e-12
+    # one row filtered alone gives the same samples as in the batch
+    np.testing.assert_allclose(butter_bandpass(x[1], order, (20.0, 450.0), 2148.0), actual[1],
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, gmpkit, gmpkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
