@@ -13,7 +13,9 @@ from dataclasses import dataclass, field, asdict
 
 from .biomech import DEFAULT_MVC_RMS_MV, N_DIRECTIONS, LimbParams
 from .emg import BAND_HZ
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateTrialError, WindowRangeError
+from .passivity import snap_window_to_periods
+from .signals import Window, rms_support
 from .stabilizer import FIELD_KINDS
 
 
@@ -69,6 +71,35 @@ class ScenarioConfig:
     seed: int = 7
 
 
+def check_envelope_window(window_s: float, duration_s: float, frequencies,
+                          robot_hz: float, emg_hz: float, emg: EmgConfig) -> None:
+    """Refuse an analysis window that misses the %MVC envelope of the trials.
+
+    The envelope is stamped at RMS window centres, so it starts and ends
+    about half an RMS window inside the trial. At every frequency, the
+    analysis window [duration_s - window_s, duration_s], snapped to whole
+    periods as ``passivity.estimate_eop`` does, must overlap it by more than
+    a point. The envelope's timestamps are computed the way ``signals.rms``
+    stamps the EMG that ``simulate_trial`` synthesizes over the span of the
+    robot grid.
+    """
+    n_emg = round(round(duration_s * robot_hz) / robot_hz * emg_hz) + 1
+    try:
+        first, last = rms_support(n_emg, emg_hz, 0.0, emg.rms_window_s, emg.rms_stride_s)
+        starts = [snap_window_to_periods(Window(duration_s - window_s, duration_s), f,
+                                         robot_hz).t_start for f in frequencies]
+    except (WindowRangeError, DegenerateTrialError) as exc:
+        raise ConfigError(f"analysis window or emg.rms_window_s out of range: {exc}") from None
+    start = max(starts)
+    if not (first < last and start < last):
+        raise ConfigError(
+            f"protocol.analysis_window_s = {window_s} s starts at {start:g} s once snapped to "
+            f"whole periods, but the %MVC envelope of emg.rms_window_s = {emg.rms_window_s} s "
+            f"covers [{first:.4g}, {last:.4g}] s of the {duration_s:g} s trials; lengthen the "
+            f"analysis window or shorten the RMS window"
+        )
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     cohort: CohortConfig = field(default_factory=CohortConfig)
@@ -108,6 +139,8 @@ class StudyConfig:
             raise ConfigError("emg.rms_window_s and emg.rms_stride_s must be > 0")
         if self.emg.rms_window_s > p.duration_s:
             raise ConfigError("emg.rms_window_s exceeds protocol.duration_s")
+        check_envelope_window(p.analysis_window_s, p.duration_s, p.frequencies,
+                              self.rates.robot_hz, self.rates.emg_hz, self.emg)
         n_emg = len(DEFAULT_MVC_RMS_MV)
         if not self.emg.feedback_channels or any(
             not 0 <= ch < n_emg for ch in self.emg.feedback_channels

@@ -194,6 +194,20 @@ def l2_norm_integral(y: SampledSignal, w: Window) -> float:
     return inner_product_integral(y, y, w)
 
 
+def _rms_geometry(n_samples: int, sample_rate: float, window_len: float,
+                  stride: float) -> tuple[int, int]:
+    """RMS window and stride in whole samples, checked against the signal length."""
+    if window_len <= 0 or stride <= 0:
+        raise ValueError("window_len and stride must be > 0")
+    n_win = max(1, round(window_len * sample_rate))
+    n_stride = max(1, round(stride * sample_rate))
+    if n_win > n_samples:
+        raise WindowRangeError(
+            f"RMS window of {n_win} samples longer than signal ({n_samples})"
+        )
+    return n_win, n_stride
+
+
 def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -> SampledSignal:
     """Sliding-window root-mean-square per channel.
 
@@ -202,14 +216,7 @@ def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -
     centres, so the output rate is ``sample_rate / round(stride * sample_rate)``
     (equal to 1/stride whenever the stride is a whole number of samples).
     """
-    if window_len <= 0 or stride <= 0:
-        raise ValueError("window_len and stride must be > 0")
-    n_win = max(1, round(window_len * signal.sample_rate))
-    n_stride = max(1, round(stride * signal.sample_rate))
-    if n_win > signal.n_samples:
-        raise WindowRangeError(
-            f"RMS window of {n_win} samples longer than signal ({signal.n_samples})"
-        )
+    n_win, n_stride = _rms_geometry(signal.n_samples, signal.sample_rate, window_len, stride)
     # squares and their running sums share one buffer: no full-length temporaries
     csum = np.empty((signal.n_samples + 1, signal.n_channels))
     csum[0] = 0.0
@@ -225,6 +232,20 @@ def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -
         channels=signal.channels,
         data=out,
     )
+
+
+def rms_support(n_samples: int, sample_rate: float, start_time: float,
+                window_len: float = 0.25, stride: float = 0.05) -> tuple[float, float]:
+    """First and last timestamps of :func:`rms` of an ``n_samples``-sample signal.
+
+    Computed with the arithmetic ``rms`` and ``SampledSignal.end_time`` use,
+    so the values equal ``rms(signal, ...).span()`` bit for bit, without the
+    signal. First and last are equal when the envelope has a single sample.
+    """
+    n_win, n_stride = _rms_geometry(n_samples, sample_rate, window_len, stride)
+    first = start_time + (n_win - 1) / 2.0 / sample_rate
+    n_out = (n_samples - n_win) // n_stride + 1
+    return first, first + (n_out - 1) / (sample_rate / n_stride)
 
 
 # -- filter kernels --------------------------------------------------------

@@ -26,11 +26,17 @@ motion enough to cost more total injected energy than plain stabilization.
 
 Runs are deterministic given (limb, field, perturbation, seed); separate
 scenarios can run in parallel, and map lookups are read-only.
+
+The step loop runs on Python floats: the excitation and the Maxwell
+denominators are precomputed per step (the excitation with ``math.sin``,
+since ``np.sin`` may differ from the C library in the last bit), and the
+histories go to ``array('d')`` buffers.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,16 +96,6 @@ class ForceFieldSpec:
 
 
 @dataclass(frozen=True)
-class StabilizerState:
-    """Controller bookkeeping at one step (histories live in the result)."""
-
-    observer_w: float            # W(t), J
-    eop_budget: float            # xi_hat actually credited, N*s/m
-    alpha: float                 # injected damping, N*s/m, >= 0
-    injected_dissipation: float  # cumulative, J
-
-
-@dataclass(frozen=True)
 class InterconnectionResult:
     verdict: str                         # "bounded" | "unbounded"
     unbounded_time: float | None
@@ -122,14 +118,6 @@ class InterconnectionResult:
     @property
     def bounded(self) -> bool:
         return self.verdict == "bounded"
-
-    def state_at(self, index: int) -> StabilizerState:
-        return StabilizerState(
-            observer_w=float(self.observer_w[index]),
-            eop_budget=self.budget_rate,
-            alpha=float(self.alpha[index]),
-            injected_dissipation=float(self.injected_series[index]),
-        )
 
 
 @dataclass(frozen=True)
@@ -193,19 +181,30 @@ def run_interconnection(
     )
     maxwell_on = (limb.maxwell_damping_base + limb.maxwell_damping_gain) > 1e-12
 
-    n_delay = 0
-    if field.kind == "delayed-spring":
-        n_delay = round(field.delay / h)
+    spring = field.kind == "delayed-spring"
+    n_delay = round(field.delay / h) if spring else 0
 
+    # Per-step inputs and loop invariants, computed with the loop's own
+    # operand order so every sample is bit-identical to evaluating it in
+    # place. The invariants are Python floats: limbs of a cohort carry numpy
+    # scalars, whose arithmetic gives the same bits more slowly.
     times = np.arange(n_samples) * h
-    pos = np.zeros(n_samples)
-    vel = np.zeros(n_samples)
-    f_field_hist = np.zeros(n_samples)
-    f_limb_hist = np.zeros(n_samples)
-    alpha_hist = np.zeros(n_samples)
-    w_hist = np.zeros(n_samples)
-    e_field_hist = np.zeros(n_samples)
-    injected_hist = np.zeros(n_samples)
+    sin = math.sin
+    isfinite = math.isfinite
+    f0, omega = float(f0), float(omega)
+    f_exc_series = [f0 * sin(omega * t) for t in times.tolist()]
+    hk_m = float(h * limb.maxwell_stiffness)
+    maxwell_denom = (1.0 + hk_m / b_m_series).tolist()
+    coef = float(-field.gain if spring else -field.b_f)  # f_field = coef * (x(t - delay) or v)
+    g_base = float(g * limb.base_damping)
+    k = float(limb.stiffness)
+    h_over_m = float(h / limb.mass)
+    budget = float(xi_hat)
+    deadband_sq = VELOCITY_DEADBAND ** 2
+
+    pos, vel, f_field_hist, f_limb_hist, alpha_hist, w_hist, e_field_hist, injected_hist = (
+        array("d", [0.0]) * n_samples for _ in range(8)
+    )
 
     x = 0.0
     v = 0.0
@@ -216,24 +215,21 @@ def run_interconnection(
     v_limit = 1e3 * perturbation.amplitude
     verdict = "bounded"
     unbounded_time = None
-    k_m = limb.maxwell_stiffness
     last = n_samples - 1
 
     for n in range(n_samples):
-        if field.kind == "negative-damping":
-            f_field = -field.b_f * v
+        if spring:
+            f_field = coef * (pos[n - n_delay] if n >= n_delay else 0.0)
         else:
-            x_delayed = pos[n - n_delay] if n >= n_delay else 0.0
-            f_field = -field.gain * x_delayed
+            f_field = coef * v
 
-        f_limb = g * limb.base_damping * v + limb.stiffness * x + f_m
-        f_exc = f0 * math.sin(omega * times[n])
+        f_limb = g_base * v + k * x + f_m
 
         v_sq = v * v
         delta_field = -f_field * v * h          # energy absorbed by the field port
-        delta_budget = xi_hat * v_sq * h
+        delta_budget = budget * v_sq * h
         w_candidate = w_obs + delta_field + delta_budget
-        if w_candidate < 0.0 and v_sq >= VELOCITY_DEADBAND ** 2:
+        if w_candidate < 0.0 and v_sq >= deadband_sq:
             alpha = -w_candidate / (v_sq * h)
         else:
             alpha = 0.0
@@ -249,40 +245,45 @@ def run_interconnection(
         e_field_hist[n] = e_field
         injected_hist[n] = injected
 
-        if abs(v) > v_limit or not math.isfinite(v):
+        if abs(v) > v_limit or not isfinite(v):
             verdict = "unbounded"
             unbounded_time = float(times[n])
             last = n
             break
-        if n == n_samples - 1:
+        if n == last:
             break
 
         # semi-implicit step: velocity from forces at n, then position
-        v_new = v + (h / limb.mass) * (f_exc + f_field - f_limb - alpha * v)
+        v_new = v + h_over_m * (f_exc_series[n] + f_field - f_limb - alpha * v)
         x = x + h * v_new
         if maxwell_on:
-            f_m = (f_m + h * k_m * v_new) / (1.0 + h * k_m / b_m_series[n + 1])
+            f_m = (f_m + hk_m * v_new) / maxwell_denom[n + 1]
         v = v_new
         pos[n + 1] = x
         vel[n + 1] = v
 
     end = last + 1
+
+    def series(buf: array) -> np.ndarray:
+        return np.frombuffer(buf, float)[:end]
+
+    observer_w = series(w_hist)
     return InterconnectionResult(
         verdict=verdict,
         unbounded_time=unbounded_time,
-        injected_dissipation=float(injected_hist[last]),
-        field_energy=float(e_field_hist[last]),
+        injected_dissipation=injected,
+        field_energy=e_field,
         budget_rate=xi_hat,
-        min_observer_w=float(w_hist[:end].min()),
+        min_observer_w=float(observer_w.min()),
         times=times[:end],
-        position=pos[:end],
-        velocity=vel[:end],
-        force_field=f_field_hist[:end],
-        force_limb=f_limb_hist[:end],
-        alpha=alpha_hist[:end],
-        observer_w=w_hist[:end],
-        field_energy_series=e_field_hist[:end],
-        injected_series=injected_hist[:end],
+        position=series(pos),
+        velocity=series(vel),
+        force_field=series(f_field_hist),
+        force_limb=series(f_limb_hist),
+        alpha=series(alpha_hist),
+        observer_w=observer_w,
+        field_energy_series=series(e_field_hist),
+        injected_series=series(injected_hist),
         seed=seed,
         field=field,
     )

@@ -42,7 +42,7 @@ from .biomech import (
     simulate_trial,
     trial_streams,
 )
-from .config import EmgConfig, ScenarioConfig, StudyConfig, frequency_labels
+from .config import EmgConfig, ScenarioConfig, StudyConfig, check_envelope_window, frequency_labels
 from .emg import MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
@@ -275,6 +275,7 @@ def analyze_study(out_dir, manifest: dict | None = None,
             f"schema {SCHEMA_VERSION}); re-run simulate"
         )
     protocol = manifest["config"]["protocol"]
+    streams = manifest["streams"]
     if config is None:
         window_s = protocol["analysis_window_s"]
         emg_doc = manifest["config"]["emg"]
@@ -290,8 +291,9 @@ def analyze_study(out_dir, manifest: dict | None = None,
         raise ConfigError(
             f"emg.rms_window_s = {emg_cfg.rms_window_s} exceeds the simulated duration_s = {duration}"
         )
+    check_envelope_window(window_s, duration, protocol["frequencies"],
+                          streams["robot"]["rate_hz"], streams["emg"]["rate_hz"], emg_cfg)
     window = Window(duration - window_s, duration)
-    streams = manifest["streams"]
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 

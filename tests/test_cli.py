@@ -216,6 +216,28 @@ def test_config_refuses_rms_window_longer_than_recordings(tmp_path):
     assert not out.exists()
 
 
+def test_analyze_refuses_window_outside_envelope(tmp_path, capsys):
+    path, out = write_config(tmp_path, TINY.replace("subjects = 2", "subjects = 1"))
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    # a 2.5 s RMS window stamps the envelope of the 3 s trials over [1.25, 1.748] s,
+    # before the 1 s analysis window (snapped to whole periods: [2, 3] s)
+    found, _ = write_config(tmp_path, "[protocol]\nduration_s = 3.0\nanalysis_window_s = 1.0\n\n"
+                            "[emg]\nrms_window_s = 2.5\n", out=out)
+    with pytest.raises(ConfigError, match="envelope"):
+        load_config(found)
+    assert cli.main(["analyze", "--config", str(found)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "analysis_window_s" in err and "Traceback" not in err
+    # valid against their own 4 s duration; the envelope of the 3 s trials then
+    # ends at 1.973 s (RMS window 1.955 s, just outside) or 2.021 s (1.95 s, just inside)
+    for rms_window, code in ((1.955, cli.EXIT_CONFIG), (1.95, cli.EXIT_OK)):
+        config, _ = write_config(
+            tmp_path, "[protocol]\nduration_s = 4.0\nanalysis_window_s = 1.0\n\n"
+                      f"[emg]\nrms_window_s = {rms_window}\n", out=out)
+        assert cli.main(["analyze", "--config", str(config)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_failed_reanalysis_removes_stale_median(tmp_path):
     path, out = write_config(
         tmp_path,

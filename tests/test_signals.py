@@ -18,6 +18,7 @@ from gmpkit.signals import (
     l2_norm_integral,
     read_csv,
     rms,
+    rms_support,
     write_csv,
 )
 
@@ -209,6 +210,18 @@ def test_rms_matches_stacked_cumsum():
     starts = np.arange(0, 4001 - 500 + 1, 100)
     expected = np.sqrt((csum[starts + 500] - csum[starts]) / 500)
     np.testing.assert_array_equal(rms(sig, 0.25, 0.05).data, expected)
+
+
+@pytest.mark.parametrize("n, rate, start, window_len, stride", [
+    (6445, 2148.0, 0.0, 2.5, 0.05),     # 3 s trial EMG, 2.5 s RMS window
+    (21481, 2148.0, 0.0, 0.25, 0.05),   # 10 s trial EMG, default envelope
+    (4001, 2000.0, 0.5, 0.25, 0.0503),  # stride off the sample grid
+    (500, 1000.0, 0.0, 0.5, 0.3),       # a single envelope sample
+])
+def test_rms_support_is_rms_span(n, rate, start, window_len, stride):
+    sig = SampledSignal(rate, start, ("a",), np.ones(n))
+    env = rms(sig, window_len, stride)
+    assert rms_support(n, rate, start, window_len, stride) == (env.start_time, env.end_time)
 
 
 def test_rms_output_rate():
