@@ -108,12 +108,12 @@ class PerturbationSpec:
     duration: float = 10.0      # s
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
         if not 0 <= self.direction_index < N_DIRECTIONS:
             raise ValueError(f"direction_index out of range: {self.direction_index}")
 

@@ -9,6 +9,7 @@ full study.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, asdict
 
 from .biomech import DEFAULT_MVC_RMS_MV, N_DIRECTIONS, LimbParams
@@ -116,25 +117,25 @@ class StudyConfig:
             raise ConfigError("cohort.subjects must be >= 1")
         if not 0 <= self.cohort.jitter < 1:
             raise ConfigError("cohort.jitter must be in [0, 1)")
-        if len(p.frequencies) not in (1, 2) or any(f <= 0 for f in p.frequencies):
-            raise ConfigError("protocol.frequencies needs 1 or 2 positive values")
+        if len(p.frequencies) not in (1, 2) or any(not 0 < f < math.inf for f in p.frequencies):
+            raise ConfigError("protocol.frequencies needs 1 or 2 finite positive values")
         if len(p.frequencies) == 2 and p.frequencies[0] >= p.frequencies[1]:
             raise ConfigError("protocol.frequencies must be increasing")
         if p.directions != 8:
             raise ConfigError("protocol.directions must be 8 (cardinal directions)")
         for name, value in (("duration_s", p.duration_s), ("amplitude_m", p.amplitude_m),
                             ("analysis_window_s", p.analysis_window_s)):
-            if value <= 0:
-                raise ConfigError(f"protocol.{name} must be > 0")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"protocol.{name} must be finite and > 0, got {value}")
         if p.analysis_window_s > p.duration_s:
             raise ConfigError("protocol.analysis_window_s exceeds duration_s")
         for name, value in (("relaxed_target", p.relaxed_target), ("stiff_target", p.stiff_target)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"protocol.{name} must be within [0, 1]")
-        if self.rates.robot_hz < 20.0 * max(p.frequencies):
-            raise ConfigError("rates.robot_hz too low for the protocol frequencies")
-        if self.rates.emg_hz <= 2 * BAND_HZ[1]:
-            raise ConfigError("rates.emg_hz must exceed twice the EMG band edge")
+        if not 20.0 * max(p.frequencies) <= self.rates.robot_hz < math.inf:
+            raise ConfigError("rates.robot_hz must be finite and at least 20x the protocol frequencies")
+        if not 2 * BAND_HZ[1] < self.rates.emg_hz < math.inf:
+            raise ConfigError("rates.emg_hz must be finite and exceed twice the EMG band edge")
         if not (self.emg.rms_window_s > 0 and self.emg.rms_stride_s > 0):
             raise ConfigError("emg.rms_window_s and emg.rms_stride_s must be > 0")
         if self.emg.rms_window_s > p.duration_s:
@@ -148,10 +149,23 @@ class StudyConfig:
             raise ConfigError(f"emg.feedback_channels must be channel indices in 0..{n_emg - 1}")
         if self.output.jobs < 1:
             raise ConfigError("output.jobs must be >= 1")
-        if self.stabilizer.field_kind not in FIELD_KINDS:
-            raise ConfigError(f"unknown stabilizer.field_kind {self.stabilizer.field_kind!r}")
-        if not 0 <= self.stabilizer.direction < N_DIRECTIONS:
+        s = self.stabilizer
+        if s.field_kind not in FIELD_KINDS:
+            raise ConfigError(f"unknown stabilizer.field_kind {s.field_kind!r}")
+        if not 0 <= s.direction < N_DIRECTIONS:
             raise ConfigError(f"stabilizer.direction must be in 0..{N_DIRECTIONS - 1}")
+        for name, value in (("duration_s", s.duration_s), ("amplitude_m", s.amplitude_m),
+                            ("frequency_hz", s.frequency_hz)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"stabilizer.{name} must be finite and > 0, got {value}")
+        for name, value in (("activation", s.activation), ("safety_factor", s.safety_factor)):
+            if not 0 <= value <= 1:
+                raise ConfigError(f"stabilizer.{name} must be within [0, 1], got {value}")
+        if not math.isfinite(s.field_damping):
+            raise ConfigError(f"stabilizer.field_damping must be finite, got {s.field_damping}")
+        for name, value in (("spring_gain", s.spring_gain), ("spring_delay_s", s.spring_delay_s)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"stabilizer.{name} must be finite and >= 0, got {value}")
 
     def as_dict(self) -> dict:
         doc = {

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
+from .errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from .passivity import EopEstimate
 
 N_DIRECTIONS = 8
@@ -238,33 +238,66 @@ def save_map_json(gmp_map: GmpMap, path) -> None:
         fh.write("\n")
 
 
+def _map_field(path, obj, key: str, kind: type):
+    """``obj[key]`` of the given JSON type (float: a finite number), else a DataError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"map {path}: missing key {key!r}")
+    return _map_value(path, key, obj[key], kind)
+
+
+def _map_value(path, what: str, value, kind: type):
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok:
+        expected = "a finite number" if kind is float else f"of type {kind.__name__}"
+        raise DataError(f"map {path}: {what} must be {expected}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def load_map_json(path) -> GmpMap:
     """Rebuild a lookup-ready map from its JSON document.
 
     The persisted schema keeps only (xi, pct_mvc) per cell, so the restored
-    estimates carry unit denominators and no window.
+    estimates carry unit denominators and no window. A document that does
+    not parse, or lacks a key, or holds a value of the wrong type or a
+    non-finite number, is a ``DataError`` that names the file.
     """
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    grid_freqs = sorted(float(f) for f in doc["grid"]["frequencies"])
+    try:
+        with open(path, "r") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"cannot read map {path}: {exc}") from None
+    subject = _map_field(path, doc, "subject", str)
+    grid = _map_field(path, doc, "grid", dict)
+    directions = _map_field(path, grid, "directions", int)
+    if directions != N_DIRECTIONS:
+        raise DataError(f"map {path}: unsupported direction count {directions}")
+    grid_freqs = sorted(_map_value(path, "a grid frequency", f, float)
+                        for f in _map_field(path, grid, "frequencies", list))
     if len(grid_freqs) > len(FREQUENCY_LABELS):
-        raise ValueError(f"{path}: more frequencies than supported labels")
+        raise DataError(f"map {path}: more frequencies than supported labels")
     label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
     estimates = []
-    for cell in doc["cells"]:
-        hz = float(cell["frequency"])
+    for cell in _map_field(path, doc, "cells", list):
+        direction = _map_field(path, cell, "dir", int)
+        activation = _map_field(path, cell, "activation", str)
+        if not 0 <= direction < N_DIRECTIONS or activation not in ACTIVATION_LABELS:
+            raise DataError(f"map {path}: no grid cell for dir {direction}, activation {activation!r}")
+        hz = _map_field(path, cell, "frequency", float)
         matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=1e-9)]
         if not matches:
-            raise ValueError(f"{path}: cell frequency {hz} Hz not in grid {grid_freqs}")
-        xi = float(cell["xi"])
+            raise DataError(f"map {path}: cell frequency {hz} Hz not in grid {grid_freqs}")
+        xi = _map_field(path, cell, "xi", float)
         estimates.append(
             EopEstimate(
-                subject_id=doc["subject"],
-                direction_index=int(cell["dir"]),
-                activation_label=str(cell["activation"]),
+                subject_id=subject,
+                direction_index=direction,
+                activation_label=activation,
                 frequency_label=matches[0],
                 xi=xi,
-                mean_pct_mvc=float(cell["pct_mvc"]),
+                mean_pct_mvc=_map_field(path, cell, "pct_mvc", float),
                 numerator=xi,
                 denominator=1.0,
                 window=None,
@@ -272,10 +305,10 @@ def load_map_json(path) -> GmpMap:
             )
         )
     frequencies = {label: hz for hz, label in label_by_hz.items()}
-    built = build_map(estimates, subject_id=str(doc["subject"]), frequencies=frequencies)
-    if int(doc["grid"]["directions"]) != built.n_directions:
-        raise ValueError(f"{path}: unsupported direction count {doc['grid']['directions']}")
-    return built
+    try:
+        return build_map(estimates, subject_id=subject, frequencies=frequencies)
+    except MapConflictError as exc:
+        raise DataError(f"map {path}: {exc}") from None
 
 
 SPIDER_CSV_HEADER = "direction_deg,xi_LR,xi_LS,xi_HR,xi_HS"

@@ -27,14 +27,22 @@ motion enough to cost more total injected energy than plain stabilization.
 Runs are deterministic given (limb, field, perturbation, seed); separate
 scenarios can run in parallel, and map lookups are read-only.
 
-The step loop runs on Python floats: the excitation and the Maxwell
-denominators are precomputed per step (the excitation with ``math.sin``,
-since ``np.sin`` may differ from the C library in the last bit), and the
-histories go to ``array('d')`` buffers.
+The step loop runs on Python floats and computes only what the next step
+depends on: the state x, v, the Maxwell force and the observer ledger W,
+stored as position, velocity, limb force and alpha in ``array('d')``
+buffers. The field force, the per-step energy terms and the three ledgers
+(W, field energy, injected energy) are derived from those after the loop
+with numpy, in the loop's operand order; ``np.add.accumulate`` from a
+leading 0.0 adds strictly left to right as the loop did, so the ledgers are
+bit-identical to running sums. The excitation (``math.sin``, since
+``np.sin`` may differ from the C library in the last bit) and the Maxwell
+denominators depend only on the scenario, so the with-map and without-map
+runs of one scenario share them through a small cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -82,11 +90,13 @@ class ForceFieldSpec:
         if self.kind == "negative-damping":
             if self.b_f is None:
                 raise ConfigError("negative-damping field needs b_f")
+            if not math.isfinite(self.b_f):
+                raise ConfigError(f"negative-damping b_f must be finite, got {self.b_f}")
         else:
             if self.gain is None or self.delay is None:
                 raise ConfigError("delayed-spring field needs gain and delay")
-            if self.gain < 0 or self.delay < 0:
-                raise ConfigError("delayed-spring gain and delay must be >= 0")
+            if not (0 <= self.gain < math.inf and 0 <= self.delay < math.inf):
+                raise ConfigError("delayed-spring gain and delay must be finite and >= 0")
 
     @property
     def nominal_sop(self) -> float:
@@ -126,6 +136,53 @@ class SavingsReport:
     joules_saved: float   # without-map minus with-map
 
 
+@functools.lru_cache(maxsize=2)
+def _scenario_drive(
+    limb: LimbParams,
+    perturbation: PerturbationSpec,
+    act: ActivationProfile,
+    n_samples: int,
+    h: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample times, excitation force and shifted Maxwell denominators.
+
+    These depend on the scenario but not on the field or the map, so the
+    with-map and without-map runs of one scenario share them (the last two
+    drives stay cached). ``denom_next[n]`` is the denominator of step n + 1,
+    with a spare ``1.0`` for the step after the last sample. The arrays are
+    read-only, since every cached caller sees them.
+    """
+    omega = 2.0 * math.pi * perturbation.frequency
+    g = limb.direction_gains[perturbation.direction_index]
+
+    # excitation force amplitude producing ~the requested displacement amplitude
+    b_nominal = analytic_eop(
+        limb, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency
+    )
+    reactance = limb.stiffness - limb.mass * omega * omega
+    f0 = perturbation.amplitude * math.hypot(reactance, b_nominal * omega)
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
+    a_series = activation_series(act, n_samples, h, rng)
+    b_m_series = np.maximum(
+        g * (limb.maxwell_damping_base + limb.maxwell_damping_gain * a_series), 1e-12
+    )
+
+    # In the step formulas' operand order, so every sample is bit-identical
+    # to evaluating it in place (math.sin, as np.sin may differ in the last
+    # bit).
+    times = np.arange(n_samples) * h
+    sin = math.sin
+    f0, omega = float(f0), float(omega)
+    f_exc = np.array([f0 * sin(omega * t) for t in times.tolist()])
+    denom_next = np.ones(n_samples)
+    denom_next[:-1] = 1.0 + float(h * limb.maxwell_stiffness) / b_m_series[1:]
+    for arr in (times, f_exc, denom_next):
+        arr.flags.writeable = False
+    return times, f_exc, denom_next
+
+
 def run_interconnection(
     limb: LimbParams,
     field: ForceFieldSpec,
@@ -150,8 +207,10 @@ def run_interconnection(
     at the perturbation frequency and the scenario's activation level
     (``pct_for_lookup`` overrides the activation target as the %MVC query).
     """
-    if rate < 1000.0:
-        raise IntegrationError(f"co-simulation rate must be >= 1 kHz, got {rate}")
+    if not 1000.0 <= rate < math.inf:
+        raise IntegrationError(f"co-simulation rate must be finite and >= 1 kHz, got {rate}")
+    if not 0.0 <= duration < math.inf:
+        raise IntegrationError(f"co-simulation duration must be finite and >= 0 s, got {duration}")
     act = act or ActivationProfile(target_pct_mvc=0.4)
 
     xi_hat = 0.0
@@ -162,62 +221,37 @@ def run_interconnection(
         )
 
     h = 1.0 / rate
-    n_steps = round(duration * rate)
-    n_samples = n_steps + 1
-    omega = 2.0 * math.pi * perturbation.frequency
-    g = limb.direction_gains[perturbation.direction_index]
-
-    # excitation force amplitude producing ~the requested displacement amplitude
-    b_nominal = analytic_eop(
-        limb, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency
-    )
-    reactance = limb.stiffness - limb.mass * omega * omega
-    f0 = perturbation.amplitude * math.hypot(reactance, b_nominal * omega)
-
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
-    a_series = activation_series(act, n_samples, h, rng)
-    b_m_series = np.maximum(
-        g * (limb.maxwell_damping_base + limb.maxwell_damping_gain * a_series), 1e-12
-    )
+    n_samples = round(duration * rate) + 1
+    times, f_exc_series, denom_next = _scenario_drive(limb, perturbation, act, n_samples, h, seed)
     maxwell_on = (limb.maxwell_damping_base + limb.maxwell_damping_gain) > 1e-12
 
     spring = field.kind == "delayed-spring"
     n_delay = round(field.delay / h) if spring else 0
 
-    # Per-step inputs and loop invariants, computed with the loop's own
-    # operand order so every sample is bit-identical to evaluating it in
-    # place. The invariants are Python floats: limbs of a cohort carry numpy
+    # Loop invariants as Python floats: limbs of a cohort carry numpy
     # scalars, whose arithmetic gives the same bits more slowly.
-    times = np.arange(n_samples) * h
-    sin = math.sin
-    isfinite = math.isfinite
-    f0, omega = float(f0), float(omega)
-    f_exc_series = [f0 * sin(omega * t) for t in times.tolist()]
+    g = limb.direction_gains[perturbation.direction_index]
     hk_m = float(h * limb.maxwell_stiffness)
-    maxwell_denom = (1.0 + hk_m / b_m_series).tolist()
     coef = float(-field.gain if spring else -field.b_f)  # f_field = coef * (x(t - delay) or v)
     g_base = float(g * limb.base_damping)
     k = float(limb.stiffness)
     h_over_m = float(h / limb.mass)
     budget = float(xi_hat)
     deadband_sq = VELOCITY_DEADBAND ** 2
+    v_limit = float(1e3 * perturbation.amplitude)
 
-    pos, vel, f_field_hist, f_limb_hist, alpha_hist, w_hist, e_field_hist, injected_hist = (
-        array("d", [0.0]) * n_samples for _ in range(8)
-    )
+    # one spare slot: the step after the last sample lands there
+    pos, vel, f_limb_hist, alpha_hist = (array("d", [0.0]) * (n_samples + 1) for _ in range(4))
 
     x = 0.0
     v = 0.0
     f_m = 0.0
     w_obs = 0.0
-    e_field = 0.0
-    injected = 0.0
-    v_limit = 1e3 * perturbation.amplitude
     verdict = "bounded"
     unbounded_time = None
-    last = n_samples - 1
+    end = n_samples
 
-    for n in range(n_samples):
+    for n, f_exc, denom in zip(range(n_samples), f_exc_series.tolist(), denom_next.tolist()):
         if spring:
             f_field = coef * (pos[n - n_delay] if n >= n_delay else 0.0)
         else:
@@ -226,64 +260,74 @@ def run_interconnection(
         f_limb = g_base * v + k * x + f_m
 
         v_sq = v * v
-        delta_field = -f_field * v * h          # energy absorbed by the field port
-        delta_budget = budget * v_sq * h
-        w_candidate = w_obs + delta_field + delta_budget
+        w_candidate = w_obs + -f_field * v * h + budget * v_sq * h
         if w_candidate < 0.0 and v_sq >= deadband_sq:
             alpha = -w_candidate / (v_sq * h)
         else:
             alpha = 0.0
-        dissipated = alpha * v_sq * h
-        w_obs = w_candidate + dissipated
-        e_field += delta_field
-        injected += dissipated
+        w_obs = w_candidate + alpha * v_sq * h
 
-        f_field_hist[n] = f_field
         f_limb_hist[n] = f_limb
         alpha_hist[n] = alpha
-        w_hist[n] = w_obs
-        e_field_hist[n] = e_field
-        injected_hist[n] = injected
 
-        if abs(v) > v_limit or not isfinite(v):
+        if not -v_limit <= v <= v_limit:
             verdict = "unbounded"
             unbounded_time = float(times[n])
-            last = n
-            break
-        if n == last:
+            end = n + 1
             break
 
         # semi-implicit step: velocity from forces at n, then position
-        v_new = v + h_over_m * (f_exc_series[n] + f_field - f_limb - alpha * v)
+        v_new = v + h_over_m * (f_exc + f_field - f_limb - alpha * v)
         x = x + h * v_new
         if maxwell_on:
-            f_m = (f_m + hk_m * v_new) / maxwell_denom[n + 1]
+            f_m = (f_m + hk_m * v_new) / denom
         v = v_new
         pos[n + 1] = x
         vel[n + 1] = v
 
-    end = last + 1
-
     def series(buf: array) -> np.ndarray:
         return np.frombuffer(buf, float)[:end]
 
-    observer_w = series(w_hist)
+    position, velocity, alpha = series(pos), series(vel), series(alpha_hist)
+    if spring:
+        # before the delay has passed the loop pushed coef * 0.0, sign of zero included
+        lagged = np.zeros(end)
+        lagged[n_delay:] = position[:max(end - n_delay, 0)]
+        force_field = coef * lagged
+    else:
+        force_field = coef * velocity
+
+    # The ledgers, summed as the loop summed them: np.add.accumulate adds
+    # strictly left to right, and the leading 0.0 is the loop's starting sum.
+    v_sq = velocity * velocity
+    d_field = -force_field * velocity * h      # energy absorbed by the field port
+    dissipated = alpha * v_sq * h
+
+    def running_sum(*steps: np.ndarray) -> np.ndarray:
+        terms = np.zeros(len(steps) * end + 1)
+        for i, step in enumerate(steps, 1):
+            terms[i::len(steps)] = step
+        return np.add.accumulate(terms)[len(steps)::len(steps)]
+
+    observer_w = running_sum(d_field, budget * v_sq * h, dissipated)
+    field_energy = running_sum(d_field)
+    injected = running_sum(dissipated)
     return InterconnectionResult(
         verdict=verdict,
         unbounded_time=unbounded_time,
-        injected_dissipation=injected,
-        field_energy=e_field,
+        injected_dissipation=float(injected[-1]),
+        field_energy=float(field_energy[-1]),
         budget_rate=xi_hat,
         min_observer_w=float(observer_w.min()),
         times=times[:end],
-        position=series(pos),
-        velocity=series(vel),
-        force_field=series(f_field_hist),
+        position=position,
+        velocity=velocity,
+        force_field=force_field,
         force_limb=series(f_limb_hist),
-        alpha=series(alpha_hist),
+        alpha=alpha,
         observer_w=observer_w,
-        field_energy_series=series(e_field_hist),
-        injected_series=series(injected_hist),
+        field_energy_series=field_energy,
+        injected_series=injected,
         seed=seed,
         field=field,
     )

@@ -216,7 +216,8 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "config": config.as_dict(),
+        # [output] (where and with how many workers) does not shape the study
+        "config": {k: v for k, v in config.as_dict().items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
         "subjects": subject_docs,
     }
@@ -579,7 +580,6 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
     """Run the configured stabilizer scenario, with and without a GMP map."""
     scenario = config.stabilizer
     out = Path(out_dir) / "stabilize"
-    out.mkdir(parents=True, exist_ok=True)
     field_spec = _field_from_scenario(scenario)
     perturbation = PerturbationSpec(
         frequency=scenario.frequency_hz,
@@ -597,6 +597,7 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
         except MapRangeError as exc:
             raise ConfigError(f"refusing scenario: {exc}") from None
 
+    out.mkdir(parents=True, exist_ok=True)
     common = dict(
         limb=config.limb,
         field=field_spec,

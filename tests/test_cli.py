@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,11 +97,15 @@ def test_parallel_workers_match_serial_bytes(tmp_path):
     path_b = tmp_path / "study_b.ini"
     path_b.write_text(TINY + f"\n[output]\ndir = {tmp_path / 'parallel'}\n")
     assert cli.main(["simulate", "--config", str(path_b), "--jobs", "2"]) == cli.EXIT_OK
-    serial_trials = sorted((tmp_path / "serial" / "trials").glob("*.npy"))
-    assert len(serial_trials) == 128  # 2 subjects x 32 trials x 2 arrays
-    for trial in serial_trials:
-        twin = tmp_path / "parallel" / "trials" / trial.name
-        assert twin.read_bytes() == trial.read_bytes(), trial.name
+    # every file, manifest.json included: the manifest records the study,
+    # not where or with how many workers it ran
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    assert sum(f.parts[0] == "trials" for f in files) == 128  # 2 subjects x 32 trials x 2 arrays
+    assert Path("manifest.json") in files
+    for name in files:
+        assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_full_pipeline_and_outputs(tmp_path):
@@ -288,6 +293,34 @@ def test_stabilize_refuses_frequency_outside_map(tmp_path):
         ["stabilize", "--config", str(bad), "--map", str(out / "analysis" / "gmp_median.json")]
     )
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", "nan"), ("duration_s", "0"), ("frequency_hz", "0"), ("activation", "2"),
+    ("spring_delay_s", "nan"), ("amplitude_m", "nan"), ("safety_factor", "nan"),
+    ("field_damping", "nan"),
+])
+def test_stabilize_refuses_bad_scenario_values(tmp_path, capsys, key, value):
+    path, out = write_config(tmp_path, f"[stabilizer]\n{key} = {value}\n")
+    assert cli.main(["stabilize", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"stabilizer.{key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("protocol", "duration_s", "nan"), ("protocol", "amplitude_m", "nan"),
+    ("protocol", "analysis_window_s", "nan"), ("protocol", "frequencies", "nan"),
+    ("rates", "robot_hz", "nan"), ("rates", "robot_hz", "inf"), ("rates", "emg_hz", "nan"),
+])
+def test_simulate_refuses_non_finite_protocol_values(tmp_path, capsys, section, key, value):
+    path, out = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{section}.{key}" in err
+    assert not out.exists()
 
 
 def test_stats_requires_analysis_outputs(tmp_path):

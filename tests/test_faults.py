@@ -1,11 +1,13 @@
 """Fault injection: damaged or partial study inputs end in typed errors.
 
 Each test damages a copy of one small simulated study and runs
-``gmpkit analyze`` in-process, so an exception that escaped the CLI's
+``gmpkit analyze`` in-process, or damages a GMP map JSON and runs
+``gmpkit stabilize --map`` on it, so an exception that escaped the CLI's
 typed error handling would fail the test.
 """
 
 import json
+import math
 import re
 import shutil
 
@@ -15,6 +17,8 @@ import pytest
 from gmpkit import cli
 from gmpkit.biomech import PerturbationSpec, TrialCondition, load_trial_csv
 from gmpkit.errors import DataError
+from gmpkit.gmp import build_map, save_map_json
+from gmpkit.passivity import EopEstimate
 from gmpkit.study import load_manifest
 
 STUDY = """
@@ -145,3 +149,43 @@ def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
     with pytest.raises(DataError, match=re.escape(reason)):
         load_trial_csv(robot, simulated / entry["emg_file"], manifest["streams"],
                        condition, spec, "S1")
+
+
+def edit_map(edit):
+    def damage(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (truncate, "cannot read map"),
+        (edit_map(lambda doc: doc["cells"][0].update(xi="nan")), "xi must be a finite number, got 'nan'"),
+        (edit_map(lambda doc: doc["cells"][0].update(pct_mvc=math.inf)),
+         "pct_mvc must be a finite number, got inf"),
+        (edit_map(lambda doc: doc.pop("cells")), "missing key 'cells'"),
+    ],
+    ids=["torn", "xi-string-nan", "pct-mvc-infinity", "no-cells"],
+)
+def test_damaged_map_json_is_a_data_error(tmp_path, capsys, damage, reason):
+    map_path = tmp_path / "gmp_damaged.json"
+    cells = [
+        EopEstimate("MAP", d, act, freq, 10.0, pct, 10.0, 1.0, None, hz)
+        for d in range(8)
+        for act, pct in (("relaxed", 0.05), ("stiff", 0.40))
+        for freq, hz in (("low", 1.0), ("high", 3.0))
+    ]
+    save_map_json(build_map(cells, "MAP"), map_path)
+    damage(map_path)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {tmp_path / 'out'}\n")
+    code = cli.main(["stabilize", "--config", str(path), "--map", str(map_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ANALYSIS
+    assert "Traceback" not in err
+    assert str(map_path) in err
+    assert reason in err
+    assert not (tmp_path / "out").exists()

@@ -21,6 +21,7 @@ from gmpkit.stabilizer import (
     VELOCITY_DEADBAND,
     ForceFieldSpec,
     InterconnectionResult,
+    _scenario_drive,
     dissipation_savings,
     run_interconnection,
 )
@@ -58,6 +59,21 @@ def test_field_spec_validation():
         ForceFieldSpec(kind="delayed-spring", gain=200.0)
     with pytest.raises(ConfigError):
         ForceFieldSpec(kind="anti-gravity")
+    for bad in (dict(kind="negative-damping", b_f=math.nan),
+                dict(kind="negative-damping", b_f=-math.inf),
+                dict(kind="delayed-spring", gain=math.inf, delay=0.02),
+                dict(kind="delayed-spring", gain=200.0, delay=math.nan)):
+        with pytest.raises(ConfigError):
+            ForceFieldSpec(**bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("frequency", math.inf), ("amplitude", math.nan), ("amplitude", math.inf),
+    ("duration", math.nan), ("duration", math.inf),
+])
+def test_perturbation_spec_refuses_non_finite_values(name, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(PERT, **{name: value})
 
 
 def test_passive_field_never_triggers_damping():
@@ -187,8 +203,12 @@ def test_lookup_frequency_must_be_on_map():
 
 def test_rate_precondition():
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
-    with pytest.raises(IntegrationError):
-        run_interconnection(LIMB, field, PERT, ACT, rate=500.0)
+    for rate in (500.0, math.nan, math.inf):
+        with pytest.raises(IntegrationError):
+            run_interconnection(LIMB, field, PERT, ACT, rate=rate)
+    for duration in (math.nan, math.inf, -1.0):
+        with pytest.raises(IntegrationError):
+            run_interconnection(LIMB, field, PERT, ACT, duration=duration)
 
 
 def test_runs_are_seed_deterministic():
@@ -363,15 +383,15 @@ REFERENCE_CASES = {
     "rate-2000": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7), rate=2000.0),
     "cohort-limb": dict(field=DELAYED_SPRING, gmp_map=constant_map(2.7),
                         limb=make_cohort(1, 0.2, 2)[0].params),
+    # a zero velocity limit, and a spring that reads the current position
+    "zero-amplitude": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7),
+                           perturbation=dataclasses.replace(PERT, amplitude=0.0)),
+    "spring-no-delay": dict(field=ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.0),
+                            gmp_map=constant_map(2.7)),
 }
 
 
-@pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
-def test_loop_bit_identical_to_reference(case):
-    kwargs = dict(limb=LIMB, perturbation=PERT, act=ACT, duration=3.0, rate=1000.0, seed=3)
-    kwargs.update(case)
-    expected = _reference_interconnection(**kwargs)
-    result = run_interconnection(**kwargs)
+def assert_bit_identical(expected, result):
     for spec in dataclasses.fields(InterconnectionResult):
         want, got = getattr(expected, spec.name), getattr(result, spec.name)
         if isinstance(want, np.ndarray):
@@ -379,6 +399,29 @@ def test_loop_bit_identical_to_reference(case):
             assert got.tobytes() == want.tobytes(), spec.name
         else:
             assert type(got) is type(want) and repr(got) == repr(want), spec.name
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_loop_bit_identical_to_reference(case):
+    kwargs = dict(limb=LIMB, perturbation=PERT, act=ACT, duration=3.0, rate=1000.0, seed=3)
+    kwargs.update(case)
+    assert_bit_identical(_reference_interconnection(**kwargs), run_interconnection(**kwargs))
+
+
+def test_scenario_drive_is_shared_and_read_only():
+    kwargs = dict(limb=LIMB, field=DELAYED_SPRING, perturbation=PERT, act=ACT,
+                  duration=3.0, rate=1000.0, seed=3)
+    _scenario_drive.cache_clear()
+    run_interconnection(**kwargs)
+    first = run_interconnection(gmp_map=constant_map(2.7), **kwargs)
+    assert _scenario_drive.cache_info().hits == 1   # the with-map run reused the drive
+    _scenario_drive.cache_clear()
+    again = run_interconnection(gmp_map=constant_map(2.7), **kwargs)
+    assert _scenario_drive.cache_info().misses == 1
+    assert_bit_identical(first, again)
+    drive = _scenario_drive(LIMB, PERT, ACT, 3001, 1e-3, 3)
+    assert len(drive) == 3 and not any(array.flags.writeable for array in drive)
+    assert not first.times.flags.writeable
 
 
 def test_reference_cases_reach_early_stop_and_long_delay():
