@@ -35,14 +35,17 @@ which rises with activation (while g_i*b_m*w < k_m) and falls with
 frequency. :func:`analytic_eop` exposes this closed form as the test
 oracle for the full simulation pipeline.
 
+The prescribed kinematics depend on the perturbation alone, so the trials
+at one frequency share one read-only copy of them (:func:`_axis_kinematics`).
 Everything is deterministic given (params, spec, activation, seed);
-independent trials can run in parallel with no shared state.
+independent trials can run in parallel and share no mutable state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,14 +230,54 @@ def activation_series(
 
 
 def _ramp_envelope(t: np.ndarray, frequency: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sin^2 amplitude ramp over the first period; returns (e, e', e'')."""
-    t_ramp = 1.0 / frequency
-    u = math.pi * frequency * t
-    ramp = t < t_ramp
-    e = np.where(ramp, np.sin(u / 2.0) ** 2, 1.0)
-    de = np.where(ramp, 0.5 * math.pi * frequency * np.sin(u), 0.0)
-    dde = np.where(ramp, 0.5 * (math.pi * frequency) ** 2 * np.cos(u), 0.0)
+    """sin^2 amplitude ramp over the first period; returns (e, e', e'').
+
+    ``t`` is increasing, so the ramp is a prefix: sin and cos are evaluated
+    there only, and the rest holds the settled values 1, 0, 0.
+    """
+    n_ramp = int(np.searchsorted(t, 1.0 / frequency))  # samples with t < 1/f
+    u = math.pi * frequency * t[:n_ramp]
+    e, de, dde = np.ones(len(t)), np.zeros(len(t)), np.zeros(len(t))
+    e[:n_ramp] = np.sin(u / 2.0) ** 2
+    de[:n_ramp] = 0.5 * math.pi * frequency * np.sin(u)
+    dde[:n_ramp] = 0.5 * (math.pi * frequency) ** 2 * np.cos(u)
     return e, de, dde
+
+
+@lru_cache(maxsize=2)
+def _axis_kinematics(
+    frequency: float, amplitude: float, n_samples: int, rate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prescribed position, velocity and acceleration along the perturbation axis.
+
+    They depend on the perturbation alone, so all trials at one frequency
+    share them (the last two stay cached, one per protocol frequency). The
+    arrays are read-only, since every cached caller sees them.
+    """
+    t = np.arange(n_samples) * (1.0 / rate)
+    omega = 2.0 * math.pi * frequency
+    e, de, dde = _ramp_envelope(t, frequency)
+    s, c = np.sin(omega * t), np.cos(omega * t)
+    x_ax = amplitude * e * s
+    v_ax = amplitude * (de * s + e * omega * c)
+    acc_ax = amplitude * (dde * s + 2.0 * de * omega * c - e * omega * omega * s)
+    for array in (x_ax, v_ax, acc_ax):
+        array.flags.writeable = False
+    return x_ax, v_ax, acc_ax
+
+
+def _along(values: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """``np.outer(values, direction)``, filled column by column, read-only.
+
+    Two strided column products are several times faster than the outer
+    product's length-2 inner loop, and give the same values. The array is
+    read-only so the signal built on it shares it instead of copying it.
+    """
+    out = np.empty((len(values), len(direction)))
+    for col, component in enumerate(direction):
+        np.multiply(values, component, out=out[:, col])
+    out.flags.writeable = False
+    return out
 
 
 def _labels_for(spec: PerturbationSpec, act: ActivationProfile) -> tuple[str, str]:
@@ -257,10 +300,10 @@ def simulate_trial(
 ) -> TrialRecord:
     """Integrate one perturbation trial and synthesize its EMG.
 
-    The prescribed kinematics are evaluated analytically; only the Maxwell
-    branch force is stepped, with a fixed-step implicit (unconditionally
-    stable) update, and the activation lag uses its exact exponential
-    solution. The implicit update is linear in the branch force, so the
+    The prescribed kinematics are evaluated analytically, once per
+    perturbation (:func:`_axis_kinematics`); only the Maxwell branch force
+    is stepped, with a fixed-step implicit (unconditionally stable) update,
+    and the activation lag uses its exact exponential solution. The implicit update is linear in the branch force, so the
     whole trajectory is one first-order recurrence, evaluated by the
     doubling scan of :func:`signals.first_order_recurrence` rather than a
     per-sample loop. ``seed`` may be an int or a numpy SeedSequence.
@@ -275,17 +318,10 @@ def simulate_trial(
 
     h = 1.0 / rate
     n_samples = round(spec.duration * rate) + 1
-    t = np.arange(n_samples) * h
-    omega = 2.0 * math.pi * spec.frequency
-    amp = spec.amplitude
-
-    e, de, dde = _ramp_envelope(t, spec.frequency)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    x_ax = amp * e * s
-    v_ax = amp * (de * s + e * omega * c)
-    acc_ax = amp * (dde * s + 2.0 * de * omega * c - e * omega * omega * s)
+    x_ax, v_ax, acc_ax = _axis_kinematics(spec.frequency, spec.amplitude, n_samples, rate)
 
     a = activation_series(act, n_samples, h, np.random.default_rng(act_seq))
+    a.flags.writeable = False  # the activation signal below shares it
     g = params.direction_gains[spec.direction_index]
     b_m = g * (params.maxwell_damping_base + params.maxwell_damping_gain * a)
     f_m = np.zeros(n_samples)
@@ -302,8 +338,8 @@ def simulate_trial(
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
 
     direction = perturbation_direction(spec.direction_index)
-    force = SampledSignal(rate, 0.0, ("fx", "fy"), np.outer(f_ax, direction))
-    velocity = SampledSignal(rate, 0.0, ("vx", "vy"), np.outer(v_ax, direction))
+    force = SampledSignal(rate, 0.0, ("fx", "fy"), _along(f_ax, direction))
+    velocity = SampledSignal(rate, 0.0, ("vx", "vy"), _along(v_ax, direction))
 
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)

@@ -11,8 +11,10 @@ default to 0.25 s / 0.05 s, standard surface-EMG practice.
 The raw EMG is white noise through a causal 4th-order Butterworth
 band-pass (20-450 Hz), computed with numpy alone: the filter is designed
 as zeros, poles and gain and applied as a frequency response to an FFT
-that also covers the filter's impulse-response tail
-(:func:`signals.butter_bandpass`).
+that also covers the filter's impulse-response tail. The noise is drawn
+into a zero-padded buffer and filtered there in place
+(:func:`signals.bandpass_padded`); the filtered rows are rescaled in place
+and then written once into the output.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .signals import SampledSignal, Window, butter_bandpass, rms
+from .signals import SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms
 
 EMG_RATE = 2148.0  # Hz
 
@@ -83,9 +85,9 @@ def synthesize_emg(
     at any rate; it is interpolated onto the output grid. A single
     activation channel drives all EMG channels (co-activation).
 
-    The noise of all channels is drawn at once, channel after channel from
-    one stream, and filtered causally from rest in one batched FFT
-    (:func:`signals.butter_bandpass`).
+    The noise is drawn channel after channel from one stream, straight into
+    the rows of one zero-padded buffer, and filtered causally from rest in
+    place, in one batched FFT (:func:`signals.bandpass_padded`).
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -94,14 +96,22 @@ def synthesize_emg(
     t_out = activation.start_time + np.arange(n_out) / rate
     t_act = activation.times()
 
-    noise = butter_bandpass(rng.standard_normal((n_channels, n_out)), order, band, rate)
+    band = (float(band[0]), float(band[1]))
+    buffer = np.empty((n_channels, bandpass_fft_length(order, band, float(rate), n_out)))
+    for row in buffer:
+        rng.standard_normal(out=row[:n_out])
+    buffer[:, n_out:] = 0.0
+    bandpass_padded(buffer, order, band, rate)
+    noise = buffer[:, :n_out]
     std = noise.std(axis=1)
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
     out = np.empty((n_out, n_channels))
     for ch in range(n_channels):
-        drive = drives[min(ch, len(drives) - 1)]
-        scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
-        out[:, ch] = drive * mvc_rms[ch] * scaled
+        if std[ch] > 0:
+            noise[ch] /= std[ch]
+        column = out[:, ch]
+        np.multiply(drives[min(ch, len(drives) - 1)], mvc_rms[ch], out=column)
+        column *= noise[ch]
     out.flags.writeable = False  # the signal takes it over without a copy
     return SampledSignal(
         sample_rate=rate,

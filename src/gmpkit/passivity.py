@@ -27,7 +27,7 @@ import numpy as np
 
 from .biomech import TrialRecord, perturbation_direction
 from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
-from .errors import AlignmentError, DegenerateTrialError
+from .errors import AlignmentError, DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, inner_product_integral, l2_norm_integral
 
 PASSIVITY_TOL_J = 1e-9
@@ -254,15 +254,25 @@ def estimates_to_csv(estimates: Sequence[EopEstimate], path) -> None:
 
 
 def estimates_from_csv(path) -> list[EopEstimate]:
-    out = []
+    """Read the estimates written by :func:`estimates_to_csv`.
+
+    Text that is not UTF-8, a wrong header, a short or malformed row, or a
+    row that is not a consistent estimate is a ``DataError`` that names the
+    file (and the line).
+    """
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header != ESTIMATE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None
+    if lines[0].strip() != ESTIMATE_CSV_HEADER:
+        raise DataError(f"{path}: unexpected header {lines[0].strip()!r}")
+    out = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             subject, direction, activation, frequency, xi, pct, num, den = line.split(",")
             out.append(
                 EopEstimate(
@@ -276,4 +286,6 @@ def estimates_from_csv(path) -> list[EopEstimate]:
                     denominator=float(den),
                 )
             )
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line_no}: {exc}") from None
     return out

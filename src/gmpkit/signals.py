@@ -4,7 +4,10 @@ The numerical substrate for the whole toolkit: slicing by time window,
 trapezoidal quadrature of inner products, sliding-window RMS, the CSV
 interchange format, and two filter kernels in plain numpy: a first-order
 linear recurrence (the Maxwell branch and the AR(1) activation noise) and
-a causal Butterworth band-pass (the EMG noise).
+a causal Butterworth band-pass (the EMG noise). The band-pass works in
+place on a zero-padded buffer of :func:`bandpass_fft_length` samples per
+row, so a caller that draws its samples into such a buffer filters them
+without a full-length copy.
 
 Conventions
 -----------
@@ -322,17 +325,21 @@ def _fast_fft_length(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _bandpass_response(
-    order: int, band: tuple[float, float], rate: float, n: int
-) -> tuple[int, np.ndarray]:
-    """FFT length for ``n`` samples and the band-pass's response on its rfft grid.
+def bandpass_fft_length(order: int, band: tuple[float, float], rate: float, n: int) -> int:
+    """FFT length that band-passes ``n`` samples without wrap-around.
 
     The FFT covers the n samples plus the impulse response's tail: the
     samples until the slowest pole has decayed by _TAIL_DECAY.
     """
-    zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
+    _, poles, _ = butter_bandpass_zpk(order, band, rate)
     tail = math.ceil(math.log(_TAIL_DECAY) / math.log(float(np.max(np.abs(poles)))))
-    nfft = _fast_fft_length(n + tail)
+    return _fast_fft_length(n + tail)
+
+
+@lru_cache(maxsize=16)
+def _bandpass_response(order: int, band: tuple[float, float], rate: float, nfft: int) -> np.ndarray:
+    """The band-pass's frequency response on the rfft grid of length ``nfft``."""
+    zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
     z = np.exp(2j * np.pi * np.arange(nfft // 2 + 1) / nfft)
     response = np.full(len(z), gain, dtype=complex)
     for zero in zeros:
@@ -340,21 +347,40 @@ def _bandpass_response(
     for pole in poles:
         response /= z - pole
     response.flags.writeable = False
-    return nfft, response
+    return response
+
+
+def bandpass_padded(buffer: np.ndarray, order: int, band: tuple[float, float], rate: float) -> None:
+    """Causal Butterworth band-pass of each row of ``buffer``, in place.
+
+    ``buffer`` is a float64 array of shape ``(..., nfft)`` whose rows hold
+    n samples followed by zeros, with ``nfft = bandpass_fft_length(order,
+    band, rate, n)``. Its ``rfft`` is multiplied by the filter's frequency
+    response and transformed back into ``buffer``; the first n samples of
+    each row are then the filtered signal. The FFT holds the signal plus
+    the impulse response's tail, so the circular convolution equals the
+    causal time-domain filter (second-order sections started from zero
+    state) to rounding.
+    """
+    nfft = buffer.shape[-1]
+    spectrum = np.fft.rfft(buffer)
+    spectrum *= _bandpass_response(order, (float(band[0]), float(band[1])), float(rate), nfft)
+    np.fft.irfft(spectrum, nfft, out=buffer)
 
 
 def butter_bandpass(x, order: int, band: tuple[float, float], rate: float) -> np.ndarray:
     """Causal Butterworth band-pass of ``x`` along its last axis, from rest.
 
-    Multiplies the ``rfft`` by the filter's frequency response. The FFT is
-    long enough to hold the signal plus the impulse response's tail, so the
-    circular convolution equals the causal time-domain filter (second-order
-    sections started from zero state) to rounding.
+    Copies ``x`` into a zero-padded buffer and filters it with
+    :func:`bandpass_padded`.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    nfft, response = _bandpass_response(order, (float(band[0]), float(band[1])), float(rate), n)
-    return np.fft.irfft(np.fft.rfft(x, nfft) * response, nfft)[..., :n]
+    band = (float(band[0]), float(band[1]))
+    buffer = np.zeros(x.shape[:-1] + (bandpass_fft_length(order, band, float(rate), n),))
+    buffer[..., :n] = x
+    bandpass_padded(buffer, order, band, rate)
+    return buffer[..., :n]
 
 
 # -- CSV interchange -------------------------------------------------------
@@ -366,13 +392,11 @@ def write_csv(signal: SampledSignal, path, time_column: str = "t") -> None:
     Floats are written with shortest round-trip formatting so a read-back
     reproduces the exact binary values (and output bytes are deterministic).
     """
-    times = signal.times()
+    # tolist() yields Python floats, whose repr is the shortest round trip
+    rows = np.column_stack([signal.times(), signal.data]).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join((time_column, *signal.channels)) + "\n")
-        for k in range(signal.n_samples):
-            row = [repr(float(times[k]))]
-            row.extend(repr(float(v)) for v in signal.data[k])
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_csv(path) -> SampledSignal:

@@ -24,7 +24,6 @@ once, under "streams" in the manifest.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -207,6 +206,9 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
     )
     tasks = [(config, subject, idx, seed, str(out)) for idx, subject in enumerate(cohort)]
     if jobs > 1:
+        # imported here: the pool machinery costs a serial run ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subject_docs = list(pool.map(_simulate_subject_star, tasks))
     else:
@@ -235,8 +237,13 @@ def _check_manifest_files(manifest: dict, out: Path) -> None:
 
 
 def load_manifest(out_dir) -> dict:
-    with open(Path(out_dir) / "manifest.json", "r") as fh:
-        return json.load(fh)
+    """The study's manifest; one that does not parse is a ``DataError``."""
+    path = Path(out_dir) / "manifest.json"
+    with open(path, "r") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"cannot read manifest {path}: {exc}") from None
 
 
 # -- analyze ----------------------------------------------------------------

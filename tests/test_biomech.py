@@ -7,6 +7,8 @@ from gmpkit.biomech import (
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
+    _axis_kinematics,
+    _ramp_envelope,
     analytic_eop,
     load_trial_csv,
     make_cohort,
@@ -145,6 +147,64 @@ def test_simulation_deterministic_per_seed():
     np.testing.assert_array_equal(a.emg.data, b.emg.data)
     c = run(LimbParams(), seed=124)
     assert not np.array_equal(a.emg.data, c.emg.data)
+
+
+def _reference_ramp_envelope(t, frequency):
+    """The ramp evaluated over the whole record, as before it became a prefix."""
+    u = math.pi * frequency * t
+    ramp = t < 1.0 / frequency
+    e = np.where(ramp, np.sin(u / 2.0) ** 2, 1.0)
+    de = np.where(ramp, 0.5 * math.pi * frequency * np.sin(u), 0.0)
+    dde = np.where(ramp, 0.5 * (math.pi * frequency) ** 2 * np.cos(u), 0.0)
+    return e, de, dde
+
+
+@pytest.mark.parametrize(
+    "frequency, duration, rate",
+    [
+        (0.5, 10.0, 1000.0),   # the ramp ends on sample 2000
+        (4.0, 3.0, 1000.0),    # ... on sample 250
+        (1.3, 5.0, 1000.0),    # ... between samples
+        (0.05, 10.0, 1000.0),  # the ramp outlasts the trial
+        (3.0, 2.0, 2148.0),
+    ],
+)
+def test_kinematics_match_reference_bytes(frequency, duration, rate):
+    n = round(duration * rate) + 1
+    t = np.arange(n) * (1.0 / rate)
+    expected = _reference_ramp_envelope(t, frequency)
+    for got, want in zip(_ramp_envelope(t, frequency), expected):
+        assert got.tobytes() == want.tobytes()
+    e, de, dde = expected
+    omega = 2.0 * math.pi * frequency
+    s, c = np.sin(omega * t), np.cos(omega * t)
+    amp = 0.03
+    reference = (amp * e * s, amp * (de * s + e * omega * c),
+                 amp * (dde * s + 2.0 * de * omega * c - e * omega * omega * s))
+    for got, want in zip(_axis_kinematics(frequency, amp, n, rate), reference):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ramp_boundary_cases_are_what_they_claim():
+    t = np.arange(10001) * (1.0 / 1000.0)
+    assert t[2000] == 1.0 / 0.5 and t[250] == 1.0 / 4.0
+    assert np.all(_ramp_envelope(t, 0.05)[0] < 1.0)
+
+
+def test_axis_kinematics_are_shared_and_read_only():
+    _axis_kinematics.cache_clear()
+    first = run(LimbParams(), direction=0, activation=0.1)
+    second = run(LimbParams(), direction=2, activation=0.4, seed=1)
+    info = _axis_kinematics.cache_info()
+    assert (info.misses, info.hits) == (1, 1)   # the second trial reused the kinematics
+    shared = _axis_kinematics(1.0, 0.03, 10001, 1000.0)
+    assert all(a is b for a, b in zip(shared, _axis_kinematics(1.0, 0.03, 10001, 1000.0)))
+    assert len(shared) == 3 and not any(array.flags.writeable for array in shared)
+    # the trials project the shared velocity onto their directions
+    np.testing.assert_array_equal(first.velocity.data[:, 0], shared[1])
+    np.testing.assert_array_equal(second.velocity.data[:, 1], shared[1])
+    for trial in (first, second):
+        assert not trial.force.data.flags.writeable and not trial.velocity.data.flags.writeable
 
 
 def test_rate_too_low_raises_integration_error():

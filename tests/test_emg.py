@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmpkit.emg import (
+    BAND_HZ,
     EMG_RATE,
     MvcCalibration,
     estimate_mvc,
@@ -10,7 +11,7 @@ from gmpkit.emg import (
     synthesize_emg,
 )
 from gmpkit.errors import DegenerateSampleError, WindowRangeError
-from gmpkit.signals import SampledSignal, Window, rms
+from gmpkit.signals import SampledSignal, Window, _bandpass_response, bandpass_fft_length, rms
 
 
 def activation_signal(level, duration=5.0, rate=1000.0):
@@ -45,6 +46,48 @@ def test_output_rate_and_channel_count():
     assert emg.sample_rate == pytest.approx(EMG_RATE)
     assert emg.channels == ("emg1", "emg2", "emg3", "emg4")
     assert emg.n_samples == round(2.0 * EMG_RATE) + 1
+
+
+def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAND_HZ, order=4):
+    """synthesize_emg as it was before it filtered in place: one draw, copies."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_out = round(activation.duration * rate) + 1
+    t_out = activation.start_time + np.arange(n_out) / rate
+    nfft = bandpass_fft_length(order, band, rate, n_out)
+    response = _bandpass_response(order, band, rate, nfft)
+    x = rng.standard_normal((len(mvc_rms), n_out))
+    noise = np.fft.irfft(np.fft.rfft(x, nfft) * response, nfft)[..., :n_out]
+    std = noise.std(axis=1)
+    drives = [np.interp(t_out, activation.times(), col) for col in activation.data.T]
+    out = np.empty((n_out, len(mvc_rms)))
+    for ch in range(len(mvc_rms)):
+        drive = drives[min(ch, len(drives) - 1)]
+        scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
+        out[:, ch] = drive * mvc_rms[ch] * scaled
+    return out
+
+
+def noisy_activation(duration, n_channels=1, rate=1000.0):
+    n = round(duration * rate) + 1
+    data = np.random.default_rng(n).uniform(0.1, 0.6, (n, n_channels))
+    return SampledSignal(rate, 0.0, tuple(f"a{i}" for i in range(n_channels)), data)
+
+
+@pytest.mark.parametrize("rate", [1000.0, EMG_RATE])
+@pytest.mark.parametrize("duration", [1.0, 2.0, 3.0, 5.0, 10.0, 2.357])
+def test_synthesis_matches_reference_bytes(duration, rate):
+    mvc = (1.6, 1.1, 1.8, 1.3)
+    emg = synthesize_emg(noisy_activation(duration), mvc, seed=11, rate=rate)
+    expected = _reference_synthesize_emg(noisy_activation(duration), mvc, 11, rate=rate)
+    assert emg.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_activations, mvc", [(1, (1.7,)), (2, (1.6, 1.1, 1.8, 1.3)), (2, (1.6,))])
+def test_synthesis_channel_layouts_match_reference_bytes(n_activations, mvc):
+    activation = noisy_activation(3.0, n_activations)
+    emg = synthesize_emg(activation, mvc, seed=12)
+    assert emg.data.tobytes() == _reference_synthesize_emg(activation, mvc, 12).tobytes()
+    assert not emg.data.flags.writeable
 
 
 def test_synthesized_emg_is_zero_mean():

@@ -130,6 +130,61 @@ def test_schema_1_manifest_is_a_typed_error(study, capsys):
     assert "schema version 1" in err
 
 
+def test_torn_manifest_is_a_data_error(study, capsys):
+    out, path = study
+    truncate(out / "manifest.json")
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"cannot read manifest {out / 'manifest.json'}" in err
+
+
+@pytest.fixture(scope="module")
+def analyzed(simulated, tmp_path_factory):
+    out = tmp_path_factory.mktemp("analyzed") / "out"
+    shutil.copytree(simulated, out)
+    path = out.parent / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
+    return out
+
+
+def edit_line(number, edit):
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("".join(lines))
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (truncate, r", line \d+: not enough values to unpack"),
+        (edit_line(1, lambda line: line.replace("xi", "eop")), "unexpected header"),
+        (edit_line(3, lambda line: line.rsplit(",", 1)[0] + "\n"), "line 3: not enough values"),
+        (edit_line(4, lambda line: line.replace(",", ",7,", 1)), "line 4: too many values"),
+        (edit_line(5, lambda line: line.rsplit(",", 1)[0] + ",-1.0\n"), "line 5: denominator must be > 0"),
+        (edit_line(6, lambda line: line.replace(",", ",x", 1)), "line 6: invalid literal for int()"),
+        (lambda path: path.write_bytes(path.read_bytes()[:200] + b"\xff\xfe"), "can't decode byte 0xff"),
+    ],
+    ids=["torn", "header", "short-row", "long-row", "bad-estimate", "not-a-number", "not-utf8"],
+)
+def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damage, reason):
+    out = tmp_path / "out"
+    shutil.copytree(analyzed, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    csv_path = out / "analysis" / "eop_estimates.csv"
+    damage(csv_path)
+    code = cli.main(["stats", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ANALYSIS
+    assert "Traceback" not in err
+    assert str(csv_path) in err
+    assert re.search(reason, err)
+    assert not (out / "stats").exists()
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [

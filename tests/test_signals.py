@@ -11,6 +11,8 @@ from gmpkit.errors import AlignmentError, WindowRangeError
 from gmpkit.signals import (
     SampledSignal,
     Window,
+    bandpass_fft_length,
+    bandpass_padded,
     butter_bandpass,
     butter_bandpass_zpk,
     first_order_recurrence,
@@ -247,6 +249,30 @@ def test_csv_write_is_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def _reference_write_csv(signal, path, time_column="t"):
+    """The per-element formatting loop write_csv replaced."""
+    times = signal.times()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join((time_column, *signal.channels)) + "\n")
+        for k in range(signal.n_samples):
+            row = [repr(float(times[k]))]
+            row.extend(repr(float(v)) for v in signal.data[k])
+            fh.write(",".join(row) + "\n")
+
+
+def test_csv_write_matches_reference_bytes(tmp_path):
+    sig = make_signal(lambda t: np.sin(2 * np.pi * 3 * t) + t, duration=0.5, rate=2148.0,
+                      channels=("a", "b", "c"))
+    special = np.array([[-0.0, np.inf, 5e-324], [1e16, -np.inf, -2.5e-310], [0.1, -1e-300, 2.0**60]])
+    data = np.vstack([special, sig.data])
+    sig = SampledSignal(sig.sample_rate, 0.25, sig.channels, data)
+    write_csv(sig, tmp_path / "new.csv", time_column="time")
+    _reference_write_csv(sig, tmp_path / "old.csv", time_column="time")
+    blob = (tmp_path / "new.csv").read_bytes()
+    assert blob == (tmp_path / "old.csv").read_bytes()
+    assert b"-0.0,inf,5e-324\n" in blob and b",1e+16,-inf," in blob
+
+
 # -- filter kernels -----------------------------------------------------------
 
 
@@ -316,7 +342,20 @@ def test_butter_bandpass_matches_sosfilt(order, n):
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
+def test_bandpass_padded_filters_in_place():
+    n = 6445
+    x = np.random.default_rng(8).standard_normal((2, n))
+    buffer = np.zeros((2, bandpass_fft_length(4, (20.0, 450.0), 2148.0, n)))
+    buffer[:, :n] = x
+    address = buffer.ctypes.data
+    assert bandpass_padded(buffer, 4, (20.0, 450.0), 2148.0) is None
+    assert buffer.ctypes.data == address
+    np.testing.assert_array_equal(buffer[:, :n], butter_bandpass(x, 4, (20.0, 450.0), 2148.0))
+
+
 def test_import_loads_no_scipy():
-    code = "import sys, gmpkit, gmpkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # nor the process pool, which only a parallel simulation needs
+    code = ("import sys, gmpkit, gmpkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
