@@ -266,20 +266,6 @@ def _axis_kinematics(
     return x_ax, v_ax, acc_ax
 
 
-def _along(values: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """``np.outer(values, direction)``, filled column by column, read-only.
-
-    Two strided column products are several times faster than the outer
-    product's length-2 inner loop, and give the same values. The array is
-    read-only so the signal built on it shares it instead of copying it.
-    """
-    out = np.empty((len(values), len(direction)))
-    for col, component in enumerate(direction):
-        np.multiply(values, component, out=out[:, col])
-    out.flags.writeable = False
-    return out
-
-
 def _labels_for(spec: PerturbationSpec, act: ActivationProfile) -> tuple[str, str]:
     activation_label = "stiff" if act.target_pct_mvc >= 0.2 else "relaxed"
     frequency_label = "high" if spec.frequency >= 2.0 else "low"
@@ -303,10 +289,11 @@ def simulate_trial(
     The prescribed kinematics are evaluated analytically, once per
     perturbation (:func:`_axis_kinematics`); only the Maxwell branch force
     is stepped, with a fixed-step implicit (unconditionally stable) update,
-    and the activation lag uses its exact exponential solution. The implicit update is linear in the branch force, so the
-    whole trajectory is one first-order recurrence, evaluated by the
-    doubling scan of :func:`signals.first_order_recurrence` rather than a
-    per-sample loop. ``seed`` may be an int or a numpy SeedSequence.
+    and the activation lag uses its exact exponential solution. The
+    implicit update is linear in the branch force, so the whole trajectory
+    is one first-order recurrence, evaluated by the doubling scan of
+    :func:`signals.first_order_recurrence` rather than a per-sample loop.
+    ``seed`` may be an int or a numpy SeedSequence.
     """
     if rate < 20.0 * spec.frequency:
         raise IntegrationError(
@@ -338,8 +325,13 @@ def simulate_trial(
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
 
     direction = perturbation_direction(spec.direction_index)
-    force = SampledSignal(rate, 0.0, ("fx", "fy"), _along(f_ax, direction))
-    velocity = SampledSignal(rate, 0.0, ("vx", "vy"), _along(v_ax, direction))
+    # read-only, so the signals share these arrays instead of copying them
+    force_xy = np.outer(f_ax, direction)
+    velocity_xy = np.outer(v_ax, direction)
+    force_xy.flags.writeable = False
+    velocity_xy.flags.writeable = False
+    force = SampledSignal(rate, 0.0, ("fx", "fy"), force_xy)
+    velocity = SampledSignal(rate, 0.0, ("vx", "vy"), velocity_xy)
 
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)
