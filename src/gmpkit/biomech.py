@@ -61,8 +61,13 @@ DEFAULT_DIRECTION_GAINS = (1.3, 1.0, 0.7, 1.0, 1.3, 1.0, 0.7, 1.0)
 # per-muscle "true" maximum-contraction RMS levels, mV
 DEFAULT_MVC_RMS_MV = (1.6, 1.1, 1.8, 1.3)
 
+# The protocol grid: N_DIRECTIONS spokes x two controlled co-activation
+# levels x up to two perturbation frequencies (the lower one first). Every
+# other module derives its labels, codes and orders from these tuples.
 ACTIVATION_LABELS = ("relaxed", "stiff")
 FREQUENCY_LABELS = ("low", "high")
+# the study's tests, in report order: (code, activation label, frequency label)
+TESTS = (("LR", "relaxed", "low"), ("LS", "stiff", "low"), ("HR", "relaxed", "high"), ("HS", "stiff", "high"))
 
 # correlation time of the multiplicative activation tracking noise, s
 _NOISE_CORR_TIME = 0.2
@@ -140,9 +145,11 @@ class ActivationProfile:
 
 @dataclass(frozen=True)
 class TrialCondition:
+    """A cell of the protocol grid; labels are from ACTIVATION_LABELS and FREQUENCY_LABELS."""
+
     direction_index: int
-    activation_label: str   # "relaxed" | "stiff"
-    frequency_label: str    # "low" | "high"
+    activation_label: str
+    frequency_label: str
 
     def __post_init__(self) -> None:
         if self.activation_label not in ACTIVATION_LABELS:
@@ -266,12 +273,6 @@ def _axis_kinematics(
     return x_ax, v_ax, acc_ax
 
 
-def _labels_for(spec: PerturbationSpec, act: ActivationProfile) -> tuple[str, str]:
-    activation_label = "stiff" if act.target_pct_mvc >= 0.2 else "relaxed"
-    frequency_label = "high" if spec.frequency >= 2.0 else "low"
-    return activation_label, frequency_label
-
-
 def simulate_trial(
     params: LimbParams,
     spec: PerturbationSpec,
@@ -281,8 +282,9 @@ def simulate_trial(
     mvc_rms: tuple[float, ...] = DEFAULT_MVC_RMS_MV,
     emg_rate: float = emg_module.EMG_RATE,
     subject_id: str = "S0",
-    activation_label: str | None = None,
-    frequency_label: str | None = None,
+    *,
+    activation_label: str,
+    frequency_label: str,
 ) -> TrialRecord:
     """Integrate one perturbation trial and synthesize its EMG.
 
@@ -293,7 +295,10 @@ def simulate_trial(
     implicit update is linear in the branch force, so the whole trajectory
     is one first-order recurrence, evaluated by the doubling scan of
     :func:`signals.first_order_recurrence` rather than a per-sample loop.
-    ``seed`` may be an int or a numpy SeedSequence.
+    ``seed`` may be an int or a numpy SeedSequence. The trial's grid cell
+    is named by ``activation_label`` and ``frequency_label``, which the
+    caller's protocol assigns; nothing here infers them from the target or
+    the frequency.
     """
     if rate < 20.0 * spec.frequency:
         raise IntegrationError(
@@ -336,14 +341,8 @@ def simulate_trial(
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)
 
-    auto_act, auto_freq = _labels_for(spec, act)
-    condition = TrialCondition(
-        direction_index=spec.direction_index,
-        activation_label=activation_label or auto_act,
-        frequency_label=frequency_label or auto_freq,
-    )
     return TrialRecord(
-        condition=condition,
+        condition=TrialCondition(spec.direction_index, activation_label, frequency_label),
         force=force,
         velocity=velocity,
         emg=emg,

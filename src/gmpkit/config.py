@@ -12,7 +12,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, asdict
 
-from .biomech import DEFAULT_MVC_RMS_MV, N_DIRECTIONS, LimbParams
+from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, LimbParams
 from .emg import BAND_HZ
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError
 from .passivity import snap_window_to_periods
@@ -117,12 +117,13 @@ class StudyConfig:
             raise ConfigError("cohort.subjects must be >= 1")
         if not 0 <= self.cohort.jitter < 1:
             raise ConfigError("cohort.jitter must be in [0, 1)")
-        if len(p.frequencies) not in (1, 2) or any(not 0 < f < math.inf for f in p.frequencies):
-            raise ConfigError("protocol.frequencies needs 1 or 2 finite positive values")
-        if len(p.frequencies) == 2 and p.frequencies[0] >= p.frequencies[1]:
+        n_freqs = len(FREQUENCY_LABELS)
+        if not 1 <= len(p.frequencies) <= n_freqs or any(not 0 < f < math.inf for f in p.frequencies):
+            raise ConfigError(f"protocol.frequencies needs 1 to {n_freqs} finite positive values")
+        if any(lower >= higher for lower, higher in zip(p.frequencies, p.frequencies[1:])):
             raise ConfigError("protocol.frequencies must be increasing")
-        if p.directions != 8:
-            raise ConfigError("protocol.directions must be 8 (cardinal directions)")
+        if p.directions != N_DIRECTIONS:
+            raise ConfigError(f"protocol.directions must be {N_DIRECTIONS} (cardinal directions)")
         for name, value in (("duration_s", p.duration_s), ("amplitude_m", p.amplitude_m),
                             ("analysis_window_s", p.analysis_window_s)):
             if not 0 < value < math.inf:
@@ -252,6 +253,5 @@ def default_config() -> StudyConfig:
 
 
 def frequency_labels(protocol: ProtocolConfig) -> list[tuple[str, float]]:
-    """Label -> Hz pairs for the protocol grid ("low" first)."""
-    labels = ("low", "high")
-    return [(labels[i], hz) for i, hz in enumerate(protocol.frequencies)]
+    """(label, Hz) pairs of the protocol's frequencies, in ``FREQUENCY_LABELS`` order."""
+    return list(zip(FREQUENCY_LABELS, protocol.frequencies))

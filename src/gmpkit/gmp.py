@@ -8,6 +8,11 @@ of a spoke: %MVC extrapolation is clamped to the nearest edge, frequency
 extrapolation is refused (no data outside the measured grid). Directions
 are categorical; no interpolation across spokes.
 
+The grid (directions, activation and frequency labels, the tests' column
+order) is :mod:`gmpkit.biomech`'s. A map cell keeps only what the map JSON
+stores and :func:`lookup` reads: xi and the measured mean %MVC
+(:class:`MapCell`); the estimate behind it stays with the estimates.
+
 Maps are immutable after build; lookup is read-only and safe for
 concurrent use by a controller loop.
 """
@@ -21,12 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .biomech import ACTIVATION_LABELS, FREQUENCY_LABELS, N_DIRECTIONS, TESTS
 from .errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from .passivity import EopEstimate
-
-N_DIRECTIONS = 8
-ACTIVATION_LABELS = ("relaxed", "stiff")
-FREQUENCY_LABELS = ("low", "high")
 
 CellKey = tuple[int, str, str]  # (direction_index, activation_label, frequency_label)
 
@@ -43,16 +45,21 @@ class TrendLine:
 
 
 @dataclass(frozen=True)
+class MapCell:
+    xi: float             # N*s/m
+    mean_pct_mvc: float   # fraction of MVC
+
+
+@dataclass(frozen=True)
 class GmpMap:
     subject_id: str
-    cells: dict[CellKey, EopEstimate]
+    cells: dict[CellKey, MapCell]
     frequencies: dict[str, float]   # frequency label -> Hz
-    n_directions: int = N_DIRECTIONS
 
     def grid_keys(self) -> list[CellKey]:
         return [
             (d, act, freq)
-            for d in range(self.n_directions)
+            for d in range(N_DIRECTIONS)
             for act in ACTIVATION_LABELS
             for freq in sorted(self.frequencies, key=self.frequencies.get)
         ]
@@ -64,7 +71,7 @@ class GmpMap:
     def complete(self) -> bool:
         return not self.missing_cells()
 
-    def cell(self, direction_index: int, activation_label: str, frequency_label: str) -> EopEstimate:
+    def cell(self, direction_index: int, activation_label: str, frequency_label: str) -> MapCell:
         return self.cells[(direction_index, activation_label, frequency_label)]
 
 
@@ -75,16 +82,17 @@ def build_map(
 ) -> GmpMap:
     """Assemble a map from estimates; duplicate cells are a hard conflict.
 
-    The frequency grid (label -> Hz) is taken from the estimates unless
-    given explicitly; estimates sharing a label must agree on the Hz value.
+    The frequency grid (label -> Hz) is ``frequencies`` plus the Hz the
+    estimates carry; estimates sharing a label must agree on the Hz value.
+    With neither there is no grid, an ``IncompleteMapError``.
     """
-    cells: dict[CellKey, EopEstimate] = {}
+    cells: dict[CellKey, MapCell] = {}
     freqs: dict[str, float] = dict(frequencies) if frequencies else {}
     for est in estimates:
         key = (est.direction_index, est.activation_label, est.frequency_label)
         if key in cells:
             raise MapConflictError(f"duplicate estimate for cell {key}")
-        cells[key] = est
+        cells[key] = MapCell(est.xi, est.mean_pct_mvc)
         if est.frequency_hz is not None:
             known = freqs.get(est.frequency_label)
             if known is None:
@@ -94,8 +102,7 @@ def build_map(
                     f"label {est.frequency_label!r} maps to both {known} and {est.frequency_hz} Hz"
                 )
     if not freqs:
-        freqs = {label: dict(zip(FREQUENCY_LABELS, (1.0, 3.0)))[label]
-                 for label in FREQUENCY_LABELS}
+        raise IncompleteMapError(f"map {subject_id!r} has no frequency grid: no Hz given or estimated")
     return GmpMap(subject_id=subject_id, cells=cells, frequencies=freqs)
 
 
@@ -111,23 +118,11 @@ def median_map(maps: Sequence[GmpMap], subject_id: str = "median") -> GmpMap:
             not math.isclose(m.frequencies[k], grid[k], rel_tol=1e-9) for k in grid
         ):
             raise IncompleteMapError("maps do not share a frequency grid")
-    cells: dict[CellKey, EopEstimate] = {}
-    for key in maps[0].grid_keys():
-        xi = float(np.median([m.cells[key].xi for m in maps]))
-        pct = float(np.median([m.cells[key].mean_pct_mvc for m in maps]))
-        direction, activation, frequency = key
-        cells[key] = EopEstimate(
-            subject_id=subject_id,
-            direction_index=direction,
-            activation_label=activation,
-            frequency_label=frequency,
-            xi=xi,
-            mean_pct_mvc=pct,
-            numerator=xi,
-            denominator=1.0,
-            window=None,
-            frequency_hz=maps[0].frequencies[frequency],
-        )
+    cells = {
+        key: MapCell(float(np.median([m.cells[key].xi for m in maps])),
+                     float(np.median([m.cells[key].mean_pct_mvc for m in maps])))
+        for key in maps[0].grid_keys()
+    }
     return GmpMap(subject_id=subject_id, cells=cells, frequencies=dict(grid))
 
 
@@ -152,7 +147,7 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
     row's node range), then linearly in frequency between the two rows.
     Frequencies outside the measured grid are refused.
     """
-    if not 0 <= direction_index < gmp_map.n_directions:
+    if not 0 <= direction_index < N_DIRECTIONS:
         raise ValueError(f"direction_index out of range: {direction_index}")
     if not 0.0 <= pct_mvc <= 1.0:
         raise ValueError(f"pct_mvc must be within [0, 1], got {pct_mvc}")
@@ -220,7 +215,7 @@ def save_map_json(gmp_map: GmpMap, path) -> None:
         "subject": gmp_map.subject_id,
         "grid": {
             "frequencies": [gmp_map.frequencies[label] for label in labels],
-            "directions": gmp_map.n_directions,
+            "directions": N_DIRECTIONS,
         },
         "cells": [
             {
@@ -259,10 +254,9 @@ def _map_value(path, what: str, value, kind: type):
 def load_map_json(path) -> GmpMap:
     """Rebuild a lookup-ready map from its JSON document.
 
-    The persisted schema keeps only (xi, pct_mvc) per cell, so the restored
-    estimates carry unit denominators and no window. A document that does
-    not parse, or lacks a key, or holds a value of the wrong type or a
-    non-finite number, is a ``DataError`` that names the file.
+    A document that does not parse, or lacks a key, or holds a value of the
+    wrong type or a non-finite number, or a cell outside the grid or twice,
+    is a ``DataError`` that names the file.
     """
     try:
         with open(path, "r") as fh:
@@ -279,7 +273,7 @@ def load_map_json(path) -> GmpMap:
     if len(grid_freqs) > len(FREQUENCY_LABELS):
         raise DataError(f"map {path}: more frequencies than supported labels")
     label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
-    estimates = []
+    cells: dict[CellKey, MapCell] = {}
     for cell in _map_field(path, doc, "cells", list):
         direction = _map_field(path, cell, "dir", int)
         activation = _map_field(path, cell, "activation", str)
@@ -289,41 +283,23 @@ def load_map_json(path) -> GmpMap:
         matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=1e-9)]
         if not matches:
             raise DataError(f"map {path}: cell frequency {hz} Hz not in grid {grid_freqs}")
-        xi = _map_field(path, cell, "xi", float)
-        estimates.append(
-            EopEstimate(
-                subject_id=subject,
-                direction_index=direction,
-                activation_label=activation,
-                frequency_label=matches[0],
-                xi=xi,
-                mean_pct_mvc=_map_field(path, cell, "pct_mvc", float),
-                numerator=xi,
-                denominator=1.0,
-                window=None,
-                frequency_hz=hz,
-            )
-        )
-    frequencies = {label: hz for hz, label in label_by_hz.items()}
-    try:
-        return build_map(estimates, subject_id=subject, frequencies=frequencies)
-    except MapConflictError as exc:
-        raise DataError(f"map {path}: {exc}") from None
+        key = (direction, activation, matches[0])
+        if key in cells:
+            raise DataError(f"map {path}: duplicate cell {key}")
+        cells[key] = MapCell(_map_field(path, cell, "xi", float), _map_field(path, cell, "pct_mvc", float))
+    return GmpMap(subject, cells, {label: hz for hz, label in label_by_hz.items()})
 
 
-SPIDER_CSV_HEADER = "direction_deg,xi_LR,xi_LS,xi_HR,xi_HS"
-
-# spider column order: (activation_label, frequency_label)
-_SPIDER_CELLS = (("relaxed", "low"), ("stiff", "low"), ("relaxed", "high"), ("stiff", "high"))
+SPIDER_CSV_HEADER = "direction_deg," + ",".join(f"xi_{code}" for code, _, _ in TESTS)
 
 
 def save_spider_csv(gmp_map: GmpMap, path) -> None:
-    """Spoke-plot data: one row per direction, one xi column per test."""
+    """Spoke-plot data: one row per direction, one xi column per test, in TESTS order."""
     with open(path, "w", newline="") as fh:
         fh.write(SPIDER_CSV_HEADER + "\n")
-        for direction in range(gmp_map.n_directions):
+        for direction in range(N_DIRECTIONS):
             row = [str(direction * 45)]
-            for act, freq in _SPIDER_CELLS:
+            for _, act, freq in TESTS:
                 cell = gmp_map.cells.get((direction, act, freq))
                 row.append("" if cell is None else repr(float(cell.xi)))
             fh.write(",".join(row) + "\n")

@@ -31,6 +31,9 @@ import numpy as np
 
 from . import __version__
 from .biomech import (
+    ACTIVATION_LABELS,
+    FREQUENCY_LABELS,
+    TESTS,
     ActivationProfile,
     PerturbationSpec,
     Subject,
@@ -63,24 +66,15 @@ def _write_json(path, doc) -> None:
 
 
 def protocol_plan(config: StudyConfig) -> list[dict]:
-    """The protocol's test grid: LR/LS/(HR/HS) with labels and targets."""
-    plan = []
-    for freq_label, hz in frequency_labels(config.protocol):
-        for act_label, target in (
-            ("relaxed", config.protocol.relaxed_target),
-            ("stiff", config.protocol.stiff_target),
-        ):
-            code = ("L" if freq_label == "low" else "H") + ("R" if act_label == "relaxed" else "S")
-            plan.append(
-                {
-                    "code": code,
-                    "activation_label": act_label,
-                    "frequency_label": freq_label,
-                    "frequency_hz": hz,
-                    "target_pct_mvc": target,
-                }
-            )
-    return plan
+    """The tests of ``biomech.TESTS`` at the protocol's frequencies, with their targets."""
+    hz = dict(frequency_labels(config.protocol))
+    target = dict(zip(ACTIVATION_LABELS, (config.protocol.relaxed_target, config.protocol.stiff_target)))
+    return [
+        {"code": code, "activation_label": act, "frequency_label": freq,
+         "frequency_hz": hz[freq], "target_pct_mvc": target[act]}
+        for code, act, freq in TESTS
+        if freq in hz
+    ]
 
 
 # -- simulate ---------------------------------------------------------------
@@ -302,6 +296,7 @@ def analyze_study(out_dir, manifest: dict | None = None,
     check_envelope_window(window_s, duration, protocol["frequencies"],
                           streams["robot"]["rate_hz"], streams["emg"]["rate_hz"], emg_cfg)
     window = Window(duration - window_s, duration)
+    grid = dict(zip(FREQUENCY_LABELS, protocol["frequencies"]))
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
@@ -347,7 +342,7 @@ def analyze_study(out_dir, manifest: dict | None = None,
                     rms_stride=emg_cfg.rms_stride_s,
                 )
             )
-        gmp_map = build_map(subject_estimates, subject["subject_id"])
+        gmp_map = build_map(subject_estimates, subject["subject_id"], frequencies=grid)
         if not gmp_map.complete:
             warnings.append(
                 f"map {subject['subject_id']} missing {len(gmp_map.missing_cells())} cells"
@@ -396,20 +391,15 @@ def analyze_study(out_dir, manifest: dict | None = None,
 
 # -- stats ------------------------------------------------------------------
 
-# (group_a, group_b) per contrast, expectation a > b
+# test code of each (activation, frequency) cell
+_CODE = {(act, freq): code for code, act, freq in TESTS}
+_RELAXED, _STIFF = ACTIVATION_LABELS
+_LOW, _HIGH = FREQUENCY_LABELS
+# (name, group_a, group_b) per contrast, expectation a > b
 _CONTRASTS = (
-    ("frequency_effect_relaxed", "LR", "HR"),
-    ("frequency_effect_stiff", "LS", "HS"),
-    ("activation_effect_low", "LS", "LR"),
-    ("activation_effect_high", "HS", "HR"),
+    *((f"frequency_effect_{a}", _CODE[a, _LOW], _CODE[a, _HIGH]) for a in ACTIVATION_LABELS),
+    *((f"activation_effect_{f}", _CODE[_STIFF, f], _CODE[_RELAXED, f]) for f in FREQUENCY_LABELS),
 )
-
-_GROUP_CODES = {
-    ("relaxed", "low"): "LR",
-    ("stiff", "low"): "LS",
-    ("relaxed", "high"): "HR",
-    ("stiff", "high"): "HS",
-}
 
 
 def _test_result_doc(result) -> dict:
@@ -459,7 +449,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None,
 
     by_cell: dict[tuple[str, str, int], EopEstimate] = {}
     for est in estimates:
-        code = _GROUP_CODES.get((est.activation_label, est.frequency_label))
+        code = _CODE.get((est.activation_label, est.frequency_label))
         if code is None:
             continue
         by_cell[(code, est.subject_id, est.direction_index)] = est
@@ -467,7 +457,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None,
     directions = sorted({key[2] for key in by_cell})
     pairing = [(s, d) for s in subjects for d in directions]
     groups: dict[str, list[float]] = {}
-    for code in ("LR", "LS", "HR", "HS"):
+    for code, _, _ in TESTS:
         values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
         if len(values) == len(pairing) and values:
             groups[code] = values
@@ -525,15 +515,15 @@ def stats_study(estimates: list[EopEstimate], out_dir=None,
                             "rss": trend.rss, "n": trend.n_points}
             slopes_by_label[label].append(trend.slope)
         slope_doc["per_subject"][subject_id] = entry
-    if set(freq_labels) >= {"low", "high"}:
-        doc = {"sidedness": slope_sidedness, "group_a": "slope_low", "group_b": "slope_high"}
+    if set(freq_labels) >= {_LOW, _HIGH}:
+        doc = {"sidedness": slope_sidedness, "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
         doc.update(
-            _paired_contrast(slopes_by_label["low"], slopes_by_label["high"], slope_sidedness)
+            _paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], slope_sidedness)
         )
         if "p_value" in doc:
             csv_rows.append(
-                {"kind": "wilcoxon", "name": "slope_low_vs_high", "group_a": "slope_low",
-                 "group_b": "slope_high", "n": doc["n"], "statistic": doc["statistic"],
+                {"kind": "wilcoxon", "name": f"slope_{_LOW}_vs_{_HIGH}", "group_a": doc["group_a"],
+                 "group_b": doc["group_b"], "n": doc["n"], "statistic": doc["statistic"],
                  "p_value": doc["p_value"], "method": doc["method"], "mark": doc["mark"]}
             )
         slope_doc["contrast"] = doc

