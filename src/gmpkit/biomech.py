@@ -35,6 +35,13 @@ which rises with activation (while g_i*b_m*w < k_m) and falls with
 frequency. :func:`analytic_eop` exposes this closed form as the test
 oracle for the full simulation pipeline.
 
+The module also defines the protocol grid, once: ``N_DIRECTIONS`` spokes,
+``ACTIVATION_LABELS``, ``FREQUENCY_LABELS`` and the ordered ``TESTS``
+table (LR, LS, HR, HS). Config, study and GMP maps derive their labels,
+codes and orders from it. A trial's labels are assigned by the caller's
+protocol (``simulate_trial`` requires them), never guessed from its
+activation target or frequency.
+
 The prescribed kinematics depend on the perturbation alone, so the trials
 at one frequency share one read-only copy of them (:func:`_axis_kinematics`).
 Everything is deterministic given (params, spec, activation, seed);
@@ -152,6 +159,8 @@ class TrialCondition:
     frequency_label: str
 
     def __post_init__(self) -> None:
+        if not 0 <= self.direction_index < N_DIRECTIONS:
+            raise ValueError(f"direction_index out of range: {self.direction_index}")
         if self.activation_label not in ACTIVATION_LABELS:
             raise ValueError(f"unknown activation label {self.activation_label!r}")
         if self.frequency_label not in FREQUENCY_LABELS:

@@ -3,8 +3,11 @@
 Callers that need to distinguish failure modes (the CLI maps them to exit
 codes) catch these; everything derives from GmpkitError so `except
 GmpkitError` catches any toolkit-level failure without swallowing plain
-bugs.
+bugs. :func:`json_field` reads one typed value from a parsed JSON document
+(a map or a manifest), so that a document of the wrong shape is a DataError.
 """
+
+import math
 
 
 class GmpkitError(Exception):
@@ -57,3 +60,24 @@ class SingularFitError(GmpkitError, ValueError):
 
 class InvalidComparisonError(GmpkitError, ValueError):
     """Two runs cannot be compared (unbounded, or mismatched scenario)."""
+
+
+def json_field(source: str, obj, key: str, kind: type):
+    """``obj[key]`` of the given JSON type (float: a finite number), else a DataError.
+
+    ``source`` names the document in the message, e.g. ``"map <path>"``.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{source}: missing key {key!r}")
+    return json_value(source, key, obj[key], kind)
+
+
+def json_value(source: str, what: str, value, kind: type):
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok:
+        expected = "a finite number" if kind is float else f"of type {kind.__name__}"
+        raise DataError(f"{source}: {what} must be {expected}, got {value!r}")
+    return float(value) if kind is float else value

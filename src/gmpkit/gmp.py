@@ -28,6 +28,7 @@ import numpy as np
 
 from .biomech import ACTIVATION_LABELS, FREQUENCY_LABELS, N_DIRECTIONS, TESTS
 from .errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
+from .errors import json_field, json_value
 from .passivity import EopEstimate
 
 CellKey = tuple[int, str, str]  # (direction_index, activation_label, frequency_label)
@@ -233,24 +234,6 @@ def save_map_json(gmp_map: GmpMap, path) -> None:
         fh.write("\n")
 
 
-def _map_field(path, obj, key: str, kind: type):
-    """``obj[key]`` of the given JSON type (float: a finite number), else a DataError."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise DataError(f"map {path}: missing key {key!r}")
-    return _map_value(path, key, obj[key], kind)
-
-
-def _map_value(path, what: str, value, kind: type):
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    else:
-        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-    if not ok:
-        expected = "a finite number" if kind is float else f"of type {kind.__name__}"
-        raise DataError(f"map {path}: {what} must be {expected}, got {value!r}")
-    return float(value) if kind is float else value
-
-
 def load_map_json(path) -> GmpMap:
     """Rebuild a lookup-ready map from its JSON document.
 
@@ -263,30 +246,31 @@ def load_map_json(path) -> GmpMap:
             doc = json.load(fh)
     except ValueError as exc:
         raise DataError(f"cannot read map {path}: {exc}") from None
-    subject = _map_field(path, doc, "subject", str)
-    grid = _map_field(path, doc, "grid", dict)
-    directions = _map_field(path, grid, "directions", int)
+    source = f"map {path}"
+    subject = json_field(source, doc, "subject", str)
+    grid = json_field(source, doc, "grid", dict)
+    directions = json_field(source, grid, "directions", int)
     if directions != N_DIRECTIONS:
-        raise DataError(f"map {path}: unsupported direction count {directions}")
-    grid_freqs = sorted(_map_value(path, "a grid frequency", f, float)
-                        for f in _map_field(path, grid, "frequencies", list))
+        raise DataError(f"{source}: unsupported direction count {directions}")
+    grid_freqs = sorted(json_value(source, "a grid frequency", f, float)
+                        for f in json_field(source, grid, "frequencies", list))
     if len(grid_freqs) > len(FREQUENCY_LABELS):
-        raise DataError(f"map {path}: more frequencies than supported labels")
+        raise DataError(f"{source}: more frequencies than supported labels")
     label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
     cells: dict[CellKey, MapCell] = {}
-    for cell in _map_field(path, doc, "cells", list):
-        direction = _map_field(path, cell, "dir", int)
-        activation = _map_field(path, cell, "activation", str)
+    for cell in json_field(source, doc, "cells", list):
+        direction = json_field(source, cell, "dir", int)
+        activation = json_field(source, cell, "activation", str)
         if not 0 <= direction < N_DIRECTIONS or activation not in ACTIVATION_LABELS:
-            raise DataError(f"map {path}: no grid cell for dir {direction}, activation {activation!r}")
-        hz = _map_field(path, cell, "frequency", float)
+            raise DataError(f"{source}: no grid cell for dir {direction}, activation {activation!r}")
+        hz = json_field(source, cell, "frequency", float)
         matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=1e-9)]
         if not matches:
-            raise DataError(f"map {path}: cell frequency {hz} Hz not in grid {grid_freqs}")
+            raise DataError(f"{source}: cell frequency {hz} Hz not in grid {grid_freqs}")
         key = (direction, activation, matches[0])
         if key in cells:
-            raise DataError(f"map {path}: duplicate cell {key}")
-        cells[key] = MapCell(_map_field(path, cell, "xi", float), _map_field(path, cell, "pct_mvc", float))
+            raise DataError(f"{source}: duplicate cell {key}")
+        cells[key] = MapCell(json_field(source, cell, "xi", float), json_field(source, cell, "pct_mvc", float))
     return GmpMap(subject, cells, {label: hz for hz, label in label_by_hz.items()})
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biomech import TrialRecord, perturbation_direction
+from .biomech import TrialCondition, TrialRecord, perturbation_direction
 from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
 from .errors import AlignmentError, DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, inner_product_integral, l2_norm_integral
@@ -77,7 +77,7 @@ class PassivityClass:
 
 @dataclass(frozen=True)
 class EopEstimate:
-    """Excess of passivity for one (direction, activation, frequency) cell."""
+    """Excess of passivity for one (direction, activation, frequency) cell of the grid."""
 
     subject_id: str
     direction_index: int
@@ -91,6 +91,7 @@ class EopEstimate:
     frequency_hz: float | None = None
 
     def __post_init__(self) -> None:
+        TrialCondition(self.direction_index, self.activation_label, self.frequency_label)
         if not self.denominator > 0:
             raise ValueError(f"denominator must be > 0, got {self.denominator}")
         if not math.isclose(self.xi, self.numerator / self.denominator, rel_tol=1e-9, abs_tol=1e-12):
@@ -257,8 +258,8 @@ def estimates_from_csv(path) -> list[EopEstimate]:
     """Read the estimates written by :func:`estimates_to_csv`.
 
     Text that is not UTF-8, a wrong header, a short or malformed row, or a
-    row that is not a consistent estimate is a ``DataError`` that names the
-    file (and the line).
+    row that is not a consistent estimate of a grid cell is a ``DataError``
+    that names the file (and the line).
     """
     with open(path, "r", newline="") as fh:
         try:

@@ -14,6 +14,11 @@ Owns the on-disk layout of a run:
       stats/report.json, stats/report.csv   statistical report
       stabilize/...                         stabilizer scenario outputs
 
+The protocol's tests and their order (LR, LS, HR, HS: low or high
+frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
+and so do the test codes in trial names, the stats groups and contrasts,
+and the spider columns.
+
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
@@ -24,6 +29,7 @@ once, under "streams" in the manifest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +52,7 @@ from .biomech import (
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, check_envelope_window, frequency_labels
 from .emg import MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError
+from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError, json_field, json_value
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
@@ -231,13 +237,79 @@ def _check_manifest_files(manifest: dict, out: Path) -> None:
 
 
 def load_manifest(out_dir) -> dict:
-    """The study's manifest; one that does not parse is a ``DataError``."""
+    """The study's manifest; one that does not parse is a ``DataError``.
+
+    ``analyze_study`` checks the shape of what it reads (``_check_manifest``).
+    """
     path = Path(out_dir) / "manifest.json"
     with open(path, "r") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from None
+
+
+def _check_manifest(manifest, path, with_settings: bool) -> None:
+    """Refuse a manifest that ``analyze_study`` cannot read, as a ``DataError`` naming ``path``.
+
+    Checks each key it reads and that key's JSON type (the analysis window
+    and ``[emg]`` only ``with_settings``), and that every trial lies in the
+    protocol grid: its labels, its direction and its frequency's label and Hz.
+    """
+    source = f"manifest {path}"
+    if not isinstance(manifest, dict):
+        raise DataError(f"{source}: expected a JSON object, got {type(manifest).__name__}")
+    version = manifest.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise DataError(
+            f"{source}: schema version {version} is not supported (this gmpkit reads "
+            f"schema {SCHEMA_VERSION}); re-run simulate"
+        )
+    config = json_field(source, manifest, "config", dict)
+    protocol = json_field(source, config, "protocol", dict)
+    for key in ("duration_s", "amplitude_m"):
+        json_field(source, protocol, key, float)
+    hz = [json_value(source, "a protocol frequency", f, float)
+          for f in json_field(source, protocol, "frequencies", list)]
+    if not 1 <= len(hz) <= len(FREQUENCY_LABELS):
+        raise DataError(f"{source}: {len(hz)} protocol frequencies, expected 1 to {len(FREQUENCY_LABELS)}")
+    grid = dict(zip(FREQUENCY_LABELS, hz))
+    streams = json_field(source, manifest, "streams", dict)
+    for name in ("robot", "emg"):
+        stream = json_field(source, streams, name, dict)
+        json_field(source, stream, "rate_hz", float)
+        json_field(source, stream, "start_time_s", float)
+        for label in json_field(source, stream, "channels", list):
+            json_value(source, "a channel label", label, str)
+    n_emg = len(streams["emg"]["channels"])
+    if with_settings:
+        json_field(source, protocol, "analysis_window_s", float)
+        emg = json_field(source, config, "emg", dict)
+        json_field(source, emg, "rms_window_s", float)
+        json_field(source, emg, "rms_stride_s", float)
+        for channel in json_field(source, emg, "feedback_channels", list):
+            if not 0 <= json_value(source, "a feedback channel", channel, int) < n_emg:
+                raise DataError(f"{source}: feedback channel {channel} not among {n_emg} EMG channels")
+    for subject in json_field(source, manifest, "subjects", list):
+        subject_id = json_field(source, subject, "subject_id", str)
+        mvc = [json_value(source, "an MVC level", v, float)
+               for v in json_field(source, subject, "mvc_rms", list)]
+        for entry in json_field(source, subject, "trials", list):
+            for key in ("trial_id", "robot_file", "emg_file", "activation_label", "frequency_label"):
+                json_field(source, entry, key, str)
+            direction = json_field(source, entry, "direction", int)
+            trial_hz = json_field(source, entry, "frequency_hz", float)
+            label = entry["frequency_label"]
+            try:
+                TrialCondition(direction, entry["activation_label"], label)
+                PerturbationSpec(trial_hz, protocol["amplitude_m"], direction, protocol["duration_s"])
+            except ValueError as exc:
+                raise DataError(f"{source}: trial {entry['trial_id']}: {exc}") from None
+            if label not in grid or not math.isclose(grid[label], trial_hz, rel_tol=1e-9):
+                raise DataError(f"{source}: trial {entry['trial_id']}: {label!r} at {trial_hz} Hz "
+                                f"is not in the protocol grid {grid}")
+        if len(mvc) != n_emg or not all(v > 0 for v in mvc):
+            raise DataError(f"{source}: subject {subject_id}: mvc_rms needs {n_emg} levels > 0, got {mvc}")
 
 
 # -- analyze ----------------------------------------------------------------
@@ -264,24 +336,22 @@ def analyze_study(out_dir, manifest: dict | None = None,
     The analysis settings, ``protocol.analysis_window_s`` and ``[emg]``,
     come from ``config``, or from the manifest's copy of the simulation
     config when ``config`` is None. What was simulated (duration,
-    amplitude, rates, grid) always comes from the manifest. A trial whose
-    file is absent or unreadable is skipped with a warning and counted in
-    ``n_missing``.
+    amplitude, rates, grid) always comes from the manifest. A manifest that
+    lacks a key this reads, holds a value of the wrong type or places a
+    trial outside the grid is a ``DataError`` before ``analysis/`` is
+    touched. A trial whose file is absent or unreadable is skipped with a
+    warning and counted in ``n_missing``.
     """
     out = Path(out_dir)
     manifest = manifest or load_manifest(out)
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise DataError(
-            f"manifest schema version {version} is not supported (this gmpkit reads "
-            f"schema {SCHEMA_VERSION}); re-run simulate"
-        )
+    _check_manifest(manifest, out / "manifest.json", with_settings=config is None)
     protocol = manifest["config"]["protocol"]
     streams = manifest["streams"]
     if config is None:
         window_s = protocol["analysis_window_s"]
         emg_doc = manifest["config"]["emg"]
-        emg_cfg = EmgConfig(**{**emg_doc, "feedback_channels": tuple(emg_doc["feedback_channels"])})
+        emg_cfg = EmgConfig(rms_window_s=emg_doc["rms_window_s"], rms_stride_s=emg_doc["rms_stride_s"],
+                            feedback_channels=tuple(emg_doc["feedback_channels"]))
     else:
         window_s, emg_cfg = config.protocol.analysis_window_s, config.emg
     duration = protocol["duration_s"]
@@ -447,12 +517,8 @@ def stats_study(estimates: list[EopEstimate], out_dir=None,
     if len(subjects) < 2:
         raise DegenerateSampleError(f"stats need >= 2 subjects, got {len(subjects)}")
 
-    by_cell: dict[tuple[str, str, int], EopEstimate] = {}
-    for est in estimates:
-        code = _CODE.get((est.activation_label, est.frequency_label))
-        if code is None:
-            continue
-        by_cell[(code, est.subject_id, est.direction_index)] = est
+    by_cell = {(_CODE[e.activation_label, e.frequency_label], e.subject_id, e.direction_index): e
+               for e in estimates}
 
     directions = sorted({key[2] for key in by_cell})
     pairing = [(s, d) for s in subjects for d in directions]

@@ -138,6 +138,45 @@ def test_torn_manifest_is_a_data_error(study, capsys):
     assert f"cannot read manifest {out / 'manifest.json'}" in err
 
 
+def set_trial(key, value):
+    def edit(doc):
+        doc["subjects"][1]["trials"][3][key] = value
+        return doc
+    return edit
+
+
+def drop_trial_key(key):
+    def edit(doc):
+        del doc["subjects"][0]["trials"][5][key]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda doc: {"schema_version": 2}, "missing key 'config'"),
+        (lambda doc: [], "expected a JSON object, got list"),
+        (drop_trial_key("robot_file"), "missing key 'robot_file'"),
+        (set_trial("activation_label", "medium"), "trial S2_LR_d3: unknown activation label 'medium'"),
+        (set_trial("direction", 9), "trial S2_LR_d3: direction_index out of range: 9"),
+        (set_trial("frequency_hz", 2.0), "trial S2_LR_d3: 'low' at 2.0 Hz is not in the protocol grid"),
+        (set_trial("frequency_hz", "1.0"), "frequency_hz must be a finite number, got '1.0'"),
+    ],
+    ids=["no-config", "a-list", "no-robot-file", "activation-off-grid", "direction-off-grid",
+         "hz-off-grid", "hz-a-string"],
+)
+def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
+    out, path = study
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {manifest_path}: " in err
+    assert reason in err
+    assert not (out / "analysis").exists()
+
+
 @pytest.fixture(scope="module")
 def analyzed(simulated, tmp_path_factory):
     out = tmp_path_factory.mktemp("analyzed") / "out"
@@ -165,9 +204,14 @@ def edit_line(number, edit):
         (edit_line(4, lambda line: line.replace(",", ",7,", 1)), "line 4: too many values"),
         (edit_line(5, lambda line: line.rsplit(",", 1)[0] + ",-1.0\n"), "line 5: denominator must be > 0"),
         (edit_line(6, lambda line: line.replace(",", ",x", 1)), "line 6: invalid literal for int()"),
+        (edit_line(3, lambda line: re.sub(",(relaxed|stiff),", ",medium,", line)),
+         "line 3: unknown activation label 'medium'"),
+        (edit_line(4, lambda line: re.sub("^([^,]*),[0-9]+,", r"\1,9,", line)),
+         "line 4: direction_index out of range: 9"),
         (lambda path: path.write_bytes(path.read_bytes()[:200] + b"\xff\xfe"), "can't decode byte 0xff"),
     ],
-    ids=["torn", "header", "short-row", "long-row", "bad-estimate", "not-a-number", "not-utf8"],
+    ids=["torn", "header", "short-row", "long-row", "bad-estimate", "not-a-number",
+         "activation-off-grid", "direction-off-grid", "not-utf8"],
 )
 def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damage, reason):
     out = tmp_path / "out"
