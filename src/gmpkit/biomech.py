@@ -68,9 +68,7 @@ DEFAULT_DIRECTION_GAINS = (1.3, 1.0, 0.7, 1.0, 1.3, 1.0, 0.7, 1.0)
 # per-muscle "true" maximum-contraction RMS levels, mV
 DEFAULT_MVC_RMS_MV = (1.6, 1.1, 1.8, 1.3)
 
-# The protocol grid: N_DIRECTIONS spokes x two controlled co-activation
-# levels x up to two perturbation frequencies (the lower one first). Every
-# other module derives its labels, codes and orders from these tuples.
+# the protocol grid (see the module docstring); frequency labels go lower Hz first
 ACTIVATION_LABELS = ("relaxed", "stiff")
 FREQUENCY_LABELS = ("low", "high")
 # the study's tests, in report order: (code, activation label, frequency label)

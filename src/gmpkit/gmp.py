@@ -47,6 +47,8 @@ class TrendLine:
 
 @dataclass(frozen=True)
 class MapCell:
+    """One cell of a map: all that its JSON stores and :func:`lookup` reads."""
+
     xi: float             # N*s/m
     mean_pct_mvc: float   # fraction of MVC
 

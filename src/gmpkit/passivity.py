@@ -91,6 +91,7 @@ class EopEstimate:
     frequency_hz: float | None = None
 
     def __post_init__(self) -> None:
+        # refuses a direction or label outside the grid, as a trial's condition does
         TrialCondition(self.direction_index, self.activation_label, self.frequency_label)
         if not self.denominator > 0:
             raise ValueError(f"denominator must be > 0, got {self.denominator}")

@@ -92,6 +92,18 @@ def test_damage_above_budget_fails_analysis(study, capsys):
     assert "7/64 trials missing or unreadable" in err
 
 
+def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, capsys):
+    out, path = study
+    for victim in (out / "trials").glob("S1_H?_d?.npy"):
+        victim.unlink()
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS  # 16 of 64 trials missing, above the budget
+    assert "map S1 missing 16 cells" in err
+    summary = json.loads((out / "analysis" / "summary.json").read_text())
+    assert summary["complete_maps"] == ["S2"]
+    assert (out / "analysis" / "gmp_median.json").exists()
+
+
 def test_nan_sample_is_rejected(study, capsys):
     out, path = study
 
