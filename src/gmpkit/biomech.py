@@ -363,7 +363,6 @@ def make_cohort(
     jitter: float = 0.2,
     seed: int = 0,
     base: LimbParams | None = None,
-    base_mvc: tuple[float, ...] = DEFAULT_MVC_RMS_MV,
 ) -> list[Subject]:
     """Synthetic cohort: jitter the scalar limb parameters by +/- ``jitter``.
 
@@ -385,9 +384,8 @@ def make_cohort(
             maxwell_damping_base=base.maxwell_damping_base * factors[4],
             maxwell_damping_gain=base.maxwell_damping_gain * factors[5],
         )
-        mvc = tuple(
-            m * f for m, f in zip(base_mvc, 1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(base_mvc)))
-        )
+        mvc_factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(DEFAULT_MVC_RMS_MV))
+        mvc = tuple(m * f for m, f in zip(DEFAULT_MVC_RMS_MV, mvc_factors))
         subjects.append(Subject(subject_id=f"S{idx + 1}", params=params, mvc_rms=mvc))
     return subjects
 

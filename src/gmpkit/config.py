@@ -197,8 +197,6 @@ _SECTION_TYPES = {
 
 def _convert(section: str, key: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -234,16 +232,12 @@ def load_config(path) -> StudyConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             values[key] = _convert(section, key, raw, getattr(defaults, key))
         try:
-            kwargs[section] = cls(**{**_dataclass_values(defaults), **values})
+            kwargs[section] = cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: [{section}]: {exc}") from None
     config = StudyConfig(**kwargs)
     config.validate()
     return config
-
-
-def _dataclass_values(instance) -> dict:
-    return {name: getattr(instance, name) for name in instance.__dataclass_fields__}
 
 
 def default_config() -> StudyConfig:

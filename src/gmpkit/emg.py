@@ -40,6 +40,7 @@ MUSCLES = (
 FEEDBACK_CHANNELS = (0, 2)
 
 BAND_HZ = (20.0, 450.0)
+BAND_ORDER = 4
 RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
@@ -52,20 +53,10 @@ class MvcCalibration:
     """Per-channel maximum-voluntary-contraction RMS levels, in mV."""
 
     mvc_rms: tuple[float, ...]
-    n_recordings: int = 2
-    window_len: float = RMS_WINDOW_S
 
     def __post_init__(self) -> None:
         if any(not v > 0 for v in self.mvc_rms):
             raise ValueError(f"mvc_rms must be > 0 per channel, got {self.mvc_rms}")
-
-
-@dataclass(frozen=True)
-class PctMvcResult:
-    """Mean %MVC over a window: per channel plus the pooled feedback mean."""
-
-    per_channel: tuple[float, ...]
-    pooled: float
 
 
 def synthesize_emg(
@@ -73,13 +64,11 @@ def synthesize_emg(
     mvc_rms: Sequence[float],
     seed,
     rate: float = EMG_RATE,
-    band: tuple[float, float] = BAND_HZ,
-    order: int = 4,
 ) -> SampledSignal:
     """Raw EMG whose RMS envelope tracks activation * mvc_rms.
 
-    Each channel is band-passed white noise (Butterworth, 20-450 Hz by
-    default) rescaled to unit variance and amplitude-modulated by the
+    Each channel is band-passed white noise (4th-order Butterworth,
+    20-450 Hz) rescaled to unit variance and amplitude-modulated by the
     activation trajectory, so the windowed RMS equals
     ``activation * mvc_rms`` in expectation. The activation signal may be
     at any rate; it is interpolated onto the output grid. A single
@@ -96,12 +85,11 @@ def synthesize_emg(
     t_out = activation.start_time + np.arange(n_out) / rate
     t_act = activation.times()
 
-    band = (float(band[0]), float(band[1]))
-    buffer = np.empty((n_channels, bandpass_fft_length(order, band, float(rate), n_out)))
+    buffer = np.empty((n_channels, bandpass_fft_length(BAND_ORDER, BAND_HZ, float(rate), n_out)))
     for row in buffer:
         rng.standard_normal(out=row[:n_out])
     buffer[:, n_out:] = 0.0
-    bandpass_padded(buffer, order, band, rate)
+    bandpass_padded(buffer, BAND_ORDER, BAND_HZ, rate)
     noise = buffer[:, :n_out]
     std = noise.std(axis=1)
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
@@ -138,7 +126,14 @@ def estimate_mvc(
         peak = np.maximum(peak, env.data.max(axis=0))
     if np.any(peak <= 0):
         raise DegenerateSampleError("a channel recorded no activity during MVC")
-    return MvcCalibration(mvc_rms=tuple(float(p) for p in peak), n_recordings=len(recordings))
+    return MvcCalibration(mvc_rms=tuple(float(p) for p in peak))
+
+
+def _check_calibration(emg: SampledSignal, cal: MvcCalibration) -> None:
+    if emg.n_channels != len(cal.mvc_rms):
+        raise ValueError(
+            f"calibration covers {len(cal.mvc_rms)} channels, EMG has {emg.n_channels}"
+        )
 
 
 def pct_mvc_envelope(
@@ -148,10 +143,7 @@ def pct_mvc_envelope(
     stride: float = RMS_STRIDE_S,
 ) -> PctMvcSeries:
     """Normalized RMS envelope: fraction of MVC per channel over time."""
-    if emg.n_channels != len(cal.mvc_rms):
-        raise ValueError(
-            f"calibration covers {len(cal.mvc_rms)} channels, EMG has {emg.n_channels}"
-        )
+    _check_calibration(emg, cal)
     env = rms(emg, window_len, stride)
     return SampledSignal(
         sample_rate=env.sample_rate,
@@ -168,16 +160,27 @@ def pct_mvc(
     feedback_channels: tuple[int, ...] = FEEDBACK_CHANNELS,
     window_len: float = RMS_WINDOW_S,
     stride: float = RMS_STRIDE_S,
-) -> PctMvcResult:
-    """Mean %MVC over ``w``, per channel and pooled over the feedback pair.
+) -> float:
+    """Mean %MVC over ``w``, pooled over the feedback channels.
 
-    The envelope is stamped at window centres, so its support is half an
-    RMS window short of the raw EMG span at both ends; ``w`` is clipped to
-    that support (a window fully outside it is a range error).
+    Only the feedback channels' envelopes are computed. The envelope is
+    stamped at window centres, so its support is half an RMS window short
+    of the raw EMG span at both ends; ``w`` is clipped to that support (a
+    window fully outside it is a range error).
     """
-    series = pct_mvc_envelope(emg, cal, window_len, stride)
+    _check_calibration(emg, cal)
+    columns = list(feedback_channels)
+    data = emg.data[:, columns]
+    data.flags.writeable = False  # the signal takes it over without a copy
+    feedback = SampledSignal(emg.sample_rate, emg.start_time,
+                             tuple(emg.channels[ch] for ch in columns), data)
+    series = pct_mvc_envelope(feedback, MvcCalibration(tuple(cal.mvc_rms[ch] for ch in columns)),
+                              window_len, stride)
     span = series.span()
     clipped = Window(max(w.t_start, span.t_start), min(w.t_end, span.t_end))
-    means = series.slice(clipped).data.mean(axis=0)
-    pooled = float(np.mean([means[ch] for ch in feedback_channels]))
-    return PctMvcResult(per_channel=tuple(float(m) for m in means), pooled=pooled)
+    fractions = series.slice(clipped).data
+    # Each channel summed in sample order: numpy sums the columns of a
+    # four-channel array that way but may sum a narrower one's pairwise, so
+    # this keeps the bits of the mean over the all-channel envelope.
+    means = np.cumsum(fractions, axis=0)[-1] / len(fractions)
+    return float(np.mean(means))

@@ -240,8 +240,9 @@ def load_map_json(path) -> GmpMap:
     """Rebuild a lookup-ready map from its JSON document.
 
     A document that does not parse, or lacks a key, or holds a value of the
-    wrong type or a non-finite number, or a cell outside the grid or twice,
-    is a ``DataError`` that names the file.
+    wrong type or a non-finite number, or grid frequencies that repeat or
+    are not > 0, or a cell outside the grid or twice, is a ``DataError``
+    that names the file.
     """
     try:
         with open(path, "r") as fh:
@@ -258,6 +259,10 @@ def load_map_json(path) -> GmpMap:
                         for f in json_field(source, grid, "frequencies", list))
     if len(grid_freqs) > len(FREQUENCY_LABELS):
         raise DataError(f"{source}: more frequencies than supported labels")
+    if any(not hz > 0 for hz in grid_freqs) or any(
+        math.isclose(lower, higher, rel_tol=1e-9) for lower, higher in zip(grid_freqs, grid_freqs[1:])
+    ):
+        raise DataError(f"{source}: grid frequencies must be distinct and > 0, got {grid_freqs}")
     label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
     cells: dict[CellKey, MapCell] = {}
     for cell in json_field(source, doc, "cells", list):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biomech import TrialCondition, TrialRecord, perturbation_direction
+from .biomech import TrialCondition, TrialRecord
 from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
 from .errors import AlignmentError, DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, inner_product_integral, l2_norm_integral
@@ -93,6 +93,9 @@ class EopEstimate:
     def __post_init__(self) -> None:
         # refuses a direction or label outside the grid, as a trial's condition does
         TrialCondition(self.direction_index, self.activation_label, self.frequency_label)
+        for name in ("xi", "mean_pct_mvc", "numerator", "denominator"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.denominator > 0:
             raise ValueError(f"denominator must be > 0, got {self.denominator}")
         if not math.isclose(self.xi, self.numerator / self.denominator, rel_tol=1e-9, abs_tol=1e-12):
@@ -168,50 +171,34 @@ def snap_window_to_periods(w: Window, frequency: float, sample_rate: float) -> W
 def estimate_eop(
     trial: TrialRecord,
     w: Window,
-    cal: MvcCalibration | None = None,
-    snap: bool = True,
-    velocity_threshold: float = VELOCITY_ENERGY_THRESHOLD,
-    axis_projected: bool = False,
+    cal: MvcCalibration,
     feedback_channels: tuple[int, ...] = FEEDBACK_CHANNELS,
     rms_window: float = RMS_WINDOW_S,
     rms_stride: float = RMS_STRIDE_S,
 ) -> EopEstimate:
     """Windowed EoP of a trial: energy ratio of force against velocity.
 
-    Uses the full 2-D inner products; off-axis components are included
-    (``axis_projected=True`` projects both signals onto the perturbation
-    axis first). The mean %MVC over the same window is attached when an
-    MVC calibration is supplied.
+    ``w`` is first snapped to whole perturbation periods
+    (:func:`snap_window_to_periods`). Both integrals use the full 2-D inner
+    products, off-axis components included. The estimate carries the mean
+    %MVC of the feedback channels over the same window, normalized by
+    ``cal``.
     """
-    if snap:
-        w = snap_window_to_periods(w, trial.spec.frequency, trial.force.sample_rate)
-    force, velocity = trial.force, trial.velocity
-    if axis_projected:
-        axis = perturbation_direction(trial.spec.direction_index)
-        force = SampledSignal(force.sample_rate, force.start_time, ("f_axis",), force.data @ axis)
-        velocity = SampledSignal(
-            velocity.sample_rate, velocity.start_time, ("v_axis",), velocity.data @ axis
-        )
-    denominator = l2_norm_integral(velocity, w)
-    if denominator <= velocity_threshold:
+    w = snap_window_to_periods(w, trial.spec.frequency, trial.force.sample_rate)
+    denominator = l2_norm_integral(trial.velocity, w)
+    if denominator <= VELOCITY_ENERGY_THRESHOLD:
         raise DegenerateTrialError(
-            f"velocity energy {denominator:.3e} below threshold {velocity_threshold:.0e}; "
+            f"velocity energy {denominator:.3e} below threshold {VELOCITY_ENERGY_THRESHOLD:.0e}; "
             "trial carries no usable motion"
         )
-    numerator = inner_product_integral(force, velocity, w)
-    mean_pct = math.nan
-    if cal is not None:
-        mean_pct = pct_mvc(
-            trial.emg, cal, w, feedback_channels=feedback_channels,
-            window_len=rms_window, stride=rms_stride,
-        ).pooled
+    numerator = inner_product_integral(trial.force, trial.velocity, w)
     return EopEstimate(
         subject_id=trial.subject_id,
         direction_index=trial.condition.direction_index,
         activation_label=trial.condition.activation_label,
         frequency_label=trial.condition.frequency_label,
         xi=numerator / denominator,
-        mean_pct_mvc=mean_pct,
+        mean_pct_mvc=pct_mvc(trial.emg, cal, w, feedback_channels, rms_window, rms_stride),
         numerator=numerator,
         denominator=denominator,
         window=w,

@@ -193,7 +193,6 @@ def run_interconnection(
     rate: float = 1000.0,
     seed: int = 0,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
-    pct_for_lookup: float | None = None,
 ) -> InterconnectionResult:
     """Fixed-step co-simulation of limb + force field + stabilizer.
 
@@ -204,8 +203,7 @@ def run_interconnection(
     the perturbation amplitude.
 
     With a map, the controller credits xi_hat = safety_factor * lookup(...)
-    at the perturbation frequency and the scenario's activation level
-    (``pct_for_lookup`` overrides the activation target as the %MVC query).
+    at the perturbation frequency and the scenario's activation level.
     """
     if not 1000.0 <= rate < math.inf:
         raise IntegrationError(f"co-simulation rate must be finite and >= 1 kHz, got {rate}")
@@ -215,9 +213,8 @@ def run_interconnection(
 
     xi_hat = 0.0
     if gmp_map is not None:
-        pct = act.target_pct_mvc if pct_for_lookup is None else pct_for_lookup
         xi_hat = safety_factor * lookup(
-            gmp_map, perturbation.direction_index, pct, perturbation.frequency
+            gmp_map, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency
         )
 
     h = 1.0 / rate

@@ -329,8 +329,7 @@ class AnalysisResult:
         return self.n_missing / self.n_expected if self.n_expected else 0.0
 
 
-def analyze_study(out_dir, manifest: dict | None = None,
-                  config: StudyConfig | None = None) -> AnalysisResult:
+def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     """Estimate EoP on the analysis window of every trial and build maps.
 
     The analysis settings, ``protocol.analysis_window_s`` and ``[emg]``,
@@ -343,7 +342,7 @@ def analyze_study(out_dir, manifest: dict | None = None,
     warning and counted in ``n_missing``.
     """
     out = Path(out_dir)
-    manifest = manifest or load_manifest(out)
+    manifest = load_manifest(out)
     _check_manifest(manifest, out / "manifest.json", with_settings=config is None)
     protocol = manifest["config"]["protocol"]
     streams = manifest["streams"]
@@ -501,17 +500,16 @@ def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided
     return _test_result_doc(result)
 
 
-def stats_study(estimates: list[EopEstimate], out_dir=None,
-                slope_sidedness: str = "greater") -> dict:
+def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
     """Reproduce the study's statistical analysis on a set of estimates.
 
     Groups the 40 per-test EoP values (subjects x directions), runs the KS
     normality pre-test per group, paired Wilcoxon signed-rank tests for the
     frequency and activation contrasts (paired by subject and direction),
     and compares the per-subject trend-line slopes between frequencies.
-    The slope contrast is one-sided by default: it tests a directional
-    hypothesis and, with five subjects, a two-sided exact signed-rank test
-    cannot reach p < 0.05 at all.
+    The slope contrast is one-sided (low-frequency slopes greater): it tests
+    a directional hypothesis and, with five subjects, a two-sided exact
+    signed-rank test cannot reach p < 0.05 at all.
     """
     subjects = sorted({e.subject_id for e in estimates})
     if len(subjects) < 2:
@@ -582,10 +580,8 @@ def stats_study(estimates: list[EopEstimate], out_dir=None,
             slopes_by_label[label].append(trend.slope)
         slope_doc["per_subject"][subject_id] = entry
     if set(freq_labels) >= {_LOW, _HIGH}:
-        doc = {"sidedness": slope_sidedness, "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
-        doc.update(
-            _paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], slope_sidedness)
-        )
+        doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
+        doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
         if "p_value" in doc:
             csv_rows.append(
                 {"kind": "wilcoxon", "name": f"slope_{_LOW}_vs_{_HIGH}", "group_a": doc["group_a"],

@@ -12,6 +12,7 @@ import pytest
 
 from gmpkit import cli
 from gmpkit.biomech import (
+    DEFAULT_MVC_RMS_MV,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -20,6 +21,7 @@ from gmpkit.biomech import (
     simulate_trial,
 )
 from gmpkit.config import default_config
+from gmpkit.emg import MvcCalibration
 from gmpkit.gmp import lookup
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import SampledSignal, Window
@@ -28,6 +30,7 @@ from gmpkit.stats import PairedSample, ks_statistic, wilcoxon_signed_rank
 from gmpkit.study import analyze_study, simulate_study, stats_study
 
 ANALYSIS_WINDOW = Window(5.0, 10.0)
+CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
 
 
 def ok(criterion, detail):
@@ -41,7 +44,7 @@ def full_study(tmp_path_factory):
     config = default_config()
     started = time.perf_counter()
     manifest = simulate_study(config, out)
-    analysis = analyze_study(out, manifest)
+    analysis = analyze_study(out)
     report = stats_study(analysis.estimates, out)
     elapsed = time.perf_counter() - started
     return {
@@ -63,7 +66,7 @@ def test_criterion_1_analytic_eop_recovery():
     started = time.perf_counter()
     trial = simulate_trial(params, spec, ActivationProfile(0.0), seed=0, rate=1000.0,
                            activation_label="relaxed", frequency_label="low")
-    est = estimate_eop(trial, ANALYSIS_WINDOW)
+    est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
     elapsed = time.perf_counter() - started
     rel_err = abs(est.xi - 17.0) / 17.0
     assert rel_err < 1e-3
@@ -83,7 +86,7 @@ def test_criterion_2_model_vs_simulation_consistency():
             params, spec, ActivationProfile(activation), seed=direction, rate=1000.0,
             activation_label=act_label, frequency_label=freq_label,
         )
-        est = estimate_eop(trial, ANALYSIS_WINDOW)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
         reference = analytic_eop(params, direction, activation, frequency)
         worst = max(worst, abs(est.xi - reference) / reference)
     elapsed = time.perf_counter() - started

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmpkit.biomech import (
+    DEFAULT_MVC_RMS_MV,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -17,13 +18,14 @@ from gmpkit.biomech import (
     simulate_trial,
     trial_streams,
 )
-from gmpkit.emg import EMG_RATE
+from gmpkit.emg import EMG_RATE, MvcCalibration
 from gmpkit.errors import DegenerateTrialError, IntegrationError
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import Window
 
 UNIT_GAINS = (1.0,) * 8
 ANALYSIS_WINDOW = Window(5.0, 10.0)
+CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
 
 
 def kv_params(b0=15.0, gains=UNIT_GAINS):
@@ -78,7 +80,7 @@ def test_kelvin_voigt_trial_recovers_damping():
     for gains, direction in ((UNIT_GAINS, 0), ((0.8,) * 8, 3)):
         params = kv_params(b0=15.0, gains=gains)
         trial = run(params, direction=direction)
-        est = estimate_eop(trial, ANALYSIS_WINDOW)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
         expected = gains[direction] * 15.0
         assert est.xi == pytest.approx(expected, rel=1e-3)
 
@@ -87,13 +89,13 @@ def test_zero_amplitude_trial_flagged_downstream():
     trial = run(LimbParams(), amplitude=0.0)
     assert np.all(trial.velocity.data == 0.0)
     with pytest.raises(DegenerateTrialError):
-        estimate_eop(trial, ANALYSIS_WINDOW)
+        estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
 
 
 def test_eop_increases_with_activation():
     params = LimbParams()
-    relaxed = estimate_eop(run(params, activation=0.0, seed=2), ANALYSIS_WINDOW)
-    stiff = estimate_eop(run(params, activation=0.4, seed=2), ANALYSIS_WINDOW)
+    relaxed = estimate_eop(run(params, activation=0.0, seed=2), ANALYSIS_WINDOW, cal=CAL)
+    stiff = estimate_eop(run(params, activation=0.4, seed=2), ANALYSIS_WINDOW, cal=CAL)
     assert stiff.xi > relaxed.xi
     assert analytic_eop(params, 0, 0.4, 1.0) > analytic_eop(params, 0, 0.0, 1.0)
 
@@ -129,7 +131,7 @@ def test_estimate_matches_analytic_at_2khz():
     params = LimbParams()
     for direction, activation, frequency in ((0, 0.4, 1.0), (2, 0.05, 3.0), (5, 0.4, 3.0)):
         trial = run(params, direction, activation, frequency, seed=11, rate=2000.0)
-        est = estimate_eop(trial, ANALYSIS_WINDOW)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
         ana = analytic_eop(params, direction, activation, frequency)
         assert est.xi == pytest.approx(ana, rel=0.01)
 
@@ -261,6 +263,6 @@ def test_trial_csv_round_trip(tmp_path):
 def test_trial_csv_estimates_agree(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    direct = estimate_eop(trial, ANALYSIS_WINDOW)
-    loaded = estimate_eop(back, ANALYSIS_WINDOW)
+    direct = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+    loaded = estimate_eop(back, ANALYSIS_WINDOW, cal=CAL)
     assert loaded.xi == pytest.approx(direct.xi, rel=1e-12)

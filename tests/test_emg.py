@@ -141,14 +141,14 @@ def test_pct_mvc_identity_at_mvc_level():
     emg = synthesize_emg(activation_signal(1.0), (1.6, 1.8), seed=5)
     cal = MvcCalibration(mvc_rms=(1.6, 1.8))
     result = pct_mvc(emg, cal, Window(1.0, 4.0), feedback_channels=(0, 1))
-    assert result.pooled == pytest.approx(1.0, abs=0.05)
+    assert result == pytest.approx(1.0, abs=0.05)
 
 
 def test_pct_mvc_zero_signal():
     emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0, 1.0, 1.0), seed=6)
     cal = MvcCalibration(mvc_rms=(1.0, 1.0, 1.0, 1.0))
     result = pct_mvc(emg, cal, Window(1.0, 4.0))
-    assert result.pooled == pytest.approx(0.0, abs=1e-12)
+    assert result == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pct_mvc_scale_invariance():
@@ -158,8 +158,7 @@ def test_pct_mvc_scale_invariance():
     scaled = SampledSignal(emg.sample_rate, emg.start_time, emg.channels, emg.data * 3.5)
     cal_scaled = MvcCalibration(mvc_rms=(3.5, 3.5))
     result = pct_mvc(scaled, cal_scaled, Window(1.0, 4.0), feedback_channels=(0, 1))
-    assert result.pooled == pytest.approx(base.pooled, rel=1e-9)
-    np.testing.assert_allclose(result.per_channel, base.per_channel, rtol=1e-9)
+    assert result == pytest.approx(base, rel=1e-9)
 
 
 def test_pct_mvc_stiff_trial_reads_forty_percent():
@@ -177,7 +176,8 @@ def test_pct_mvc_stiff_trial_reads_forty_percent():
     )
     cal = MvcCalibration(mvc_rms=(1.6, 1.1, 1.8, 1.3))
     result = pct_mvc(trial.emg, cal, Window(5.0, 10.0))
-    assert result.pooled == pytest.approx(0.40, abs=0.05)
+    assert isinstance(result, float)
+    assert result == pytest.approx(0.40, abs=0.05)
 
 
 def test_pct_mvc_window_outside_span():
@@ -192,3 +192,48 @@ def test_pct_mvc_envelope_units():
     series = pct_mvc_envelope(emg, MvcCalibration(mvc_rms=(2.0,)))
     assert series.data.mean() == pytest.approx(0.4, abs=0.05)
     assert np.all(series.data >= 0.0)
+
+
+def _reference_pct_mvc(emg, cal, w, feedback_channels, window_len, stride):
+    """pct_mvc as it was before it enveloped the feedback channels alone:
+    the mean of every channel's envelope, then the feedback pair's pool."""
+    series = pct_mvc_envelope(emg, cal, window_len, stride)
+    span = series.span()
+    clipped = Window(max(w.t_start, span.t_start), min(w.t_end, span.t_end))
+    means = series.slice(clipped).data.mean(axis=0)
+    return float(np.mean([means[ch] for ch in feedback_channels]))
+
+
+@pytest.mark.parametrize("feedback_channels", [(0, 2), (1,), (3, 0)])
+@pytest.mark.parametrize("window, window_len, stride", [
+    (Window(5.0, 10.0), 0.25, 0.05),
+    (Window(7.0, 10.0), 0.25, 0.05),
+    (Window(0.0, 10.0), 0.25, 0.05),   # clipped to the envelope at both ends
+    (Window(2.3, 6.1), 0.5, 0.1),
+    (Window(9.0, 10.0), 0.1, 0.013),
+    (Window(8.0, 10.0), 2.0, 0.05),
+])
+def test_pct_mvc_matches_all_channel_reference_bits(feedback_channels, window, window_len, stride):
+    from gmpkit.biomech import ActivationProfile, LimbParams, PerturbationSpec, simulate_trial
+
+    mvc = (1.6, 1.1, 1.8, 1.3)
+    trial = simulate_trial(
+        LimbParams(),
+        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=1),
+        ActivationProfile(target_pct_mvc=0.4),
+        seed=13,
+        rate=1000.0,
+        mvc_rms=mvc,
+        activation_label="stiff",
+        frequency_label="low",
+    )
+    cal = MvcCalibration(mvc_rms=(1.55, 1.2, 1.75, 1.35))
+    got = pct_mvc(trial.emg, cal, window, feedback_channels, window_len, stride)
+    want = _reference_pct_mvc(trial.emg, cal, window, feedback_channels, window_len, stride)
+    assert got.hex() == want.hex()
+
+
+def test_pct_mvc_refuses_calibration_of_another_channel_count():
+    emg = synthesize_emg(activation_signal(0.4, duration=2.0), (1.0, 1.0), seed=9)
+    with pytest.raises(ValueError, match="calibration covers 1 channels, EMG has 2"):
+        pct_mvc(emg, MvcCalibration(mvc_rms=(1.0,)), Window(0.5, 1.5), feedback_channels=(0,))

@@ -207,6 +207,18 @@ def edit_line(number, edit):
     return damage
 
 
+def set_fields(**values):
+    """Replace the named columns of an estimates row."""
+    columns = {"xi": 4, "pct_mvc": 5, "numerator": 6}
+
+    def edit(line):
+        fields = line.rstrip("\n").split(",")
+        for name, value in values.items():
+            fields[columns[name]] = value
+        return ",".join(fields) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
@@ -221,9 +233,13 @@ def edit_line(number, edit):
         (edit_line(4, lambda line: re.sub("^([^,]*),[0-9]+,", r"\1,9,", line)),
          "line 4: direction_index out of range: 9"),
         (lambda path: path.write_bytes(path.read_bytes()[:200] + b"\xff\xfe"), "can't decode byte 0xff"),
+        (edit_line(3, set_fields(pct_mvc="nan")), "line 3: mean_pct_mvc must be finite, got nan"),
+        (edit_line(5, set_fields(pct_mvc="inf")), "line 5: mean_pct_mvc must be finite, got inf"),
+        (edit_line(4, set_fields(xi="inf", numerator="inf")), "line 4: xi must be finite, got inf"),
     ],
     ids=["torn", "header", "short-row", "long-row", "bad-estimate", "not-a-number",
-         "activation-off-grid", "direction-off-grid", "not-utf8"],
+         "activation-off-grid", "direction-off-grid", "not-utf8", "pct-mvc-nan", "pct-mvc-inf",
+         "xi-inf"],
 )
 def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damage, reason):
     out = tmp_path / "out"
@@ -270,6 +286,20 @@ def edit_map(edit):
     return damage
 
 
+def repeat_low_frequency(doc):
+    """A grid of 1 Hz twice, holding only the 1 Hz cells."""
+    doc["grid"]["frequencies"] = [1.0, 1.0]
+    doc["cells"] = [cell for cell in doc["cells"] if cell["frequency"] == 1.0]
+
+
+def negative_low_frequency(doc):
+    """The 1 Hz cells moved to -1 Hz."""
+    doc["grid"]["frequencies"] = [-1.0, 3.0]
+    for cell in doc["cells"]:
+        if cell["frequency"] == 1.0:
+            cell["frequency"] = -1.0
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
@@ -278,8 +308,11 @@ def edit_map(edit):
         (edit_map(lambda doc: doc["cells"][0].update(pct_mvc=math.inf)),
          "pct_mvc must be a finite number, got inf"),
         (edit_map(lambda doc: doc.pop("cells")), "missing key 'cells'"),
+        (edit_map(repeat_low_frequency), "grid frequencies must be distinct and > 0, got [1.0, 1.0]"),
+        (edit_map(negative_low_frequency), "grid frequencies must be distinct and > 0, got [-1.0, 3.0]"),
     ],
-    ids=["torn", "xi-string-nan", "pct-mvc-infinity", "no-cells"],
+    ids=["torn", "xi-string-nan", "pct-mvc-infinity", "no-cells", "repeated-frequency",
+         "negative-frequency"],
 )
 def test_damaged_map_json_is_a_data_error(tmp_path, capsys, damage, reason):
     map_path = tmp_path / "gmp_damaged.json"

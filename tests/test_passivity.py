@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gmpkit.biomech import ActivationProfile, LimbParams, PerturbationSpec, simulate_trial
+from gmpkit.biomech import DEFAULT_MVC_RMS_MV, ActivationProfile, LimbParams, PerturbationSpec, simulate_trial
+from gmpkit.emg import MvcCalibration
 from gmpkit.errors import AlignmentError, DegenerateTrialError
 from gmpkit.passivity import (
     EnergyLedger,
@@ -20,6 +21,7 @@ from gmpkit.passivity import (
 from gmpkit.signals import SampledSignal, Window
 
 RATE = 1000.0
+CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
 
 
 def signal(fn, duration=1.0, channels=("x",)):
@@ -143,7 +145,7 @@ def test_interconnection_grid_mismatch():
 
 
 def test_estimate_eop_kelvin_voigt():
-    est = estimate_eop(kv_trial(b0=15.0), Window(5.0, 10.0))
+    est = estimate_eop(kv_trial(b0=15.0), Window(5.0, 10.0), cal=CAL)
     assert est.xi == pytest.approx(15.0, abs=0.015)
     assert est.denominator > 0
     assert est.xi == pytest.approx(est.numerator / est.denominator, rel=1e-12)
@@ -151,21 +153,14 @@ def test_estimate_eop_kelvin_voigt():
 
 def test_estimate_eop_homogeneous_in_velocity():
     # linear limb, same seed: doubling the drive leaves the ratio unchanged
-    a = estimate_eop(kv_trial(seed=5, amplitude=0.03), Window(5.0, 10.0))
-    b = estimate_eop(kv_trial(seed=5, amplitude=0.06), Window(5.0, 10.0))
+    a = estimate_eop(kv_trial(seed=5, amplitude=0.03), Window(5.0, 10.0), cal=CAL)
+    b = estimate_eop(kv_trial(seed=5, amplitude=0.06), Window(5.0, 10.0), cal=CAL)
     assert b.xi == pytest.approx(a.xi, abs=1e-6)
 
 
 def test_estimate_eop_degenerate_trial():
     with pytest.raises(DegenerateTrialError):
-        estimate_eop(kv_trial(amplitude=0.0), Window(5.0, 10.0))
-
-
-def test_estimate_eop_axis_projected_matches_full_for_axial_motion():
-    trial = kv_trial(seed=6)
-    full = estimate_eop(trial, Window(5.0, 10.0))
-    projected = estimate_eop(trial, Window(5.0, 10.0), axis_projected=True)
-    assert projected.xi == pytest.approx(full.xi, rel=1e-9)
+        estimate_eop(kv_trial(amplitude=0.0), Window(5.0, 10.0), cal=CAL)
 
 
 def test_snap_window_to_integer_periods():
@@ -181,7 +176,7 @@ def test_snap_window_to_integer_periods():
 
 def test_estimate_eop_tracks_snapped_window():
     trial = kv_trial(seed=7)
-    est = estimate_eop(trial, Window(5.2, 9.9))
+    est = estimate_eop(trial, Window(5.2, 9.9), cal=CAL)
     assert est.window.t_end == pytest.approx(9.9)
     assert (est.window.t_end - est.window.t_start) == pytest.approx(4.0)
     assert est.xi == pytest.approx(15.0, abs=0.015)
@@ -200,13 +195,14 @@ def test_classify_cases():
 
 
 def test_estimates_csv_round_trip(tmp_path):
-    est = estimate_eop(kv_trial(seed=8), Window(5.0, 10.0))
+    est = estimate_eop(kv_trial(seed=8), Window(5.0, 10.0), cal=CAL)
     path = tmp_path / "estimates.csv"
     estimates_to_csv([est], path)
     with open(path) as fh:
         assert fh.readline().strip() == "subject,direction,activation,frequency,xi,pct_mvc,numerator,denominator"
     (back,) = estimates_from_csv(path)
     assert back.xi == est.xi
+    assert back.mean_pct_mvc == est.mean_pct_mvc
     assert back.numerator == est.numerator
     assert back.denominator == est.denominator
     assert back.subject_id == est.subject_id
@@ -218,3 +214,8 @@ def test_eop_estimate_validation():
         EopEstimate("S1", 0, "relaxed", "low", 2.0, 0.1, 1.0, 1.0)  # xi != num/den
     with pytest.raises(ValueError):
         EopEstimate("S1", 0, "relaxed", "low", 1.0, 0.1, 1.0, 0.0)  # zero denominator
+    for value in (math.nan, math.inf, -math.inf):
+        for field in ("xi", "mean_pct_mvc", "numerator", "denominator"):
+            fields = {**dict(xi=1.0, mean_pct_mvc=0.1, numerator=1.0, denominator=1.0), field: value}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                EopEstimate("S1", 0, "relaxed", "low", **fields)

@@ -229,7 +229,6 @@ def _reference_interconnection(
     rate: float = 1000.0,
     seed: int = 0,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
-    pct_for_lookup: float | None = None,
 ) -> InterconnectionResult:
     """``run_interconnection`` as a per-step loop over numpy histories.
 
@@ -243,9 +242,8 @@ def _reference_interconnection(
 
     xi_hat = 0.0
     if gmp_map is not None:
-        pct = act.target_pct_mvc if pct_for_lookup is None else pct_for_lookup
         xi_hat = safety_factor * lookup(
-            gmp_map, perturbation.direction_index, pct, perturbation.frequency
+            gmp_map, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency
         )
 
     h = 1.0 / rate
@@ -379,7 +377,6 @@ REFERENCE_CASES = {
                         limb=LimbParams(maxwell_damping_base=0.0, maxwell_damping_gain=0.0)),
     "delay-beyond-run": dict(field=ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.5),
                              duration=0.2),
-    "pct-for-lookup": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7), pct_for_lookup=0.1),
     "rate-2000": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7), rate=2000.0),
     "cohort-limb": dict(field=DELAYED_SPRING, gmp_map=constant_map(2.7),
                         limb=make_cohort(1, 0.2, 2)[0].params),
