@@ -22,15 +22,7 @@ from .biomech import (
     simulate_trial,
 )
 from .emg import MvcCalibration, estimate_mvc, pct_mvc, synthesize_emg
-from .passivity import (
-    EnergyLedger,
-    EopEstimate,
-    classify,
-    energy_ledger,
-    estimate_eop,
-    interconnection_energy,
-    is_passive,
-)
+from .passivity import EnergyLedger, EopEstimate, energy_ledger, estimate_eop, is_passive
 from .gmp import GmpMap, TrendLine, build_map, fit_trend, lookup, median_map
 from .stats import PairedSample, TestResult, box_summary, ks_normality, wilcoxon_signed_rank
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
@@ -42,8 +34,7 @@ __all__ = [
     "ActivationProfile", "LimbParams", "PerturbationSpec", "Subject", "TrialCondition",
     "TrialRecord", "analytic_eop", "make_cohort", "perturbation_direction", "simulate_trial",
     "MvcCalibration", "estimate_mvc", "pct_mvc", "synthesize_emg",
-    "EnergyLedger", "EopEstimate", "classify", "energy_ledger", "estimate_eop",
-    "interconnection_energy", "is_passive",
+    "EnergyLedger", "EopEstimate", "energy_ledger", "estimate_eop", "is_passive",
     "GmpMap", "TrendLine", "build_map", "fit_trend", "lookup", "median_map",
     "PairedSample", "TestResult", "box_summary", "ks_normality", "wilcoxon_signed_rank",
     "ForceFieldSpec", "dissipation_savings", "run_interconnection",

@@ -4,17 +4,23 @@ The format is plain INI (configparser): diff-friendly, line-oriented, and
 trivially parseable elsewhere. Unknown sections or keys are rejected so
 typos fail loudly. Every value has a default; an empty config is a valid
 full study.
+
+One reader, :func:`config_from_sections`, builds and validates a config
+from a config file's text (:func:`load_config`) and from the JSON copy
+that a study's manifest keeps; only the conversion of a raw value to its
+field's type differs. The CLI's overrides go through the same
+:meth:`StudyConfig.validate`.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, LimbParams
 from .emg import BAND_HZ
-from .errors import ConfigError, DegenerateTrialError, WindowRangeError
+from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
 from .signals import Window, rms_support
 from .stabilizer import FIELD_KINDS
@@ -72,31 +78,31 @@ class ScenarioConfig:
     seed: int = 7
 
 
-def check_envelope_window(window_s: float, duration_s: float, frequencies,
-                          robot_hz: float, emg_hz: float, emg: EmgConfig) -> None:
+def _check_envelope_window(config: StudyConfig) -> None:
     """Refuse an analysis window that misses the %MVC envelope of the trials.
 
     The envelope is stamped at RMS window centres, so it starts and ends
     about half an RMS window inside the trial. At every frequency, the
-    analysis window [duration_s - window_s, duration_s], snapped to whole
-    periods as ``passivity.estimate_eop`` does, must overlap it by more than
-    a point. The envelope's timestamps are computed the way ``signals.rms``
-    stamps the EMG that ``simulate_trial`` synthesizes over the span of the
-    robot grid.
+    analysis window [duration_s - analysis_window_s, duration_s], snapped to
+    whole periods as ``passivity.estimate_eop`` does, must overlap it by more
+    than a point. The envelope's timestamps are computed the way
+    ``signals.rms`` stamps the EMG that ``simulate_trial`` synthesizes over
+    the span of the robot grid.
     """
-    n_emg = round(round(duration_s * robot_hz) / robot_hz * emg_hz) + 1
+    p, emg, robot_hz, emg_hz = config.protocol, config.emg, config.rates.robot_hz, config.rates.emg_hz
+    n_emg = round(round(p.duration_s * robot_hz) / robot_hz * emg_hz) + 1
     try:
         first, last = rms_support(n_emg, emg_hz, 0.0, emg.rms_window_s, emg.rms_stride_s)
-        starts = [snap_window_to_periods(Window(duration_s - window_s, duration_s), f,
-                                         robot_hz).t_start for f in frequencies]
+        starts = [snap_window_to_periods(Window(p.duration_s - p.analysis_window_s, p.duration_s),
+                                         f, robot_hz).t_start for f in p.frequencies]
     except (WindowRangeError, DegenerateTrialError) as exc:
         raise ConfigError(f"analysis window or emg.rms_window_s out of range: {exc}") from None
     start = max(starts)
     if not (first < last and start < last):
         raise ConfigError(
-            f"protocol.analysis_window_s = {window_s} s starts at {start:g} s once snapped to "
-            f"whole periods, but the %MVC envelope of emg.rms_window_s = {emg.rms_window_s} s "
-            f"covers [{first:.4g}, {last:.4g}] s of the {duration_s:g} s trials; lengthen the "
+            f"protocol.analysis_window_s = {p.analysis_window_s} s starts at {start:g} s once snapped "
+            f"to whole periods, but the %MVC envelope of emg.rms_window_s = {emg.rms_window_s} s "
+            f"covers [{first:.4g}, {last:.4g}] s of the {p.duration_s:g} s trials; lengthen the "
             f"analysis window or shorten the RMS window"
         )
 
@@ -129,7 +135,8 @@ class StudyConfig:
             if not 0 < value < math.inf:
                 raise ConfigError(f"protocol.{name} must be finite and > 0, got {value}")
         if p.analysis_window_s > p.duration_s:
-            raise ConfigError("protocol.analysis_window_s exceeds duration_s")
+            raise ConfigError(f"protocol.analysis_window_s = {p.analysis_window_s} exceeds "
+                              f"protocol.duration_s = {p.duration_s}")
         for name, value in (("relaxed_target", p.relaxed_target), ("stiff_target", p.stiff_target)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"protocol.{name} must be within [0, 1]")
@@ -140,9 +147,9 @@ class StudyConfig:
         if not (self.emg.rms_window_s > 0 and self.emg.rms_stride_s > 0):
             raise ConfigError("emg.rms_window_s and emg.rms_stride_s must be > 0")
         if self.emg.rms_window_s > p.duration_s:
-            raise ConfigError("emg.rms_window_s exceeds protocol.duration_s")
-        check_envelope_window(p.analysis_window_s, p.duration_s, p.frequencies,
-                              self.rates.robot_hz, self.rates.emg_hz, self.emg)
+            raise ConfigError(f"emg.rms_window_s = {self.emg.rms_window_s} exceeds "
+                              f"protocol.duration_s = {p.duration_s}")
+        _check_envelope_window(self)
         n_emg = len(DEFAULT_MVC_RMS_MV)
         if not self.emg.feedback_channels or any(
             not 0 <= ch < n_emg for ch in self.emg.feedback_channels
@@ -168,76 +175,79 @@ class StudyConfig:
             if not 0 <= value < math.inf:
                 raise ConfigError(f"stabilizer.{name} must be finite and >= 0, got {value}")
 
-    def as_dict(self) -> dict:
-        doc = {
-            "cohort": asdict(self.cohort),
-            "protocol": asdict(self.protocol),
-            "rates": asdict(self.rates),
-            "emg": asdict(self.emg),
-            "output": asdict(self.output),
-            "limb": asdict(self.limb),
-            "stabilizer": asdict(self.stabilizer),
-        }
-        doc["protocol"]["frequencies"] = list(self.protocol.frequencies)
-        doc["emg"]["feedback_channels"] = list(self.emg.feedback_channels)
-        doc["limb"]["direction_gains"] = list(self.limb.direction_gains)
-        return doc
+
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(StudyConfig)}
 
 
-_SECTION_TYPES = {
-    "cohort": CohortConfig,
-    "protocol": ProtocolConfig,
-    "rates": RatesConfig,
-    "emg": EmgConfig,
-    "output": OutputConfig,
-    "limb": LimbParams,
-    "stabilizer": ScenarioConfig,
-}
+def _ini_value(raw: str, default):
+    """A config file's text ``raw`` as the type of the field's ``default``.
+
+    A tuple field is written comma-separated.
+    """
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part.strip()) for part in raw.split(",") if part.strip())
+    return type(default)(raw)
 
 
-def _convert(section: str, key: str, raw: str, default):
+def json_setting(value, default):
+    """A JSON ``value`` checked against the type of the field's ``default``.
+
+    A float field takes any finite number, and a tuple field a list of
+    values of its first element's type.
+    """
+    if isinstance(default, tuple):
+        return tuple(json_setting(item, default[0]) for item in typed_json(value, list))
+    return typed_json(value, type(default))
+
+
+def config_from_sections(sections, source: str, convert) -> StudyConfig:
+    """The validated config of ``sections``: ``{section: {key: raw value}}``.
+
+    ``convert(raw, default)`` turns a raw value into the type of the field's
+    default, raising ValueError or TypeError when it cannot:
+    :func:`_ini_value` for a config file, :func:`json_setting` for the copy
+    of the config in a study's manifest. A section or key left out keeps
+    its default. Every fault, an unknown section or key, a value of the
+    wrong type or a failed :meth:`StudyConfig.validate`, is a ConfigError
+    whose message starts with ``source``.
+    """
+    kwargs: dict[str, object] = {}
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            elem = default[0] if default else 0.0
-            return tuple(type(elem)(p) for p in parts)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+        for section, items in sections.items():
+            if section not in _SECTION_TYPES:
+                raise ConfigError(f"unknown section [{section}]")
+            if not isinstance(items, dict):
+                raise ConfigError(f"[{section}] must hold keys and values, got {items!r}")
+            cls = _SECTION_TYPES[section]
+            defaults = cls()
+            values = {}
+            for key, raw in items.items():
+                if not hasattr(defaults, key):
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                try:
+                    values[key] = convert(raw, getattr(defaults, key))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
+            try:
+                kwargs[section] = cls(**values)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"[{section}]: {exc}") from None
+        config = StudyConfig(**kwargs)
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return config
 
 
 def load_config(path) -> StudyConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r") as fh:
-            parser.read_file(fh)
-    except OSError:
-        raise
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    kwargs: dict[str, object] = {}
-    for section in parser.sections():
-        if section not in _SECTION_TYPES:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        cls = _SECTION_TYPES[section]
-        defaults = cls()
-        values = {}
-        for key, raw in parser.items(section):
-            if not hasattr(defaults, key):
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            values[key] = _convert(section, key, raw, getattr(defaults, key))
+    with open(path, "r") as fh:
         try:
-            kwargs[section] = cls(**values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: [{section}]: {exc}") from None
-    config = StudyConfig(**kwargs)
-    config.validate()
-    return config
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    sections = {section: dict(parser.items(section)) for section in parser.sections()}
+    return config_from_sections(sections, str(path), _ini_value)
 
 
 def default_config() -> StudyConfig:

@@ -5,6 +5,8 @@ codes) catch these; everything derives from GmpkitError so `except
 GmpkitError` catches any toolkit-level failure without swallowing plain
 bugs. :func:`json_field` reads one typed value from a parsed JSON document
 (a map or a manifest), so that a document of the wrong shape is a DataError.
+Its type check, :func:`typed_json`, also reads the manifest's copy of the
+config (``config.json_setting``).
 """
 
 import math
@@ -73,11 +75,22 @@ def json_field(source: str, obj, key: str, kind: type):
 
 
 def json_value(source: str, what: str, value, kind: type):
+    try:
+        return typed_json(value, kind)
+    except TypeError as exc:
+        raise DataError(f"{source}: {what} {exc}") from None
+
+
+def typed_json(value, kind: type):
+    """``value`` if it is a JSON ``kind``, else TypeError.
+
+    A float is any finite number, returned as a float.
+    """
     if kind is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     else:
         ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
     if not ok:
         expected = "a finite number" if kind is float else f"of type {kind.__name__}"
-        raise DataError(f"{source}: {what} must be {expected}, got {value!r}")
+        raise TypeError(f"must be {expected}, got {value!r}")
     return float(value) if kind is float else value

@@ -54,10 +54,6 @@ class EnergyLedger:
         """E_S(t) + E(0) pointwise."""
         return self.energy + self.initial_energy
 
-    @property
-    def final_energy(self) -> float:
-        return float(self.energy[-1])
-
 
 @dataclass(frozen=True)
 class PassivityVerdict:
@@ -65,14 +61,6 @@ class PassivityVerdict:
     min_margin: float                      # min over grid of E_S + E(0)
     first_violation_time: float | None = None
     deficit: float | None = None           # magnitude of worst shortfall
-
-
-@dataclass(frozen=True)
-class PassivityClass:
-    kind: str                  # "OSP" | "ONP"
-    xi: float
-    l2_gain: float | None      # 1/xi for OSP (inf at the xi=0 boundary)
-    sop: float | None          # |xi| for ONP
 
 
 @dataclass(frozen=True)
@@ -134,21 +122,6 @@ def is_passive(ledger: EnergyLedger, tol: float = PASSIVITY_TOL_J) -> PassivityV
     )
 
 
-def interconnection_energy(ledgers: Sequence[EnergyLedger]) -> EnergyLedger:
-    """Pointwise total energy of interconnected ports (shared time grid)."""
-    if len(ledgers) == 0:
-        raise ValueError("need at least one ledger")
-    base = ledgers[0]
-    energy = base.energy.copy()
-    e0 = base.initial_energy
-    for other in ledgers[1:]:
-        if other.times.shape != base.times.shape or np.max(np.abs(other.times - base.times)) > 1e-9:
-            raise AlignmentError("ledgers do not share a time grid")
-        energy = energy + other.energy
-        e0 += other.initial_energy
-    return EnergyLedger(times=base.times.copy(), energy=energy, initial_energy=e0)
-
-
 def snap_window_to_periods(w: Window, frequency: float, sample_rate: float) -> Window:
     """Largest whole-period window ending at w.t_end, snapped to samples.
 
@@ -204,16 +177,6 @@ def estimate_eop(
         window=w,
         frequency_hz=trial.spec.frequency,
     )
-
-
-def classify(xi: float) -> PassivityClass:
-    """OSP with EoP xi (and L2 gain 1/xi) when xi >= 0, else ONP with SoP |xi|."""
-    if not math.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi}")
-    if xi >= 0:
-        gain = 1.0 / xi if xi > 0 else math.inf
-        return PassivityClass(kind="OSP", xi=xi, l2_gain=gain, sop=None)
-    return PassivityClass(kind="ONP", xi=xi, l2_gain=None, sop=-xi)
 
 
 # -- estimate CSV interchange ------------------------------------------------

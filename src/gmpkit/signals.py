@@ -115,9 +115,6 @@ class SampledSignal:
     def span(self) -> Window:
         return Window(self.start_time, self.end_time)
 
-    def channel(self, label: str) -> np.ndarray:
-        return self.data[:, self.channels.index(label)]
-
     # -- operations -------------------------------------------------------
 
     def slice(self, w: Window) -> "SampledSignal":

@@ -24,13 +24,19 @@ streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
 hold samples only; their rates, start time and channel labels are stored
 once, under "streams" in the manifest.
+
+The manifest keeps a copy of the simulated config, without ``[output]``.
+``analyze`` reads that copy back with the reader of a config file
+(``config.config_from_sections``), so it passes the same checks, and the
+manifest's streams must be the ones its rates give. Any disagreement is a
+``DataError`` that names the manifest.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +56,7 @@ from .biomech import (
     simulate_trial,
     trial_streams,
 )
-from .config import EmgConfig, ScenarioConfig, StudyConfig, check_envelope_window, frequency_labels
+from .config import ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError, json_field, json_value
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
@@ -150,18 +156,9 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
                     "emg_file": emg_file,
                 }
             )
-    params = subject.params
     return {
         "subject_id": subject.subject_id,
-        "params": {
-            "mass": params.mass,
-            "base_damping": params.base_damping,
-            "stiffness": params.stiffness,
-            "maxwell_stiffness": params.maxwell_stiffness,
-            "maxwell_damping_base": params.maxwell_damping_base,
-            "maxwell_damping_gain": params.maxwell_damping_gain,
-            "direction_gains": list(params.direction_gains),
-        },
+        "params": asdict(subject.params),
         "mvc_rms_true": list(subject.mvc_rms),
         "mvc_rms": list(cal.mvc_rms),
         "mvc_recordings": rec_paths,
@@ -219,7 +216,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         # [output] (where and with how many workers) does not shape the study
-        "config": {k: v for k, v in config.as_dict().items() if k != "output"},
+        "config": {k: v for k, v in asdict(config).items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
         "subjects": subject_docs,
     }
@@ -237,9 +234,9 @@ def _check_manifest_files(manifest: dict, out: Path) -> None:
 
 
 def load_manifest(out_dir) -> dict:
-    """The study's manifest; one that does not parse is a ``DataError``.
+    """The study's manifest as parsed JSON; one that does not parse is a ``DataError``.
 
-    ``analyze_study`` checks the shape of what it reads (``_check_manifest``).
+    ``analyze_study`` reads what it needs through ``_read_manifest``.
     """
     path = Path(out_dir) / "manifest.json"
     with open(path, "r") as fh:
@@ -249,12 +246,21 @@ def load_manifest(out_dir) -> dict:
             raise DataError(f"cannot read manifest {path}: {exc}") from None
 
 
-def _check_manifest(manifest, path, with_settings: bool) -> None:
-    """Refuse a manifest that ``analyze_study`` cannot read, as a ``DataError`` naming ``path``.
+def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
+    """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
-    Checks each key it reads and that key's JSON type (the analysis window
-    and ``[emg]`` only ``with_settings``), and that every trial lies in the
-    protocol grid: its labels, its direction and its frequency's label and Hz.
+    Returns ``(config, streams, subjects)``:
+
+    - the simulated config, read as a config file is
+      (``config.config_from_sections``), with every key but ``[output]``'s
+      required;
+    - the streams, which must be ``trial_streams`` of the config's rates;
+    - per subject ``(subject_id, MvcCalibration, trials)``, with each trial
+      ``(trial_id, TrialCondition, PerturbationSpec, robot_file, emg_file)``
+      in the protocol grid: its labels, its direction and its frequency's
+      label and Hz.
+
+    Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
     source = f"manifest {path}"
     if not isinstance(manifest, dict):
@@ -265,51 +271,49 @@ def _check_manifest(manifest, path, with_settings: bool) -> None:
             f"{source}: schema version {version} is not supported (this gmpkit reads "
             f"schema {SCHEMA_VERSION}); re-run simulate"
         )
-    config = json_field(source, manifest, "config", dict)
-    protocol = json_field(source, config, "protocol", dict)
-    for key in ("duration_s", "amplitude_m"):
-        json_field(source, protocol, key, float)
-    hz = [json_value(source, "a protocol frequency", f, float)
-          for f in json_field(source, protocol, "frequencies", list)]
-    if not 1 <= len(hz) <= len(FREQUENCY_LABELS):
-        raise DataError(f"{source}: {len(hz)} protocol frequencies, expected 1 to {len(FREQUENCY_LABELS)}")
-    grid = dict(zip(FREQUENCY_LABELS, hz))
-    streams = json_field(source, manifest, "streams", dict)
-    for name in ("robot", "emg"):
-        stream = json_field(source, streams, name, dict)
-        json_field(source, stream, "rate_hz", float)
-        json_field(source, stream, "start_time_s", float)
-        for label in json_field(source, stream, "channels", list):
-            json_value(source, "a channel label", label, str)
+    sections = json_field(source, manifest, "config", dict)
+    try:
+        config = config_from_sections(sections, source, json_setting)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    # simulate writes every key but [output]'s; one left out must not read as its default
+    missing = [f"[{name}] {key}" for name, doc in asdict(config).items() if name != "output"
+               for key in doc if key not in sections.get(name, {})]
+    if missing:
+        raise DataError(f"{source}: config lacks {', '.join(missing)}")
+    rates = config.rates
+    streams = trial_streams(rates.robot_hz, rates.emg_hz)
+    if json_field(source, manifest, "streams", dict) != streams:
+        raise DataError(f"{source}: streams {manifest['streams']} do not match the config's [rates] "
+                        f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz}")
     n_emg = len(streams["emg"]["channels"])
-    if with_settings:
-        json_field(source, protocol, "analysis_window_s", float)
-        emg = json_field(source, config, "emg", dict)
-        json_field(source, emg, "rms_window_s", float)
-        json_field(source, emg, "rms_stride_s", float)
-        for channel in json_field(source, emg, "feedback_channels", list):
-            if not 0 <= json_value(source, "a feedback channel", channel, int) < n_emg:
-                raise DataError(f"{source}: feedback channel {channel} not among {n_emg} EMG channels")
+    protocol = config.protocol
+    grid = dict(frequency_labels(protocol))
+    subjects = []
     for subject in json_field(source, manifest, "subjects", list):
         subject_id = json_field(source, subject, "subject_id", str)
         mvc = [json_value(source, "an MVC level", v, float)
                for v in json_field(source, subject, "mvc_rms", list)]
-        for entry in json_field(source, subject, "trials", list):
-            for key in ("trial_id", "robot_file", "emg_file", "activation_label", "frequency_label"):
-                json_field(source, entry, key, str)
-            direction = json_field(source, entry, "direction", int)
-            trial_hz = json_field(source, entry, "frequency_hz", float)
-            label = entry["frequency_label"]
-            try:
-                TrialCondition(direction, entry["activation_label"], label)
-                PerturbationSpec(trial_hz, protocol["amplitude_m"], direction, protocol["duration_s"])
-            except ValueError as exc:
-                raise DataError(f"{source}: trial {entry['trial_id']}: {exc}") from None
-            if label not in grid or not math.isclose(grid[label], trial_hz, rel_tol=1e-9):
-                raise DataError(f"{source}: trial {entry['trial_id']}: {label!r} at {trial_hz} Hz "
-                                f"is not in the protocol grid {grid}")
         if len(mvc) != n_emg or not all(v > 0 for v in mvc):
             raise DataError(f"{source}: subject {subject_id}: mvc_rms needs {n_emg} levels > 0, got {mvc}")
+        trials = []
+        for entry in json_field(source, subject, "trials", list):
+            trial_id, robot_file, emg_file, activation_label, label = (
+                json_field(source, entry, key, str)
+                for key in ("trial_id", "robot_file", "emg_file", "activation_label", "frequency_label"))
+            direction = json_field(source, entry, "direction", int)
+            trial_hz = json_field(source, entry, "frequency_hz", float)
+            try:
+                condition = TrialCondition(direction, activation_label, label)
+                spec = PerturbationSpec(trial_hz, protocol.amplitude_m, direction, protocol.duration_s)
+            except ValueError as exc:
+                raise DataError(f"{source}: trial {trial_id}: {exc}") from None
+            if label not in grid or not math.isclose(grid[label], trial_hz, rel_tol=1e-9):
+                raise DataError(f"{source}: trial {trial_id}: {label!r} at {trial_hz} Hz "
+                                f"is not in the protocol grid {grid}")
+            trials.append((trial_id, condition, spec, robot_file, emg_file))
+        subjects.append((subject_id, MvcCalibration(tuple(mvc)), trials))
+    return config, streams, subjects
 
 
 # -- analyze ----------------------------------------------------------------
@@ -336,36 +340,24 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     come from ``config``, or from the manifest's copy of the simulation
     config when ``config`` is None. What was simulated (duration,
     amplitude, rates, grid) always comes from the manifest. A manifest that
-    lacks a key this reads, holds a value of the wrong type or places a
-    trial outside the grid is a ``DataError`` before ``analysis/`` is
-    touched. A trial whose file is absent or unreadable is skipped with a
-    warning and counted in ``n_missing``.
+    ``_read_manifest`` refuses is a ``DataError``, and settings that the
+    simulated config with them fails to ``validate()`` are a ``ConfigError``,
+    both before ``analysis/`` is touched. A trial whose file is absent or
+    unreadable is skipped with a warning and counted in ``n_missing``.
     """
     out = Path(out_dir)
-    manifest = load_manifest(out)
-    _check_manifest(manifest, out / "manifest.json", with_settings=config is None)
-    protocol = manifest["config"]["protocol"]
-    streams = manifest["streams"]
-    if config is None:
-        window_s = protocol["analysis_window_s"]
-        emg_doc = manifest["config"]["emg"]
-        emg_cfg = EmgConfig(rms_window_s=emg_doc["rms_window_s"], rms_stride_s=emg_doc["rms_stride_s"],
-                            feedback_channels=tuple(emg_doc["feedback_channels"]))
-    else:
-        window_s, emg_cfg = config.protocol.analysis_window_s, config.emg
-    duration = protocol["duration_s"]
-    if window_s > duration:
-        raise ConfigError(
-            f"protocol.analysis_window_s = {window_s} exceeds the simulated duration_s = {duration}"
-        )
-    if emg_cfg.rms_window_s > duration:
-        raise ConfigError(
-            f"emg.rms_window_s = {emg_cfg.rms_window_s} exceeds the simulated duration_s = {duration}"
-        )
-    check_envelope_window(window_s, duration, protocol["frequencies"],
-                          streams["robot"]["rate_hz"], streams["emg"]["rate_hz"], emg_cfg)
-    window = Window(duration - window_s, duration)
-    grid = dict(zip(FREQUENCY_LABELS, protocol["frequencies"]))
+    path = out / "manifest.json"
+    settings, streams, subjects = _read_manifest(load_manifest(out), path)
+    if config is not None:
+        settings = replace(settings, emg=config.emg, protocol=replace(
+            settings.protocol, analysis_window_s=config.protocol.analysis_window_s))
+        try:
+            settings.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"analysis settings for the trials of {path}: {exc}") from None
+    protocol, emg_cfg = settings.protocol, settings.emg
+    window = Window(protocol.duration_s - protocol.analysis_window_s, protocol.duration_s)
+    grid = dict(frequency_labels(protocol))
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
@@ -374,32 +366,19 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     maps: dict[str, GmpMap] = {}
     n_expected = 0
     n_missing = 0
-    for subject in manifest["subjects"]:
-        cal = MvcCalibration(mvc_rms=tuple(subject["mvc_rms"]))
+    for subject_id, cal, trials in subjects:
         subject_estimates = []
-        for entry in subject["trials"]:
+        for trial_id, condition, spec, robot_file, emg_file in trials:
             n_expected += 1
-            if not (out / entry["robot_file"]).exists():
+            if not (out / robot_file).exists():
                 n_missing += 1
-                warnings.append(f"missing trial file {entry['robot_file']}")
+                warnings.append(f"missing trial file {robot_file}")
                 continue
-            condition = TrialCondition(
-                direction_index=entry["direction"],
-                activation_label=entry["activation_label"],
-                frequency_label=entry["frequency_label"],
-            )
-            spec = PerturbationSpec(
-                frequency=entry["frequency_hz"],
-                amplitude=protocol["amplitude_m"],
-                direction_index=entry["direction"],
-                duration=duration,
-            )
             try:
-                trial = load_trial_csv(out / entry["robot_file"], out / entry["emg_file"],
-                                       streams, condition, spec, subject["subject_id"])
+                trial = load_trial_csv(out / robot_file, out / emg_file, streams, condition, spec, subject_id)
             except DataError as exc:
                 n_missing += 1
-                warnings.append(f"unreadable trial {entry['trial_id']}: {exc}")
+                warnings.append(f"unreadable trial {trial_id}: {exc}")
                 continue
             subject_estimates.append(
                 estimate_eop(
@@ -411,12 +390,10 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
                     rms_stride=emg_cfg.rms_stride_s,
                 )
             )
-        gmp_map = build_map(subject_estimates, subject["subject_id"], frequencies=grid)
+        gmp_map = build_map(subject_estimates, subject_id, frequencies=grid)
         if not gmp_map.complete:
-            warnings.append(
-                f"map {subject['subject_id']} missing {len(gmp_map.missing_cells())} cells"
-            )
-        maps[subject["subject_id"]] = gmp_map
+            warnings.append(f"map {subject_id} missing {len(gmp_map.missing_cells())} cells")
+        maps[subject_id] = gmp_map
         estimates.extend(subject_estimates)
 
     complete_maps = [m for m in maps.values() if m.complete]
@@ -481,6 +458,12 @@ def _test_result_doc(result) -> dict:
     }
 
 
+def _csv_row(kind: str, name: str, group_a: str, group_b: str, doc: dict) -> str:
+    """One ``report.csv`` line for a test result doc (``_test_result_doc``'s keys)."""
+    return (f"{kind},{name},{group_a},{group_b},{doc['n']},{float(doc['statistic'])!r},"
+            f"{float(doc['p_value'])!r},{doc['method']},{doc['mark']}\n")
+
+
 def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided") -> dict:
     """Wilcoxon doc for a paired contrast; identical groups carry no
     evidence against the null and are reported as p = 1 rather than an
@@ -527,7 +510,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
             groups[code] = values
 
     report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
-    csv_rows: list[dict] = []
+    csv_rows: list[str] = []
 
     for code, values in groups.items():
         box = box_summary(values)
@@ -543,13 +526,8 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
             },
         }
         try:
-            ks = ks_normality(values)
-            doc["ks_normality"] = _test_result_doc(ks)
-            csv_rows.append(
-                {"kind": "ks_normality", "name": code, "group_a": code, "group_b": "",
-                 "n": ks.n, "statistic": ks.statistic, "p_value": ks.p_value,
-                 "method": ks.method, "mark": ks.significance_mark}
-            )
+            doc["ks_normality"] = _test_result_doc(ks_normality(values))
+            csv_rows.append(_csv_row("ks_normality", code, code, "", doc["ks_normality"]))
         except DegenerateSampleError as exc:
             doc["ks_normality"] = {"error": str(exc)}
         report["groups"][code] = doc
@@ -560,11 +538,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
         doc = {"group_a": code_a, "group_b": code_b}
         doc.update(_paired_contrast(groups[code_a], groups[code_b]))
         if "p_value" in doc:
-            csv_rows.append(
-                {"kind": "wilcoxon", "name": name, "group_a": code_a, "group_b": code_b,
-                 "n": doc["n"], "statistic": doc["statistic"], "p_value": doc["p_value"],
-                 "method": doc["method"], "mark": doc["mark"]}
-            )
+            csv_rows.append(_csv_row("wilcoxon", name, code_a, code_b, doc))
         report["contrasts"][name] = doc
 
     freq_labels = sorted({e.frequency_label for e in estimates})
@@ -583,11 +557,8 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
         doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
         doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
         if "p_value" in doc:
-            csv_rows.append(
-                {"kind": "wilcoxon", "name": f"slope_{_LOW}_vs_{_HIGH}", "group_a": doc["group_a"],
-                 "group_b": doc["group_b"], "n": doc["n"], "statistic": doc["statistic"],
-                 "p_value": doc["p_value"], "method": doc["method"], "mark": doc["mark"]}
-            )
+            csv_rows.append(_csv_row("wilcoxon", f"slope_{_LOW}_vs_{_HIGH}", doc["group_a"],
+                                     doc["group_b"], doc))
         slope_doc["contrast"] = doc
     report["slopes"] = slope_doc
 
@@ -597,12 +568,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
         _write_json(stats_dir / "report.json", report)
         with open(stats_dir / "report.csv", "w", newline="") as fh:
             fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
-            for row in csv_rows:
-                fh.write(
-                    f"{row['kind']},{row['name']},{row['group_a']},{row['group_b']},"
-                    f"{row['n']},{repr(float(row['statistic']))},{repr(float(row['p_value']))},"
-                    f"{row['method']},{row['mark']}\n"
-                )
+            fh.writelines(csv_rows)
     return report
 
 

@@ -164,6 +164,21 @@ def drop_trial_key(key):
     return edit
 
 
+def set_key(path, value):
+    """Set the key at ``path``; None deletes it."""
+    def edit(doc):
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, reason",
     [
@@ -174,9 +189,14 @@ def drop_trial_key(key):
         (set_trial("direction", 9), "trial S2_LR_d3: direction_index out of range: 9"),
         (set_trial("frequency_hz", 2.0), "trial S2_LR_d3: 'low' at 2.0 Hz is not in the protocol grid"),
         (set_trial("frequency_hz", "1.0"), "frequency_hz must be a finite number, got '1.0'"),
+        (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
+        (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
+        (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
+        (set_key(("config", "protocol", "duration_s"), None), "config lacks [protocol] duration_s"),
     ],
     ids=["no-config", "a-list", "no-robot-file", "activation-off-grid", "direction-off-grid",
-         "hz-off-grid", "hz-a-string"],
+         "hz-off-grid", "hz-a-string", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
+         "no-duration"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study

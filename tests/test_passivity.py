@@ -7,14 +7,11 @@ from gmpkit.biomech import DEFAULT_MVC_RMS_MV, ActivationProfile, LimbParams, Pe
 from gmpkit.emg import MvcCalibration
 from gmpkit.errors import AlignmentError, DegenerateTrialError
 from gmpkit.passivity import (
-    EnergyLedger,
     EopEstimate,
-    classify,
     energy_ledger,
     estimate_eop,
     estimates_from_csv,
     estimates_to_csv,
-    interconnection_energy,
     is_passive,
     snap_window_to_periods,
 )
@@ -97,53 +94,6 @@ def test_initial_energy_covers_a_known_dip():
     assert is_passive(ledger_covered).passive
 
 
-def test_interconnection_identity_and_negation():
-    s = signal(lambda t: np.sin(2 * np.pi * t))
-    ledger = energy_ledger(s, s, e0=0.5)
-    same = interconnection_energy([ledger])
-    np.testing.assert_array_equal(same.energy, ledger.energy)
-    negated = EnergyLedger(ledger.times, -ledger.energy, -ledger.initial_energy)
-    total = interconnection_energy([ledger, negated])
-    np.testing.assert_allclose(total.energy, 0.0, atol=1e-15)
-    assert total.initial_energy == 0.0
-
-
-def test_interconnection_stable_human_field_pair():
-    # human port dissipates at xi_h ||v||^2, field generates at xi_f ||v||^2
-    xi_h, xi_f = 12.0, 5.0
-    v = signal(lambda t: 0.2 * np.cos(2 * np.pi * t))
-    human_force = SampledSignal(RATE, 0.0, ("f",), xi_h * v.data)
-    field_force = SampledSignal(RATE, 0.0, ("f",), -xi_f * v.data)
-    total = interconnection_energy(
-        [energy_ledger(human_force, v), energy_ledger(field_force, v)]
-    )
-    assert is_passive(total).passive
-
-
-def test_interconnection_associative_commutative():
-    rng = np.random.default_rng(3)
-    t = np.arange(101) / RATE
-    ledgers = [
-        EnergyLedger(t, np.cumsum(rng.normal(size=101)) / RATE, rng.uniform())
-        for _ in range(3)
-    ]
-    a, b, c = ledgers
-    left = interconnection_energy([interconnection_energy([a, b]), c])
-    right = interconnection_energy([a, interconnection_energy([b, c])])
-    shuffled = interconnection_energy([c, a, b])
-    np.testing.assert_allclose(left.energy, right.energy, atol=1e-12)
-    np.testing.assert_allclose(left.energy, shuffled.energy, atol=1e-12)
-    assert left.initial_energy == pytest.approx(shuffled.initial_energy)
-
-
-def test_interconnection_grid_mismatch():
-    t = np.arange(10) / RATE
-    a = EnergyLedger(t, np.zeros(10))
-    b = EnergyLedger(t + 1.0, np.zeros(10))
-    with pytest.raises(AlignmentError):
-        interconnection_energy([a, b])
-
-
 def test_estimate_eop_kelvin_voigt():
     est = estimate_eop(kv_trial(b0=15.0), Window(5.0, 10.0), cal=CAL)
     assert est.xi == pytest.approx(15.0, abs=0.015)
@@ -180,18 +130,6 @@ def test_estimate_eop_tracks_snapped_window():
     assert est.window.t_end == pytest.approx(9.9)
     assert (est.window.t_end - est.window.t_start) == pytest.approx(4.0)
     assert est.xi == pytest.approx(15.0, abs=0.015)
-
-
-def test_classify_cases():
-    osp = classify(15.0)
-    assert (osp.kind, osp.l2_gain, osp.sop) == ("OSP", pytest.approx(1 / 15.0), None)
-    onp = classify(-3.0)
-    assert (onp.kind, onp.sop, onp.l2_gain) == ("ONP", 3.0, None)
-    boundary = classify(0.0)
-    assert boundary.kind == "OSP"
-    assert math.isinf(boundary.l2_gain)
-    with pytest.raises(ValueError):
-        classify(float("nan"))
 
 
 def test_estimates_csv_round_trip(tmp_path):
