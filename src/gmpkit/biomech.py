@@ -97,17 +97,17 @@ class LimbParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "base_damping", "stiffness", "maxwell_stiffness"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         # zero disables the Maxwell branch (pure Kelvin-Voigt limb)
         for name in ("maxwell_damping_base", "maxwell_damping_gain"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         gains = tuple(float(g) for g in self.direction_gains)
         if len(gains) != N_DIRECTIONS:
             raise ValueError(f"direction_gains needs {N_DIRECTIONS} entries, got {len(gains)}")
-        if any(g <= 0 for g in gains):
-            raise ValueError("direction_gains must all be > 0")
+        if not all(0 < g < math.inf for g in gains):
+            raise ValueError(f"direction_gains must be finite and > 0, got {gains}")
         object.__setattr__(self, "direction_gains", gains)
 
 

@@ -41,7 +41,11 @@ class ProtocolConfig:
     relaxed_target: float = 0.05
     stiff_target: float = 0.40
     analysis_window_s: float = 5.0
-    directions: int = 8
+
+    @property
+    def directions(self) -> int:
+        """The protocol runs every cardinal direction: ``biomech.N_DIRECTIONS``."""
+        return N_DIRECTIONS
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,6 @@ class StudyConfig:
             raise ConfigError(f"protocol.frequencies needs 1 to {n_freqs} finite positive values")
         if any(lower >= higher for lower, higher in zip(p.frequencies, p.frequencies[1:])):
             raise ConfigError("protocol.frequencies must be increasing")
-        if p.directions != N_DIRECTIONS:
-            raise ConfigError(f"protocol.directions must be {N_DIRECTIONS} (cardinal directions)")
         for name, value in (("duration_s", p.duration_s), ("amplitude_m", p.amplitude_m),
                             ("analysis_window_s", p.analysis_window_s)):
             if not 0 < value < math.inf:
@@ -222,7 +224,7 @@ def config_from_sections(sections, source: str, convert) -> StudyConfig:
             defaults = cls()
             values = {}
             for key, raw in items.items():
-                if not hasattr(defaults, key):
+                if key not in {f.name for f in fields(cls)}:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 try:
                     values[key] = convert(raw, getattr(defaults, key))

@@ -3,7 +3,7 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest
+      manifest.json                         run manifest, schema 3
       mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float64
       trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4)
       trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4)
@@ -17,7 +17,8 @@ Owns the on-disk layout of a run:
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
 and so do the test codes in trial names, the stats groups and contrasts,
-and the spider columns.
+and the spider columns. ``trial_plan`` lists a subject's trials by id,
+``<subject>_<test>_d<i>``, and ``trial_files`` names an id's two arrays.
 
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
@@ -27,16 +28,18 @@ once, under "streams" in the manifest.
 
 The manifest keeps a copy of the simulated config, without ``[output]``.
 ``analyze`` reads that copy back with the reader of a config file
-(``config.config_from_sections``), so it passes the same checks, and the
-manifest's streams must be the ones its rates give. Any disagreement is a
-``DataError`` that names the manifest.
+(``config.config_from_sections``), so it passes the same checks. Its
+streams, its ``tests`` and each subject's ``trials`` must be what the
+config gives (``trial_streams``, ``protocol_plan``, the ids of
+``trial_plan``), so no manifest can send a cell to another trial's
+files. Any disagreement is a ``DataError`` that names the manifest.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,7 @@ from . import __version__
 from .biomech import (
     ACTIVATION_LABELS,
     FREQUENCY_LABELS,
+    N_DIRECTIONS,
     TESTS,
     ActivationProfile,
     PerturbationSpec,
@@ -65,7 +69,7 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MVC_REPETITIONS = 2
 MVC_DURATION_S = 3.0
@@ -86,6 +90,26 @@ def protocol_plan(config: StudyConfig) -> list[dict]:
          "frequency_hz": hz[freq], "target_pct_mvc": target[act]}
         for code, act, freq in TESTS
         if freq in hz
+    ]
+
+
+def trial_files(trial_id: str) -> tuple[str, str]:
+    """The robot and EMG array files of a trial, relative to the study dir."""
+    return f"trials/{trial_id}.npy", f"trials/{trial_id}_emg.npy"
+
+
+def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, TrialCondition, PerturbationSpec]]:
+    """A subject's trials in simulation order: ``(test_idx, trial_id, condition, spec)``.
+
+    ``test_idx`` indexes ``protocol_plan(config)``.
+    """
+    protocol = config.protocol
+    return [
+        (test_idx, f"{subject_id}_{test['code']}_d{direction}",
+         TrialCondition(direction, test["activation_label"], test["frequency_label"]),
+         PerturbationSpec(test["frequency_hz"], protocol.amplitude_m, direction, protocol.duration_s))
+        for test_idx, test in enumerate(protocol_plan(config))
+        for direction in range(N_DIRECTIONS)
     ]
 
 
@@ -118,44 +142,23 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
     order = [plan[i]["code"] for i in order_rng.permutation(len(plan))]
 
-    trials = []
-    for test_idx, test in enumerate(plan):
-        act = ActivationProfile(target_pct_mvc=test["target_pct_mvc"])
-        for direction in range(config.protocol.directions):
-            spec = PerturbationSpec(
-                frequency=test["frequency_hz"],
-                amplitude=config.protocol.amplitude_m,
-                direction_index=direction,
-                duration=config.protocol.duration_s,
-            )
-            trial = simulate_trial(
-                subject.params,
-                spec,
-                act,
-                np.random.SeedSequence((seed, subject_idx, test_idx, direction)),
-                rate=config.rates.robot_hz,
-                mvc_rms=subject.mvc_rms,
-                emg_rate=config.rates.emg_hz,
-                subject_id=subject.subject_id,
-                activation_label=test["activation_label"],
-                frequency_label=test["frequency_label"],
-            )
-            trial_id = f"{subject.subject_id}_{test['code']}_d{direction}"
-            robot_file, emg_file = f"trials/{trial_id}.npy", f"trials/{trial_id}_emg.npy"
-            save_trial_csv(trial, out / robot_file, out / emg_file)
-            trials.append(
-                {
-                    "trial_id": trial_id,
-                    "test": test["code"],
-                    "direction": direction,
-                    "activation_label": test["activation_label"],
-                    "frequency_label": test["frequency_label"],
-                    "frequency_hz": test["frequency_hz"],
-                    "target_pct_mvc": test["target_pct_mvc"],
-                    "robot_file": robot_file,
-                    "emg_file": emg_file,
-                }
-            )
+    trial_ids = []
+    for test_idx, trial_id, condition, spec in trial_plan(config, subject.subject_id):
+        trial = simulate_trial(
+            subject.params,
+            spec,
+            ActivationProfile(target_pct_mvc=plan[test_idx]["target_pct_mvc"]),
+            np.random.SeedSequence((seed, subject_idx, test_idx, condition.direction_index)),
+            rate=config.rates.robot_hz,
+            mvc_rms=subject.mvc_rms,
+            emg_rate=config.rates.emg_hz,
+            subject_id=subject.subject_id,
+            activation_label=condition.activation_label,
+            frequency_label=condition.frequency_label,
+        )
+        robot_file, emg_file = trial_files(trial_id)
+        save_trial_csv(trial, out / robot_file, out / emg_file)
+        trial_ids.append(trial_id)
     return {
         "subject_id": subject.subject_id,
         "params": asdict(subject.params),
@@ -163,7 +166,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
         "mvc_rms": list(cal.mvc_rms),
         "mvc_recordings": rec_paths,
         "test_order": order,
-        "trials": trials,
+        "trials": trial_ids,
     }
 
 
@@ -218,6 +221,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
         # [output] (where and with how many workers) does not shape the study
         "config": {k: v for k, v in asdict(config).items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
+        "tests": protocol_plan(config),
         "subjects": subject_docs,
     }
     _check_manifest_files(manifest, out)
@@ -227,8 +231,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
 
 def _check_manifest_files(manifest: dict, out: Path) -> None:
     for subject in manifest["subjects"]:
-        trial_files = [t[key] for t in subject["trials"] for key in ("robot_file", "emg_file")]
-        for rel in subject["mvc_recordings"] + trial_files:
+        for rel in subject["mvc_recordings"] + [f for t in subject["trials"] for f in trial_files(t)]:
             if not (out / rel).exists():
                 raise GmpkitError(f"manifest references missing file {rel}")
 
@@ -246,6 +249,13 @@ def load_manifest(out_dir) -> dict:
             raise DataError(f"cannot read manifest {path}: {exc}") from None
 
 
+def _check_listed(source: str, what: str, listed: list, expected: list) -> None:
+    """A DataError naming the first entry where ``listed`` differs from ``expected``."""
+    for i, (entry, planned) in enumerate(zip_longest(listed, expected)):
+        if entry != planned:
+            raise DataError(f"{source}: {what} {i} is {entry!r}, where the config's protocol has {planned!r}")
+
+
 def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
@@ -255,10 +265,9 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
       (``config.config_from_sections``), with every key but ``[output]``'s
       required;
     - the streams, which must be ``trial_streams`` of the config's rates;
-    - per subject ``(subject_id, MvcCalibration, trials)``, with each trial
-      ``(trial_id, TrialCondition, PerturbationSpec, robot_file, emg_file)``
-      in the protocol grid: its labels, its direction and its frequency's
-      label and Hz.
+    - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
+      after its ``trials`` are checked to be the plan's ids, in order, and
+      ``tests`` to be ``protocol_plan(config)``.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -286,9 +295,8 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     if json_field(source, manifest, "streams", dict) != streams:
         raise DataError(f"{source}: streams {manifest['streams']} do not match the config's [rates] "
                         f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz}")
+    _check_listed(source, "test", json_field(source, manifest, "tests", list), protocol_plan(config))
     n_emg = len(streams["emg"]["channels"])
-    protocol = config.protocol
-    grid = dict(frequency_labels(protocol))
     subjects = []
     for subject in json_field(source, manifest, "subjects", list):
         subject_id = json_field(source, subject, "subject_id", str)
@@ -296,23 +304,10 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
                for v in json_field(source, subject, "mvc_rms", list)]
         if len(mvc) != n_emg or not all(v > 0 for v in mvc):
             raise DataError(f"{source}: subject {subject_id}: mvc_rms needs {n_emg} levels > 0, got {mvc}")
-        trials = []
-        for entry in json_field(source, subject, "trials", list):
-            trial_id, robot_file, emg_file, activation_label, label = (
-                json_field(source, entry, key, str)
-                for key in ("trial_id", "robot_file", "emg_file", "activation_label", "frequency_label"))
-            direction = json_field(source, entry, "direction", int)
-            trial_hz = json_field(source, entry, "frequency_hz", float)
-            try:
-                condition = TrialCondition(direction, activation_label, label)
-                spec = PerturbationSpec(trial_hz, protocol.amplitude_m, direction, protocol.duration_s)
-            except ValueError as exc:
-                raise DataError(f"{source}: trial {trial_id}: {exc}") from None
-            if label not in grid or not math.isclose(grid[label], trial_hz, rel_tol=1e-9):
-                raise DataError(f"{source}: trial {trial_id}: {label!r} at {trial_hz} Hz "
-                                f"is not in the protocol grid {grid}")
-            trials.append((trial_id, condition, spec, robot_file, emg_file))
-        subjects.append((subject_id, MvcCalibration(tuple(mvc)), trials))
+        plan = trial_plan(config, subject_id)
+        _check_listed(source, f"subject {subject_id}: trial", json_field(source, subject, "trials", list),
+                      [trial_id for _, trial_id, _, _ in plan])
+        subjects.append((subject_id, MvcCalibration(tuple(mvc)), plan))
     return config, streams, subjects
 
 
@@ -368,7 +363,8 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     n_missing = 0
     for subject_id, cal, trials in subjects:
         subject_estimates = []
-        for trial_id, condition, spec, robot_file, emg_file in trials:
+        for _, trial_id, condition, spec in trials:
+            robot_file, emg_file = trial_files(trial_id)
             n_expected += 1
             if not (out / robot_file).exists():
                 n_missing += 1

@@ -27,7 +27,7 @@ from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import SampledSignal, Window
 from gmpkit.stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from gmpkit.stats import PairedSample, ks_statistic, wilcoxon_signed_rank
-from gmpkit.study import analyze_study, simulate_study, stats_study
+from gmpkit.study import analyze_study, simulate_study, stats_study, trial_files, trial_plan
 
 ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
@@ -172,27 +172,16 @@ def test_criterion_4_statistics_oracles():
 def test_criterion_5_passivity_ledger(full_study):
     out = full_study["out"]
     manifest = full_study["manifest"]
-    protocol = manifest["config"]["protocol"]
     worst = np.inf
     n_trials = 0
     for subject in manifest["subjects"]:
-        for entry in subject["trials"]:
-            from gmpkit.biomech import TrialCondition
-
-            trial = load_trial_csv(
-                out / entry["robot_file"],
-                out / entry["emg_file"],
-                manifest["streams"],
-                TrialCondition(entry["direction"], entry["activation_label"], entry["frequency_label"]),
-                PerturbationSpec(
-                    frequency=entry["frequency_hz"], amplitude=protocol["amplitude_m"],
-                    direction_index=entry["direction"], duration=protocol["duration_s"],
-                ),
-                subject["subject_id"],
-            )
+        for _, trial_id, condition, spec in trial_plan(full_study["config"], subject["subject_id"]):
+            robot_file, emg_file = trial_files(trial_id)
+            trial = load_trial_csv(out / robot_file, out / emg_file, manifest["streams"],
+                                   condition, spec, subject["subject_id"])
             verdict = is_passive(energy_ledger(trial.force, trial.velocity))
             worst = min(worst, verdict.min_margin)
-            assert verdict.passive, (entry["trial_id"], verdict)
+            assert verdict.passive, (trial_id, verdict)
             n_trials += 1
     assert n_trials == 160
     assert worst >= -1e-9

@@ -64,6 +64,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("[emg]\nfeedback_channels = 0,7\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    # a read-only property, not a key: every protocol runs all 8 directions
+    path.write_text("[protocol]\ndirections = 8\n")
+    with pytest.raises(ConfigError, match="unknown key 'directions' in \\[protocol\\]"):
+        load_config(path)
 
 
 def test_single_frequency_protocol(tmp_path):
@@ -323,6 +327,19 @@ def test_simulate_refuses_non_finite_protocol_values(tmp_path, capsys, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mass", "inf"), ("direction_gains", "1,1,1,1,1,1,1,nan"),
+    ("maxwell_damping_gain", "nan"), ("maxwell_damping_base", "inf"),
+])
+def test_simulate_refuses_non_finite_limb_values(tmp_path, capsys, key, value):
+    path, out = write_config(tmp_path, TINY + f"\n[limb]\n{key} = {value}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"[limb]: {key} must be finite" in err
+    assert not out.exists()
+
+
 def test_stats_requires_analysis_outputs(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_IO
@@ -351,4 +368,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 2" in proc.stdout
+    assert "format schema 3" in proc.stdout

@@ -13,7 +13,7 @@ import pytest
 
 from gmpkit import cli
 from gmpkit.config import OutputConfig, config_from_sections, json_setting, load_config
-from gmpkit.study import _read_manifest, load_manifest
+from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
 
 CONFIGS = {
     "default": "",
@@ -51,3 +51,16 @@ def test_simulated_manifest_reads_back_as_the_config(tmp_path):
     simulated, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
     assert simulated == replace(config, output=OutputConfig())
     assert [len(trials) for _, _, trials in subjects] == [16]
+
+
+@pytest.mark.parametrize("name", ["default", "benchmark-study", "single-frequency"])
+def test_simulated_manifest_reads_back_as_the_trial_plan(tmp_path, name):
+    config = read_ini(tmp_path, CONFIGS[name])
+    assert cli.main(["simulate", "--config", str(tmp_path / "study.ini")]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    _, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
+    assert [subject_id for subject_id, _, _ in subjects] == [f"S{i + 1}" for i in range(config.cohort.subjects)]
+    for subject_id, _, trials in subjects:
+        assert trials == trial_plan(config, subject_id)
+    files = {rel for _, _, trials in subjects for _, trial_id, _, _ in trials for rel in trial_files(trial_id)}
+    assert files == {f"trials/{path.name}" for path in (out / "trials").iterdir()}

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from gmpkit import cli
-from gmpkit.biomech import PerturbationSpec, TrialCondition, load_trial_csv
+from gmpkit.biomech import load_trial_csv
+from gmpkit.config import load_config
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import load_manifest
+from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
 
 STUDY = """
 [cohort]
@@ -131,15 +132,36 @@ def test_schema_1_manifest_is_a_typed_error(study, capsys):
     out, path = study
     manifest = load_manifest(out)
     manifest["schema_version"] = 1
-    del manifest["streams"]
+    del manifest["streams"], manifest["tests"]
     for subject in manifest["subjects"]:
-        for entry in subject["trials"]:
-            entry["csv"] = entry.pop("robot_file").replace(".npy", ".csv")
-            del entry["emg_file"]
+        subject["trials"] = [{"trial_id": t, "csv": f"trials/{t}.csv"} for t in subject["trials"]]
     (out / "manifest.json").write_text(json.dumps(manifest))
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert "schema version 1" in err
+
+
+def test_schema_2_manifest_is_a_typed_error(study, capsys):
+    """Schema 2 listed each trial's cell and files; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    config = load_config(path)
+    tests = manifest.pop("tests")
+    manifest["schema_version"] = 2
+    for subject in manifest["subjects"]:
+        subject["trials"] = [
+            {"trial_id": trial_id, "test": tests[test_idx]["code"], "direction": condition.direction_index,
+             "activation_label": condition.activation_label, "frequency_label": condition.frequency_label,
+             "frequency_hz": spec.frequency, "target_pct_mvc": tests[test_idx]["target_pct_mvc"],
+             "robot_file": trial_files(trial_id)[0], "emg_file": trial_files(trial_id)[1]}
+            for test_idx, trial_id, condition, spec in trial_plan(config, subject["subject_id"])
+        ]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert "schema version 2 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
 
 
 def test_torn_manifest_is_a_data_error(study, capsys):
@@ -150,16 +172,17 @@ def test_torn_manifest_is_a_data_error(study, capsys):
     assert f"cannot read manifest {out / 'manifest.json'}" in err
 
 
-def set_trial(key, value):
+def set_test(key, value):
     def edit(doc):
-        doc["subjects"][1]["trials"][3][key] = value
+        doc["tests"][0][key] = value
         return doc
     return edit
 
 
-def drop_trial_key(key):
+def edit_trials(fn):
+    """Replace the trial ids of subject S2 by ``fn`` of them."""
     def edit(doc):
-        del doc["subjects"][0]["trials"][5][key]
+        doc["subjects"][1]["trials"] = fn(doc["subjects"][1]["trials"])
         return doc
     return edit
 
@@ -182,20 +205,29 @@ def set_key(path, value):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda doc: {"schema_version": 2}, "missing key 'config'"),
+        (lambda doc: {"schema_version": 3}, "missing key 'config'"),
         (lambda doc: [], "expected a JSON object, got list"),
-        (drop_trial_key("robot_file"), "missing key 'robot_file'"),
-        (set_trial("activation_label", "medium"), "trial S2_LR_d3: unknown activation label 'medium'"),
-        (set_trial("direction", 9), "trial S2_LR_d3: direction_index out of range: 9"),
-        (set_trial("frequency_hz", 2.0), "trial S2_LR_d3: 'low' at 2.0 Hz is not in the protocol grid"),
-        (set_trial("frequency_hz", "1.0"), "frequency_hz must be a finite number, got '1.0'"),
+        (set_key(("subjects", 0, "trials"), None), "missing key 'trials'"),
+        (set_test("activation_label", "medium"), "test 0 is {'activation_label': 'medium'"),
+        (edit_trials(lambda ids: [t.replace("S2_LR_d3", "S2_LR_d9") for t in ids]),
+         "subject S2: trial 3 is 'S2_LR_d9', where the config's protocol has 'S2_LR_d3'"),
+        (set_test("frequency_hz", 2.0), "'code': 'LR', 'frequency_hz': 2.0,"),
+        (set_test("frequency_hz", "1.0"), "'code': 'LR', 'frequency_hz': '1.0',"),
+        (edit_trials(lambda ids: ids[:3] + ids[4:]),
+         "subject S2: trial 3 is 'S2_LR_d4', where the config's protocol has 'S2_LR_d3'"),
+        (edit_trials(lambda ids: ids[:4] + ids[3:]),
+         "subject S2: trial 4 is 'S2_LR_d3', where the config's protocol has 'S2_LR_d4'"),
+        (edit_trials(lambda ids: ids[:-1]),
+         "subject S2: trial 31 is None, where the config's protocol has 'S2_HS_d7'"),
+        (edit_trials(lambda ids: ",".join(ids)), "trials must be of type list, got 'S2_LR_d0,"),
         (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None), "config lacks [protocol] duration_s"),
     ],
-    ids=["no-config", "a-list", "no-robot-file", "activation-off-grid", "direction-off-grid",
-         "hz-off-grid", "hz-a-string", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
+    ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
+         "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
+         "trials-not-a-list", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
          "no-duration"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
@@ -287,15 +319,14 @@ def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damag
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
-    manifest = load_manifest(simulated)
-    entry = manifest["subjects"][0]["trials"][0]
+    _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
+    subject_id, _, trials = subjects[0]
+    _, trial_id, condition, spec = trials[0]
+    robot_file, emg_file = trial_files(trial_id)
     robot = tmp_path / "trial.npy"
-    np.save(robot, damage(np.load(simulated / entry["robot_file"])))
-    condition = TrialCondition(entry["direction"], entry["activation_label"], entry["frequency_label"])
-    spec = PerturbationSpec(entry["frequency_hz"], 0.03, entry["direction"], duration=3.0)
+    np.save(robot, damage(np.load(simulated / robot_file)))
     with pytest.raises(DataError, match=re.escape(reason)):
-        load_trial_csv(robot, simulated / entry["emg_file"], manifest["streams"],
-                       condition, spec, "S1")
+        load_trial_csv(robot, simulated / emg_file, streams, condition, spec, subject_id)
 
 
 def edit_map(edit):

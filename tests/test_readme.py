@@ -1,10 +1,14 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its file formats match the code."""
 
 import contextlib
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
+
+from gmpkit import study
+from gmpkit.config import default_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +30,22 @@ def test_library_example_prints_a_finite_pct_mvc():
     xi, pct = float(match.group(1)), float(match.group(2))
     assert math.isfinite(xi) and math.isfinite(pct)
     assert 30.0 <= pct <= 50.0  # the trial's 40% MVC target
+
+
+def file_formats() -> str:
+    text = README.read_text()
+    start = text.index("## File formats")
+    return text[start:text.index("\n## ", start)]
+
+
+def test_file_formats_name_the_manifest_schema_and_keys(tmp_path):
+    section = file_formats()
+    versions = re.findall(r"`schema_version` (\d+)", section)
+    assert versions == [str(study.SCHEMA_VERSION)]
+    config = default_config()
+    config = replace(config, cohort=replace(config.cohort, subjects=1),
+                     protocol=replace(config.protocol, frequencies=(1.0,), duration_s=2.0,
+                                      analysis_window_s=1.0))
+    manifest = study.simulate_study(config, tmp_path)
+    keys = [*manifest, *manifest["subjects"][0]]
+    assert [key for key in keys if f"`{key}`" not in section] == []
