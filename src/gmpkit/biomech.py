@@ -386,8 +386,13 @@ def make_cohort(
         )
         mvc_factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(DEFAULT_MVC_RMS_MV))
         mvc = tuple(m * f for m, f in zip(DEFAULT_MVC_RMS_MV, mvc_factors))
-        subjects.append(Subject(subject_id=f"S{idx + 1}", params=params, mvc_rms=mvc))
+        subjects.append(Subject(subject_id=cohort_subject_id(idx), params=params, mvc_rms=mvc))
     return subjects
+
+
+def cohort_subject_id(idx: int) -> str:
+    """The id of subject ``idx`` (from 0) of a cohort: S1, S2, ..."""
+    return f"S{idx + 1}"
 
 
 # -- trial store -------------------------------------------------------------

@@ -17,8 +17,7 @@ Owns the on-disk layout of a run:
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
 and so do the test codes in trial names, the stats groups and contrasts,
-and the spider columns. ``trial_plan`` lists a subject's trials by id,
-``<subject>_<test>_d<i>``, and ``trial_files`` names an id's two arrays.
+and the spider columns.
 
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
@@ -29,10 +28,9 @@ once, under "streams" in the manifest.
 The manifest keeps a copy of the simulated config, without ``[output]``.
 ``analyze`` reads that copy back with the reader of a config file
 (``config.config_from_sections``), so it passes the same checks. Its
-streams, its ``tests`` and each subject's ``trials`` must be what the
-config gives (``trial_streams``, ``protocol_plan``, the ids of
-``trial_plan``), so no manifest can send a cell to another trial's
-files. Any disagreement is a ``DataError`` that names the manifest.
+streams, ``tests``, subject ids and trial ids (``trial_plan``) must be
+what the config gives, and a trial's files follow from its id. Any
+disagreement is a ``DataError`` that names the manifest.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from .biomech import (
     PerturbationSpec,
     Subject,
     TrialCondition,
+    cohort_subject_id,
     load_trial_csv,
     make_cohort,
     save_trial_csv,
@@ -99,10 +98,7 @@ def trial_files(trial_id: str) -> tuple[str, str]:
 
 
 def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, TrialCondition, PerturbationSpec]]:
-    """A subject's trials in simulation order: ``(test_idx, trial_id, condition, spec)``.
-
-    ``test_idx`` indexes ``protocol_plan(config)``.
-    """
+    """A subject's trials in simulation order: ``(test_idx, trial_id, condition, spec)``."""
     protocol = config.protocol
     return [
         (test_idx, f"{subject_id}_{test['code']}_d{direction}",
@@ -142,8 +138,8 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
     order = [plan[i]["code"] for i in order_rng.permutation(len(plan))]
 
-    trial_ids = []
-    for test_idx, trial_id, condition, spec in trial_plan(config, subject.subject_id):
+    trials = trial_plan(config, subject.subject_id)
+    for test_idx, trial_id, condition, spec in trials:
         trial = simulate_trial(
             subject.params,
             spec,
@@ -156,9 +152,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
             activation_label=condition.activation_label,
             frequency_label=condition.frequency_label,
         )
-        robot_file, emg_file = trial_files(trial_id)
-        save_trial_csv(trial, out / robot_file, out / emg_file)
-        trial_ids.append(trial_id)
+        save_trial_csv(trial, *(out / rel for rel in trial_files(trial_id)))
     return {
         "subject_id": subject.subject_id,
         "params": asdict(subject.params),
@@ -166,7 +160,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
         "mvc_rms": list(cal.mvc_rms),
         "mvc_recordings": rec_paths,
         "test_order": order,
-        "trials": trial_ids,
+        "trials": [trial_id for _, trial_id, _, _ in trials],
     }
 
 
@@ -253,7 +247,7 @@ def _check_listed(source: str, what: str, listed: list, expected: list) -> None:
     """A DataError naming the first entry where ``listed`` differs from ``expected``."""
     for i, (entry, planned) in enumerate(zip_longest(listed, expected)):
         if entry != planned:
-            raise DataError(f"{source}: {what} {i} is {entry!r}, where the config's protocol has {planned!r}")
+            raise DataError(f"{source}: {what} {i} is {entry!r}, where its config gives {planned!r}")
 
 
 def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
@@ -266,8 +260,7 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
       required;
     - the streams, which must be ``trial_streams`` of the config's rates;
     - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
-      after its ``trials`` are checked to be the plan's ids, in order, and
-      ``tests`` to be ``protocol_plan(config)``.
+      once ``tests``, the subject ids and its ``trials`` match the config.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -297,9 +290,11 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
                         f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz}")
     _check_listed(source, "test", json_field(source, manifest, "tests", list), protocol_plan(config))
     n_emg = len(streams["emg"]["channels"])
+    docs = json_field(source, manifest, "subjects", list)
+    subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
+    _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
     subjects = []
-    for subject in json_field(source, manifest, "subjects", list):
-        subject_id = json_field(source, subject, "subject_id", str)
+    for subject_id, subject in zip(subject_ids, docs):
         mvc = [json_value(source, "an MVC level", v, float)
                for v in json_field(source, subject, "mvc_rms", list)]
         if len(mvc) != n_emg or not all(v > 0 for v in mvc):

@@ -210,16 +210,19 @@ def set_key(path, value):
         (set_key(("subjects", 0, "trials"), None), "missing key 'trials'"),
         (set_test("activation_label", "medium"), "test 0 is {'activation_label': 'medium'"),
         (edit_trials(lambda ids: [t.replace("S2_LR_d3", "S2_LR_d9") for t in ids]),
-         "subject S2: trial 3 is 'S2_LR_d9', where the config's protocol has 'S2_LR_d3'"),
+         "subject S2: trial 3 is 'S2_LR_d9', where its config gives 'S2_LR_d3'"),
         (set_test("frequency_hz", 2.0), "'code': 'LR', 'frequency_hz': 2.0,"),
         (set_test("frequency_hz", "1.0"), "'code': 'LR', 'frequency_hz': '1.0',"),
         (edit_trials(lambda ids: ids[:3] + ids[4:]),
-         "subject S2: trial 3 is 'S2_LR_d4', where the config's protocol has 'S2_LR_d3'"),
+         "subject S2: trial 3 is 'S2_LR_d4', where its config gives 'S2_LR_d3'"),
         (edit_trials(lambda ids: ids[:4] + ids[3:]),
-         "subject S2: trial 4 is 'S2_LR_d3', where the config's protocol has 'S2_LR_d4'"),
+         "subject S2: trial 4 is 'S2_LR_d3', where its config gives 'S2_LR_d4'"),
         (edit_trials(lambda ids: ids[:-1]),
-         "subject S2: trial 31 is None, where the config's protocol has 'S2_HS_d7'"),
+         "subject S2: trial 31 is None, where its config gives 'S2_HS_d7'"),
         (edit_trials(lambda ids: ",".join(ids)), "trials must be of type list, got 'S2_LR_d0,"),
+        (set_key(("subjects", 1), None), "subject 1 is None, where its config gives 'S2'"),
+        (lambda doc: set_key(("subjects", 1), doc["subjects"][0])(doc),
+         "subject 1 is 'S1', where its config gives 'S2'"),
         (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
@@ -227,7 +230,7 @@ def set_key(path, value):
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
-         "trials-not-a-list", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
+         "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
          "no-duration"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
