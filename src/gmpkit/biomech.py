@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import emg as emg_module
-from .errors import DataError, IntegrationError
+from .errors import ConfigError, DataError, IntegrationError
 from .signals import SampledSignal, first_order_recurrence
 
 N_DIRECTIONS = 8
@@ -98,16 +98,16 @@ class LimbParams:
     def __post_init__(self) -> None:
         for name in ("mass", "base_damping", "stiffness", "maxwell_stiffness"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         # zero disables the Maxwell branch (pure Kelvin-Voigt limb)
         for name in ("maxwell_damping_base", "maxwell_damping_gain"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         gains = tuple(float(g) for g in self.direction_gains)
         if len(gains) != N_DIRECTIONS:
-            raise ValueError(f"direction_gains needs {N_DIRECTIONS} entries, got {len(gains)}")
+            raise ConfigError(f"direction_gains needs {N_DIRECTIONS} entries, got {len(gains)}")
         if not all(0 < g < math.inf for g in gains):
-            raise ValueError(f"direction_gains must be finite and > 0, got {gains}")
+            raise ConfigError(f"direction_gains must be finite and > 0, got {gains}")
         object.__setattr__(self, "direction_gains", gains)
 
 

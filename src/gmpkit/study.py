@@ -189,15 +189,15 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
     seed = config.cohort.seed if seed is None else seed
     jobs = config.output.jobs if jobs is None else jobs
     out = Path(out_dir)
-    (out / "mvc").mkdir(parents=True, exist_ok=True)
-    (out / "trials").mkdir(parents=True, exist_ok=True)
-
     cohort = make_cohort(
         n_subjects=config.cohort.subjects,
         jitter=config.cohort.jitter,
         seed=seed,
         base=config.limb,
     )
+    (out / "mvc").mkdir(parents=True, exist_ok=True)
+    (out / "trials").mkdir(parents=True, exist_ok=True)
+
     tasks = [(config, subject, idx, seed, str(out)) for idx, subject in enumerate(cohort)]
     if jobs > 1:
         # imported here: the pool machinery costs a serial run ~20 ms of start-up

@@ -230,8 +230,8 @@ def set_key(path, value):
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
-         "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config", "unknown-protocol-key", "rates-a-list",
-         "no-duration"],
+         "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
+         "unknown-protocol-key", "rates-a-list", "no-duration"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
