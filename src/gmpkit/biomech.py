@@ -397,39 +397,48 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two raw float64 arrays written with np.save: the
-# robot-rate force and velocity, shape (n, 4) with columns fx, fy, vx, vy,
-# and the EMG at its native rate, shape (n, 4). The arrays carry samples
-# only; rates, start times and channel labels are stored once per run, in
-# the "streams" doc of the manifest (see trial_streams).
+# A trial is stored as two raw arrays written with np.save: the robot-rate
+# force and velocity, float64 of shape (n, 4) with columns fx, fy, vx, vy,
+# and the EMG at its native rate, float32 of shape (n, 4). Synthesized EMG
+# already has float32 resolution (emg.synthesize_emg), so both arrays read
+# back bit for bit. The arrays carry samples only; their dtypes, rates,
+# start times and channel labels are stored once per run, in the "streams"
+# doc of the manifest (see trial_streams).
+
+ROBOT_DTYPE = "<f8"
+EMG_DTYPE = "<f4"
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
-    """Rate, start time and channel labels of the two stored trial arrays."""
+    """Dtype, rate, start time and channel labels of the two stored trial arrays."""
     emg_channels = [f"emg{i + 1}" for i in range(len(DEFAULT_MVC_RMS_MV))]
     return {
-        "robot": {"rate_hz": robot_rate, "start_time_s": 0.0, "channels": ["fx", "fy", "vx", "vy"]},
-        "emg": {"rate_hz": emg_rate, "start_time_s": 0.0, "channels": emg_channels},
+        "robot": {"dtype": ROBOT_DTYPE, "rate_hz": robot_rate, "start_time_s": 0.0,
+                  "channels": ["fx", "fy", "vx", "vy"]},
+        "emg": {"dtype": EMG_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0, "channels": emg_channels},
     }
 
 
 def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as two .npy arrays (force/velocity, EMG).
+    """Write a trial as two .npy arrays: float64 force/velocity, float32 EMG.
 
+    The EMG is rounded to float32, which leaves synthesized EMG unchanged.
     The name is historical: trials were once stored as CSV text.
     """
-    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]))
-    np.save(emg_path, trial.emg.data)
+    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]).astype(ROBOT_DTYPE, copy=False))
+    np.save(emg_path, trial.emg.data.astype(EMG_DTYPE))
 
 
-def _load_samples(path, n_channels: int, min_samples: int) -> np.ndarray:
+def _load_samples(path, stream: dict, min_samples: int) -> np.ndarray:
+    """The float64 samples of one stored array of ``stream`` (a ``trial_streams`` doc), read-only."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != n_channels:
+    dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
+    if data.dtype != dtype or data.ndim != 2 or data.shape[1] != n_channels:
         raise DataError(
-            f"{path}: expected float64 samples of shape (n, {n_channels}), "
+            f"{path}: expected {dtype.name} samples of shape (n, {n_channels}), "
             f"got {data.dtype} {data.shape}"
         )
     if data.shape[0] < min_samples:
@@ -437,9 +446,9 @@ def _load_samples(path, n_channels: int, min_samples: int) -> np.ndarray:
     n_bad = np.count_nonzero(~np.isfinite(data))
     if n_bad:
         raise DataError(f"{path}: {n_bad} non-finite samples")
-    # np.load returns a view of a flat buffer: freeze both, so the signals
-    # built on the samples share them instead of copying them
-    base = data
+    # Frozen, so the signals built on the samples share them instead of
+    # copying them. np.load returns a view of a flat buffer: freeze both.
+    base = data = data.astype(np.float64, copy=False)
     while isinstance(base, np.ndarray):
         base.flags.writeable = False
         base = base.base
@@ -456,18 +465,20 @@ def load_trial_csv(
 ) -> TrialRecord:
     """Read a trial written by :func:`save_trial_csv`.
 
-    ``streams`` is the manifest doc of :func:`trial_streams`; the signals
-    take their rates, start times and labels from it. Both arrays must span
-    the perturbation's duration (the EMG grid may end one sample early).
-    The name is historical: trials were once stored as CSV text.
+    ``streams`` is the manifest doc of :func:`trial_streams`; each array
+    must have its stream's dtype, and the signals take their rates, start
+    times and labels from it. The EMG is converted to float64 once, here.
+    Both arrays must span the perturbation's duration (the EMG grid may end
+    one sample early). The name is historical: trials were once stored as
+    CSV text.
 
     Raises DataError for a missing, torn or short file, a wrong shape or
     dtype, and non-finite samples.
     """
     robot, emg = streams["robot"], streams["emg"]
     rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]
-    main = _load_samples(path, len(labels), round(spec.duration * rate) + 1)
-    emg_data = _load_samples(emg_path, len(emg["channels"]), round(spec.duration * emg["rate_hz"]))
+    main = _load_samples(path, robot, round(spec.duration * rate) + 1)
+    emg_data = _load_samples(emg_path, emg, round(spec.duration * emg["rate_hz"]))
     return TrialRecord(
         condition=condition,
         force=SampledSignal(rate, start, labels[0:2], main[:, 0:2]),

@@ -14,7 +14,11 @@ as zeros, poles and gain and applied as a frequency response to an FFT
 that also covers the filter's impulse-response tail. The noise is drawn
 into a zero-padded buffer and filtered there in place
 (:func:`signals.bandpass_padded`); the filtered rows are rescaled in place
-and then written once into the output.
+and then written once into the output, whose samples are rounded to
+float32, column by column. The array stays float64, but its values have
+the resolution of the trial store's float32 EMG (and still far more than
+a 16-bit EMG digitizer), so a stored and reloaded trial is bit-identical
+to the simulated one.
 """
 
 from __future__ import annotations
@@ -76,7 +80,9 @@ def synthesize_emg(
 
     The noise is drawn channel after channel from one stream, straight into
     the rows of one zero-padded buffer, and filtered causally from rest in
-    place, in one batched FFT (:func:`signals.bandpass_padded`).
+    place, in one batched FFT (:func:`signals.bandpass_padded`). The
+    samples are float64 values of float32 resolution: each output column is
+    rounded to float32 once, at the end, as the trial store keeps it.
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -94,12 +100,14 @@ def synthesize_emg(
     std = noise.std(axis=1)
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
     out = np.empty((n_out, n_channels))
+    rounded = np.empty(n_out, np.float32)
     for ch in range(n_channels):
         if std[ch] > 0:
             noise[ch] /= std[ch]
         column = out[:, ch]
         np.multiply(drives[min(ch, len(drives) - 1)], mvc_rms[ch], out=column)
-        column *= noise[ch]
+        np.multiply(column, noise[ch], out=rounded)  # the float64 product, rounded once
+        column[...] = rounded
     out.flags.writeable = False  # the signal takes it over without a copy
     return SampledSignal(
         sample_rate=rate,

@@ -3,10 +3,10 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 3
-      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float64
-      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4)
-      trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4)
+      manifest.json                         run manifest, schema 4
+      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float32
+      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float64
+      trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4) float32
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps
       analysis/gmp_median.json              cohort median map
@@ -22,15 +22,17 @@ and the spider columns.
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
-hold samples only; their rates, start time and channel labels are stored
-once, under "streams" in the manifest.
+hold samples only; their dtypes, rates, start time and channel labels are
+stored once, under "streams" in the manifest. File names follow from the
+subject and trial ids (``mvc_files``, ``trial_files``).
 
 The manifest keeps a copy of the simulated config, without ``[output]``.
 ``analyze`` reads that copy back with the reader of a config file
 (``config.config_from_sections``), so it passes the same checks. Its
 streams, ``tests``, subject ids and trial ids (``trial_plan``) must be
-what the config gives, and a trial's files follow from its id. Any
-disagreement is a ``DataError`` that names the manifest.
+what the config gives, each subject's ``test_order`` an order of the
+``tests`` codes, and ``toolkit_version`` a string. Any disagreement, or a
+key the schema does not have, is a ``DataError`` that names the manifest.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 from . import __version__
 from .biomech import (
     ACTIVATION_LABELS,
+    EMG_DTYPE,
     FREQUENCY_LABELS,
     N_DIRECTIONS,
     TESTS,
@@ -68,10 +71,13 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 MVC_REPETITIONS = 2
 MVC_DURATION_S = 3.0
+
+# the keys of a subject's manifest entry (_simulate_subject)
+_SUBJECT_KEYS = {"subject_id", "params", "mvc_rms_true", "mvc_rms", "test_order", "trials"}
 
 
 def _write_json(path, doc) -> None:
@@ -90,6 +96,11 @@ def protocol_plan(config: StudyConfig) -> list[dict]:
         for code, act, freq in TESTS
         if freq in hz
     ]
+
+
+def mvc_files(subject_id: str) -> list[str]:
+    """A subject's MVC recording files, relative to the study dir, one per repetition."""
+    return [f"mvc/{subject_id}_rep{rep + 1}_emg.npy" for rep in range(MVC_REPETITIONS)]
 
 
 def trial_files(trial_id: str) -> tuple[str, str]:
@@ -119,8 +130,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
 
     # stage 1: MVC calibration from two maximum-effort recordings
     recordings = []
-    rec_paths = []
-    for rep in range(MVC_REPETITIONS):
+    for rep, rel in enumerate(mvc_files(subject.subject_id)):
         act_signal = _constant_activation_signal(config, MVC_DURATION_S)
         rec = synthesize_emg(
             act_signal,
@@ -128,10 +138,8 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
             np.random.SeedSequence((seed, subject_idx, 90, rep)),
             rate=config.rates.emg_hz,
         )
-        rel = f"mvc/{subject.subject_id}_rep{rep + 1}_emg.npy"
-        np.save(out / rel, rec.data)
+        np.save(out / rel, rec.data.astype(EMG_DTYPE))  # stored as the trial EMG is
         recordings.append(rec)
-        rec_paths.append(rel)
     cal = estimate_mvc(recordings, config.emg.rms_window_s, config.emg.rms_stride_s)
 
     # stage 2: the four tests in randomized order, eight directions each
@@ -158,7 +166,6 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
         "params": asdict(subject.params),
         "mvc_rms_true": list(subject.mvc_rms),
         "mvc_rms": list(cal.mvc_rms),
-        "mvc_recordings": rec_paths,
         "test_order": order,
         "trials": [trial_id for _, trial_id, _, _ in trials],
     }
@@ -225,7 +232,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
 
 def _check_manifest_files(manifest: dict, out: Path) -> None:
     for subject in manifest["subjects"]:
-        for rel in subject["mvc_recordings"] + [f for t in subject["trials"] for f in trial_files(t)]:
+        for rel in mvc_files(subject["subject_id"]) + [f for t in subject["trials"] for f in trial_files(t)]:
             if not (out / rel).exists():
                 raise GmpkitError(f"manifest references missing file {rel}")
 
@@ -260,7 +267,11 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
       required;
     - the streams, which must be ``trial_streams`` of the config's rates;
     - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
-      once ``tests``, the subject ids and its ``trials`` match the config.
+      once ``tests``, the subject ids and its ``trials`` match the config,
+      its ``test_order`` is an order of the ``tests`` codes and its entry
+      has no key but ``_SUBJECT_KEYS``.
+
+    ``toolkit_version`` must be a string.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -283,18 +294,29 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
                for key in doc if key not in sections.get(name, {})]
     if missing:
         raise DataError(f"{source}: config lacks {', '.join(missing)}")
+    json_field(source, manifest, "toolkit_version", str)
     rates = config.rates
     streams = trial_streams(rates.robot_hz, rates.emg_hz)
     if json_field(source, manifest, "streams", dict) != streams:
         raise DataError(f"{source}: streams {manifest['streams']} do not match the config's [rates] "
-                        f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz}")
-    _check_listed(source, "test", json_field(source, manifest, "tests", list), protocol_plan(config))
+                        f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz} and the schema's "
+                        f"dtypes {streams['robot']['dtype']} (robot), {streams['emg']['dtype']} (emg)")
+    tests = protocol_plan(config)
+    _check_listed(source, "test", json_field(source, manifest, "tests", list), tests)
+    codes = [test["code"] for test in tests]
     n_emg = len(streams["emg"]["channels"])
     docs = json_field(source, manifest, "subjects", list)
     subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
     _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
     subjects = []
     for subject_id, subject in zip(subject_ids, docs):
+        unknown = sorted(set(subject) - _SUBJECT_KEYS)
+        if unknown:
+            raise DataError(f"{source}: subject {subject_id}: unknown key {unknown[0]!r}")
+        order = json_field(source, subject, "test_order", list)
+        if len(order) != len(codes) or any(code not in order for code in codes):
+            raise DataError(f"{source}: subject {subject_id}: test_order {order!r} "
+                            f"is not an order of the tests {codes}")
         mvc = [json_value(source, "an MVC level", v, float)
                for v in json_field(source, subject, "mvc_rms", list)]
         if len(mvc) != n_emg or not all(v > 0 for v in mvc):

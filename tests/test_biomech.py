@@ -247,9 +247,13 @@ def save_and_load(trial, tmp_path):
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    assert np.array_equal(back.force.data, trial.force.data)
-    assert np.array_equal(back.velocity.data, trial.velocity.data)
-    assert np.array_equal(back.emg.data, trial.emg.data)
+    assert np.load(tmp_path / "trial.npy").dtype.str == "<f8"
+    assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<f4"
+    for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
+                              (back.emg, trial.emg)):
+        assert loaded.data.dtype == np.float64
+        assert loaded.data.tobytes() == simulated.data.tobytes()  # bit-exact
+        assert not loaded.data.flags.writeable
     assert back.force.sample_rate == back.velocity.sample_rate == 1000.0
     assert back.emg.sample_rate == EMG_RATE
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),

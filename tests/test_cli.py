@@ -369,4 +369,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 3" in proc.stdout
+    assert "format schema 4" in proc.stdout

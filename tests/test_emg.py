@@ -49,7 +49,11 @@ def test_output_rate_and_channel_count():
 
 
 def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAND_HZ, order=4):
-    """synthesize_emg as it was before it filtered in place: one draw, copies."""
+    """synthesize_emg as it was before it filtered in place: one draw, copies.
+
+    Since the trial store keeps EMG as float32, the output is rounded to
+    float32 at the end; every earlier step is unchanged.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_out = round(activation.duration * rate) + 1
     t_out = activation.start_time + np.arange(n_out) / rate
@@ -64,7 +68,7 @@ def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAN
         drive = drives[min(ch, len(drives) - 1)]
         scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
         out[:, ch] = drive * mvc_rms[ch] * scaled
-    return out
+    return out.astype(np.float32).astype(np.float64)
 
 
 def noisy_activation(duration, n_channels=1, rate=1000.0):
@@ -88,6 +92,12 @@ def test_synthesis_channel_layouts_match_reference_bytes(n_activations, mvc):
     emg = synthesize_emg(activation, mvc, seed=12)
     assert emg.data.tobytes() == _reference_synthesize_emg(activation, mvc, 12).tobytes()
     assert not emg.data.flags.writeable
+
+
+def test_synthesized_emg_has_float32_resolution():
+    emg = synthesize_emg(noisy_activation(2.0, 2), (1.6, 1.1, 1.8, 1.3), seed=13)
+    assert emg.data.dtype == np.float64
+    assert emg.data.tobytes() == emg.data.astype(np.float32).astype(np.float64).tobytes()
 
 
 def test_synthesized_emg_is_zero_mean():

@@ -20,7 +20,7 @@ from gmpkit.config import load_config
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
+from gmpkit.study import _read_manifest, load_manifest, mvc_files, trial_files, trial_plan
 
 STUDY = """
 [cohort]
@@ -164,6 +164,23 @@ def test_schema_2_manifest_is_a_typed_error(study, capsys):
     assert not (out / "analysis").exists()
 
 
+def test_schema_3_manifest_is_a_typed_error(study, capsys):
+    """Schema 3 stored float64 EMG and listed the MVC files; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 3
+    for stream in manifest["streams"].values():
+        del stream["dtype"]
+    for subject in manifest["subjects"]:
+        subject["mvc_recordings"] = mvc_files(subject["subject_id"])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert "schema version 3 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
 def test_torn_manifest_is_a_data_error(study, capsys):
     out, path = study
     truncate(out / "manifest.json")
@@ -205,7 +222,7 @@ def set_key(path, value):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda doc: {"schema_version": 3}, "missing key 'config'"),
+        (lambda doc: {"schema_version": 4}, "missing key 'config'"),
         (lambda doc: [], "expected a JSON object, got list"),
         (set_key(("subjects", 0, "trials"), None), "missing key 'trials'"),
         (set_test("activation_label", "medium"), "test 0 is {'activation_label': 'medium'"),
@@ -224,14 +241,24 @@ def set_key(path, value):
         (lambda doc: set_key(("subjects", 1), doc["subjects"][0])(doc),
          "subject 1 is 'S1', where its config gives 'S2'"),
         (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
+        (set_key(("streams", "emg", "dtype"), "<f8"), "the schema's dtypes <f8 (robot), <f4 (emg)"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None), "config lacks [protocol] duration_s"),
+        (set_key(("subjects", 0, "test_order"), ["XX"]),
+         "subject S1: test_order ['XX'] is not an order of the tests ['LR', 'LS', 'HR', 'HS']"),
+        (set_key(("subjects", 0, "test_order"), ["LR", "LS", "HR", "LR"]),
+         "subject S1: test_order ['LR', 'LS', 'HR', 'LR'] is not an order"),
+        (set_key(("subjects", 0, "mvc_recordings"), ["mvc/nothing.npy"]),
+         "subject S1: unknown key 'mvc_recordings'"),
+        (set_key(("toolkit_version",), []), "toolkit_version must be of type str, got []"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
          "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
-         "unknown-protocol-key", "rates-a-list", "no-duration"],
+         "emg-dtype-off-schema", "unknown-protocol-key", "rates-a-list", "no-duration",
+         "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
+         "toolkit-version-not-a-string"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
@@ -315,21 +342,27 @@ def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damag
 @pytest.mark.parametrize(
     "damage, reason",
     [
-        (lambda data: data[:-1], "samples, expected at least 3001"),
-        (lambda data: data.astype(np.float32), "expected float64 samples"),
-        (lambda data: data[:, :3], "shape (n, 4)"),
-        (lambda data: data.ravel(), "shape (n, 4)"),
+        (lambda robot, emg: (robot[:-1], emg), "samples, expected at least 3001"),
+        (lambda robot, emg: (robot.astype(np.float32), emg), "expected float64 samples"),
+        (lambda robot, emg: (robot[:, :3], emg), "shape (n, 4)"),
+        (lambda robot, emg: (robot.ravel(), emg), "shape (n, 4)"),
+        # the schema-3 layout, whose EMG was float64
+        (lambda robot, emg: (robot, emg.astype(np.float64)), "expected float32 samples"),
+        # the two files swapped: a float32 robot array
+        (lambda robot, emg: (emg, robot), "expected float64 samples of shape (n, 4), got float32"),
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
+    """``damage`` maps the stored (robot, EMG) arrays of a trial to the ones written."""
     _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
     subject_id, _, trials = subjects[0]
     _, trial_id, condition, spec = trials[0]
-    robot_file, emg_file = trial_files(trial_id)
-    robot = tmp_path / "trial.npy"
-    np.save(robot, damage(np.load(simulated / robot_file)))
+    paths = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
+    arrays = damage(*(np.load(simulated / rel) for rel in trial_files(trial_id)))
+    for path, array in zip(paths, arrays):
+        np.save(path, array)
     with pytest.raises(DataError, match=re.escape(reason)):
-        load_trial_csv(robot, simulated / emg_file, streams, condition, spec, subject_id)
+        load_trial_csv(*paths, streams, condition, spec, subject_id)
 
 
 def edit_map(edit):

@@ -47,5 +47,5 @@ def test_file_formats_name_the_manifest_schema_and_keys(tmp_path):
                      protocol=replace(config.protocol, frequencies=(1.0,), duration_s=2.0,
                                       analysis_window_s=1.0))
     manifest = study.simulate_study(config, tmp_path)
-    keys = [*manifest, *manifest["subjects"][0]]
+    keys = [*manifest, *manifest["streams"]["emg"], *manifest["subjects"][0]]
     assert [key for key in keys if f"`{key}`" not in section] == []

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from gmpkit.errors import DegenerateSampleError
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import protocol_plan, stats_study
+from gmpkit.study import MVC_DURATION_S, mvc_files, protocol_plan, simulate_study, stats_study, trial_files
 from gmpkit.config import default_config
 
 
@@ -59,3 +62,34 @@ def test_stats_detects_synthetic_effects():
 def test_stats_requires_two_subjects():
     with pytest.raises(DegenerateSampleError):
         stats_study(grid_estimates(lambda s, d, a, f: 10.0, subjects=("S1",)))
+
+
+def npy_header_size(path) -> int:
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        np.lib.format.read_array_header_1_0(fh)
+        return fh.tell()
+
+
+def test_store_size_is_headers_plus_samples(tmp_path):
+    """trials/ and mvc/ hold 4-channel float64 robot and float32 EMG samples, nothing more."""
+    config = default_config()
+    config = replace(config, cohort=replace(config.cohort, subjects=2),
+                     protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
+    manifest = simulate_study(config, tmp_path)
+    itemsize = {kind: np.dtype(stream["dtype"]).itemsize for kind, stream in manifest["streams"].items()}
+    assert itemsize == {"robot": 8, "emg": 4}
+    robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
+    expected = {}  # file -> bytes of samples
+    for subject in manifest["subjects"]:
+        for rel in mvc_files(subject["subject_id"]):
+            expected[rel] = (round(MVC_DURATION_S * emg_hz) + 1) * 4 * itemsize["emg"]
+        for trial_id in subject["trials"]:
+            robot_file, emg_file = trial_files(trial_id)
+            expected[robot_file] = (round(2.0 * robot_hz) + 1) * 4 * itemsize["robot"]
+            expected[emg_file] = (round(2.0 * emg_hz) + 1) * 4 * itemsize["emg"]
+    files = [path for folder in ("trials", "mvc") for path in (tmp_path / folder).iterdir()]
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in files) == sorted(expected)
+    assert len(expected) == 2 * (64 + 2)
+    assert sum(path.stat().st_size for path in files) == sum(
+        npy_header_size(tmp_path / rel) + size for rel, size in expected.items())
