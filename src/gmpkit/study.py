@@ -32,7 +32,8 @@ The manifest keeps a copy of the simulated config, without ``[output]``.
 streams, ``tests``, subject ids and trial ids (``trial_plan``) must be
 what the config gives, each subject's ``test_order`` an order of the
 ``tests`` codes, and ``toolkit_version`` a string. Any disagreement, or a
-key the schema does not have, is a ``DataError`` that names the manifest.
+subject entry with a key the schema does not have, is a ``DataError``
+that names the manifest.
 """
 
 from __future__ import annotations
