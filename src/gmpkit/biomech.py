@@ -74,8 +74,12 @@ FREQUENCY_LABELS = ("low", "high")
 # the study's tests, in report order: (code, activation label, frequency label)
 TESTS = (("LR", "relaxed", "low"), ("LS", "stiff", "low"), ("HR", "relaxed", "high"), ("HS", "stiff", "high"))
 
-# correlation time of the multiplicative activation tracking noise, s
-_NOISE_CORR_TIME = 0.2
+_RISE_TIME_S = 0.5        # s, the activation's first-order lag to its target
+_TRACKING_NOISE = 0.02    # std-dev fraction of its multiplicative tracking noise
+_NOISE_CORR_TIME = 0.2    # s, that noise's correlation time
+
+ROBOT_RATE = 1000.0  # Hz
+ROBOT_CHANNELS = ("fx", "fy", "vx", "vy")  # force, then velocity
 
 
 @dataclass(frozen=True)
@@ -136,16 +140,10 @@ class ActivationProfile:
     """Target muscle co-activation as a fraction of MVC."""
 
     target_pct_mvc: float
-    tracking_noise: float = 0.02   # multiplicative std-dev fraction
-    rise_time: float = 0.5         # s, first-order lag constant
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.target_pct_mvc <= 1.0:
             raise ValueError(f"target_pct_mvc must be in [0, 1], got {self.target_pct_mvc}")
-        if self.tracking_noise < 0:
-            raise ValueError("tracking_noise must be >= 0")
-        if self.rise_time < 0:
-            raise ValueError("rise_time must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,18 +226,15 @@ def activation_series(
     multiplicative noise is an AR(1) process with ~0.2 s correlation time
     (unit stationary variance, started at zero, evaluated by
     :func:`signals.first_order_recurrence`), so the series is
-    step-size-consistent and replayable.
+    step-size-consistent and replayable. A zero target draws no noise.
     """
     t = np.arange(n_samples) * dt
-    if act.rise_time > 0:
-        mean = act.target_pct_mvc * (1.0 - np.exp(-t / act.rise_time))
-    else:
-        mean = np.full(n_samples, act.target_pct_mvc)
-    if act.tracking_noise > 0 and act.target_pct_mvc > 0:
+    mean = act.target_pct_mvc * (1.0 - np.exp(-t / _RISE_TIME_S))
+    if act.target_pct_mvc > 0:
         rho = math.exp(-dt / _NOISE_CORR_TIME)
         eps = rng.standard_normal(n_samples)
         w = first_order_recurrence(np.full(n_samples, rho), math.sqrt(1.0 - rho * rho) * eps)
-        mean = mean * (1.0 + act.tracking_noise * w)
+        mean = mean * (1.0 + _TRACKING_NOISE * w)
     return np.clip(mean, 0.0, 1.0)
 
 
@@ -342,8 +337,8 @@ def simulate_trial(
     velocity_xy = np.outer(v_ax, direction)
     force_xy.flags.writeable = False
     velocity_xy.flags.writeable = False
-    force = SampledSignal(rate, 0.0, ("fx", "fy"), force_xy)
-    velocity = SampledSignal(rate, 0.0, ("vx", "vy"), velocity_xy)
+    force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], force_xy)
+    velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], velocity_xy)
 
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)
@@ -411,11 +406,11 @@ EMG_DTYPE = "<f4"
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
     """Dtype, rate, start time and channel labels of the two stored trial arrays."""
-    emg_channels = [f"emg{i + 1}" for i in range(len(DEFAULT_MVC_RMS_MV))]
     return {
         "robot": {"dtype": ROBOT_DTYPE, "rate_hz": robot_rate, "start_time_s": 0.0,
-                  "channels": ["fx", "fy", "vx", "vy"]},
-        "emg": {"dtype": EMG_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0, "channels": emg_channels},
+                  "channels": list(ROBOT_CHANNELS)},
+        "emg": {"dtype": EMG_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0,
+                "channels": list(emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV)))},
     }
 
 

@@ -18,12 +18,12 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, LimbParams
-from .emg import BAND_HZ
+from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, ROBOT_RATE, LimbParams
+from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
 from .signals import Window, rms_support
-from .stabilizer import FIELD_KINDS
+from .stabilizer import DEFAULT_SAFETY_FACTOR, FIELD_KINDS
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,15 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RatesConfig:
-    robot_hz: float = 1000.0
-    emg_hz: float = 2148.0
+    robot_hz: float = ROBOT_RATE
+    emg_hz: float = EMG_RATE
 
 
 @dataclass(frozen=True)
 class EmgConfig:
-    rms_window_s: float = 0.25
-    rms_stride_s: float = 0.05
-    feedback_channels: tuple[int, ...] = (0, 2)
+    rms_window_s: float = RMS_WINDOW_S
+    rms_stride_s: float = RMS_STRIDE_S
+    feedback_channels: tuple[int, ...] = FEEDBACK_CHANNELS
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class ScenarioConfig:
     activation: float = 0.40
     frequency_hz: float = 1.0
     amplitude_m: float = 0.03
-    safety_factor: float = 0.8
+    safety_factor: float = DEFAULT_SAFETY_FACTOR
     seed: int = 7
 
 

@@ -48,8 +48,10 @@ BAND_ORDER = 4
 RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
-# type alias: a SampledSignal of fractions of MVC (may exceed 1 transiently)
-PctMvcSeries = SampledSignal
+
+def channel_labels(n_channels: int) -> tuple[str, ...]:
+    """Labels of the first ``n_channels`` EMG channels: emg1, emg2, ..."""
+    return tuple(f"emg{i + 1}" for i in range(n_channels))
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def synthesize_emg(
     return SampledSignal(
         sample_rate=rate,
         start_time=activation.start_time,
-        channels=tuple(f"emg{i + 1}" for i in range(n_channels)),
+        channels=channel_labels(n_channels),
         data=out,
     )
 
@@ -149,8 +151,8 @@ def pct_mvc_envelope(
     cal: MvcCalibration,
     window_len: float = RMS_WINDOW_S,
     stride: float = RMS_STRIDE_S,
-) -> PctMvcSeries:
-    """Normalized RMS envelope: fraction of MVC per channel over time."""
+) -> SampledSignal:
+    """Normalized RMS envelope: fraction of MVC per channel over time (may exceed 1)."""
     _check_calibration(emg, cal)
     env = rms(emg, window_len, stride)
     return SampledSignal(

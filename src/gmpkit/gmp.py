@@ -109,8 +109,8 @@ def build_map(
     return GmpMap(subject_id=subject_id, cells=cells, frequencies=freqs)
 
 
-def median_map(maps: Sequence[GmpMap], subject_id: str = "median") -> GmpMap:
-    """Per-cell median of xi and of mean %MVC across complete maps."""
+def median_map(maps: Sequence[GmpMap]) -> GmpMap:
+    """Per-cell median of xi and of mean %MVC across complete maps: the map ``"median"``."""
     if len(maps) == 0:
         raise ValueError("need at least one map")
     grid = maps[0].frequencies
@@ -126,7 +126,7 @@ def median_map(maps: Sequence[GmpMap], subject_id: str = "median") -> GmpMap:
                      float(np.median([m.cells[key].mean_pct_mvc for m in maps])))
         for key in maps[0].grid_keys()
     }
-    return GmpMap(subject_id=subject_id, cells=cells, frequencies=dict(grid))
+    return GmpMap(subject_id="median", cells=cells, frequencies=dict(grid))
 
 
 def _interp_clamped(x: float, x0: float, y0: float, x1: float, y1: float) -> float:

@@ -30,7 +30,7 @@ from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, 
 from .errors import AlignmentError, DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, inner_product_integral, l2_norm_integral
 
-PASSIVITY_TOL_J = 1e-9
+LEDGER_TOL_J = 1e-9  # slack of an energy ledger's sign test, also the stabilizer's
 VELOCITY_ENERGY_THRESHOLD = 1e-9
 
 
@@ -105,14 +105,14 @@ def energy_ledger(u: SampledSignal, y: SampledSignal, e0: float = 0.0) -> Energy
     return EnergyLedger(times=u.times(), energy=energy, initial_energy=e0)
 
 
-def is_passive(ledger: EnergyLedger, tol: float = PASSIVITY_TOL_J) -> PassivityVerdict:
-    """Passive iff E_S(t) + E(0) >= -tol on the whole grid."""
+def is_passive(ledger: EnergyLedger) -> PassivityVerdict:
+    """Passive iff E_S(t) + E(0) >= -LEDGER_TOL_J on the whole grid."""
     total = ledger.total()
     min_idx = int(np.argmin(total))
     min_margin = float(total[min_idx])
-    if min_margin >= -tol:
+    if min_margin >= -LEDGER_TOL_J:
         return PassivityVerdict(passive=True, min_margin=min_margin)
-    violating = np.nonzero(total < -tol)[0]
+    violating = np.nonzero(total < -LEDGER_TOL_J)[0]
     first = int(violating[0])
     return PassivityVerdict(
         passive=False,

@@ -208,7 +208,7 @@ def _rms_geometry(n_samples: int, sample_rate: float, window_len: float,
     return n_win, n_stride
 
 
-def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -> SampledSignal:
+def rms(signal: SampledSignal, window_len: float, stride: float) -> SampledSignal:
     """Sliding-window root-mean-square per channel.
 
     Windows of ``window_len`` seconds advance by ``stride`` seconds; both
@@ -235,7 +235,7 @@ def rms(signal: SampledSignal, window_len: float = 0.25, stride: float = 0.05) -
 
 
 def rms_support(n_samples: int, sample_rate: float, start_time: float,
-                window_len: float = 0.25, stride: float = 0.05) -> tuple[float, float]:
+                window_len: float, stride: float) -> tuple[float, float]:
     """First and last timestamps of :func:`rms` of an ``n_samples``-sample signal.
 
     Computed with the arithmetic ``rms`` and ``SampledSignal.end_time`` use,

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import (
+    ROBOT_RATE,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -58,11 +59,11 @@ from .biomech import (
 )
 from .errors import ConfigError, IntegrationError, InvalidComparisonError
 from .gmp import GmpMap, lookup
+from .passivity import LEDGER_TOL_J
 
 FIELD_KINDS = ("negative-damping", "delayed-spring")
 
 VELOCITY_DEADBAND = 1e-6     # m/s
-LEDGER_TOL_J = 1e-9
 DEFAULT_SAFETY_FACTOR = 0.8
 
 
@@ -190,7 +191,7 @@ def run_interconnection(
     act: ActivationProfile | None = None,
     gmp_map: GmpMap | None = None,
     duration: float = 10.0,
-    rate: float = 1000.0,
+    rate: float = ROBOT_RATE,
     seed: int = 0,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
 ) -> InterconnectionResult:

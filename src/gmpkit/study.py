@@ -124,9 +124,8 @@ def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, Tri
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int,
-                      seed: int, out_dir: str) -> dict:
-    out = Path(out_dir)
+def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, out_dir: str) -> dict:
+    seed, out = config.cohort.seed, Path(out_dir)
     plan = protocol_plan(config)
 
     # stage 1: MVC calibration from two maximum-effort recordings
@@ -185,8 +184,7 @@ def _simulate_subject_star(args):
     return _simulate_subject(*args)
 
 
-def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
-                   jobs: int | None = None) -> dict:
+def simulate_study(config: StudyConfig, out_dir) -> dict:
     """Run the full protocol for the whole cohort; returns the manifest."""
     config.validate()
     if config.emg.rms_window_s > MVC_DURATION_S:
@@ -194,24 +192,22 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
             f"emg.rms_window_s = {config.emg.rms_window_s} exceeds the "
             f"{MVC_DURATION_S} s MVC recordings"
         )
-    seed = config.cohort.seed if seed is None else seed
-    jobs = config.output.jobs if jobs is None else jobs
     out = Path(out_dir)
     cohort = make_cohort(
         n_subjects=config.cohort.subjects,
         jitter=config.cohort.jitter,
-        seed=seed,
+        seed=config.cohort.seed,
         base=config.limb,
     )
     (out / "mvc").mkdir(parents=True, exist_ok=True)
     (out / "trials").mkdir(parents=True, exist_ok=True)
 
-    tasks = [(config, subject, idx, seed, str(out)) for idx, subject in enumerate(cohort)]
-    if jobs > 1:
+    tasks = [(config, subject, idx, str(out)) for idx, subject in enumerate(cohort)]
+    if config.output.jobs > 1:
         # imported here: the pool machinery costs a serial run ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.output.jobs) as pool:
             subject_docs = list(pool.map(_simulate_subject_star, tasks))
     else:
         subject_docs = [_simulate_subject(*task) for task in tasks]
@@ -219,7 +215,7 @@ def simulate_study(config: StudyConfig, out_dir, seed: int | None = None,
     manifest = {
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+        "seed": config.cohort.seed,
         # [output] (where and with how many workers) does not shape the study
         "config": {k: v for k, v in asdict(config).items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),

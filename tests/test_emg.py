@@ -21,7 +21,7 @@ def activation_signal(level, duration=5.0, rate=1000.0):
 
 def test_zero_activation_gives_silent_channels():
     emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0), seed=0)
-    env = rms(emg)
+    env = rms(emg, 0.25, 0.05)
     assert np.all(env.data < 0.01)  # below 1% MVC
 
 
@@ -36,7 +36,7 @@ def test_seeds_change_waveform_not_envelope():
     a = synthesize_emg(activation_signal(0.4), (1.0,), seed=1)
     b = synthesize_emg(activation_signal(0.4), (1.0,), seed=2)
     assert not np.array_equal(a.data, b.data)
-    assert rms(a).data.mean() == pytest.approx(rms(b).data.mean(), abs=0.05)
+    assert rms(a, 0.25, 0.05).data.mean() == pytest.approx(rms(b, 0.25, 0.05).data.mean(), abs=0.05)
     again = synthesize_emg(activation_signal(0.4), (1.0,), seed=1)
     np.testing.assert_array_equal(a.data, again.data)
 

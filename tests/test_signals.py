@@ -194,7 +194,7 @@ def test_rms_full_period_sine():
 
 def test_rms_zero():
     sig = make_signal(lambda t: np.zeros_like(t))
-    out = rms(sig)
+    out = rms(sig, 0.25, 0.05)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
