@@ -127,6 +127,9 @@ class StudyConfig:
             raise ConfigError("cohort.subjects must be >= 1")
         if not 0 <= self.cohort.jitter < 1:
             raise ConfigError("cohort.jitter must be in [0, 1)")
+        for name, seed in (("cohort.seed", self.cohort.seed), ("stabilizer.seed", self.stabilizer.seed)):
+            if seed < 0:
+                raise ConfigError(f"{name} must be >= 0, got {seed}")
         n_freqs = len(FREQUENCY_LABELS)
         if not 1 <= len(p.frequencies) <= n_freqs or any(not 0 < f < math.inf for f in p.frequencies):
             raise ConfigError(f"protocol.frequencies needs 1 to {n_freqs} finite positive values")

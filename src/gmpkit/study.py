@@ -29,7 +29,8 @@ subject and trial ids (``mvc_files``, ``trial_files``).
 The manifest keeps a copy of the simulated config, without ``[output]``.
 ``analyze`` reads that copy back with the reader of a config file
 (``config.config_from_sections``), so it passes the same checks. Its
-streams, ``tests``, subject ids and trial ids (``trial_plan``) must be
+streams, ``tests``, ``seed``, subject ids, trial ids (``trial_plan``) and
+each subject's ``params`` and ``mvc_rms_true`` (``make_cohort``) must be
 what the config gives, each subject's ``test_order`` an order of the
 ``tests`` codes, and ``toolkit_version`` a string. Any disagreement, or a
 subject entry with a key the schema does not have, is a ``DataError``
@@ -180,6 +181,12 @@ def _constant_activation_signal(config: StudyConfig, duration: float) -> Sampled
     return SampledSignal(rate, 0.0, ("a",), a)
 
 
+def _cohort(config: StudyConfig) -> list[Subject]:
+    """The subjects of ``[cohort]``, jittered around the ``[limb]`` base."""
+    c = config.cohort
+    return make_cohort(n_subjects=c.subjects, jitter=c.jitter, seed=c.seed, base=config.limb)
+
+
 def _simulate_subject_star(args):
     return _simulate_subject(*args)
 
@@ -193,21 +200,18 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
             f"{MVC_DURATION_S} s MVC recordings"
         )
     out = Path(out_dir)
-    cohort = make_cohort(
-        n_subjects=config.cohort.subjects,
-        jitter=config.cohort.jitter,
-        seed=config.cohort.seed,
-        base=config.limb,
-    )
+    cohort = _cohort(config)
     (out / "mvc").mkdir(parents=True, exist_ok=True)
     (out / "trials").mkdir(parents=True, exist_ok=True)
 
     tasks = [(config, subject, idx, str(out)) for idx, subject in enumerate(cohort)]
-    if config.output.jobs > 1:
+    # a pool starts all its workers at once, so it gets no more than there are subjects
+    workers = min(config.output.jobs, len(tasks))
+    if workers > 1:
         # imported here: the pool machinery costs a serial run ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.output.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             subject_docs = list(pool.map(_simulate_subject_star, tasks))
     else:
         subject_docs = [_simulate_subject(*task) for task in tasks]
@@ -265,10 +269,13 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     - the streams, which must be ``trial_streams`` of the config's rates;
     - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
       once ``tests``, the subject ids and its ``trials`` match the config,
-      its ``test_order`` is an order of the ``tests`` codes and its entry
-      has no key but ``_SUBJECT_KEYS``.
+      its ``params`` and ``mvc_rms_true`` are those of the config's cohort
+      (``make_cohort``, compared after a JSON round trip), its
+      ``test_order`` is an order of the ``tests`` codes and its entry has
+      no key but ``_SUBJECT_KEYS``.
 
-    ``toolkit_version`` must be a string.
+    ``toolkit_version`` must be a string and ``seed`` the config's
+    ``[cohort] seed``.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -292,6 +299,9 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     if missing:
         raise DataError(f"{source}: config lacks {', '.join(missing)}")
     json_field(source, manifest, "toolkit_version", str)
+    seed = json_field(source, manifest, "seed", int)
+    if seed != config.cohort.seed:
+        raise DataError(f"{source}: seed {seed} is not the config's [cohort] seed {config.cohort.seed}")
     rates = config.rates
     streams = trial_streams(rates.robot_hz, rates.emg_hz)
     if json_field(source, manifest, "streams", dict) != streams:
@@ -305,11 +315,19 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     docs = json_field(source, manifest, "subjects", list)
     subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
     _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
+    try:
+        cohort = _cohort(config)
+    except ConfigError as exc:  # a [limb] value that the jitter takes out of range
+        raise DataError(f"{source}: {exc}") from None
     subjects = []
-    for subject_id, subject in zip(subject_ids, docs):
+    for subject_id, subject, truth in zip(subject_ids, docs, cohort):
         unknown = sorted(set(subject) - _SUBJECT_KEYS)
         if unknown:
             raise DataError(f"{source}: subject {subject_id}: unknown key {unknown[0]!r}")
+        for key, value in (("params", asdict(truth.params)), ("mvc_rms_true", list(truth.mvc_rms))):
+            if subject.get(key) != json.loads(json.dumps(value)):
+                raise DataError(f"{source}: subject {subject_id}: {key} {subject.get(key)!r} "
+                                f"differ from those of the config's cohort")
         order = json_field(source, subject, "test_order", list)
         if len(order) != len(codes) or any(code not in order for code in codes):
             raise DataError(f"{source}: subject {subject_id}: test_order {order!r} "

@@ -302,7 +302,7 @@ def test_stabilize_refuses_frequency_outside_map(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("duration_s", "nan"), ("duration_s", "0"), ("frequency_hz", "0"), ("activation", "2"),
     ("spring_delay_s", "nan"), ("amplitude_m", "nan"), ("safety_factor", "nan"),
-    ("field_damping", "nan"),
+    ("field_damping", "nan"), ("seed", "-3"),
 ])
 def test_stabilize_refuses_bad_scenario_values(tmp_path, capsys, key, value):
     path, out = write_config(tmp_path, f"[stabilizer]\n{key} = {value}\n")
@@ -338,6 +338,18 @@ def test_simulate_refuses_non_finite_limb_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{key} must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags", [(TINY, ["--seed", "-1"]),
+                                         (TINY.replace("seed = 77", "seed = -1"), [])],
+                         ids=["flag", "config"])
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys, text, flags):
+    path, out = write_config(tmp_path, text)
+    assert cli.main(["simulate", "--config", str(path), *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cohort.seed must be >= 0, got -1" in err
     assert not out.exists()
 
 

@@ -252,13 +252,25 @@ def set_key(path, value):
         (set_key(("subjects", 0, "mvc_recordings"), ["mvc/nothing.npy"]),
          "subject S1: unknown key 'mvc_recordings'"),
         (set_key(("toolkit_version",), []), "toolkit_version must be of type str, got []"),
+        (set_key(("seed",), "x"), "seed must be of type int, got 'x'"),
+        (set_key(("seed",), 32), "seed 32 is not the config's [cohort] seed 31"),
+        (set_key(("config", "cohort", "seed"), -1), "cohort.seed must be >= 0, got -1"),
+        (set_key(("config", "limb", "maxwell_stiffness"), 1.79e308),  # S1's jitter takes it to inf
+         "maxwell_stiffness must be finite and > 0, got inf"),
+        (set_key(("subjects", 0, "params"), []), "subject S1: params [] differ from those of the config's cohort"),
+        (set_key(("subjects", 0, "mvc_rms_true"), "none"),
+         "subject S1: mvc_rms_true 'none' differ from those of the config's cohort"),
+        (lambda doc: set_key(("subjects", 0, "params", "mass"), 2 * doc["subjects"][0]["params"]["mass"])(doc),
+         "subject S1: params {'base_damping'"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
          "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
          "emg-dtype-off-schema", "unknown-protocol-key", "rates-a-list", "no-duration",
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
-         "toolkit-version-not-a-string"],
+         "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
+         "limb-overflows-under-jitter", "params-a-list",
+         "mvc-rms-true-a-string", "mass-doubled"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study

@@ -1,14 +1,15 @@
 """The README's library example runs as written, and its file formats match the code."""
 
+import configparser
 import contextlib
 import io
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from gmpkit import study
-from gmpkit.config import default_config
+from gmpkit.config import default_config, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +31,24 @@ def test_library_example_prints_a_finite_pct_mvc():
     xi, pct = float(match.group(1)), float(match.group(2))
     assert math.isfinite(xi) and math.isfinite(pct)
     assert 30.0 <= pct <= 50.0  # the trial's 40% MVC target
+
+
+def config_block() -> str:
+    text = README.read_text()
+    section = text[text.index("## Configuration"):]
+    match = re.search(r"```ini\n(.*?)```", section, re.S)
+    assert match, "no ini block under '## Configuration'"
+    return match.group(1)
+
+
+def test_config_block_is_the_full_default_config(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(config_block())
+    assert load_config(path) == default_config()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(config_block())
+    listed = {section: sorted(parser[section]) for section in parser.sections()}
+    assert listed == {section: sorted(keys) for section, keys in asdict(default_config()).items()}
 
 
 def file_formats() -> str:

@@ -93,3 +93,37 @@ def test_store_size_is_headers_plus_samples(tmp_path):
     assert len(expected) == 2 * (64 + 2)
     assert sum(path.stat().st_size for path in files) == sum(
         npy_header_size(tmp_path / rel) + size for rel, size in expected.items())
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in this process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("subjects, jobs, pools", [(2, 8, [2]), (1, 8, []), (2, 1, [])])
+def test_simulate_asks_for_no_more_workers_than_subjects(tmp_path, monkeypatch, subjects, jobs, pools):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "max_workers", [])
+    config = default_config()
+    config = replace(config, cohort=replace(config.cohort, subjects=subjects),
+                     protocol=replace(config.protocol, frequencies=(1.0,), duration_s=1.0,
+                                      analysis_window_s=1.0),
+                     output=replace(config.output, jobs=jobs))
+    manifest = simulate_study(config, tmp_path)
+    assert RecordingPool.max_workers == pools
+    assert len(manifest["subjects"]) == subjects
