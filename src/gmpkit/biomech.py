@@ -353,6 +353,11 @@ def simulate_trial(
     )
 
 
+# the limb scalars that make_cohort jitters, in the order it draws their factors
+JITTERED_PARAMS = ("mass", "base_damping", "stiffness", "maxwell_stiffness",
+                   "maxwell_damping_base", "maxwell_damping_gain")
+
+
 def make_cohort(
     n_subjects: int = 5,
     jitter: float = 0.2,
@@ -369,20 +374,17 @@ def make_cohort(
     subjects = []
     for idx in range(n_subjects):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1000 + idx)))
-        factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=6)
-        params = replace(
-            base,
-            mass=base.mass * factors[0],
-            base_damping=base.base_damping * factors[1],
-            stiffness=base.stiffness * factors[2],
-            maxwell_stiffness=base.maxwell_stiffness * factors[3],
-            maxwell_damping_base=base.maxwell_damping_base * factors[4],
-            maxwell_damping_gain=base.maxwell_damping_gain * factors[5],
-        )
+        factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(JITTERED_PARAMS))
+        params = replace(base, **{name: getattr(base, name) * f for name, f in zip(JITTERED_PARAMS, factors)})
         mvc_factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(DEFAULT_MVC_RMS_MV))
         mvc = tuple(m * f for m, f in zip(DEFAULT_MVC_RMS_MV, mvc_factors))
         subjects.append(Subject(subject_id=cohort_subject_id(idx), params=params, mvc_rms=mvc))
     return subjects
+
+
+def jitter_range(value: float, jitter: float) -> tuple[float, float]:
+    """Least and greatest ``value * (1 + jitter * u)`` over the ``u`` in [-1, 1) that ``make_cohort`` draws."""
+    return value * (1.0 - jitter), value * (1.0 + jitter)
 
 
 def cohort_subject_id(idx: int) -> str:

@@ -29,10 +29,11 @@ subject and trial ids (``mvc_files``, ``trial_files``).
 The manifest keeps a copy of the simulated config, without ``[output]``.
 ``analyze`` reads that copy back with the reader of a config file
 (``config.config_from_sections``), so it passes the same checks. Its
-streams, ``tests``, ``seed``, subject ids, trial ids (``trial_plan``) and
-each subject's ``params`` and ``mvc_rms_true`` (``make_cohort``) must be
-what the config gives, each subject's ``test_order`` an order of the
-``tests`` codes, and ``toolkit_version`` a string. Any disagreement, or a
+streams, ``tests``, ``seed``, subject ids and trial ids (``trial_plan``)
+must be what the config gives, each subject's ``params`` and
+``mvc_rms_true`` values that ``make_cohort`` can draw for it, each
+subject's ``test_order`` an order of the ``tests`` codes, and
+``toolkit_version`` a string. Any disagreement, or a
 subject entry with a key the schema does not have, is a ``DataError``
 that names the manifest.
 """
@@ -49,8 +50,10 @@ import numpy as np
 from . import __version__
 from .biomech import (
     ACTIVATION_LABELS,
+    DEFAULT_MVC_RMS_MV,
     EMG_DTYPE,
     FREQUENCY_LABELS,
+    JITTERED_PARAMS,
     N_DIRECTIONS,
     TESTS,
     ActivationProfile,
@@ -58,6 +61,7 @@ from .biomech import (
     Subject,
     TrialCondition,
     cohort_subject_id,
+    jitter_range,
     load_trial_csv,
     make_cohort,
     save_trial_csv,
@@ -181,12 +185,6 @@ def _constant_activation_signal(config: StudyConfig, duration: float) -> Sampled
     return SampledSignal(rate, 0.0, ("a",), a)
 
 
-def _cohort(config: StudyConfig) -> list[Subject]:
-    """The subjects of ``[cohort]``, jittered around the ``[limb]`` base."""
-    c = config.cohort
-    return make_cohort(n_subjects=c.subjects, jitter=c.jitter, seed=c.seed, base=config.limb)
-
-
 def _simulate_subject_star(args):
     return _simulate_subject(*args)
 
@@ -200,7 +198,12 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
             f"{MVC_DURATION_S} s MVC recordings"
         )
     out = Path(out_dir)
-    cohort = _cohort(config)
+    cohort = make_cohort(
+        n_subjects=config.cohort.subjects,
+        jitter=config.cohort.jitter,
+        seed=config.cohort.seed,
+        base=config.limb,
+    )
     (out / "mvc").mkdir(parents=True, exist_ok=True)
     (out / "trials").mkdir(parents=True, exist_ok=True)
 
@@ -258,6 +261,31 @@ def _check_listed(source: str, what: str, listed: list, expected: list) -> None:
             raise DataError(f"{source}: {what} {i} is {entry!r}, where its config gives {planned!r}")
 
 
+def _check_drawn(where: str, subject: dict, config: StudyConfig) -> None:
+    """A DataError unless a subject's ``params`` and ``mvc_rms_true`` are ones ``make_cohort`` can draw.
+
+    That is: the config's ``[limb]``, with each of ``JITTERED_PARAMS`` and
+    each true MVC level within its ``jitter_range``. The subject's own draw
+    is not recomputed, since importing numpy.random would add about 5 MB
+    (12%) to the resident memory of ``analyze``.
+    """
+    params = json_field(where, subject, "params", dict)
+    mvc_true = json_field(where, subject, "mvc_rms_true", list)
+    limb = asdict(config.limb)
+    if sorted(params) != sorted(limb) or params["direction_gains"] != list(limb["direction_gains"]):
+        raise DataError(f"{where}: params {params!r} are not the config's [limb] with {', '.join(JITTERED_PARAMS)} "
+                        f"jittered")
+    if len(mvc_true) != len(DEFAULT_MVC_RMS_MV):
+        raise DataError(f"{where}: mvc_rms_true needs {len(DEFAULT_MVC_RMS_MV)} levels, got {mvc_true!r}")
+    drawn = [(f"params {name}", params[name], limb[name]) for name in JITTERED_PARAMS]
+    drawn += [(f"mvc_rms_true {i}", level, DEFAULT_MVC_RMS_MV[i]) for i, level in enumerate(mvc_true)]
+    for what, value, base in drawn:
+        low, high = jitter_range(base, config.cohort.jitter)
+        if not low <= json_value(where, what, value, float) <= high:
+            raise DataError(f"{where}: {what} = {value!r} is outside [{low!r}, {high!r}], the values the "
+                            f"config's cohort draws from")
+
+
 def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
@@ -269,10 +297,9 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     - the streams, which must be ``trial_streams`` of the config's rates;
     - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
       once ``tests``, the subject ids and its ``trials`` match the config,
-      its ``params`` and ``mvc_rms_true`` are those of the config's cohort
-      (``make_cohort``, compared after a JSON round trip), its
-      ``test_order`` is an order of the ``tests`` codes and its entry has
-      no key but ``_SUBJECT_KEYS``.
+      its ``params`` and ``mvc_rms_true`` are ones the config's cohort can
+      draw (``_check_drawn``), its ``test_order`` is an order of the
+      ``tests`` codes and its entry has no key but ``_SUBJECT_KEYS``.
 
     ``toolkit_version`` must be a string and ``seed`` the config's
     ``[cohort] seed``.
@@ -315,19 +342,12 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     docs = json_field(source, manifest, "subjects", list)
     subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
     _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
-    try:
-        cohort = _cohort(config)
-    except ConfigError as exc:  # a [limb] value that the jitter takes out of range
-        raise DataError(f"{source}: {exc}") from None
     subjects = []
-    for subject_id, subject, truth in zip(subject_ids, docs, cohort):
+    for subject_id, subject in zip(subject_ids, docs):
         unknown = sorted(set(subject) - _SUBJECT_KEYS)
         if unknown:
             raise DataError(f"{source}: subject {subject_id}: unknown key {unknown[0]!r}")
-        for key, value in (("params", asdict(truth.params)), ("mvc_rms_true", list(truth.mvc_rms))):
-            if subject.get(key) != json.loads(json.dumps(value)):
-                raise DataError(f"{source}: subject {subject_id}: {key} {subject.get(key)!r} "
-                                f"differ from those of the config's cohort")
+        _check_drawn(f"{source}: subject {subject_id}", subject, config)
         order = json_field(source, subject, "test_order", list)
         if len(order) != len(codes) or any(code not in order for code in codes):
             raise DataError(f"{source}: subject {subject_id}: test_order {order!r} "

@@ -255,13 +255,11 @@ def set_key(path, value):
         (set_key(("seed",), "x"), "seed must be of type int, got 'x'"),
         (set_key(("seed",), 32), "seed 32 is not the config's [cohort] seed 31"),
         (set_key(("config", "cohort", "seed"), -1), "cohort.seed must be >= 0, got -1"),
-        (set_key(("config", "limb", "maxwell_stiffness"), 1.79e308),  # S1's jitter takes it to inf
-         "maxwell_stiffness must be finite and > 0, got inf"),
-        (set_key(("subjects", 0, "params"), []), "subject S1: params [] differ from those of the config's cohort"),
+        (set_key(("subjects", 0, "params"), []), "subject S1: params must be of type dict, got []"),
         (set_key(("subjects", 0, "mvc_rms_true"), "none"),
-         "subject S1: mvc_rms_true 'none' differ from those of the config's cohort"),
+         "subject S1: mvc_rms_true must be of type list, got 'none'"),
         (lambda doc: set_key(("subjects", 0, "params", "mass"), 2 * doc["subjects"][0]["params"]["mass"])(doc),
-         "subject S1: params {'base_damping'"),
+         "subject S1: params mass = "),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -269,7 +267,7 @@ def set_key(path, value):
          "emg-dtype-off-schema", "unknown-protocol-key", "rates-a-list", "no-duration",
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
-         "limb-overflows-under-jitter", "params-a-list",
+         "params-a-list",
          "mvc-rms-true-a-string", "mass-doubled"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
