@@ -260,6 +260,9 @@ def set_key(path, value):
          "subject S1: mvc_rms_true must be of type list, got 'none'"),
         (lambda doc: set_key(("subjects", 0, "params", "mass"), 2 * doc["subjects"][0]["params"]["mass"])(doc),
          "subject S1: params mass = "),
+        (set_key(("subjects", 1, "params", "direction_gains"), [1.0] * 8),
+         "subject S2: params {'base_damping'"),
+        (set_key(("subjects", 1, "mvc_rms_true"), [0.0] * 4), "subject S2: mvc_rms_true 0 = 0.0 is outside"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -267,8 +270,8 @@ def set_key(path, value):
          "emg-dtype-off-schema", "unknown-protocol-key", "rates-a-list", "no-duration",
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
-         "params-a-list",
-         "mvc-rms-true-a-string", "mass-doubled"],
+         "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
+         "mvc-rms-true-zero"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
