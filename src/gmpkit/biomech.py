@@ -297,10 +297,13 @@ def simulate_trial(
     implicit update is linear in the branch force, so the whole trajectory
     is one first-order recurrence, evaluated by the doubling scan of
     :func:`signals.first_order_recurrence` rather than a per-sample loop.
-    ``seed`` may be an int or a numpy SeedSequence. The trial's grid cell
-    is named by ``activation_label`` and ``frequency_label``, which the
-    caller's protocol assigns; nothing here infers them from the target or
-    the frequency.
+    The integration runs in float64; only the recorded force and velocity
+    are rounded to float32 resolution, as the trial store keeps them (and
+    as :func:`emg.synthesize_emg` rounds the EMG), so a stored trial reads
+    back bit for bit. ``seed`` may be an int or a numpy SeedSequence. The
+    trial's grid cell is named by ``activation_label`` and
+    ``frequency_label``, which the caller's protocol assigns; nothing here
+    infers them from the target or the frequency.
     """
     if rate < 20.0 * spec.frequency:
         raise IntegrationError(
@@ -331,14 +334,18 @@ def simulate_trial(
     if not np.all(np.isfinite(f_ax)):
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
 
-    direction = perturbation_direction(spec.direction_index)
-    # read-only, so the signals share these arrays instead of copying them
-    force_xy = np.outer(f_ax, direction)
-    velocity_xy = np.outer(v_ax, direction)
-    force_xy.flags.writeable = False
-    velocity_xy.flags.writeable = False
-    force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], force_xy)
-    velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], velocity_xy)
+    # The recorded fx, fy, vx, vy: each the float64 projection onto the
+    # direction, rounded to float32 once through one reused scratch row, as
+    # the trial store keeps them. Read-only, so the signals share the array.
+    dx, dy = perturbation_direction(spec.direction_index)
+    recorded = np.empty((n_samples, len(ROBOT_CHANNELS)))
+    rounded = np.empty(n_samples, np.float32)
+    for column, axis, weight in zip(recorded.T, (f_ax, f_ax, v_ax, v_ax), (dx, dy, dx, dy)):
+        np.multiply(axis, weight, out=rounded)
+        column[...] = rounded
+    recorded.flags.writeable = False
+    force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], recorded[:, :2])
+    velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], recorded[:, 2:])
 
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)
@@ -394,40 +401,55 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two raw arrays written with np.save: the robot-rate
-# force and velocity, float64 of shape (n, 4) with columns fx, fy, vx, vy,
-# and the EMG at its native rate, float32 of shape (n, 4). Synthesized EMG
-# already has float32 resolution (emg.synthesize_emg), so both arrays read
-# back bit for bit. The arrays carry samples only; their dtypes, rates,
+# A trial is stored as two raw float32 arrays written with np.save: the
+# robot-rate force and velocity, shape (n, 4) with columns fx, fy, vx, vy,
+# and the EMG at its native rate, shape (n, 4). simulate_trial and
+# emg.synthesize_emg round their recorded samples to float32, so both arrays
+# read back bit for bit. The arrays carry samples only; their dtype, rates,
 # start times and channel labels are stored once per run, in the "streams"
-# doc of the manifest (see trial_streams).
+# doc of the manifest (see trial_streams), and their lengths follow from the
+# record's duration (stored_samples).
 
-ROBOT_DTYPE = "<f8"
-EMG_DTYPE = "<f4"
+SAMPLE_DTYPE = "<f4"
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
     """Dtype, rate, start time and channel labels of the two stored trial arrays."""
     return {
-        "robot": {"dtype": ROBOT_DTYPE, "rate_hz": robot_rate, "start_time_s": 0.0,
+        "robot": {"dtype": SAMPLE_DTYPE, "rate_hz": robot_rate, "start_time_s": 0.0,
                   "channels": list(ROBOT_CHANNELS)},
-        "emg": {"dtype": EMG_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0,
+        "emg": {"dtype": SAMPLE_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0,
                 "channels": list(emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV)))},
     }
 
 
-def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as two .npy arrays: float64 force/velocity, float32 EMG.
+def stored_samples(duration: float, robot_rate: float, emg_rate: float) -> tuple[int, int]:
+    """The robot and EMG sample counts of a record of ``duration`` s.
 
-    The EMG is rounded to float32, which leaves synthesized EMG unchanged.
-    The name is historical: trials were once stored as CSV text.
+    The robot grid spans the duration; the EMG is synthesized over the span
+    of that grid (``emg.synthesize_emg``), so it may end one sample early.
     """
-    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]).astype(ROBOT_DTYPE, copy=False))
-    np.save(emg_path, trial.emg.data.astype(EMG_DTYPE))
+    n_robot = round(duration * robot_rate) + 1
+    return n_robot, round((n_robot - 1) / robot_rate * emg_rate) + 1
 
 
-def _load_samples(path, stream: dict, min_samples: int) -> np.ndarray:
-    """The float64 samples of one stored array of ``stream`` (a ``trial_streams`` doc), read-only."""
+def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
+    """Write a trial as two float32 .npy arrays: force/velocity, and EMG.
+
+    The samples are rounded to float32, which leaves a simulated trial
+    unchanged. The name is historical: trials were once stored as CSV text.
+    """
+    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]).astype(SAMPLE_DTYPE))
+    np.save(emg_path, trial.emg.data.astype(SAMPLE_DTYPE))
+
+
+def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
+    """The ``n_samples`` rows of one stored array of ``stream`` (a ``trial_streams`` doc).
+
+    Returns them as float64, converted once, here, and read-only. Raises
+    DataError naming ``path`` for a missing or torn file, a wrong dtype,
+    shape or sample count, and non-finite samples.
+    """
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
@@ -438,17 +460,14 @@ def _load_samples(path, stream: dict, min_samples: int) -> np.ndarray:
             f"{path}: expected {dtype.name} samples of shape (n, {n_channels}), "
             f"got {data.dtype} {data.shape}"
         )
-    if data.shape[0] < min_samples:
-        raise DataError(f"{path}: {data.shape[0]} samples, expected at least {min_samples}")
+    if data.shape[0] != n_samples:
+        raise DataError(f"{path}: {data.shape[0]} samples, expected {n_samples}")
     n_bad = np.count_nonzero(~np.isfinite(data))
     if n_bad:
         raise DataError(f"{path}: {n_bad} non-finite samples")
-    # Frozen, so the signals built on the samples share them instead of
-    # copying them. np.load returns a view of a flat buffer: freeze both.
-    base = data = data.astype(np.float64, copy=False)
-    while isinstance(base, np.ndarray):
-        base.flags.writeable = False
-        base = base.base
+    data = data.astype(np.float64)
+    # frozen, so the signals built on the samples share them instead of copying them
+    data.flags.writeable = False
     return data
 
 
@@ -463,19 +482,19 @@ def load_trial_csv(
     """Read a trial written by :func:`save_trial_csv`.
 
     ``streams`` is the manifest doc of :func:`trial_streams`; each array
-    must have its stream's dtype, and the signals take their rates, start
-    times and labels from it. The EMG is converted to float64 once, here.
-    Both arrays must span the perturbation's duration (the EMG grid may end
-    one sample early). The name is historical: trials were once stored as
-    CSV text.
+    must have its stream's dtype and exactly the samples that
+    :func:`stored_samples` gives for the perturbation's duration, and the
+    signals take their rates, start times and labels from it. The name is
+    historical: trials were once stored as CSV text.
 
-    Raises DataError for a missing, torn or short file, a wrong shape or
-    dtype, and non-finite samples.
+    Raises DataError, naming the file, for a missing, torn, short or long
+    file, a wrong shape or dtype, and non-finite samples.
     """
     robot, emg = streams["robot"], streams["emg"]
     rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]
-    main = _load_samples(path, robot, round(spec.duration * rate) + 1)
-    emg_data = _load_samples(emg_path, emg, round(spec.duration * emg["rate_hz"]))
+    n_robot, n_emg = stored_samples(spec.duration, rate, emg["rate_hz"])
+    main = load_samples(path, robot, n_robot)
+    emg_data = load_samples(emg_path, emg, n_emg)
     return TrialRecord(
         condition=condition,
         force=SampledSignal(rate, start, labels[0:2], main[:, 0:2]),

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("simulate", "run MVC calibration and the randomized perturbation protocol"),
+        ("simulate", "record the MVC calibration and run the randomized perturbation protocol"),
         ("analyze", "estimate EoP per trial and build GMP maps"),
         ("stats", "statistical report over the analysis outputs"),
         ("stabilize", "run the configured stabilizer scenario"),

@@ -18,8 +18,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, ROBOT_RATE, LimbParams
-from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S
+from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, ROBOT_RATE, LimbParams, stored_samples
+from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
 from .signals import Window, rms_support
@@ -94,7 +94,7 @@ def _check_envelope_window(config: StudyConfig) -> None:
     the span of the robot grid.
     """
     p, emg, robot_hz, emg_hz = config.protocol, config.emg, config.rates.robot_hz, config.rates.emg_hz
-    n_emg = round(round(p.duration_s * robot_hz) / robot_hz * emg_hz) + 1
+    _, n_emg = stored_samples(p.duration_s, robot_hz, emg_hz)
     try:
         first, last = rms_support(n_emg, emg_hz, 0.0, emg.rms_window_s, emg.rms_stride_s)
         starts = [snap_window_to_periods(Window(p.duration_s - p.analysis_window_s, p.duration_s),
@@ -154,6 +154,10 @@ class StudyConfig:
         if self.emg.rms_window_s > p.duration_s:
             raise ConfigError(f"emg.rms_window_s = {self.emg.rms_window_s} exceeds "
                               f"protocol.duration_s = {p.duration_s}")
+        # the %MVC envelopes are calibrated on the MVC recordings with the same window
+        if self.emg.rms_window_s > MVC_DURATION_S:
+            raise ConfigError(f"emg.rms_window_s = {self.emg.rms_window_s} exceeds the "
+                              f"{MVC_DURATION_S} s MVC recordings")
         _check_envelope_window(self)
         n_emg = len(DEFAULT_MVC_RMS_MV)
         if not self.emg.feedback_channels or any(

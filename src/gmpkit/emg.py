@@ -48,6 +48,8 @@ BAND_ORDER = 4
 RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
+MVC_DURATION_S = 3.0  # s, each maximum-effort calibration recording
+
 
 def channel_labels(n_channels: int) -> tuple[str, ...]:
     """Labels of the first ``n_channels`` EMG channels: emg1, emg2, ..."""

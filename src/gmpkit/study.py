@@ -3,9 +3,9 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 4
+      manifest.json                         run manifest, schema 5
       mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float32
-      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float64
+      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float32
       trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4) float32
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps
@@ -22,19 +22,23 @@ and the spider columns.
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
-hold samples only; their dtypes, rates, start time and channel labels are
-stored once, under "streams" in the manifest. File names follow from the
-subject and trial ids (``mvc_files``, ``trial_files``).
+hold float32 samples only; their dtype, rates, start time and channel
+labels are stored once, under "streams" in the manifest, and their lengths
+follow from the config (``biomech.stored_samples``). File names follow
+from the subject and trial ids (``mvc_files``, ``trial_files``).
 
-The manifest keeps a copy of the simulated config, without ``[output]``.
-``analyze`` reads that copy back with the reader of a config file
-(``config.config_from_sections``), so it passes the same checks. Its
-streams, ``tests``, ``seed``, subject ids and trial ids (``trial_plan``)
-must be what the config gives, each subject's ``params`` and
-``mvc_rms_true`` values that ``make_cohort`` can draw for it, each
+The manifest keeps a copy of the simulated config, without ``[output]``;
+the cohort seed is its ``[cohort] seed``. ``analyze`` reads that copy back
+with the reader of a config file (``config.config_from_sections``), so it
+passes the same checks. Its streams, ``tests``, subject ids and trial ids
+(``trial_plan``) must be what the config gives, each subject's ``params``
+and ``mvc_rms_true`` values that ``make_cohort`` can draw for it, each
 subject's ``test_order`` an order of the ``tests`` codes, and
-``toolkit_version`` a string. Any disagreement, or a subject entry with a
-key the schema does not have, is a ``DataError`` that names the manifest.
+``toolkit_version`` a string. Any disagreement, or a key the schema does
+not have, at the top level or in a subject entry, is a ``DataError`` that
+names the manifest. ``analyze`` calibrates each subject's %MVC on its
+``mvc/`` recordings (``subject_calibration``), so no calibrated level is
+stored.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ from . import __version__
 from .biomech import (
     ACTIVATION_LABELS,
     DEFAULT_MVC_RMS_MV,
-    EMG_DTYPE,
     FREQUENCY_LABELS,
     JITTERED_PARAMS,
     N_DIRECTIONS,
+    SAMPLE_DTYPE,
     TESTS,
     ActivationProfile,
     PerturbationSpec,
@@ -61,14 +65,16 @@ from .biomech import (
     TrialCondition,
     cohort_subject_id,
     jitter_range,
+    load_samples,
     load_trial_csv,
     make_cohort,
     save_trial_csv,
     simulate_trial,
+    stored_samples,
     trial_streams,
 )
-from .config import ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
-from .emg import MvcCalibration, estimate_mvc, synthesize_emg
+from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
+from .emg import MVC_DURATION_S, MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError, json_field, json_value
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
@@ -76,13 +82,13 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 MVC_REPETITIONS = 2
-MVC_DURATION_S = 3.0
 
-# the keys of a subject's manifest entry (_simulate_subject)
-_SUBJECT_KEYS = {"subject_id", "params", "mvc_rms_true", "mvc_rms", "test_order", "trials"}
+# the keys of the manifest (simulate_study) and of a subject's entry (_simulate_subject)
+_MANIFEST_KEYS = {"toolkit_version", "schema_version", "config", "streams", "tests", "subjects"}
+_SUBJECT_KEYS = {"subject_id", "params", "mvc_rms_true", "test_order", "trials"}
 
 
 def _write_json(path, doc) -> None:
@@ -132,8 +138,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
     seed, out = config.cohort.seed, Path(out_dir)
     plan = protocol_plan(config)
 
-    # stage 1: MVC calibration from two maximum-effort recordings
-    recordings = []
+    # stage 1: two maximum-effort recordings, which analyze calibrates %MVC on
     for rep, rel in enumerate(mvc_files(subject.subject_id)):
         act_signal = _constant_activation_signal(config, MVC_DURATION_S)
         rec = synthesize_emg(
@@ -142,9 +147,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             np.random.SeedSequence((seed, subject_idx, 90, rep)),
             rate=config.rates.emg_hz,
         )
-        np.save(out / rel, rec.data.astype(EMG_DTYPE))  # stored as the trial EMG is
-        recordings.append(rec)
-    cal = estimate_mvc(recordings, config.emg.rms_window_s, config.emg.rms_stride_s)
+        np.save(out / rel, rec.data.astype(SAMPLE_DTYPE))  # stored as the trial EMG is
 
     # stage 2: the four tests in randomized order, eight directions each
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
@@ -169,7 +172,6 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
         "subject_id": subject.subject_id,
         "params": asdict(subject.params),
         "mvc_rms_true": list(subject.mvc_rms),
-        "mvc_rms": list(cal.mvc_rms),
         "test_order": order,
         "trials": [trial_id for _, trial_id, _, _ in trials],
     }
@@ -191,11 +193,6 @@ def _simulate_subject_star(args):
 def simulate_study(config: StudyConfig, out_dir) -> dict:
     """Run the full protocol for the whole cohort; returns the manifest."""
     config.validate()
-    if config.emg.rms_window_s > MVC_DURATION_S:
-        raise ConfigError(
-            f"emg.rms_window_s = {config.emg.rms_window_s} exceeds the "
-            f"{MVC_DURATION_S} s MVC recordings"
-        )
     out = Path(out_dir)
     cohort = make_cohort(
         n_subjects=config.cohort.subjects,
@@ -221,7 +218,6 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
     manifest = {
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "seed": config.cohort.seed,
         # [output] (where and with how many workers) does not shape the study
         "config": {k: v for k, v in asdict(config).items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
@@ -294,14 +290,14 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
       (``config.config_from_sections``), with every key but ``[output]``'s
       required;
     - the streams, which must be ``trial_streams`` of the config's rates;
-    - per subject ``(subject_id, MvcCalibration, trial_plan(config, subject_id))``,
-      once ``tests``, the subject ids and its ``trials`` match the config,
-      its ``params`` and ``mvc_rms_true`` are ones the config's cohort can
-      draw (``_check_drawn``), its ``test_order`` is an order of the
-      ``tests`` codes and its entry has no key but ``_SUBJECT_KEYS``.
+    - per subject ``(subject_id, trial_plan(config, subject_id))``, once
+      ``tests``, the subject ids and its ``trials`` match the config, its
+      ``params`` and ``mvc_rms_true`` are ones the config's cohort can draw
+      (``_check_drawn``), its ``test_order`` is an order of the ``tests``
+      codes and its entry has no key but ``_SUBJECT_KEYS``.
 
-    ``toolkit_version`` must be a string and ``seed`` the config's
-    ``[cohort] seed``.
+    The manifest must have no key but ``_MANIFEST_KEYS``, and
+    ``toolkit_version`` must be a string.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -314,6 +310,9 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
             f"{source}: schema version {version} is not supported (this gmpkit reads "
             f"schema {SCHEMA_VERSION}); re-run simulate"
         )
+    unknown = sorted(set(manifest) - _MANIFEST_KEYS)
+    if unknown:
+        raise DataError(f"{source}: unknown key {unknown[0]!r}")
     sections = json_field(source, manifest, "config", dict)
     try:
         config = config_from_sections(sections, source, json_setting)
@@ -325,19 +324,15 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     if missing:
         raise DataError(f"{source}: config lacks {', '.join(missing)}")
     json_field(source, manifest, "toolkit_version", str)
-    seed = json_field(source, manifest, "seed", int)
-    if seed != config.cohort.seed:
-        raise DataError(f"{source}: seed {seed} is not the config's [cohort] seed {config.cohort.seed}")
     rates = config.rates
     streams = trial_streams(rates.robot_hz, rates.emg_hz)
     if json_field(source, manifest, "streams", dict) != streams:
         raise DataError(f"{source}: streams {manifest['streams']} do not match the config's [rates] "
                         f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz} and the schema's "
-                        f"dtypes {streams['robot']['dtype']} (robot), {streams['emg']['dtype']} (emg)")
+                        f"dtype {SAMPLE_DTYPE}")
     tests = protocol_plan(config)
     _check_listed(source, "test", json_field(source, manifest, "tests", list), tests)
     codes = [test["code"] for test in tests]
-    n_emg = len(streams["emg"]["channels"])
     docs = json_field(source, manifest, "subjects", list)
     subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
     _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
@@ -351,15 +346,30 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
         if len(order) != len(codes) or any(code not in order for code in codes):
             raise DataError(f"{source}: subject {subject_id}: test_order {order!r} "
                             f"is not an order of the tests {codes}")
-        mvc = [json_value(source, "an MVC level", v, float)
-               for v in json_field(source, subject, "mvc_rms", list)]
-        if len(mvc) != n_emg or not all(v > 0 for v in mvc):
-            raise DataError(f"{source}: subject {subject_id}: mvc_rms needs {n_emg} levels > 0, got {mvc}")
         plan = trial_plan(config, subject_id)
         _check_listed(source, f"subject {subject_id}: trial", json_field(source, subject, "trials", list),
                       [trial_id for _, trial_id, _, _ in plan])
-        subjects.append((subject_id, MvcCalibration(tuple(mvc)), plan))
+        subjects.append((subject_id, plan))
     return config, streams, subjects
+
+
+def subject_calibration(out_dir, subject_id: str, streams: dict, emg: EmgConfig) -> MvcCalibration:
+    """A subject's MVC levels, estimated on its ``mvc_files`` with the ``[emg]`` envelope settings.
+
+    ``streams`` is the manifest's doc of ``trial_streams``; the recordings
+    share its EMG stream and are ``MVC_DURATION_S`` long. Raises DataError,
+    naming the file, for a recording that ``biomech.load_samples`` refuses,
+    and for recordings with a channel that shows no activity.
+    """
+    stream = streams["emg"]
+    _, n_samples = stored_samples(MVC_DURATION_S, streams["robot"]["rate_hz"], stream["rate_hz"])
+    paths = [Path(out_dir) / rel for rel in mvc_files(subject_id)]
+    recordings = [SampledSignal(stream["rate_hz"], stream["start_time_s"], stream["channels"],
+                                load_samples(path, stream, n_samples)) for path in paths]
+    try:
+        return estimate_mvc(recordings, emg.rms_window_s, emg.rms_stride_s)
+    except DegenerateSampleError as exc:
+        raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 # -- analyze ----------------------------------------------------------------
@@ -385,11 +395,14 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     The analysis settings, ``protocol.analysis_window_s`` and ``[emg]``,
     come from ``config``, or from the manifest's copy of the simulation
     config when ``config`` is None. What was simulated (duration,
-    amplitude, rates, grid) always comes from the manifest. A manifest that
-    ``_read_manifest`` refuses is a ``DataError``, and settings that the
-    simulated config with them fails to ``validate()`` are a ``ConfigError``,
-    both before ``analysis/`` is touched. A trial whose file is absent or
-    unreadable is skipped with a warning and counted in ``n_missing``.
+    amplitude, rates, grid) always comes from the manifest. Each subject's
+    %MVC is calibrated on its MVC recordings with the same ``[emg]``
+    settings as the trial envelopes (``subject_calibration``). A manifest
+    that ``_read_manifest`` refuses and an MVC recording that cannot be read
+    are a ``DataError``, and settings that the simulated config with them
+    fails to ``validate()`` are a ``ConfigError``, all before ``analysis/``
+    is touched. A trial whose file is absent or unreadable is skipped with a
+    warning and counted in ``n_missing``.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -402,6 +415,7 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
         except ConfigError as exc:
             raise ConfigError(f"analysis settings for the trials of {path}: {exc}") from None
     protocol, emg_cfg = settings.protocol, settings.emg
+    calibrations = [subject_calibration(out, subject_id, streams, emg_cfg) for subject_id, _ in subjects]
     window = Window(protocol.duration_s - protocol.analysis_window_s, protocol.duration_s)
     grid = dict(frequency_labels(protocol))
     analysis_dir = out / "analysis"
@@ -412,7 +426,7 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     maps: dict[str, GmpMap] = {}
     n_expected = 0
     n_missing = 0
-    for subject_id, cal, trials in subjects:
+    for (subject_id, trials), cal in zip(subjects, calibrations):
         subject_estimates = []
         for _, trial_id, condition, spec in trials:
             robot_file, emg_file = trial_files(trial_id)

@@ -203,9 +203,10 @@ def test_axis_kinematics_are_shared_and_read_only():
     shared = _axis_kinematics(1.0, 0.03, 10001, 1000.0)
     assert all(a is b for a, b in zip(shared, _axis_kinematics(1.0, 0.03, 10001, 1000.0)))
     assert len(shared) == 3 and not any(array.flags.writeable for array in shared)
-    # the trials project the shared velocity onto their directions
-    np.testing.assert_array_equal(first.velocity.data[:, 0], shared[1])
-    np.testing.assert_array_equal(second.velocity.data[:, 1], shared[1])
+    # the trials project the shared velocity onto their directions, at float32 resolution
+    recorded = shared[1].astype(np.float32).astype(np.float64)
+    np.testing.assert_array_equal(first.velocity.data[:, 0], recorded)
+    np.testing.assert_array_equal(second.velocity.data[:, 1], recorded)
     for trial in (first, second):
         assert not trial.force.data.flags.writeable and not trial.velocity.data.flags.writeable
 
@@ -213,6 +214,17 @@ def test_axis_kinematics_are_shared_and_read_only():
 def test_rate_too_low_raises_integration_error():
     with pytest.raises(IntegrationError):
         run(LimbParams(), frequency=3.0, rate=50.0)
+
+
+def test_simulated_force_and_velocity_have_float32_resolution():
+    trial = run(LimbParams(), direction=1, seed=4)
+    for signal in (trial.force, trial.velocity):
+        assert signal.data.dtype == np.float64
+        assert signal.data.tobytes() == signal.data.astype(np.float32).astype(np.float64).tobytes()
+    # each sample is the float64 projection onto the direction, rounded once
+    _, v_ax, _ = _axis_kinematics(1.0, 0.03, 10001, 1000.0)
+    projected = np.outer(v_ax, perturbation_direction(1)).astype(np.float32).astype(np.float64)
+    assert trial.velocity.data.tobytes() == projected.tobytes()
 
 
 def test_emg_rate_and_channels():
@@ -247,7 +259,7 @@ def save_and_load(trial, tmp_path):
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    assert np.load(tmp_path / "trial.npy").dtype.str == "<f8"
+    assert np.load(tmp_path / "trial.npy").dtype.str == "<f4"
     assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<f4"
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
                               (back.emg, trial.emg)):

@@ -50,7 +50,7 @@ def test_simulated_manifest_reads_back_as_the_config(tmp_path):
     out = tmp_path / "out"
     simulated, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
     assert simulated == replace(config, output=OutputConfig())
-    assert [len(trials) for _, _, trials in subjects] == [16]
+    assert [len(trials) for _, trials in subjects] == [16]
 
 
 @pytest.mark.parametrize("name", ["default", "benchmark-study", "single-frequency"])
@@ -59,8 +59,8 @@ def test_simulated_manifest_reads_back_as_the_trial_plan(tmp_path, name):
     assert cli.main(["simulate", "--config", str(tmp_path / "study.ini")]) == cli.EXIT_OK
     out = tmp_path / "out"
     _, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
-    assert [subject_id for subject_id, _, _ in subjects] == [f"S{i + 1}" for i in range(config.cohort.subjects)]
-    for subject_id, _, trials in subjects:
+    assert [subject_id for subject_id, _ in subjects] == [f"S{i + 1}" for i in range(config.cohort.subjects)]
+    for subject_id, trials in subjects:
         assert trials == trial_plan(config, subject_id)
-    files = {rel for _, _, trials in subjects for _, trial_id, _, _ in trials for rel in trial_files(trial_id)}
+    files = {rel for _, trials in subjects for _, trial_id, _, _ in trials for rel in trial_files(trial_id)}
     assert files == {f"trials/{path.name}" for path in (out / "trials").iterdir()}

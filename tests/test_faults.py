@@ -20,7 +20,7 @@ from gmpkit.config import load_config
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import _read_manifest, load_manifest, mvc_files, trial_files, trial_plan
+from gmpkit.study import SCHEMA_VERSION, _read_manifest, load_manifest, mvc_files, trial_files, trial_plan
 
 STUDY = """
 [cohort]
@@ -128,6 +128,39 @@ def test_deleted_emg_file_is_one_warning(study, capsys):
     assert "S1_HR_d2_emg.npy" in err
 
 
+def silence_channel(path):
+    """Zero EMG channel 1 of an MVC recording."""
+    def silence(data):
+        data[:, 1] = 0.0
+        return data
+    rewrite(path, silence)
+
+
+@pytest.mark.parametrize(
+    "damage, named, reason",
+    [
+        (lambda paths: paths[1].unlink(), [1], "cannot read"),
+        (lambda paths: truncate(paths[0]), [0], "cannot read"),
+        (lambda paths: rewrite(paths[1], lambda data: data[:-1]), [1], "6444 samples, expected 6445"),
+        (lambda paths: rewrite(paths[0], lambda data: data.astype(np.float64)), [0],
+         "expected float32 samples"),
+        (lambda paths: [silence_channel(p) for p in paths], [0, 1],
+         "a channel recorded no activity during MVC"),
+    ],
+    ids=["missing", "torn", "short", "float64", "silent-channel"],
+)
+def test_damaged_mvc_recording_is_a_data_error(study, capsys, damage, named, reason):
+    """analyze calibrates %MVC on the mvc/ recordings, so a damaged one stops it before analysis/."""
+    out, path = study
+    paths = [out / rel for rel in mvc_files("S2")]
+    damage(paths)
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert all(str(paths[i]) in err for i in named)
+    assert reason in err
+    assert not (out / "analysis").exists()
+
+
 def test_schema_1_manifest_is_a_typed_error(study, capsys):
     out, path = study
     manifest = load_manifest(out)
@@ -181,6 +214,23 @@ def test_schema_3_manifest_is_a_typed_error(study, capsys):
     assert not (out / "analysis").exists()
 
 
+def test_schema_4_manifest_is_a_typed_error(study, capsys):
+    """Schema 4 stored float64 force and velocity, the cohort seed twice and the MVC levels; it is refused."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 4
+    manifest["seed"] = manifest["config"]["cohort"]["seed"]
+    manifest["streams"]["robot"]["dtype"] = "<f8"
+    for subject in manifest["subjects"]:
+        subject["mvc_rms"] = subject["mvc_rms_true"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert "schema version 4 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
 def test_torn_manifest_is_a_data_error(study, capsys):
     out, path = study
     truncate(out / "manifest.json")
@@ -222,7 +272,7 @@ def set_key(path, value):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda doc: {"schema_version": 4}, "missing key 'config'"),
+        (lambda doc: {"schema_version": SCHEMA_VERSION}, "missing key 'config'"),
         (lambda doc: [], "expected a JSON object, got list"),
         (set_key(("subjects", 0, "trials"), None), "missing key 'trials'"),
         (set_test("activation_label", "medium"), "test 0 is {'activation_label': 'medium'"),
@@ -241,7 +291,7 @@ def set_key(path, value):
         (lambda doc: set_key(("subjects", 1), doc["subjects"][0])(doc),
          "subject 1 is 'S1', where its config gives 'S2'"),
         (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
-        (set_key(("streams", "emg", "dtype"), "<f8"), "the schema's dtypes <f8 (robot), <f4 (emg)"),
+        (set_key(("streams", "emg", "dtype"), "<f8"), "and the schema's dtype <f4"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None), "config lacks [protocol] duration_s"),
@@ -252,8 +302,9 @@ def set_key(path, value):
         (set_key(("subjects", 0, "mvc_recordings"), ["mvc/nothing.npy"]),
          "subject S1: unknown key 'mvc_recordings'"),
         (set_key(("toolkit_version",), []), "toolkit_version must be of type str, got []"),
-        (set_key(("seed",), "x"), "seed must be of type int, got 'x'"),
-        (set_key(("seed",), 32), "seed 32 is not the config's [cohort] seed 31"),
+        # schema 4's copy of [cohort] seed
+        (set_key(("seed",), "x"), "unknown key 'seed'"),
+        (set_key(("seed",), 31), "unknown key 'seed'"),
         (set_key(("config", "cohort", "seed"), -1), "cohort.seed must be >= 0, got -1"),
         (set_key(("subjects", 0, "params"), []), "subject S1: params must be of type dict, got []"),
         (set_key(("subjects", 0, "mvc_rms_true"), "none"),
@@ -263,6 +314,9 @@ def set_key(path, value):
         (set_key(("subjects", 1, "params", "direction_gains"), [1.0] * 8),
          "subject S2: params {'base_damping'"),
         (set_key(("subjects", 1, "mvc_rms_true"), [0.0] * 4), "subject S2: mvc_rms_true 0 = 0.0 is outside"),
+        # schema 4's calibrated levels, which analyze now estimates on the mvc/ recordings
+        (lambda doc: set_key(("subjects", 0, "mvc_rms"), doc["subjects"][0]["mvc_rms_true"])(doc),
+         "subject S1: unknown key 'mvc_rms'"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -271,7 +325,7 @@ def set_key(path, value):
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
          "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
-         "mvc-rms-true-zero"],
+         "mvc-rms-true-zero", "mvc-rms-listed"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
@@ -355,27 +409,31 @@ def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damag
 @pytest.mark.parametrize(
     "damage, reason",
     [
-        (lambda robot, emg: (robot[:-1], emg), "samples, expected at least 3001"),
-        (lambda robot, emg: (robot.astype(np.float32), emg), "expected float64 samples"),
+        (lambda robot, emg: (robot[:-1], emg), "3000 samples, expected 3001"),
+        (lambda robot, emg: (np.vstack([robot, robot[-1:]]), emg), "3002 samples, expected 3001"),
+        # the schema-4 layout, whose force and velocity were float64
+        (lambda robot, emg: (robot.astype(np.float64), emg), "got float64 (3001, 4)"),
         (lambda robot, emg: (robot[:, :3], emg), "shape (n, 4)"),
         (lambda robot, emg: (robot.ravel(), emg), "shape (n, 4)"),
         # the schema-3 layout, whose EMG was float64
         (lambda robot, emg: (robot, emg.astype(np.float64)), "expected float32 samples"),
-        # the two files swapped: a float32 robot array
-        (lambda robot, emg: (emg, robot), "expected float64 samples of shape (n, 4), got float32"),
+        # the robot file holding the EMG array, and the EMG file the robot array
+        (lambda robot, emg: (emg, robot), "6445 samples, expected 3001"),
+        (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
     """``damage`` maps the stored (robot, EMG) arrays of a trial to the ones written."""
     _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
-    subject_id, _, trials = subjects[0]
+    subject_id, trials = subjects[0]
     _, trial_id, condition, spec = trials[0]
     paths = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
     arrays = damage(*(np.load(simulated / rel) for rel in trial_files(trial_id)))
     for path, array in zip(paths, arrays):
         np.save(path, array)
-    with pytest.raises(DataError, match=re.escape(reason)):
+    with pytest.raises(DataError, match=re.escape(reason)) as error:
         load_trial_csv(*paths, streams, condition, spec, subject_id)
+    assert str(error.value).startswith(tuple(str(path) for path in paths))  # names the file
 
 
 def edit_map(edit):

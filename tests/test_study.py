@@ -3,9 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gmpkit.biomech import make_cohort
+from gmpkit.emg import estimate_mvc, synthesize_emg
 from gmpkit.errors import DegenerateSampleError
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import MVC_DURATION_S, mvc_files, protocol_plan, simulate_study, stats_study, trial_files
+from gmpkit.study import (
+    MVC_DURATION_S,
+    MVC_REPETITIONS,
+    _constant_activation_signal,
+    mvc_files,
+    protocol_plan,
+    simulate_study,
+    stats_study,
+    subject_calibration,
+    trial_files,
+)
 from gmpkit.config import default_config
 
 
@@ -72,13 +84,13 @@ def npy_header_size(path) -> int:
 
 
 def test_store_size_is_headers_plus_samples(tmp_path):
-    """trials/ and mvc/ hold 4-channel float64 robot and float32 EMG samples, nothing more."""
+    """trials/ and mvc/ hold 4-channel float32 robot and EMG samples, nothing more."""
     config = default_config()
     config = replace(config, cohort=replace(config.cohort, subjects=2),
                      protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
     manifest = simulate_study(config, tmp_path)
     itemsize = {kind: np.dtype(stream["dtype"]).itemsize for kind, stream in manifest["streams"].items()}
-    assert itemsize == {"robot": 8, "emg": 4}
+    assert itemsize == {"robot": 4, "emg": 4}
     robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
     expected = {}  # file -> bytes of samples
     for subject in manifest["subjects"]:
@@ -93,6 +105,24 @@ def test_store_size_is_headers_plus_samples(tmp_path):
     assert len(expected) == 2 * (64 + 2)
     assert sum(path.stat().st_size for path in files) == sum(
         npy_header_size(tmp_path / rel) + size for rel, size in expected.items())
+
+
+def test_calibration_reads_back_the_levels_of_the_simulated_recordings(tmp_path):
+    """analyze's MVC levels are estimate_mvc of the recordings simulate synthesized, bit for bit."""
+    config = default_config()
+    config = replace(config, cohort=replace(config.cohort, subjects=2),
+                     protocol=replace(config.protocol, frequencies=(1.0,), duration_s=2.0,
+                                      analysis_window_s=1.0))
+    manifest = simulate_study(config, tmp_path)
+    cohort = make_cohort(2, config.cohort.jitter, config.cohort.seed, config.limb)
+    for idx, subject in enumerate(cohort):
+        recordings = [
+            synthesize_emg(_constant_activation_signal(config, MVC_DURATION_S), subject.mvc_rms,
+                           np.random.SeedSequence((config.cohort.seed, idx, 90, rep)), rate=config.rates.emg_hz)
+            for rep in range(MVC_REPETITIONS)
+        ]
+        expected = estimate_mvc(recordings, config.emg.rms_window_s, config.emg.rms_stride_s)
+        assert subject_calibration(tmp_path, subject.subject_id, manifest["streams"], config.emg) == expected
 
 
 class RecordingPool:
