@@ -122,7 +122,7 @@ class PerturbationSpec:
     frequency: float            # Hz
     amplitude: float            # m
     direction_index: int        # 0..7, 45 degree increments
-    duration: float = 10.0      # s
+    duration: float             # s
 
     def __post_init__(self) -> None:
         if not 0 < self.frequency < math.inf:
@@ -187,7 +187,7 @@ class TrialRecord:
 class Subject:
     subject_id: str
     params: LimbParams
-    mvc_rms: tuple[float, ...] = DEFAULT_MVC_RMS_MV
+    mvc_rms: tuple[float, ...]
 
 
 def perturbation_direction(direction_index: int) -> np.ndarray:
@@ -281,9 +281,9 @@ def simulate_trial(
     act: ActivationProfile,
     seed,
     rate: float,
-    mvc_rms: tuple[float, ...] = DEFAULT_MVC_RMS_MV,
-    emg_rate: float = emg_module.EMG_RATE,
-    subject_id: str = "S0",
+    mvc_rms: tuple[float, ...],
+    emg_rate: float,
+    subject_id: str,
     *,
     activation_label: str,
     frequency_label: str,
@@ -365,19 +365,13 @@ JITTERED_PARAMS = ("mass", "base_damping", "stiffness", "maxwell_stiffness",
                    "maxwell_damping_base", "maxwell_damping_gain")
 
 
-def make_cohort(
-    n_subjects: int = 5,
-    jitter: float = 0.2,
-    seed: int = 0,
-    base: LimbParams | None = None,
-) -> list[Subject]:
+def make_cohort(n_subjects: int, jitter: float, seed: int, base: LimbParams) -> list[Subject]:
     """Synthetic cohort: jitter the scalar limb parameters by +/- ``jitter``.
 
     The direction-gain profile is shared by all subjects so the anisotropy
     stays a smooth ellipse; per-subject variation enters through the six
     scalars and the per-muscle MVC levels.
     """
-    base = base or LimbParams()
     subjects = []
     for idx in range(n_subjects):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1000 + idx)))

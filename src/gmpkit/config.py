@@ -18,7 +18,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .biomech import DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, N_DIRECTIONS, ROBOT_RATE, LimbParams, stored_samples
+from .biomech import (DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, JITTERED_PARAMS, N_DIRECTIONS, ROBOT_RATE, LimbParams,
+                      jitter_range, stored_samples)
 from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
@@ -127,6 +128,12 @@ class StudyConfig:
             raise ConfigError("cohort.subjects must be >= 1")
         if not 0 <= self.cohort.jitter < 1:
             raise ConfigError("cohort.jitter must be in [0, 1)")
+        # checked before make_cohort multiplies, where numpy would overflow to inf
+        for name in JITTERED_PARAMS:
+            value = getattr(self.limb, name)
+            if not math.isfinite(jitter_range(value, self.cohort.jitter)[1]):
+                raise ConfigError(f"limb.{name} must be finite once cohort.jitter = {self.cohort.jitter} "
+                                  f"scales it, got {value}")
         for name, seed in (("cohort.seed", self.cohort.seed), ("stabilizer.seed", self.stabilizer.seed)):
             if seed < 0:
                 raise ConfigError(f"{name} must be >= 0, got {seed}")

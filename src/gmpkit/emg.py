@@ -6,7 +6,8 @@ drive the pooled %MVC readout used as the activation axis of the maps.
 
 %MVC is the sliding-window RMS of the raw EMG normalized by the RMS
 recorded at maximum voluntary contraction. Envelope window and stride
-default to 0.25 s / 0.05 s, standard surface-EMG practice.
+are the ``[emg]`` settings; their defaults, 0.25 s / 0.05 s, are standard
+surface-EMG practice.
 
 The raw EMG is white noise through a causal 4th-order Butterworth
 band-pass (20-450 Hz), computed with numpy alone: the filter is designed
@@ -33,14 +34,8 @@ from .signals import SampledSignal, Window, bandpass_fft_length, bandpass_padded
 
 EMG_RATE = 2148.0  # Hz
 
-MUSCLES = (
-    "extensor_digitorum",
-    "extensor_carpi_radialis",
-    "palmaris_longus",
-    "flexor_carpi_ulnaris",
-)
-
-# channels shown on the myo-feedback bars and pooled into one %MVC scalar
+# channels shown on the myo-feedback bars and pooled into one %MVC scalar:
+# extensor digitorum (emg1) and palmaris longus (emg3)
 FEEDBACK_CHANNELS = (0, 2)
 
 BAND_HZ = (20.0, 450.0)
@@ -49,6 +44,7 @@ RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
 MVC_DURATION_S = 3.0  # s, each maximum-effort calibration recording
+MVC_RISE_S = 0.2      # s, time constant of its first-order rise to full effort
 
 
 def channel_labels(n_channels: int) -> tuple[str, ...]:

@@ -36,11 +36,13 @@ VELOCITY_ENERGY_THRESHOLD = 1e-9
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Cumulative observed energy of a port on a uniform time grid."""
+    """Cumulative observed energy of a port on a uniform time grid.
+
+    The port starts from rest: E(0) = 0, so the ledger is E_S(t) alone.
+    """
 
     times: np.ndarray
     energy: np.ndarray          # E_S(t), joules; energy[0] == 0
-    initial_energy: float = 0.0  # E(0)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -50,15 +52,11 @@ class EnergyLedger:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "energy", energy)
 
-    def total(self) -> np.ndarray:
-        """E_S(t) + E(0) pointwise."""
-        return self.energy + self.initial_energy
-
 
 @dataclass(frozen=True)
 class PassivityVerdict:
     passive: bool
-    min_margin: float                      # min over grid of E_S + E(0)
+    min_margin: float                      # min over grid of E_S
     first_violation_time: float | None = None
     deficit: float | None = None           # magnitude of worst shortfall
 
@@ -90,7 +88,7 @@ class EopEstimate:
             raise ValueError("xi inconsistent with numerator/denominator")
 
 
-def energy_ledger(u: SampledSignal, y: SampledSignal, e0: float = 0.0) -> EnergyLedger:
+def energy_ledger(u: SampledSignal, y: SampledSignal) -> EnergyLedger:
     """Running trapezoidal cumulative of u(t)^T y(t); single forward pass."""
     if not math.isclose(u.sample_rate, y.sample_rate, rel_tol=1e-12):
         raise AlignmentError(f"sample rates differ: {u.sample_rate} vs {y.sample_rate}")
@@ -102,23 +100,27 @@ def energy_ledger(u: SampledSignal, y: SampledSignal, e0: float = 0.0) -> Energy
     dt = 1.0 / u.sample_rate
     increments = 0.5 * dt * (power[1:] + power[:-1])
     energy = np.concatenate([[0.0], np.cumsum(increments)])
-    return EnergyLedger(times=u.times(), energy=energy, initial_energy=e0)
+    return EnergyLedger(times=u.times(), energy=energy)
 
 
 def is_passive(ledger: EnergyLedger) -> PassivityVerdict:
-    """Passive iff E_S(t) + E(0) >= -LEDGER_TOL_J on the whole grid."""
-    total = ledger.total()
-    min_idx = int(np.argmin(total))
-    min_margin = float(total[min_idx])
+    """Passive iff E_S(t) >= -LEDGER_TOL_J on the whole grid.
+
+    That is the passivity inequality of a port that starts from rest,
+    E(0) = 0, as every simulated trial does.
+    """
+    energy = ledger.energy
+    min_idx = int(np.argmin(energy))
+    min_margin = float(energy[min_idx])
     if min_margin >= -LEDGER_TOL_J:
         return PassivityVerdict(passive=True, min_margin=min_margin)
-    violating = np.nonzero(total < -LEDGER_TOL_J)[0]
+    violating = np.nonzero(energy < -LEDGER_TOL_J)[0]
     first = int(violating[0])
     return PassivityVerdict(
         passive=False,
         min_margin=min_margin,
         first_violation_time=float(ledger.times[first]),
-        deficit=float(-total[min_idx]),
+        deficit=float(-energy[min_idx]),
     )
 
 

@@ -365,26 +365,11 @@ def bandpass_padded(buffer: np.ndarray, order: int, band: tuple[float, float], r
     np.fft.irfft(spectrum, nfft, out=buffer)
 
 
-def butter_bandpass(x, order: int, band: tuple[float, float], rate: float) -> np.ndarray:
-    """Causal Butterworth band-pass of ``x`` along its last axis, from rest.
-
-    Copies ``x`` into a zero-padded buffer and filters it with
-    :func:`bandpass_padded`.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    band = (float(band[0]), float(band[1]))
-    buffer = np.zeros(x.shape[:-1] + (bandpass_fft_length(order, band, float(rate), n),))
-    buffer[..., :n] = x
-    bandpass_padded(buffer, order, band, rate)
-    return buffer[..., :n]
-
-
 # -- CSV interchange -------------------------------------------------------
 
 
-def write_csv(signal: SampledSignal, path, time_column: str = "t") -> None:
-    """Write one row per sample: a time column followed by the channels.
+def write_csv(signal: SampledSignal, path) -> None:
+    """Write one row per sample: a time column ``t`` followed by the channels.
 
     Floats are written with shortest round-trip formatting so a read-back
     reproduces the exact binary values (and output bytes are deterministic).
@@ -392,7 +377,7 @@ def write_csv(signal: SampledSignal, path, time_column: str = "t") -> None:
     # tolist() yields Python floats, whose repr is the shortest round trip
     rows = np.column_stack([signal.times(), signal.data]).tolist()
     with open(path, "w", newline="") as fh:
-        fh.write(",".join((time_column, *signal.channels)) + "\n")
+        fh.write(",".join(("t", *signal.channels)) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 

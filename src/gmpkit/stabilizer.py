@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import (
-    ROBOT_RATE,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -123,8 +122,8 @@ class InterconnectionResult:
     observer_w: np.ndarray               # J
     field_energy_series: np.ndarray      # J
     injected_series: np.ndarray          # J
-    seed: int = 0
-    field: ForceFieldSpec | None = None
+    seed: int
+    field: ForceFieldSpec
 
     @property
     def bounded(self) -> bool:
@@ -188,12 +187,12 @@ def run_interconnection(
     limb: LimbParams,
     field: ForceFieldSpec,
     perturbation: PerturbationSpec,
-    act: ActivationProfile | None = None,
-    gmp_map: GmpMap | None = None,
-    duration: float = 10.0,
-    rate: float = ROBOT_RATE,
-    seed: int = 0,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
+    act: ActivationProfile,
+    gmp_map: GmpMap | None,
+    duration: float,
+    rate: float,
+    seed: int,
+    safety_factor: float,
 ) -> InterconnectionResult:
     """Fixed-step co-simulation of limb + force field + stabilizer.
 
@@ -201,16 +200,18 @@ def run_interconnection(
     steady response has roughly the perturbation amplitude) plays the role
     of the task, while the field and the controller forces act on the same
     axis. The run is declared unbounded as soon as |v| exceeds 1e3 times
-    the perturbation amplitude.
+    the perturbation amplitude. ``duration`` must be the perturbation's;
+    the run has ``round(duration * rate) + 1`` samples.
 
     With a map, the controller credits xi_hat = safety_factor * lookup(...)
     at the perturbation frequency and the scenario's activation level.
     """
     if not 1000.0 <= rate < math.inf:
         raise IntegrationError(f"co-simulation rate must be finite and >= 1 kHz, got {rate}")
-    if not 0.0 <= duration < math.inf:
-        raise IntegrationError(f"co-simulation duration must be finite and >= 0 s, got {duration}")
-    act = act or ActivationProfile(target_pct_mvc=0.4)
+    if duration != perturbation.duration:
+        raise IntegrationError(
+            f"co-simulation duration {duration} s differs from the perturbation's {perturbation.duration} s"
+        )
 
     xi_hat = 0.0
     if gmp_map is not None:

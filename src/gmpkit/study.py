@@ -74,7 +74,7 @@ from .biomech import (
     trial_streams,
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
-from .emg import MVC_DURATION_S, MvcCalibration, estimate_mvc, synthesize_emg
+from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError, json_field, json_value
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
@@ -182,7 +182,7 @@ def _constant_activation_signal(config: StudyConfig, duration: float) -> Sampled
     n = round(duration * rate) + 1
     t = np.arange(n) / rate
     # quick first-order rise to full effort, held for the rest of the window
-    a = 1.0 - np.exp(-t / 0.2)
+    a = 1.0 - np.exp(-t / MVC_RISE_S)
     return SampledSignal(rate, 0.0, ("a",), a)
 
 

@@ -21,7 +21,7 @@ from gmpkit.biomech import (
     simulate_trial,
 )
 from gmpkit.config import default_config
-from gmpkit.emg import MvcCalibration
+from gmpkit.emg import EMG_RATE, MvcCalibration
 from gmpkit.gmp import lookup
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import SampledSignal, Window
@@ -62,9 +62,10 @@ def test_criterion_1_analytic_eop_recovery():
         base_damping=17.0, maxwell_damping_base=0.0, maxwell_damping_gain=0.0,
         direction_gains=(1.0,) * 8,
     )
-    spec = PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0)
+    spec = PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0, duration=10.0)
     started = time.perf_counter()
     trial = simulate_trial(params, spec, ActivationProfile(0.0), seed=0, rate=1000.0,
+                           mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
                            activation_label="relaxed", frequency_label="low")
     est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
     elapsed = time.perf_counter() - started
@@ -81,9 +82,11 @@ def test_criterion_2_model_vs_simulation_consistency():
     for direction, (act_label, activation), (freq_label, frequency) in itertools.product(
         range(8), (("relaxed", 0.05), ("stiff", 0.40)), (("low", 1.0), ("high", 3.0))
     ):
-        spec = PerturbationSpec(frequency=frequency, amplitude=0.03, direction_index=direction)
+        spec = PerturbationSpec(frequency=frequency, amplitude=0.03, direction_index=direction,
+                                duration=10.0)
         trial = simulate_trial(
             params, spec, ActivationProfile(activation), seed=direction, rate=1000.0,
+            mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
             activation_label=act_label, frequency_label=freq_label,
         )
         est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
@@ -204,7 +207,8 @@ def test_criterion_6_stabilizer(full_study):
     act = ActivationProfile(target_pct_mvc=0.4)
 
     def scenario(field, gmp_map, seed, frequency=1.0, direction=0, safety=0.8):
-        pert = PerturbationSpec(frequency=frequency, amplitude=0.03, direction_index=direction)
+        pert = PerturbationSpec(frequency=frequency, amplitude=0.03, direction_index=direction,
+                                duration=5.0)
         return run_interconnection(
             limb, field, pert, act, gmp_map=gmp_map, duration=5.0, rate=1000.0,
             seed=seed, safety_factor=safety,

@@ -37,9 +37,11 @@ def kv_params(b0=15.0, gains=UNIT_GAINS):
 
 
 def run(params, direction=0, activation=0.4, frequency=1.0, seed=0, rate=1000.0, amplitude=0.03):
-    spec = PerturbationSpec(frequency=frequency, amplitude=amplitude, direction_index=direction)
+    spec = PerturbationSpec(frequency=frequency, amplitude=amplitude, direction_index=direction,
+                            duration=10.0)
     act = ActivationProfile(target_pct_mvc=activation)
-    return simulate_trial(params, spec, act, seed=seed, rate=rate,
+    return simulate_trial(params, spec, act, seed=seed, rate=rate, mvc_rms=DEFAULT_MVC_RMS_MV,
+                          emg_rate=EMG_RATE, subject_id="S1",
                           activation_label="stiff", frequency_label="low")
 
 
@@ -236,7 +238,7 @@ def test_emg_rate_and_channels():
 
 def test_cohort_jitter_within_bounds():
     base = LimbParams()
-    cohort = make_cohort(5, jitter=0.2, seed=42)
+    cohort = make_cohort(5, jitter=0.2, seed=42, base=base)
     assert [s.subject_id for s in cohort] == ["S1", "S2", "S3", "S4", "S5"]
     for subject in cohort:
         for name in ("mass", "base_damping", "stiffness", "maxwell_stiffness",
@@ -244,7 +246,7 @@ def test_cohort_jitter_within_bounds():
             ratio = getattr(subject.params, name) / getattr(base, name)
             assert 0.8 <= ratio <= 1.2
         assert subject.params.direction_gains == base.direction_gains
-    again = make_cohort(5, jitter=0.2, seed=42)
+    again = make_cohort(5, jitter=0.2, seed=42, base=base)
     assert cohort == again
 
 

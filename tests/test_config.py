@@ -4,14 +4,20 @@
 ``manifest.json``, and ``analyze`` reads it back with the reader of a
 config file (``config_from_sections``). The round trip must give the
 config that was simulated, with ``[output]`` at its defaults.
+
+Each study setting has one default, the config's: the library takes it
+from its caller.
 """
 
+import inspect
 import json
 from dataclasses import asdict, replace
 
 import pytest
 
 from gmpkit import cli
+from gmpkit.biomech import PerturbationSpec, Subject, make_cohort, simulate_trial
+from gmpkit.stabilizer import InterconnectionResult, run_interconnection
 from gmpkit.config import OutputConfig, config_from_sections, json_setting, load_config
 from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
 
@@ -64,3 +70,21 @@ def test_simulated_manifest_reads_back_as_the_trial_plan(tmp_path, name):
         assert trials == trial_plan(config, subject_id)
     files = {rel for _, trials in subjects for _, trial_id, _, _ in trials for rel in trial_files(trial_id)}
     assert files == {f"trials/{path.name}" for path in (out / "trials").iterdir()}
+
+
+# the study settings that each function or record takes from its caller
+CALLER_SETTINGS = {
+    run_interconnection: ("act", "gmp_map", "duration", "rate", "seed", "safety_factor"),
+    PerturbationSpec: ("duration",),
+    make_cohort: ("n_subjects", "jitter", "seed", "base"),
+    simulate_trial: ("mvc_rms", "emg_rate", "subject_id"),
+    Subject: ("mvc_rms",),
+    InterconnectionResult: ("seed", "field"),
+}
+
+
+@pytest.mark.parametrize("function, names", CALLER_SETTINGS.items(),
+                         ids=[function.__name__ for function in CALLER_SETTINGS])
+def test_study_settings_have_no_library_default(function, names):
+    parameters = inspect.signature(function).parameters
+    assert [name for name in names if parameters[name].default is not inspect.Parameter.empty] == []

@@ -176,11 +176,13 @@ def test_pct_mvc_stiff_trial_reads_forty_percent():
 
     trial = simulate_trial(
         LimbParams(),
-        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0),
+        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0, duration=10.0),
         ActivationProfile(target_pct_mvc=0.4),
         seed=8,
         rate=1000.0,
         mvc_rms=(1.6, 1.1, 1.8, 1.3),
+        emg_rate=EMG_RATE,
+        subject_id="S1",
         activation_label="stiff",
         frequency_label="low",
     )
@@ -229,11 +231,13 @@ def test_pct_mvc_matches_all_channel_reference_bits(feedback_channels, window, w
     mvc = (1.6, 1.1, 1.8, 1.3)
     trial = simulate_trial(
         LimbParams(),
-        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=1),
+        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=1, duration=10.0),
         ActivationProfile(target_pct_mvc=0.4),
         seed=13,
         rate=1000.0,
         mvc_rms=mvc,
+        emg_rate=EMG_RATE,
+        subject_id="S1",
         activation_label="stiff",
         frequency_label="low",
     )

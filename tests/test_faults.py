@@ -317,6 +317,8 @@ def set_key(path, value):
         # schema 4's calibrated levels, which analyze now estimates on the mvc/ recordings
         (lambda doc: set_key(("subjects", 0, "mvc_rms"), doc["subjects"][0]["mvc_rms_true"])(doc),
          "subject S1: unknown key 'mvc_rms'"),
+        # finite, but the cohort jitter's upper bound is not
+        (set_key(("config", "limb", "maxwell_stiffness"), 1.7e308), "limb.maxwell_stiffness must be finite"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -325,7 +327,7 @@ def set_key(path, value):
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
          "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
-         "mvc-rms-true-zero", "mvc-rms-listed"],
+         "mvc-rms-true-zero", "mvc-rms-listed", "limb-overflows-jitter"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study

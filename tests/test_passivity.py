@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmpkit.biomech import DEFAULT_MVC_RMS_MV, ActivationProfile, LimbParams, PerturbationSpec, simulate_trial
-from gmpkit.emg import MvcCalibration
+from gmpkit.emg import EMG_RATE, MvcCalibration
 from gmpkit.errors import AlignmentError, DegenerateTrialError
 from gmpkit.passivity import (
     EopEstimate,
@@ -31,8 +31,9 @@ def kv_trial(b0=15.0, seed=0, amplitude=0.03):
         base_damping=b0, maxwell_damping_base=0.0, maxwell_damping_gain=0.0,
         direction_gains=(1.0,) * 8,
     )
-    spec = PerturbationSpec(frequency=1.0, amplitude=amplitude, direction_index=0)
+    spec = PerturbationSpec(frequency=1.0, amplitude=amplitude, direction_index=0, duration=10.0)
     return simulate_trial(params, spec, ActivationProfile(0.0), seed=seed, rate=RATE,
+                          mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
                           activation_label="relaxed", frequency_label="low")
 
 
@@ -79,19 +80,6 @@ def test_negative_damper_nonpassive_at_first_step():
     assert not verdict.passive
     assert verdict.first_violation_time == pytest.approx(1.0 / RATE)
     assert verdict.deficit > 0
-
-
-def test_initial_energy_covers_a_known_dip():
-    # u*y = -1 W on samples 0..249, +1 W after; trapezoid area by hand:
-    # 249 full -1 W steps of 1 ms plus a zero-mean transition step -> 0.249 J
-    power = lambda t: np.where(t < 0.25, -1.0, 1.0)
-    dip = 0.249
-    u = signal(power)
-    ones = signal(lambda t: np.ones_like(t))
-    ledger_short = energy_ledger(u, ones, e0=dip - 1e-6)
-    assert not is_passive(ledger_short).passive
-    ledger_covered = energy_ledger(u, ones, e0=dip + 1e-6)
-    assert is_passive(ledger_covered).passive
 
 
 def test_estimate_eop_kelvin_voigt():

@@ -27,7 +27,8 @@ from gmpkit.stabilizer import (
 )
 
 LIMB = LimbParams()
-PERT = PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0)
+PERT = PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=0, duration=10.0)
+SHORT_PERT = dataclasses.replace(PERT, duration=5.0)
 ACT = ActivationProfile(target_pct_mvc=0.4)
 
 
@@ -41,10 +42,10 @@ def constant_map(xi, subject="MAP"):
     return build_map(cells, subject)
 
 
-def run(field, gmp_map=None, seed=3, safety_factor=0.8, perturbation=PERT, duration=10.0):
+def run(field, gmp_map=None, seed=3, safety_factor=0.8, perturbation=PERT):
     return run_interconnection(
         LIMB, field, perturbation, ACT, gmp_map=gmp_map,
-        duration=duration, rate=1000.0, seed=seed, safety_factor=safety_factor,
+        duration=perturbation.duration, rate=1000.0, seed=seed, safety_factor=safety_factor,
     )
 
 
@@ -140,8 +141,8 @@ def test_budget_never_hurts_across_seeded_scenarios():
     for seed in range(5):
         for b_f in (-3.0, -8.0, -15.0):
             field = ForceFieldSpec(kind="negative-damping", b_f=b_f)
-            baseline = run(field, gmp_map=None, seed=seed, duration=5.0)
-            with_map = run(field, constant_map(15.0), seed=seed, duration=5.0)
+            baseline = run(field, gmp_map=None, seed=seed, perturbation=SHORT_PERT)
+            with_map = run(field, constant_map(15.0), seed=seed, perturbation=SHORT_PERT)
             assert baseline.bounded and with_map.bounded
             assert with_map.injected_dissipation <= baseline.injected_dissipation + 1e-9
 
@@ -159,10 +160,10 @@ def test_overestimated_budget_detected_as_unbounded():
     # out-pumps the real limb and the run must be flagged, not trusted
     true_eop = analytic_eop(LIMB, 0, 0.4, 1.0)
     field = ForceFieldSpec(kind="negative-damping", b_f=-(4.0 * true_eop))
-    result = run(field, constant_map(3.0 * true_eop), safety_factor=1.0, duration=10.0)
+    result = run(field, constant_map(3.0 * true_eop), safety_factor=1.0)
     assert result.verdict == "unbounded"
     assert result.unbounded_time is not None
-    baseline = run(field, gmp_map=None, duration=10.0)
+    baseline = run(field, gmp_map=None)
     with pytest.raises(InvalidComparisonError):
         dissipation_savings(result, baseline)
 
@@ -190,13 +191,13 @@ def test_budgeted_ledger_invariant_holds_everywhere():
         ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.02),
     ):
         for gmp_map in (None, constant_map(10.0)):
-            result = run(field, gmp_map, duration=5.0)
+            result = run(field, gmp_map, perturbation=SHORT_PERT)
             assert np.min(result.observer_w) >= -1e-9
 
 
 def test_lookup_frequency_must_be_on_map():
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
-    pert = PerturbationSpec(frequency=5.0, amplitude=0.03, direction_index=0)
+    pert = dataclasses.replace(PERT, frequency=5.0)
     with pytest.raises(MapRangeError):
         run(field, constant_map(15.0), perturbation=pert)
 
@@ -205,10 +206,11 @@ def test_rate_precondition():
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
     for rate in (500.0, math.nan, math.inf):
         with pytest.raises(IntegrationError):
-            run_interconnection(LIMB, field, PERT, ACT, rate=rate)
-    for duration in (math.nan, math.inf, -1.0):
-        with pytest.raises(IntegrationError):
-            run_interconnection(LIMB, field, PERT, ACT, duration=duration)
+            run_interconnection(LIMB, field, PERT, ACT, None, PERT.duration, rate, 3, DEFAULT_SAFETY_FACTOR)
+    # the run's duration is the perturbation's, 10 s
+    for duration in (math.nan, math.inf, -1.0, 5.0):
+        with pytest.raises(IntegrationError, match="differs from the perturbation's 10.0 s"):
+            run_interconnection(LIMB, field, PERT, ACT, None, duration, 1000.0, 3, DEFAULT_SAFETY_FACTOR)
 
 
 def test_runs_are_seed_deterministic():
@@ -223,12 +225,12 @@ def _reference_interconnection(
     limb: LimbParams,
     field: ForceFieldSpec,
     perturbation: PerturbationSpec,
-    act: ActivationProfile | None = None,
-    gmp_map: GmpMap | None = None,
-    duration: float = 10.0,
-    rate: float = 1000.0,
-    seed: int = 0,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
+    act: ActivationProfile,
+    gmp_map: GmpMap | None,
+    duration: float,
+    rate: float,
+    seed: int,
+    safety_factor: float,
 ) -> InterconnectionResult:
     """``run_interconnection`` as a per-step loop over numpy histories.
 
@@ -238,7 +240,6 @@ def _reference_interconnection(
     """
     if rate < 1000.0:
         raise IntegrationError(f"co-simulation rate must be >= 1 kHz, got {rate}")
-    act = act or ActivationProfile(target_pct_mvc=0.4)
 
     xi_hat = 0.0
     if gmp_map is not None:
@@ -363,6 +364,7 @@ def _reference_interconnection(
 
 
 NEGATIVE_DAMPER = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
+REFERENCE_PERT = dataclasses.replace(PERT, duration=3.0)
 DELAYED_SPRING = ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.02)
 TRUE_EOP = analytic_eop(LIMB, 0, 0.4, 1.0)
 
@@ -376,13 +378,13 @@ REFERENCE_CASES = {
     "maxwell-off": dict(field=DELAYED_SPRING, gmp_map=constant_map(2.7),
                         limb=LimbParams(maxwell_damping_base=0.0, maxwell_damping_gain=0.0)),
     "delay-beyond-run": dict(field=ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.5),
-                             duration=0.2),
+                             perturbation=dataclasses.replace(PERT, duration=0.2), duration=0.2),
     "rate-2000": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7), rate=2000.0),
     "cohort-limb": dict(field=DELAYED_SPRING, gmp_map=constant_map(2.7),
-                        limb=make_cohort(1, 0.2, 2)[0].params),
+                        limb=make_cohort(1, 0.2, 2, LIMB)[0].params),
     # a zero velocity limit, and a spring that reads the current position
     "zero-amplitude": dict(field=NEGATIVE_DAMPER, gmp_map=constant_map(2.7),
-                           perturbation=dataclasses.replace(PERT, amplitude=0.0)),
+                           perturbation=dataclasses.replace(REFERENCE_PERT, amplitude=0.0)),
     "spring-no-delay": dict(field=ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.0),
                             gmp_map=constant_map(2.7)),
 }
@@ -398,39 +400,44 @@ def assert_bit_identical(expected, result):
             assert type(got) is type(want) and repr(got) == repr(want), spec.name
 
 
+def reference_kwargs(case):
+    """All arguments of a reference case: a 3 s run, unless the case says otherwise."""
+    kwargs = dict(limb=LIMB, perturbation=REFERENCE_PERT, act=ACT, gmp_map=None, duration=3.0,
+                  rate=1000.0, seed=3, safety_factor=DEFAULT_SAFETY_FACTOR)
+    kwargs.update(case)
+    return kwargs
+
+
 @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
 def test_loop_bit_identical_to_reference(case):
-    kwargs = dict(limb=LIMB, perturbation=PERT, act=ACT, duration=3.0, rate=1000.0, seed=3)
-    kwargs.update(case)
+    kwargs = reference_kwargs(case)
     assert_bit_identical(_reference_interconnection(**kwargs), run_interconnection(**kwargs))
 
 
 def test_scenario_drive_is_shared_and_read_only():
-    kwargs = dict(limb=LIMB, field=DELAYED_SPRING, perturbation=PERT, act=ACT,
-                  duration=3.0, rate=1000.0, seed=3)
+    kwargs = reference_kwargs(dict(field=DELAYED_SPRING))
+    with_map = dict(kwargs, gmp_map=constant_map(2.7))
     _scenario_drive.cache_clear()
     run_interconnection(**kwargs)
-    first = run_interconnection(gmp_map=constant_map(2.7), **kwargs)
+    first = run_interconnection(**with_map)
     assert _scenario_drive.cache_info().hits == 1   # the with-map run reused the drive
     _scenario_drive.cache_clear()
-    again = run_interconnection(gmp_map=constant_map(2.7), **kwargs)
+    again = run_interconnection(**with_map)
     assert _scenario_drive.cache_info().misses == 1
     assert_bit_identical(first, again)
-    drive = _scenario_drive(LIMB, PERT, ACT, 3001, 1e-3, 3)
+    drive = _scenario_drive(LIMB, REFERENCE_PERT, ACT, 3001, 1e-3, 3)
     assert len(drive) == 3 and not any(array.flags.writeable for array in drive)
     assert not first.times.flags.writeable
 
 
 def test_reference_cases_reach_early_stop_and_long_delay():
-    unbounded = run_interconnection(LIMB, perturbation=PERT, act=ACT, duration=3.0, seed=3,
-                                    **REFERENCE_CASES["unbounded"])
+    unbounded = run_interconnection(**reference_kwargs(REFERENCE_CASES["unbounded"]))
     assert unbounded.verdict == "unbounded"
     assert unbounded.unbounded_time == unbounded.times[-1] < 3.0
     assert all(len(getattr(unbounded, name)) == len(unbounded.times) < 3001
                for name in ("position", "velocity", "force_field", "alpha", "injected_series"))
     # the spring's delay outlasts the run, so it never pushes
-    delayed = run_interconnection(LIMB, perturbation=PERT, act=ACT, duration=0.2, seed=3,
-                                  field=REFERENCE_CASES["delay-beyond-run"]["field"])
+    delayed = run_interconnection(**reference_kwargs(REFERENCE_CASES["delay-beyond-run"]))
     assert len(delayed.times) == 201
     assert np.all(delayed.force_field == 0.0)
 
@@ -441,10 +448,10 @@ def test_reference_cases_reach_early_stop_and_long_delay():
            "is inside the deadband, where the controller injects nothing",
 )
 def test_observer_ledger_holds_inside_velocity_deadband():
-    limb = make_cohort(1, 0.2, 2)[0].params
+    limb = make_cohort(1, 0.2, 2, LIMB)[0].params
     result = run_interconnection(
         limb, ForceFieldSpec(kind="delayed-spring", gain=300.0, delay=0.02),
-        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=2),
-        ActivationProfile(target_pct_mvc=0.4), duration=10.0, rate=1000.0, seed=2,
+        PerturbationSpec(frequency=1.0, amplitude=0.03, direction_index=2, duration=10.0),
+        ActivationProfile(target_pct_mvc=0.4), None, 10.0, 1000.0, 2, DEFAULT_SAFETY_FACTOR,
     )
     assert result.min_observer_w >= -LEDGER_TOL_J
