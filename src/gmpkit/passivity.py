@@ -27,8 +27,8 @@ import numpy as np
 
 from .biomech import TrialCondition, TrialRecord
 from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
-from .errors import AlignmentError, DataError, DegenerateTrialError
-from .signals import SampledSignal, Window, inner_product_integral, l2_norm_integral
+from .errors import DataError, DegenerateTrialError
+from .signals import SampledSignal, Window, check_aligned, inner_product_integral, l2_norm_integral
 
 LEDGER_TOL_J = 1e-9  # slack of an energy ledger's sign test, also the stabilizer's
 VELOCITY_ENERGY_THRESHOLD = 1e-9
@@ -90,12 +90,7 @@ class EopEstimate:
 
 def energy_ledger(u: SampledSignal, y: SampledSignal) -> EnergyLedger:
     """Running trapezoidal cumulative of u(t)^T y(t); single forward pass."""
-    if not math.isclose(u.sample_rate, y.sample_rate, rel_tol=1e-12):
-        raise AlignmentError(f"sample rates differ: {u.sample_rate} vs {y.sample_rate}")
-    if u.n_samples != y.n_samples or u.n_channels != y.n_channels:
-        raise AlignmentError("signal shapes differ")
-    if abs(u.start_time - y.start_time) > 1e-6 / u.sample_rate:
-        raise AlignmentError("start times differ")
+    check_aligned(u, y)
     power = np.einsum("ij,ij->i", u.data, y.data)
     dt = 1.0 / u.sample_rate
     increments = 0.5 * dt * (power[1:] + power[:-1])

@@ -157,7 +157,8 @@ def _mutable(data: np.ndarray) -> bool:
     return base is not None
 
 
-def _check_aligned(a: SampledSignal, b: SampledSignal) -> None:
+def check_aligned(a: SampledSignal, b: SampledSignal) -> None:
+    """AlignmentError unless ``a`` and ``b`` share rate, start time, length and channel count."""
     if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-12):
         raise AlignmentError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
     if abs(a.start_time - b.start_time) > _TIME_TOL / a.sample_rate:
@@ -182,7 +183,7 @@ def inner_product_integral(a: SampledSignal, b: SampledSignal, w: Window) -> flo
     force signal and a velocity signal this is the energy flowing through
     the port, in joules.
     """
-    _check_aligned(a, b)
+    check_aligned(a, b)
     aw = a.slice(w)
     bw = b.slice(w)
     integrand = np.einsum("ij,ij->i", aw.data, bw.data)

@@ -75,7 +75,7 @@ from .biomech import (
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import ConfigError, DataError, DegenerateSampleError, GmpkitError, MapRangeError, json_field, json_value
+from .errors import ConfigError, DataError, DegenerateSampleError, MapRangeError, json_field, json_value
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
@@ -186,10 +186,6 @@ def _constant_activation_signal(config: StudyConfig, duration: float) -> Sampled
     return SampledSignal(rate, 0.0, ("a",), a)
 
 
-def _simulate_subject_star(args):
-    return _simulate_subject(*args)
-
-
 def simulate_study(config: StudyConfig, out_dir) -> dict:
     """Run the full protocol for the whole cohort; returns the manifest."""
     config.validate()
@@ -211,7 +207,7 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            subject_docs = list(pool.map(_simulate_subject_star, tasks))
+            subject_docs = list(pool.map(_simulate_subject, *zip(*tasks)))
     else:
         subject_docs = [_simulate_subject(*task) for task in tasks]
 
@@ -224,16 +220,8 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
         "tests": protocol_plan(config),
         "subjects": subject_docs,
     }
-    _check_manifest_files(manifest, out)
     _write_json(out / "manifest.json", manifest)
     return manifest
-
-
-def _check_manifest_files(manifest: dict, out: Path) -> None:
-    for subject in manifest["subjects"]:
-        for rel in mvc_files(subject["subject_id"]) + [f for t in subject["trials"] for f in trial_files(t)]:
-            if not (out / rel).exists():
-                raise GmpkitError(f"manifest references missing file {rel}")
 
 
 def load_manifest(out_dir) -> dict:
@@ -429,14 +417,10 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
     for (subject_id, trials), cal in zip(subjects, calibrations):
         subject_estimates = []
         for _, trial_id, condition, spec in trials:
-            robot_file, emg_file = trial_files(trial_id)
             n_expected += 1
-            if not (out / robot_file).exists():
-                n_missing += 1
-                warnings.append(f"missing trial file {robot_file}")
-                continue
             try:
-                trial = load_trial_csv(out / robot_file, out / emg_file, streams, condition, spec, subject_id)
+                trial = load_trial_csv(*(out / rel for rel in trial_files(trial_id)), streams, condition, spec,
+                                       subject_id)
             except DataError as exc:
                 n_missing += 1
                 warnings.append(f"unreadable trial {trial_id}: {exc}")
@@ -507,6 +491,8 @@ _CONTRASTS = (
     *((f"frequency_effect_{a}", _CODE[a, _LOW], _CODE[a, _HIGH]) for a in ACTIVATION_LABELS),
     *((f"activation_effect_{f}", _CODE[_STIFF, f], _CODE[_RELAXED, f]) for f in FREQUENCY_LABELS),
 )
+# the trend-line slope contrast, low- against high-frequency slopes
+SLOPE_CONTRAST = f"slope_{_LOW}_vs_{_HIGH}"
 
 
 def _test_result_doc(result) -> dict:
@@ -519,10 +505,16 @@ def _test_result_doc(result) -> dict:
     }
 
 
-def _csv_row(kind: str, name: str, group_a: str, group_b: str, doc: dict) -> str:
-    """One ``report.csv`` line for a test result doc (``_test_result_doc``'s keys)."""
-    return (f"{kind},{name},{group_a},{group_b},{doc['n']},{float(doc['statistic'])!r},"
-            f"{float(doc['p_value'])!r},{doc['method']},{doc['mark']}\n")
+def _csv_rows(report: dict) -> list[str]:
+    """The ``report.csv`` lines of a ``stats_study`` report, one per test that gave a p-value."""
+    tests = [("ks_normality", code, code, "", doc["ks_normality"]) for code, doc in report["groups"].items()]
+    tests += [("wilcoxon", name, doc["group_a"], doc["group_b"], doc) for name, doc in report["contrasts"].items()]
+    if "contrast" in report["slopes"]:
+        doc = report["slopes"]["contrast"]
+        tests.append(("wilcoxon", SLOPE_CONTRAST, doc["group_a"], doc["group_b"], doc))
+    return [f"{kind},{name},{group_a},{group_b},{doc['n']},{float(doc['statistic'])!r},"
+            f"{float(doc['p_value'])!r},{doc['method']},{doc['mark']}\n"
+            for kind, name, group_a, group_b, doc in tests if "p_value" in doc]
 
 
 def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided") -> dict:
@@ -571,24 +563,11 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
             groups[code] = values
 
     report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
-    csv_rows: list[str] = []
 
     for code, values in groups.items():
-        box = box_summary(values)
-        doc = {
-            "n": len(values),
-            "box": {
-                "median": box.median,
-                "q1": box.q1,
-                "q3": box.q3,
-                "whisker_low": box.whisker_low,
-                "whisker_high": box.whisker_high,
-                "outliers": list(box.outliers),
-            },
-        }
+        doc = {"n": len(values), "box": asdict(box_summary(values))}
         try:
             doc["ks_normality"] = _test_result_doc(ks_normality(values))
-            csv_rows.append(_csv_row("ks_normality", code, code, "", doc["ks_normality"]))
         except DegenerateSampleError as exc:
             doc["ks_normality"] = {"error": str(exc)}
         report["groups"][code] = doc
@@ -598,8 +577,6 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
             continue
         doc = {"group_a": code_a, "group_b": code_b}
         doc.update(_paired_contrast(groups[code_a], groups[code_b]))
-        if "p_value" in doc:
-            csv_rows.append(_csv_row("wilcoxon", name, code_a, code_b, doc))
         report["contrasts"][name] = doc
 
     freq_labels = sorted({e.frequency_label for e in estimates})
@@ -617,9 +594,6 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
     if set(freq_labels) >= {_LOW, _HIGH}:
         doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
         doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
-        if "p_value" in doc:
-            csv_rows.append(_csv_row("wilcoxon", f"slope_{_LOW}_vs_{_HIGH}", doc["group_a"],
-                                     doc["group_b"], doc))
         slope_doc["contrast"] = doc
     report["slopes"] = slope_doc
 
@@ -629,7 +603,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
         _write_json(stats_dir / "report.json", report)
         with open(stats_dir / "report.csv", "w", newline="") as fh:
             fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
-            fh.writelines(csv_rows)
+            fh.writelines(_csv_rows(report))
     return report
 
 
@@ -642,6 +616,16 @@ def _field_from_scenario(scenario: ScenarioConfig) -> ForceFieldSpec:
     return ForceFieldSpec(
         kind="delayed-spring", gain=scenario.spring_gain, delay=scenario.spring_delay_s
     )
+
+
+def _run_doc(run) -> dict:
+    """What ``summary.json`` keeps of every stabilizer run."""
+    return {
+        "verdict": run.verdict,
+        "injected_joules": run.injected_dissipation,
+        "field_energy_joules": run.field_energy,
+        "min_observer_w": run.min_observer_w,
+    }
 
 
 def _run_to_files(run, out_dir: Path, tag: str) -> None:
@@ -706,23 +690,12 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
             "safety_factor": scenario.safety_factor,
             "seed": scenario.seed,
         },
-        "baseline": {
-            "verdict": baseline.verdict,
-            "injected_joules": baseline.injected_dissipation,
-            "field_energy_joules": baseline.field_energy,
-            "min_observer_w": baseline.min_observer_w,
-        },
+        "baseline": _run_doc(baseline),
     }
     if gmp_map is not None:
         with_map = run_interconnection(gmp_map=gmp_map, **common)
         _run_to_files(with_map, out, "with_map")
-        summary["with_map"] = {
-            "verdict": with_map.verdict,
-            "injected_joules": with_map.injected_dissipation,
-            "field_energy_joules": with_map.field_energy,
-            "min_observer_w": with_map.min_observer_w,
-            "eop_budget": with_map.budget_rate,
-        }
+        summary["with_map"] = {**_run_doc(with_map), "eop_budget": with_map.budget_rate}
         if baseline.bounded and with_map.bounded:
             savings = dissipation_savings(with_map, baseline)
             summary["savings"] = {"ratio": savings.ratio, "joules_saved": savings.joules_saved}

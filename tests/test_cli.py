@@ -165,7 +165,7 @@ def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
     victim.unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     err = capsys.readouterr().err
-    assert "missing trial file" in err
+    assert "unreadable trial S1_HS_d3" in err and "No such file or directory" in err
     result = analyze_study(out)
     assert result.n_missing == 1
     assert len(result.maps["S1"].missing_cells()) == 1

@@ -139,8 +139,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("subjects, jobs, pools", [(2, 8, [2]), (1, 8, []), (2, 1, [])])
