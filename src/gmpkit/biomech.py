@@ -79,6 +79,8 @@ _TRACKING_NOISE = 0.02    # std-dev fraction of its multiplicative tracking nois
 _NOISE_CORR_TIME = 0.2    # s, that noise's correlation time
 
 ROBOT_RATE = 1000.0  # Hz
+# the fixed integration step needs at least this many samples per perturbation period
+MIN_SAMPLES_PER_PERIOD = 20.0
 ROBOT_CHANNELS = ("fx", "fy", "vx", "vy")  # force, then velocity
 
 
@@ -305,10 +307,10 @@ def simulate_trial(
     ``frequency_label``, which the caller's protocol assigns; nothing here
     infers them from the target or the frequency.
     """
-    if rate < 20.0 * spec.frequency:
+    if rate < MIN_SAMPLES_PER_PERIOD * spec.frequency:
         raise IntegrationError(
             f"rate {rate} Hz too low for {spec.frequency} Hz perturbation: "
-            f"need >= {20.0 * spec.frequency} Hz (integration step too large)"
+            f"need >= {MIN_SAMPLES_PER_PERIOD * spec.frequency} Hz (integration step too large)"
         )
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     act_seq, emg_seq = seed_seq.spawn(2)

@@ -15,7 +15,7 @@ from . import __version__
 from .config import StudyConfig, default_config, load_config
 from .errors import ConfigError, GmpkitError
 from .passivity import estimates_from_csv
-from .study import SCHEMA_VERSION, analyze_study, simulate_study, stats_study, stabilize_study
+from .study import SCHEMA_VERSION, SLOPE_CONTRAST, analyze_study, simulate_study, stats_study, stabilize_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +98,7 @@ def _cmd_stats(config: StudyConfig) -> int:
             print(f"{name}: p={doc['p_value']:.3g} {doc['mark']}")
     contrast = report.get("slopes", {}).get("contrast", {})
     if "p_value" in contrast:
-        print(f"slope_low_vs_high: p={contrast['p_value']:.3g} {contrast['mark']}")
+        print(f"{SLOPE_CONTRAST}: p={contrast['p_value']:.3g} {contrast['mark']}")
     print(f"report -> {config.output.dir}/stats")
     return EXIT_OK
 

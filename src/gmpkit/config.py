@@ -18,8 +18,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .biomech import (DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, JITTERED_PARAMS, N_DIRECTIONS, ROBOT_RATE, LimbParams,
-                      jitter_range, stored_samples)
+from .biomech import (DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, JITTERED_PARAMS, MIN_SAMPLES_PER_PERIOD, N_DIRECTIONS,
+                      ROBOT_RATE, LimbParams, jitter_range, stored_samples)
 from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
@@ -152,8 +152,13 @@ class StudyConfig:
         for name, value in (("relaxed_target", p.relaxed_target), ("stiff_target", p.stiff_target)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"protocol.{name} must be within [0, 1]")
-        if not 20.0 * max(p.frequencies) <= self.rates.robot_hz < math.inf:
-            raise ConfigError("rates.robot_hz must be finite and at least 20x the protocol frequencies")
+        # the tests' activation labels name the targets, relaxed then stiff
+        if p.relaxed_target >= p.stiff_target:
+            raise ConfigError(f"protocol.relaxed_target = {p.relaxed_target} must be below "
+                              f"protocol.stiff_target = {p.stiff_target}")
+        if not MIN_SAMPLES_PER_PERIOD * max(p.frequencies) <= self.rates.robot_hz < math.inf:
+            raise ConfigError(f"rates.robot_hz must be finite and at least {MIN_SAMPLES_PER_PERIOD:g}x the protocol "
+                              f"frequencies")
         if not 2 * BAND_HZ[1] < self.rates.emg_hz < math.inf:
             raise ConfigError("rates.emg_hz must be finite and exceed twice the EMG band edge")
         if not (self.emg.rms_window_s > 0 and self.emg.rms_stride_s > 0):

@@ -33,6 +33,9 @@ from .passivity import EopEstimate
 
 CellKey = tuple[int, str, str]  # (direction_index, activation_label, frequency_label)
 
+# two frequencies within this relative distance are one point of a map's grid
+_HZ_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TrendLine:
@@ -100,7 +103,7 @@ def build_map(
             known = freqs.get(est.frequency_label)
             if known is None:
                 freqs[est.frequency_label] = float(est.frequency_hz)
-            elif not math.isclose(known, est.frequency_hz, rel_tol=1e-9):
+            elif not math.isclose(known, est.frequency_hz, rel_tol=_HZ_REL_TOL):
                 raise MapConflictError(
                     f"label {est.frequency_label!r} maps to both {known} and {est.frequency_hz} Hz"
                 )
@@ -118,7 +121,7 @@ def median_map(maps: Sequence[GmpMap]) -> GmpMap:
         if not m.complete:
             raise IncompleteMapError(f"map {m.subject_id!r} is missing cells: {m.missing_cells()}")
         if set(m.frequencies) != set(grid) or any(
-            not math.isclose(m.frequencies[k], grid[k], rel_tol=1e-9) for k in grid
+            not math.isclose(m.frequencies[k], grid[k], rel_tol=_HZ_REL_TOL) for k in grid
         ):
             raise IncompleteMapError("maps do not share a frequency grid")
     cells = {
@@ -156,7 +159,7 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
         raise ValueError(f"pct_mvc must be within [0, 1], got {pct_mvc}")
     labels = sorted(gmp_map.frequencies, key=gmp_map.frequencies.get)
     hz = [gmp_map.frequencies[label] for label in labels]
-    tol = 1e-9 * max(1.0, abs(hz[-1]))
+    tol = _HZ_REL_TOL * max(1.0, abs(hz[-1]))
     if frequency < hz[0] - tol or frequency > hz[-1] + tol:
         raise MapRangeError(
             f"frequency {frequency} Hz outside map grid [{hz[0]}, {hz[-1]}] Hz"
@@ -260,7 +263,7 @@ def load_map_json(path) -> GmpMap:
     if len(grid_freqs) > len(FREQUENCY_LABELS):
         raise DataError(f"{source}: more frequencies than supported labels")
     if any(not hz > 0 for hz in grid_freqs) or any(
-        math.isclose(lower, higher, rel_tol=1e-9) for lower, higher in zip(grid_freqs, grid_freqs[1:])
+        math.isclose(lower, higher, rel_tol=_HZ_REL_TOL) for lower, higher in zip(grid_freqs, grid_freqs[1:])
     ):
         raise DataError(f"{source}: grid frequencies must be distinct and > 0, got {grid_freqs}")
     label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
@@ -271,7 +274,7 @@ def load_map_json(path) -> GmpMap:
         if not 0 <= direction < N_DIRECTIONS or activation not in ACTIVATION_LABELS:
             raise DataError(f"{source}: no grid cell for dir {direction}, activation {activation!r}")
         hz = json_field(source, cell, "frequency", float)
-        matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=1e-9)]
+        matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=_HZ_REL_TOL)]
         if not matches:
             raise DataError(f"{source}: cell frequency {hz} Hz not in grid {grid_freqs}")
         key = (direction, activation, matches[0])

@@ -10,9 +10,16 @@ Owns the on-disk layout of a run:
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps
       analysis/gmp_median.json              cohort median map
-      analysis/spider_<subject>.csv         spoke-plot data
+      analysis/spider_<subject>.csv         spoke-plot data, also spider_median.csv
+      analysis/summary.json                 trial counts, complete maps, warnings
       stats/report.json, stats/report.csv   statistical report
-      stabilize/...                         stabilizer scenario outputs
+      stabilize/summary.json                the scenario and each run's verdict and energies
+      stabilize/<run>_trajectory.csv        per run (baseline, with_map): motion, forces, alpha
+      stabilize/<run>_ledger.csv            per run: field, injected and observer energies
+
+A stage removes the outputs of its own that this run does not write: the
+median map when no map is complete, the with_map files when there is no
+map.
 
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
@@ -699,5 +706,9 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
         if baseline.bounded and with_map.bounded:
             savings = dissipation_savings(with_map, baseline)
             summary["savings"] = {"ratio": savings.ratio, "joules_saved": savings.joules_saved}
+    else:
+        # a previous run's with-map outputs would otherwise pass for this run's
+        for path in out.glob("with_map_*.csv"):
+            path.unlink()
     _write_json(out / "summary.json", summary)
     return summary

@@ -284,6 +284,17 @@ def test_stabilize_passive_scenario(tmp_path):
     assert summary["scenario"]["nominal_sop"] == 0.0
 
 
+def test_stabilize_without_map_removes_stale_with_map_outputs(tmp_path):
+    path, out = write_config(tmp_path)
+    assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
+    with_map_files = [out / "stabilize" / "with_map_trajectory.csv", out / "stabilize" / "with_map_ledger.csv"]
+    assert all(p.exists() for p in with_map_files)
+    assert cli.main(["stabilize", "--config", str(path)]) == cli.EXIT_OK
+    assert "with_map" not in json.loads((out / "stabilize" / "summary.json").read_text())
+    assert not any(p.exists() for p in with_map_files)
+    assert (out / "stabilize" / "baseline_trajectory.csv").exists()
+
+
 def test_stabilize_refuses_frequency_outside_map(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
@@ -317,6 +328,8 @@ def test_stabilize_refuses_bad_scenario_values(tmp_path, capsys, key, value):
     ("protocol", "duration_s", "nan"), ("protocol", "amplitude_m", "nan"),
     ("protocol", "analysis_window_s", "nan"), ("protocol", "frequencies", "nan"),
     ("rates", "robot_hz", "nan"), ("rates", "robot_hz", "inf"), ("rates", "emg_hz", "nan"),
+    # finite, but not below the default stiff_target = 0.40, so the labels would swap
+    ("protocol", "relaxed_target", "0.4"), ("protocol", "stiff_target", "0.05"),
 ])
 def test_simulate_refuses_non_finite_protocol_values(tmp_path, capsys, section, key, value):
     path, out = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")

@@ -319,6 +319,8 @@ def set_key(path, value):
          "subject S1: unknown key 'mvc_rms'"),
         # finite, but the cohort jitter's upper bound is not
         (set_key(("config", "limb", "maxwell_stiffness"), 1.7e308), "limb.maxwell_stiffness must be finite"),
+        (set_key(("config", "protocol", "relaxed_target"), 0.4),
+         "protocol.relaxed_target = 0.4 must be below protocol.stiff_target = 0.4"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -327,7 +329,7 @@ def set_key(path, value):
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
          "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
-         "mvc-rms-true-zero", "mvc-rms-listed", "limb-overflows-jitter"],
+         "mvc-rms-true-zero", "mvc-rms-listed", "limb-overflows-jitter", "targets-out-of-label-order"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
