@@ -84,12 +84,13 @@ def _number(text: str) -> float | None:
         return None
 
 
-def _csv_cells(text: str) -> list[tuple[str, str, str]]:
-    """``(row, column, value)`` of every cell; the first line is the header."""
-    lines = text.splitlines()
-    header = lines[0].split(",") if lines else []
-    return [(str(i), column, value) for i, line in enumerate(lines[1:])
-            for column, value in zip(header, line.split(","))] + [("header", "", ",".join(header))]
+def _csv_cells(text: str) -> list[tuple[str, str, object]]:
+    """``(row, column, value)`` of every cell, a number where it parses as one; the first line is the header."""
+    header, *rows = text.splitlines() or [""]
+    columns = header.split(",")
+    return [("header", "", header)] + [
+        (str(i), column, value if _number(value) is None else _number(value))
+        for i, row in enumerate(rows) for column, value in zip(columns, row.split(","))]
 
 
 def _json_cells(doc, path: str = "", column: str = "") -> list[tuple[str, str, object]]:
@@ -105,8 +106,7 @@ def _cells(path: Path) -> dict[tuple[str, str], object]:
     text = path.read_text()
     if path.suffix == ".json":
         return {(where, column): leaf for where, column, leaf in _json_cells(json.loads(text))}
-    return {(row, column): _number(value) if _number(value) is not None else value
-            for row, column, value in _csv_cells(text)}
+    return {(row, column): value for row, column, value in _csv_cells(text)}
 
 
 def _is_number(value) -> bool:
@@ -164,7 +164,7 @@ def comparison_table(out: Path) -> tuple[str, bool, bool]:
                       for column, (move, _) in sorted(moves.items()) if move > 0]
             lines += [f"{rel}  {diff}" for diff in other]
             tolerated = tolerated and not other and all(excess <= 0 for _, excess in moves.values())
-            if not moves and not other:
+            if not other and all(move == 0 for move, _ in moves.values()):
                 lines.append(f"{rel}: bytes differ, numbers and text do not")
     return "\n".join(lines), same_bytes, tolerated
 
