@@ -3,12 +3,14 @@
 Callers that need to distinguish failure modes (the CLI maps them to exit
 codes) catch these; everything derives from GmpkitError so `except
 GmpkitError` catches any toolkit-level failure without swallowing plain
-bugs. :func:`json_field` reads one typed value from a parsed JSON document
-(a map or a manifest), so that a document of the wrong shape is a DataError.
-Its type check, :func:`typed_json`, also reads the manifest's copy of the
-config (``config.json_setting``).
+bugs. :func:`write_json` and :func:`read_json` store and parse the JSON
+documents (a map or a manifest), and :func:`json_field` reads one typed
+value from a parsed one, so that a document that does not parse or is of
+the wrong shape is a DataError. Its type check, :func:`typed_json`, also
+reads the manifest's copy of the config (``config.json_setting``).
 """
 
+import json
 import math
 
 
@@ -62,6 +64,22 @@ class SingularFitError(GmpkitError, ValueError):
 
 class InvalidComparisonError(GmpkitError, ValueError):
     """Two runs cannot be compared (unbounded, or mismatched scenario)."""
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON: indented by 2, keys sorted, with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, kind: str):
+    """The parsed JSON document at ``path``; one that does not parse is a DataError naming the ``kind``."""
+    with open(path, "r") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"cannot read {kind} {path}: {exc}") from None
 
 
 def json_field(source: str, obj, key: str, kind: type):

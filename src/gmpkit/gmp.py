@@ -19,7 +19,6 @@ concurrent use by a controller loop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from .biomech import ACTIVATION_LABELS, FREQUENCY_LABELS, N_DIRECTIONS, TESTS
 from .errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
-from .errors import json_field, json_value
+from .errors import json_field, json_value, read_json, write_json
 from .passivity import EopEstimate
 
 CellKey = tuple[int, str, str]  # (direction_index, activation_label, frequency_label)
@@ -234,9 +233,7 @@ def save_map_json(gmp_map: GmpMap, path) -> None:
             for key in sorted(gmp_map.cells)
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_map_json(path) -> GmpMap:
@@ -247,11 +244,7 @@ def load_map_json(path) -> GmpMap:
     are not > 0, or a cell outside the grid or twice, is a ``DataError``
     that names the file.
     """
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:
-        raise DataError(f"cannot read map {path}: {exc}") from None
+    doc = read_json(path, "map")
     source = f"map {path}"
     subject = json_field(source, doc, "subject", str)
     grid = json_field(source, doc, "grid", dict)

@@ -34,23 +34,24 @@ labels are stored once, under "streams" in the manifest, and their lengths
 follow from the config (``biomech.stored_samples``). File names follow
 from the subject and trial ids (``mvc_files``, ``trial_files``).
 
-The manifest keeps a copy of the simulated config, without ``[output]``;
-the cohort seed is its ``[cohort] seed``. ``analyze`` reads that copy back
-with the reader of a config file (``config.config_from_sections``), so it
-passes the same checks. Its streams, ``tests``, subject ids and trial ids
-(``trial_plan``) must be what the config gives, each subject's ``params``
-and ``mvc_rms_true`` values that ``make_cohort`` can draw for it, each
-subject's ``test_order`` an order of the ``tests`` codes, and
-``toolkit_version`` a string. Any disagreement, or a key the schema does
-not have, at the top level or in a subject entry, is a ``DataError`` that
-names the manifest. ``analyze`` calibrates each subject's %MVC on its
-``mvc/`` recordings (``subject_calibration``), so no calibrated level is
-stored.
+``_manifest`` states the manifest's layout, once. The manifest keeps a
+copy of the simulated config, without ``[output]``; the cohort seed is its
+``[cohort] seed``. ``analyze`` reads that copy back with the reader of a
+config file (``config.config_from_sections``), so it passes the same
+checks, and checks each subject's drawn values: ``params`` and
+``mvc_rms_true`` that ``make_cohort`` can draw for it, and a
+``test_order`` that is an order of the tests. The manifest must then be,
+key for key, what simulate writes for that config and those values, with
+``toolkit_version`` any string. Any disagreement is a ``DataError`` that
+names the manifest and the first entry that differs, by its JSON path.
+``analyze`` calibrates each subject's %MVC on its ``mvc/`` recordings
+(``subject_calibration``), so no calibrated level is stored.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -82,7 +83,8 @@ from .biomech import (
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import ConfigError, DataError, DegenerateSampleError, MapRangeError, json_field, json_value
+from .errors import ConfigError, DataError, DegenerateSampleError, MapRangeError, json_field, json_value, read_json
+from .errors import write_json
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
@@ -92,16 +94,6 @@ from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 SCHEMA_VERSION = 5
 
 MVC_REPETITIONS = 2
-
-# the keys of the manifest (simulate_study) and of a subject's entry (_simulate_subject)
-_MANIFEST_KEYS = {"toolkit_version", "schema_version", "config", "streams", "tests", "subjects"}
-_SUBJECT_KEYS = {"subject_id", "params", "mvc_rms_true", "test_order", "trials"}
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def protocol_plan(config: StudyConfig) -> list[dict]:
@@ -160,8 +152,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
     order = [plan[i]["code"] for i in order_rng.permutation(len(plan))]
 
-    trials = trial_plan(config, subject.subject_id)
-    for test_idx, trial_id, condition, spec in trials:
+    for test_idx, trial_id, condition, spec in trial_plan(config, subject.subject_id):
         trial = simulate_trial(
             subject.params,
             spec,
@@ -175,13 +166,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             frequency_label=condition.frequency_label,
         )
         save_trial_csv(trial, *(out / rel for rel in trial_files(trial_id)))
-    return {
-        "subject_id": subject.subject_id,
-        "params": asdict(subject.params),
-        "mvc_rms_true": list(subject.mvc_rms),
-        "test_order": order,
-        "trials": [trial_id for _, trial_id, _, _ in trials],
-    }
+    return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms), "test_order": order}
 
 
 def _constant_activation_signal(config: StudyConfig, duration: float) -> SampledSignal:
@@ -214,21 +199,32 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            subject_docs = list(pool.map(_simulate_subject, *zip(*tasks)))
+            drawn = list(pool.map(_simulate_subject, *zip(*tasks)))
     else:
-        subject_docs = [_simulate_subject(*task) for task in tasks]
+        drawn = [_simulate_subject(*task) for task in tasks]
+    manifest = _manifest(config, drawn)
+    write_json(out / "manifest.json", manifest)
+    return manifest
 
-    manifest = {
+
+def _manifest(config: StudyConfig, drawn: list[dict]) -> dict:
+    """The manifest of a study of ``config``, the one place that states its layout.
+
+    ``drawn`` holds each subject's ``params``, ``mvc_rms_true`` and
+    ``test_order``, in cohort order. Everything else follows from the config.
+    """
+    subject_ids = [cohort_subject_id(i) for i in range(config.cohort.subjects)]
+    return {
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
         # [output] (where and with how many workers) does not shape the study
         "config": {k: v for k, v in asdict(config).items() if k != "output"},
         "streams": trial_streams(config.rates.robot_hz, config.rates.emg_hz),
         "tests": protocol_plan(config),
-        "subjects": subject_docs,
+        "subjects": [{"subject_id": subject_id, **values,
+                      "trials": [trial_id for _, trial_id, _, _ in trial_plan(config, subject_id)]}
+                     for subject_id, values in zip(subject_ids, drawn)],
     }
-    _write_json(out / "manifest.json", manifest)
-    return manifest
 
 
 def load_manifest(out_dir) -> dict:
@@ -236,19 +232,32 @@ def load_manifest(out_dir) -> dict:
 
     ``analyze_study`` reads what it needs through ``_read_manifest``.
     """
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "r") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"cannot read manifest {path}: {exc}") from None
+    return read_json(Path(out_dir) / "manifest.json", "manifest")
 
 
-def _check_listed(source: str, what: str, listed: list, expected: list) -> None:
-    """A DataError naming the first entry where ``listed`` differs from ``expected``."""
-    for i, (entry, planned) in enumerate(zip_longest(listed, expected)):
-        if entry != planned:
-            raise DataError(f"{source}: {what} {i} is {entry!r}, where its config gives {planned!r}")
+_ABSENT = object()  # an entry that one of two compared documents lacks
+
+
+def _first_difference(found, expected, where: str = "") -> str | None:
+    """The first entry, by JSON path, where ``found`` differs from ``expected``, described; else None."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        entries = [(f"{where}.{key}" if where else key, found.get(key, _ABSENT), expected.get(key, _ABSENT))
+                   for key in sorted(found.keys() | expected.keys())]
+    elif isinstance(found, list) and isinstance(expected, list):
+        entries = [(f"{where}[{i}]", *pair) for i, pair in enumerate(zip_longest(found, expected, fillvalue=_ABSENT))]
+    elif found != expected:
+        return f"{where} is {reprlib.repr(found)}, where simulate writes {reprlib.repr(expected)}"
+    else:
+        return None
+    for path, entry, planned in entries:
+        if entry is _ABSENT:
+            return f"{path} is missing, where simulate writes {reprlib.repr(planned)}"
+        if planned is _ABSENT:
+            return f"{path} is {reprlib.repr(entry)}, which simulate does not write"
+        difference = _first_difference(entry, planned, path)
+        if difference:
+            return difference
+    return None
 
 
 def _check_drawn(where: str, subject: dict, config: StudyConfig) -> None:
@@ -279,20 +288,15 @@ def _check_drawn(where: str, subject: dict, config: StudyConfig) -> None:
 def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
-    Returns ``(config, streams, subjects)``:
+    Returns ``(config, streams, subjects)``: the simulated config, read as a
+    config file is (``config.config_from_sections``); the streams; and per
+    subject ``(subject_id, trial_plan(config, subject_id))``.
 
-    - the simulated config, read as a config file is
-      (``config.config_from_sections``), with every key but ``[output]``'s
-      required;
-    - the streams, which must be ``trial_streams`` of the config's rates;
-    - per subject ``(subject_id, trial_plan(config, subject_id))``, once
-      ``tests``, the subject ids and its ``trials`` match the config, its
-      ``params`` and ``mvc_rms_true`` are ones the config's cohort can draw
-      (``_check_drawn``), its ``test_order`` is an order of the ``tests``
-      codes and its entry has no key but ``_SUBJECT_KEYS``.
-
-    The manifest must have no key but ``_MANIFEST_KEYS``, and
-    ``toolkit_version`` must be a string.
+    Each subject's ``params`` and ``mvc_rms_true`` must be ones the config's
+    cohort can draw (``_check_drawn``), and its ``test_order`` an order of
+    the tests' codes. The manifest must then be, key for key, the
+    ``_manifest`` that simulate writes for that config and those drawn
+    values, but for ``toolkit_version``, which may be any string.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -305,47 +309,29 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
             f"{source}: schema version {version} is not supported (this gmpkit reads "
             f"schema {SCHEMA_VERSION}); re-run simulate"
         )
-    unknown = sorted(set(manifest) - _MANIFEST_KEYS)
-    if unknown:
-        raise DataError(f"{source}: unknown key {unknown[0]!r}")
-    sections = json_field(source, manifest, "config", dict)
     try:
-        config = config_from_sections(sections, source, json_setting)
+        config = config_from_sections(json_field(source, manifest, "config", dict), source, json_setting)
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    # simulate writes every key but [output]'s; one left out must not read as its default
-    missing = [f"[{name}] {key}" for name, doc in asdict(config).items() if name != "output"
-               for key in doc if key not in sections.get(name, {})]
-    if missing:
-        raise DataError(f"{source}: config lacks {', '.join(missing)}")
-    json_field(source, manifest, "toolkit_version", str)
-    rates = config.rates
-    streams = trial_streams(rates.robot_hz, rates.emg_hz)
-    if json_field(source, manifest, "streams", dict) != streams:
-        raise DataError(f"{source}: streams {manifest['streams']} do not match the config's [rates] "
-                        f"robot_hz = {rates.robot_hz}, emg_hz = {rates.emg_hz} and the schema's "
-                        f"dtype {SAMPLE_DTYPE}")
-    tests = protocol_plan(config)
-    _check_listed(source, "test", json_field(source, manifest, "tests", list), tests)
-    codes = [test["code"] for test in tests]
+    toolkit = json_field(source, manifest, "toolkit_version", str)
+    codes = [test["code"] for test in protocol_plan(config)]
     docs = json_field(source, manifest, "subjects", list)
-    subject_ids = [json_field(source, subject, "subject_id", str) for subject in docs]
-    _check_listed(source, "subject", subject_ids, [cohort_subject_id(i) for i in range(config.cohort.subjects)])
-    subjects = []
-    for subject_id, subject in zip(subject_ids, docs):
-        unknown = sorted(set(subject) - _SUBJECT_KEYS)
-        if unknown:
-            raise DataError(f"{source}: subject {subject_id}: unknown key {unknown[0]!r}")
-        _check_drawn(f"{source}: subject {subject_id}", subject, config)
-        order = json_field(source, subject, "test_order", list)
+    for i, subject in enumerate(docs):
+        where = f"{source}: subject {cohort_subject_id(i)}"
+        _check_drawn(where, subject, config)
+        order = json_field(where, subject, "test_order", list)
         if len(order) != len(codes) or any(code not in order for code in codes):
-            raise DataError(f"{source}: subject {subject_id}: test_order {order!r} "
-                            f"is not an order of the tests {codes}")
-        plan = trial_plan(config, subject_id)
-        _check_listed(source, f"subject {subject_id}: trial", json_field(source, subject, "trials", list),
-                      [trial_id for _, trial_id, _, _ in plan])
-        subjects.append((subject_id, plan))
-    return config, streams, subjects
+            raise DataError(f"{where}: test_order {order!r} is not an order of the tests {codes}")
+    # a subject left out draws nothing, so that the comparison names it
+    drawn = [{key: subject[key] for key in ("params", "mvc_rms_true", "test_order")} for subject in docs]
+    drawn += [{}] * (config.cohort.subjects - len(drawn))
+    # compared as parsed JSON, where a tuple is a list
+    expected = {**json.loads(json.dumps(_manifest(config, drawn))), "toolkit_version": toolkit}
+    difference = _first_difference(manifest, expected)
+    if difference:
+        raise DataError(f"{source}: {difference}")
+    subjects = [(doc["subject_id"], trial_plan(config, doc["subject_id"])) for doc in docs]
+    return config, expected["streams"], subjects
 
 
 def subject_calibration(out_dir, subject_id: str, streams: dict, emg: EmgConfig) -> MvcCalibration:
@@ -475,7 +461,7 @@ def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
         n_missing=n_missing,
         warnings=warnings,
     )
-    _write_json(
+    write_json(
         analysis_dir / "summary.json",
         {
             "n_expected": n_expected,
@@ -607,7 +593,7 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
     if out_dir is not None:
         stats_dir = Path(out_dir) / "stats"
         stats_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(stats_dir / "report.json", report)
+        write_json(stats_dir / "report.json", report)
         with open(stats_dir / "report.csv", "w", newline="") as fh:
             fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
             fh.writelines(_csv_rows(report))
@@ -710,5 +696,5 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
         # a previous run's with-map outputs would otherwise pass for this run's
         for path in out.glob("with_map_*.csv"):
             path.unlink()
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     return summary

@@ -274,37 +274,40 @@ def set_key(path, value):
     [
         (lambda doc: {"schema_version": SCHEMA_VERSION}, "missing key 'config'"),
         (lambda doc: [], "expected a JSON object, got list"),
-        (set_key(("subjects", 0, "trials"), None), "missing key 'trials'"),
-        (set_test("activation_label", "medium"), "test 0 is {'activation_label': 'medium'"),
+        (set_key(("subjects", 0, "trials"), None), "subjects[0].trials is missing, where simulate writes ['S1_LR_d0'"),
+        (set_test("activation_label", "medium"), "tests[0].activation_label is 'medium', where simulate writes 'relaxed'"),
         (edit_trials(lambda ids: [t.replace("S2_LR_d3", "S2_LR_d9") for t in ids]),
-         "subject S2: trial 3 is 'S2_LR_d9', where its config gives 'S2_LR_d3'"),
-        (set_test("frequency_hz", 2.0), "'code': 'LR', 'frequency_hz': 2.0,"),
-        (set_test("frequency_hz", "1.0"), "'code': 'LR', 'frequency_hz': '1.0',"),
+         "subjects[1].trials[3] is 'S2_LR_d9', where simulate writes 'S2_LR_d3'"),
+        (set_test("frequency_hz", 2.0), "tests[0].frequency_hz is 2.0, where simulate writes 1.0"),
+        (set_test("frequency_hz", "1.0"), "tests[0].frequency_hz is '1.0', where simulate writes 1.0"),
         (edit_trials(lambda ids: ids[:3] + ids[4:]),
-         "subject S2: trial 3 is 'S2_LR_d4', where its config gives 'S2_LR_d3'"),
+         "subjects[1].trials[3] is 'S2_LR_d4', where simulate writes 'S2_LR_d3'"),
         (edit_trials(lambda ids: ids[:4] + ids[3:]),
-         "subject S2: trial 4 is 'S2_LR_d3', where its config gives 'S2_LR_d4'"),
+         "subjects[1].trials[4] is 'S2_LR_d3', where simulate writes 'S2_LR_d4'"),
         (edit_trials(lambda ids: ids[:-1]),
-         "subject S2: trial 31 is None, where its config gives 'S2_HS_d7'"),
-        (edit_trials(lambda ids: ",".join(ids)), "trials must be of type list, got 'S2_LR_d0,"),
-        (set_key(("subjects", 1), None), "subject 1 is None, where its config gives 'S2'"),
+         "subjects[1].trials[31] is missing, where simulate writes 'S2_HS_d7'"),
+        (edit_trials(lambda ids: ",".join(ids)),
+         "subjects[1].trials is 'S2_LR_d0,S2_..."),
+        (set_key(("subjects", 1), None), "subjects[1] is missing, where simulate writes {'subject_id': 'S2', "),
         (lambda doc: set_key(("subjects", 1), doc["subjects"][0])(doc),
-         "subject 1 is 'S1', where its config gives 'S2'"),
-        (set_key(("streams", "robot", "rate_hz"), 999.0), "do not match the config's [rates]"),
-        (set_key(("streams", "emg", "dtype"), "<f8"), "and the schema's dtype <f4"),
+         "subjects[1].subject_id is 'S1', where simulate writes 'S2'"),
+        (set_key(("streams", "robot", "rate_hz"), 999.0),
+         "streams.robot.rate_hz is 999.0, where simulate writes 1000.0"),
+        (set_key(("streams", "emg", "dtype"), "<f8"), "streams.emg.dtype is '<f8', where simulate writes '<f4'"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
-        (set_key(("config", "protocol", "duration_s"), None), "config lacks [protocol] duration_s"),
+        (set_key(("config", "protocol", "duration_s"), None),
+         "config.protocol.duration_s is missing, where simulate writes 10.0"),
         (set_key(("subjects", 0, "test_order"), ["XX"]),
          "subject S1: test_order ['XX'] is not an order of the tests ['LR', 'LS', 'HR', 'HS']"),
         (set_key(("subjects", 0, "test_order"), ["LR", "LS", "HR", "LR"]),
          "subject S1: test_order ['LR', 'LS', 'HR', 'LR'] is not an order"),
         (set_key(("subjects", 0, "mvc_recordings"), ["mvc/nothing.npy"]),
-         "subject S1: unknown key 'mvc_recordings'"),
+         "subjects[0].mvc_recordings is ['mvc/nothing.npy'], which simulate does not write"),
         (set_key(("toolkit_version",), []), "toolkit_version must be of type str, got []"),
         # schema 4's copy of [cohort] seed
-        (set_key(("seed",), "x"), "unknown key 'seed'"),
-        (set_key(("seed",), 31), "unknown key 'seed'"),
+        (set_key(("seed",), "x"), "seed is 'x', which simulate does not write"),
+        (set_key(("seed",), 31), "seed is 31, which simulate does not write"),
         (set_key(("config", "cohort", "seed"), -1), "cohort.seed must be >= 0, got -1"),
         (set_key(("subjects", 0, "params"), []), "subject S1: params must be of type dict, got []"),
         (set_key(("subjects", 0, "mvc_rms_true"), "none"),
@@ -316,7 +319,7 @@ def set_key(path, value):
         (set_key(("subjects", 1, "mvc_rms_true"), [0.0] * 4), "subject S2: mvc_rms_true 0 = 0.0 is outside"),
         # schema 4's calibrated levels, which analyze now estimates on the mvc/ recordings
         (lambda doc: set_key(("subjects", 0, "mvc_rms"), doc["subjects"][0]["mvc_rms_true"])(doc),
-         "subject S1: unknown key 'mvc_rms'"),
+         "subjects[0].mvc_rms is ["),
         # finite, but the cohort jitter's upper bound is not
         (set_key(("config", "limb", "maxwell_stiffness"), 1.7e308), "limb.maxwell_stiffness must be finite"),
         (set_key(("config", "protocol", "relaxed_target"), 0.4),
