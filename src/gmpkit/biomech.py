@@ -449,7 +449,7 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
     if data.dtype != dtype or data.ndim != 2 or data.shape[1] != n_channels:
         raise DataError(

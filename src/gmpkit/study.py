@@ -17,9 +17,11 @@ Owns the on-disk layout of a run:
       stabilize/<run>_trajectory.csv        per run (baseline, with_map): motion, forces, alpha
       stabilize/<run>_ledger.csv            per run: field, injected and observer energies
 
-A stage removes the outputs of its own that this run does not write: the
-median map when no map is complete, the with_map files when there is no
-map.
+Each stage replaces its outputs whole (``_stage_outputs``): it removes
+the old ones when it starts, writes the new ones into ``.gmpkit-staging/``
+in the output dir, and renames them into place once all are written,
+simulate's ``manifest.json`` last. A stage that fails leaves none of its
+outputs and no staging dir; the outputs of the other stages stay.
 
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
@@ -52,6 +54,8 @@ from __future__ import annotations
 
 import json
 import reprlib
+import shutil
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -116,6 +120,32 @@ def mvc_files(subject_id: str) -> list[str]:
 def trial_files(trial_id: str) -> tuple[str, str]:
     """The robot and EMG array files of a trial, relative to the study dir."""
     return f"trials/{trial_id}.npy", f"trials/{trial_id}_emg.npy"
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
+@contextmanager
+def _stage_outputs(out: Path, *names: str):
+    """Replace a stage's outputs ``names`` in ``out`` whole; yields the staging dir to write them into.
+
+    The old outputs go first. The staging dir sits in ``out``, so that a rename stays on one filesystem;
+    the new outputs are renamed into place, in the order of ``names``, once the body returns, and the
+    staging dir goes whether the body returns or raises.
+    """
+    staging = out / ".gmpkit-staging"
+    for path in (staging, *(out / name for name in reversed(names))):
+        _remove(path)
+    try:
+        yield staging
+        for name in names:
+            (staging / name).rename(out / name)
+    finally:
+        _remove(staging)
 
 
 def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, TrialCondition, PerturbationSpec]]:
@@ -188,22 +218,22 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
         seed=config.cohort.seed,
         base=config.limb,
     )
-    (out / "mvc").mkdir(parents=True, exist_ok=True)
-    (out / "trials").mkdir(parents=True, exist_ok=True)
+    with _stage_outputs(out, "mvc", "trials", "manifest.json") as staging:
+        (staging / "mvc").mkdir(parents=True)
+        (staging / "trials").mkdir()
+        tasks = [(config, subject, idx, str(staging)) for idx, subject in enumerate(cohort)]
+        # a pool starts all its workers at once, so it gets no more than there are subjects
+        workers = min(config.output.jobs, len(tasks))
+        if workers > 1:
+            # imported here: the pool machinery costs a serial run ~20 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(config, subject, idx, str(out)) for idx, subject in enumerate(cohort)]
-    # a pool starts all its workers at once, so it gets no more than there are subjects
-    workers = min(config.output.jobs, len(tasks))
-    if workers > 1:
-        # imported here: the pool machinery costs a serial run ~20 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            drawn = list(pool.map(_simulate_subject, *zip(*tasks)))
-    else:
-        drawn = [_simulate_subject(*task) for task in tasks]
-    manifest = _manifest(config, drawn)
-    write_json(out / "manifest.json", manifest)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                drawn = list(pool.map(_simulate_subject, *zip(*tasks)))
+        else:
+            drawn = [_simulate_subject(*task) for task in tasks]
+        manifest = _manifest(config, drawn)
+        write_json(staging / "manifest.json", manifest)
     return manifest
 
 
@@ -370,107 +400,84 @@ class AnalysisResult:
         return self.n_missing / self.n_expected if self.n_expected else 0.0
 
 
-def analyze_study(out_dir, config: StudyConfig | None = None) -> AnalysisResult:
+def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
     """Estimate EoP on the analysis window of every trial and build maps.
 
     The analysis settings, ``protocol.analysis_window_s`` and ``[emg]``,
-    come from ``config``, or from the manifest's copy of the simulation
-    config when ``config`` is None. What was simulated (duration,
-    amplitude, rates, grid) always comes from the manifest. Each subject's
-    %MVC is calibrated on its MVC recordings with the same ``[emg]``
-    settings as the trial envelopes (``subject_calibration``). A manifest
-    that ``_read_manifest`` refuses and an MVC recording that cannot be read
-    are a ``DataError``, and settings that the simulated config with them
-    fails to ``validate()`` are a ``ConfigError``, all before ``analysis/``
-    is touched. A trial whose file is absent or unreadable is skipped with a
-    warning and counted in ``n_missing``.
+    come from ``config``; what was simulated (duration, amplitude, rates,
+    grid) comes from the manifest. Each subject's %MVC is calibrated on its
+    MVC recordings with the same ``[emg]`` settings as the trial envelopes
+    (``subject_calibration``). A manifest that ``_read_manifest`` refuses
+    and an MVC recording that cannot be read are a ``DataError``, and
+    settings that the simulated config with them fails to ``validate()``
+    are a ``ConfigError``, all before anything is written; the previous
+    ``analysis/`` is gone by then (``_stage_outputs``). A trial whose file
+    is absent or unreadable is skipped with a warning that names the file
+    relative to the study dir, and counted in ``n_missing``.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
-    settings, streams, subjects = _read_manifest(load_manifest(out), path)
-    if config is not None:
-        settings = replace(settings, emg=config.emg, protocol=replace(
-            settings.protocol, analysis_window_s=config.protocol.analysis_window_s))
+    with _stage_outputs(out, "analysis") as staging:
+        simulated, streams, subjects = _read_manifest(load_manifest(out), path)
+        settings = replace(simulated, emg=config.emg, protocol=replace(
+            simulated.protocol, analysis_window_s=config.protocol.analysis_window_s))
         try:
             settings.validate()
         except ConfigError as exc:
             raise ConfigError(f"analysis settings for the trials of {path}: {exc}") from None
-    protocol, emg_cfg = settings.protocol, settings.emg
-    calibrations = [subject_calibration(out, subject_id, streams, emg_cfg) for subject_id, _ in subjects]
-    window = Window(protocol.duration_s - protocol.analysis_window_s, protocol.duration_s)
-    grid = dict(frequency_labels(protocol))
-    analysis_dir = out / "analysis"
-    analysis_dir.mkdir(parents=True, exist_ok=True)
+        protocol, emg_cfg = settings.protocol, settings.emg
+        calibrations = [subject_calibration(out, subject_id, streams, emg_cfg) for subject_id, _ in subjects]
+        window = Window(protocol.duration_s - protocol.analysis_window_s, protocol.duration_s)
+        grid = dict(frequency_labels(protocol))
 
-    estimates: list[EopEstimate] = []
-    warnings: list[str] = []
-    maps: dict[str, GmpMap] = {}
-    n_expected = 0
-    n_missing = 0
-    for (subject_id, trials), cal in zip(subjects, calibrations):
-        subject_estimates = []
-        for _, trial_id, condition, spec in trials:
-            n_expected += 1
-            try:
-                trial = load_trial_csv(*(out / rel for rel in trial_files(trial_id)), streams, condition, spec,
-                                       subject_id)
-            except DataError as exc:
-                n_missing += 1
-                warnings.append(f"unreadable trial {trial_id}: {exc}")
-                continue
-            subject_estimates.append(
-                estimate_eop(
-                    trial,
-                    window,
-                    cal=cal,
-                    feedback_channels=emg_cfg.feedback_channels,
-                    rms_window=emg_cfg.rms_window_s,
-                    rms_stride=emg_cfg.rms_stride_s,
-                )
-            )
-        gmp_map = build_map(subject_estimates, subject_id, frequencies=grid)
-        if not gmp_map.complete:
-            warnings.append(f"map {subject_id} missing {len(gmp_map.missing_cells())} cells")
-        maps[subject_id] = gmp_map
-        estimates.extend(subject_estimates)
+        estimates: list[EopEstimate] = []
+        warnings: list[str] = []
+        maps: dict[str, GmpMap] = {}
+        n_expected = sum(len(trials) for _, trials in subjects)
+        n_missing = 0
+        for (subject_id, trials), cal in zip(subjects, calibrations):
+            subject_estimates = []
+            for _, trial_id, condition, spec in trials:
+                files = trial_files(trial_id)
+                try:
+                    trial = load_trial_csv(*(out / rel for rel in files), streams, condition, spec, subject_id)
+                except DataError as exc:
+                    n_missing += 1
+                    message = str(exc)
+                    for rel in files:  # so that the summary does not depend on where the study is
+                        message = message.replace(str(out / rel), rel)
+                    warnings.append(f"unreadable trial {trial_id}: {message}")
+                    continue
+                subject_estimates.append(estimate_eop(
+                    trial, window, cal=cal, feedback_channels=emg_cfg.feedback_channels,
+                    rms_window=emg_cfg.rms_window_s, rms_stride=emg_cfg.rms_stride_s))
+            gmp_map = build_map(subject_estimates, subject_id, frequencies=grid)
+            if not gmp_map.complete:
+                warnings.append(f"map {subject_id} missing {len(gmp_map.missing_cells())} cells")
+            maps[subject_id] = gmp_map
+            estimates.extend(subject_estimates)
 
-    complete_maps = [m for m in maps.values() if m.complete]
-    median = None
-    if complete_maps:
-        if len(complete_maps) < len(maps):
-            warnings.append("median map computed over complete maps only")
-        median = median_map(complete_maps)
+        complete_maps = [m for m in maps.values() if m.complete]
+        median = None
+        if complete_maps:
+            if len(complete_maps) < len(maps):
+                warnings.append("median map computed over complete maps only")
+            median = median_map(complete_maps)
 
-    estimates_to_csv(estimates, analysis_dir / "eop_estimates.csv")
-    for subject_id, gmp_map in maps.items():
-        save_map_json(gmp_map, analysis_dir / f"gmp_{subject_id}.json")
-        save_spider_csv(gmp_map, analysis_dir / f"spider_{subject_id}.csv")
-    median_files = (analysis_dir / "gmp_median.json", analysis_dir / "spider_median.csv")
-    if median is not None:
-        save_map_json(median, median_files[0])
-        save_spider_csv(median, median_files[1])
-    else:
-        # a previous run's median would otherwise pass for this run's
-        for path in median_files:
-            path.unlink(missing_ok=True)
-    result = AnalysisResult(
-        estimates=estimates,
-        maps=maps,
-        median=median,
-        n_expected=n_expected,
-        n_missing=n_missing,
-        warnings=warnings,
-    )
-    write_json(
-        analysis_dir / "summary.json",
-        {
-            "n_expected": n_expected,
-            "n_missing": n_missing,
-            "complete_maps": sorted(m.subject_id for m in complete_maps),
-            "warnings": warnings,
-        },
-    )
-    return result
+        analysis_dir = staging / "analysis"
+        analysis_dir.mkdir(parents=True)
+        estimates_to_csv(estimates, analysis_dir / "eop_estimates.csv")
+        for subject_id, gmp_map in maps.items():
+            save_map_json(gmp_map, analysis_dir / f"gmp_{subject_id}.json")
+            save_spider_csv(gmp_map, analysis_dir / f"spider_{subject_id}.csv")
+        if median is not None:
+            save_map_json(median, analysis_dir / "gmp_median.json")
+            save_spider_csv(median, analysis_dir / "spider_median.csv")
+        write_json(analysis_dir / "summary.json", {
+            "n_expected": n_expected, "n_missing": n_missing,
+            "complete_maps": sorted(m.subject_id for m in complete_maps), "warnings": warnings})
+    return AnalysisResult(estimates=estimates, maps=maps, median=median, n_expected=n_expected,
+                          n_missing=n_missing, warnings=warnings)
 
 
 # -- stats ------------------------------------------------------------------
@@ -540,63 +547,66 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
     a directional hypothesis and, with five subjects, a two-sided exact
     signed-rank test cannot reach p < 0.05 at all.
     """
-    subjects = sorted({e.subject_id for e in estimates})
-    if len(subjects) < 2:
-        raise DegenerateSampleError(f"stats need >= 2 subjects, got {len(subjects)}")
+    # without out_dir, the report only: nothing is written or removed
+    stage = nullcontext() if out_dir is None else _stage_outputs(Path(out_dir), "stats")
+    with stage as staging:
+        subjects = sorted({e.subject_id for e in estimates})
+        if len(subjects) < 2:
+            raise DegenerateSampleError(f"stats need >= 2 subjects, got {len(subjects)}")
 
-    by_cell = {(_CODE[e.activation_label, e.frequency_label], e.subject_id, e.direction_index): e
-               for e in estimates}
+        by_cell = {(_CODE[e.activation_label, e.frequency_label], e.subject_id, e.direction_index): e
+                   for e in estimates}
 
-    directions = sorted({key[2] for key in by_cell})
-    pairing = [(s, d) for s in subjects for d in directions]
-    groups: dict[str, list[float]] = {}
-    for code, _, _ in TESTS:
-        values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
-        if len(values) == len(pairing) and values:
-            groups[code] = values
+        directions = sorted({key[2] for key in by_cell})
+        pairing = [(s, d) for s in subjects for d in directions]
+        groups: dict[str, list[float]] = {}
+        for code, _, _ in TESTS:
+            values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
+            if len(values) == len(pairing) and values:
+                groups[code] = values
 
-    report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
+        report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
 
-    for code, values in groups.items():
-        doc = {"n": len(values), "box": asdict(box_summary(values))}
-        try:
-            doc["ks_normality"] = _test_result_doc(ks_normality(values))
-        except DegenerateSampleError as exc:
-            doc["ks_normality"] = {"error": str(exc)}
-        report["groups"][code] = doc
+        for code, values in groups.items():
+            doc = {"n": len(values), "box": asdict(box_summary(values))}
+            try:
+                doc["ks_normality"] = _test_result_doc(ks_normality(values))
+            except DegenerateSampleError as exc:
+                doc["ks_normality"] = {"error": str(exc)}
+            report["groups"][code] = doc
 
-    for name, code_a, code_b in _CONTRASTS:
-        if code_a not in groups or code_b not in groups:
-            continue
-        doc = {"group_a": code_a, "group_b": code_b}
-        doc.update(_paired_contrast(groups[code_a], groups[code_b]))
-        report["contrasts"][name] = doc
+        for name, code_a, code_b in _CONTRASTS:
+            if code_a not in groups or code_b not in groups:
+                continue
+            doc = {"group_a": code_a, "group_b": code_b}
+            doc.update(_paired_contrast(groups[code_a], groups[code_b]))
+            report["contrasts"][name] = doc
 
-    freq_labels = sorted({e.frequency_label for e in estimates})
-    slope_doc: dict = {"per_subject": {}}
-    slopes_by_label: dict[str, list[float]] = {label: [] for label in freq_labels}
-    for subject_id in subjects:
-        subject_est = [e for e in estimates if e.subject_id == subject_id]
-        entry = {}
-        for label in freq_labels:
-            trend = fit_trend(subject_est, label)
-            entry[label] = {"slope": trend.slope, "intercept": trend.intercept,
-                            "rss": trend.rss, "n": trend.n_points}
-            slopes_by_label[label].append(trend.slope)
-        slope_doc["per_subject"][subject_id] = entry
-    if set(freq_labels) >= {_LOW, _HIGH}:
-        doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
-        doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
-        slope_doc["contrast"] = doc
-    report["slopes"] = slope_doc
+        freq_labels = sorted({e.frequency_label for e in estimates})
+        slope_doc: dict = {"per_subject": {}}
+        slopes_by_label: dict[str, list[float]] = {label: [] for label in freq_labels}
+        for subject_id in subjects:
+            subject_est = [e for e in estimates if e.subject_id == subject_id]
+            entry = {}
+            for label in freq_labels:
+                trend = fit_trend(subject_est, label)
+                entry[label] = {"slope": trend.slope, "intercept": trend.intercept,
+                                "rss": trend.rss, "n": trend.n_points}
+                slopes_by_label[label].append(trend.slope)
+            slope_doc["per_subject"][subject_id] = entry
+        if set(freq_labels) >= {_LOW, _HIGH}:
+            doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
+            doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
+            slope_doc["contrast"] = doc
+        report["slopes"] = slope_doc
 
-    if out_dir is not None:
-        stats_dir = Path(out_dir) / "stats"
-        stats_dir.mkdir(parents=True, exist_ok=True)
-        write_json(stats_dir / "report.json", report)
-        with open(stats_dir / "report.csv", "w", newline="") as fh:
-            fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
-            fh.writelines(_csv_rows(report))
+        if staging is not None:
+            stats_dir = staging / "stats"
+            stats_dir.mkdir(parents=True)
+            write_json(stats_dir / "report.json", report)
+            with open(stats_dir / "report.csv", "w", newline="") as fh:
+                fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
+                fh.writelines(_csv_rows(report))
     return report
 
 
@@ -642,7 +652,6 @@ def _run_to_files(run, out_dir: Path, tag: str) -> None:
 def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
     """Run the configured stabilizer scenario, with and without a GMP map."""
     scenario = config.stabilizer
-    out = Path(out_dir) / "stabilize"
     field_spec = _field_from_scenario(scenario)
     perturbation = PerturbationSpec(
         frequency=scenario.frequency_hz,
@@ -652,49 +661,40 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
     )
     act = ActivationProfile(target_pct_mvc=scenario.activation)
 
-    gmp_map = None
-    if map_path is not None:
-        gmp_map = load_map_json(map_path)
-        try:
-            lookup(gmp_map, scenario.direction, scenario.activation, scenario.frequency_hz)
-        except MapRangeError as exc:
-            raise ConfigError(f"refusing scenario: {exc}") from None
+    with _stage_outputs(Path(out_dir), "stabilize") as staging:
+        gmp_map = None
+        if map_path is not None:
+            gmp_map = load_map_json(map_path)
+            try:
+                lookup(gmp_map, scenario.direction, scenario.activation, scenario.frequency_hz)
+            except MapRangeError as exc:
+                raise ConfigError(f"refusing scenario: {exc}") from None
 
-    out.mkdir(parents=True, exist_ok=True)
-    common = dict(
-        limb=config.limb,
-        field=field_spec,
-        perturbation=perturbation,
-        act=act,
-        duration=scenario.duration_s,
-        rate=config.rates.robot_hz,
-        seed=scenario.seed,
-        safety_factor=scenario.safety_factor,
-    )
-    baseline = run_interconnection(gmp_map=None, **common)
-    _run_to_files(baseline, out, "baseline")
-    summary = {
-        "scenario": {
-            "field_kind": field_spec.kind,
-            "nominal_sop": field_spec.nominal_sop,
-            "frequency_hz": scenario.frequency_hz,
-            "direction": scenario.direction,
-            "activation": scenario.activation,
-            "safety_factor": scenario.safety_factor,
-            "seed": scenario.seed,
-        },
-        "baseline": _run_doc(baseline),
-    }
-    if gmp_map is not None:
-        with_map = run_interconnection(gmp_map=gmp_map, **common)
-        _run_to_files(with_map, out, "with_map")
-        summary["with_map"] = {**_run_doc(with_map), "eop_budget": with_map.budget_rate}
-        if baseline.bounded and with_map.bounded:
-            savings = dissipation_savings(with_map, baseline)
-            summary["savings"] = {"ratio": savings.ratio, "joules_saved": savings.joules_saved}
-    else:
-        # a previous run's with-map outputs would otherwise pass for this run's
-        for path in out.glob("with_map_*.csv"):
-            path.unlink()
-    write_json(out / "summary.json", summary)
+        out = staging / "stabilize"
+        out.mkdir(parents=True)
+        common = dict(limb=config.limb, field=field_spec, perturbation=perturbation, act=act,
+                      duration=scenario.duration_s, rate=config.rates.robot_hz, seed=scenario.seed,
+                      safety_factor=scenario.safety_factor)
+        baseline = run_interconnection(gmp_map=None, **common)
+        _run_to_files(baseline, out, "baseline")
+        summary = {
+            "scenario": {
+                "field_kind": field_spec.kind,
+                "nominal_sop": field_spec.nominal_sop,
+                "frequency_hz": scenario.frequency_hz,
+                "direction": scenario.direction,
+                "activation": scenario.activation,
+                "safety_factor": scenario.safety_factor,
+                "seed": scenario.seed,
+            },
+            "baseline": _run_doc(baseline),
+        }
+        if gmp_map is not None:
+            with_map = run_interconnection(gmp_map=gmp_map, **common)
+            _run_to_files(with_map, out, "with_map")
+            summary["with_map"] = {**_run_doc(with_map), "eop_budget": with_map.budget_rate}
+            if baseline.bounded and with_map.bounded:
+                savings = dissipation_savings(with_map, baseline)
+                summary["savings"] = {"ratio": savings.ratio, "joules_saved": savings.joules_saved}
+        write_json(out / "summary.json", summary)
     return summary

@@ -44,7 +44,7 @@ def full_study(tmp_path_factory):
     config = default_config()
     started = time.perf_counter()
     manifest = simulate_study(config, out)
-    analysis = analyze_study(out)
+    analysis = analyze_study(out, config)
     report = stats_study(analysis.estimates, out)
     elapsed = time.perf_counter() - started
     return {

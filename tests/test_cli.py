@@ -89,7 +89,7 @@ def test_simulate_trial_counts_single_subject_one_frequency(tmp_path):
     assert len(trials) == 16  # 1 subject x 2 activations x 8 directions
     assert len(list((out / "trials").glob("*.npy"))) == 32  # force/velocity + EMG per trial
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
-    result = analyze_study(out)
+    result = analyze_study(out, load_config(path))
     assert result.maps["S1"].complete
     assert len(result.maps["S1"].cells) == 16
     assert result.maps["S1"].frequencies == {"low": 1.0}
@@ -166,7 +166,7 @@ def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     err = capsys.readouterr().err
     assert "unreadable trial S1_HS_d3" in err and "No such file or directory" in err
-    result = analyze_study(out)
+    result = analyze_study(out, load_config(path))
     assert result.n_missing == 1
     assert len(result.maps["S1"].missing_cells()) == 1
     assert result.median is not None  # S2 still complete

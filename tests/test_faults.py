@@ -14,7 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gmpkit import cli
+from gmpkit import cli, study as study_module
 from gmpkit.biomech import load_trial_csv
 from gmpkit.config import load_config
 from gmpkit.errors import DataError
@@ -77,6 +77,23 @@ def test_truncated_trial_is_one_warning(study, capsys):
     summary = json.loads((out / "analysis" / "summary.json").read_text())
     assert summary["n_missing"] == 1
     assert summary["complete_maps"] == ["S2"]
+
+
+def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_path, capsys):
+    summaries = []
+    for out in (tmp_path / "a" / "out", tmp_path / "another" / "place"):
+        shutil.copytree(simulated, out)
+        (out / "trials" / "S1_LR_d0.npy").unlink()
+        path = out.parent / "study.ini"
+        path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+        assert analyze(path, capsys)[0] == cli.EXIT_OK
+        summaries.append((out / "analysis" / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["warnings"] == [
+        "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.npy: No such file or directory",
+        "map S1 missing 1 cells",
+        "median map computed over complete maps only",
+    ]
 
 
 def test_damage_above_budget_fails_analysis(study, capsys):
@@ -345,6 +362,43 @@ def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     assert not (out / "analysis").exists()
 
 
+def leaves(doc, path=""):
+    """``(json_path, node, key)`` of every leaf ``node[key]`` of a parsed JSON document."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        leaf = f"{path}[{key}]" if isinstance(doc, list) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, leaf)
+        else:
+            yield leaf, doc, key
+
+
+def test_every_manifest_leaf_is_checked(study, capsys):
+    """A value changed at any leaf of the manifest is refused, by the leaf's path.
+
+    Left out: ``toolkit_version`` (any string), the subjects' drawn values
+    (``params``, ``mvc_rms_true``, ``test_order``, which analyze can only
+    range-check), the ``config`` copy (analyze derives the rest from it) and
+    ``schema_version`` (refused with its own "re-run simulate" message).
+    """
+    out, path = study
+    manifest_path = out / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true|test_order)")
+    checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
+    # streams: dtype, rate_hz, start_time_s and 4 channels of 2 streams; tests: 5 keys of 4;
+    # subjects: the subject_id and 32 trial ids of 2
+    assert len(checked) == 2 * 7 + 4 * 5 + 2 * 33
+    for leaf, node, key in checked:
+        value = node[key]
+        node[key] = changed = value + "x" if isinstance(value, str) else value + 1
+        manifest_path.write_text(json.dumps(doc))
+        node[key] = value
+        code, err = analyze(path, capsys)
+        assert code == cli.EXIT_ANALYSIS, leaf
+        assert f"manifest {manifest_path}: {leaf} is {changed!r}, where simulate writes {value!r}" in err, leaf
+    assert not (out / "analysis").exists()
+
+
 @pytest.fixture(scope="module")
 def analyzed(simulated, tmp_path_factory):
     out = tmp_path_factory.mktemp("analyzed") / "out"
@@ -411,6 +465,62 @@ def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damag
     assert str(csv_path) in err
     assert re.search(reason, err)
     assert not (out / "stats").exists()
+
+
+def test_rerun_with_fewer_subjects_leaves_no_stale_file(tmp_path, capsys):
+    """Each stage replaces its outputs whole, so no file of the third subject outlives the 3-subject run."""
+    out, path = tmp_path / "out", tmp_path / "study.ini"
+    for subjects in (3, 2):
+        path.write_text(STUDY.replace("subjects = 2", f"subjects = {subjects}")
+                        + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {out}\n")
+        assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert [p.name for p in out.rglob("*") if "S3" in p.name] == []
+    assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "stabilize", "stats",
+                                                     "trials"]
+
+
+def test_failed_analysis_leaves_no_analysis_for_stats(analyzed, tmp_path, capsys):
+    """A refused manifest removes the previous analysis/, so stats has nothing stale to report on."""
+    out = tmp_path / "out"
+    shutil.copytree(analyzed, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    (out / "manifest.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
+    assert analyze(path, capsys)[0] == cli.EXIT_ANALYSIS
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "eop_estimates.csv" in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mvc", "trials"]
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "command, writer, left",
+    [
+        ("analyze", "save_spider_csv", ["manifest.json", "mvc", "trials"]),
+        # a later stage's outputs stay
+        ("simulate", "save_trial_csv", ["analysis"]),
+        ("stabilize", "write_csv", ["analysis", "manifest.json", "mvc", "trials"]),
+    ],
+)
+def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, capsys, monkeypatch, command,
+                                                          writer, left):
+    """A stage that fails after it has written some outputs leaves none of them, old or new, and no staging dir."""
+    out = tmp_path / "out"
+    shutil.copytree(analyzed, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {out}\n")
+    if command == "stabilize":
+        assert cli.main(["stabilize", "--config", str(path)]) == cli.EXIT_OK
+    monkeypatch.setattr(study_module, writer, disk_full)
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "No space left on device" in err
+    assert sorted(p.name for p in out.iterdir()) == left
 
 
 @pytest.mark.parametrize(
