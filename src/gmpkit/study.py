@@ -418,9 +418,9 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
     out = Path(out_dir)
     path = out / "manifest.json"
     with _stage_outputs(out, "analysis") as staging:
-        simulated, streams, subjects = _read_manifest(load_manifest(out), path)
-        settings = replace(simulated, emg=config.emg, protocol=replace(
-            simulated.protocol, analysis_window_s=config.protocol.analysis_window_s))
+        settings, streams, subjects = _read_manifest(load_manifest(out), path)
+        settings = replace(settings, emg=config.emg, protocol=replace(
+            settings.protocol, analysis_window_s=config.protocol.analysis_window_s))
         try:
             settings.validate()
         except ConfigError as exc:

@@ -291,8 +291,10 @@ def set_key(path, value):
     [
         (lambda doc: {"schema_version": SCHEMA_VERSION}, "missing key 'config'"),
         (lambda doc: [], "expected a JSON object, got list"),
-        (set_key(("subjects", 0, "trials"), None), "subjects[0].trials is missing, where simulate writes ['S1_LR_d0'"),
-        (set_test("activation_label", "medium"), "tests[0].activation_label is 'medium', where simulate writes 'relaxed'"),
+        (set_key(("subjects", 0, "trials"), None),
+         "subjects[0].trials is missing, where simulate writes ['S1_LR_d0'"),
+        (set_test("activation_label", "medium"),
+         "tests[0].activation_label is 'medium', where simulate writes 'relaxed'"),
         (edit_trials(lambda ids: [t.replace("S2_LR_d3", "S2_LR_d9") for t in ids]),
          "subjects[1].trials[3] is 'S2_LR_d9', where simulate writes 'S2_LR_d3'"),
         (set_test("frequency_hz", 2.0), "tests[0].frequency_hz is 2.0, where simulate writes 1.0"),
