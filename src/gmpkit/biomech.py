@@ -50,6 +50,7 @@ independent trials can run in parallel and share no mutable state.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -439,25 +440,39 @@ def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
     np.save(emg_path, trial.emg.data.astype(SAMPLE_DTYPE))
 
 
+@lru_cache(maxsize=8)
+def _npy_header(n_samples: int, n_channels: int, dtype: str) -> bytes:
+    """The header ``np.save`` writes before a C-order array of that shape and dtype."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False,
+        "shape": (n_samples, n_channels),
+    })
+    return buffer.getvalue()
+
+
 def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
     """The ``n_samples`` rows of one stored array of ``stream`` (a ``trial_streams`` doc).
 
-    Returns them as float64, converted once, here, and read-only. Raises
-    DataError naming ``path`` for a missing or torn file, a wrong dtype,
-    shape or sample count, and non-finite samples.
+    The file is read in one ``read``, and must be exactly the header that
+    ``np.save`` writes for that C-order array (:func:`_npy_header`)
+    followed by its samples. Returns them as float64, converted once, here,
+    and read-only. Raises DataError naming ``path`` for a missing or torn
+    file, a wrong dtype, shape, order or sample count, bytes after the
+    samples, and non-finite samples.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, EOFError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
-    if data.dtype != dtype or data.ndim != 2 or data.shape[1] != n_channels:
-        raise DataError(
-            f"{path}: expected {dtype.name} samples of shape (n, {n_channels}), "
-            f"got {data.dtype} {data.shape}"
-        )
-    if data.shape[0] != n_samples:
-        raise DataError(f"{path}: {data.shape[0]} samples, expected {n_samples}")
+    header = _npy_header(n_samples, n_channels, stream["dtype"])
+    size = len(header) + n_samples * n_channels * dtype.itemsize
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            blob = fh.read(size + 1)  # one byte more shows a file that is too long
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if len(blob) != size or not blob.startswith(header):
+        raise _refusal(path, blob, header, dtype, n_channels, n_samples)
+    data = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_samples, n_channels)
     n_bad = np.count_nonzero(~np.isfinite(data))
     if n_bad:
         raise DataError(f"{path}: {n_bad} non-finite samples")
@@ -465,6 +480,32 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
     # frozen, so the signals built on the samples share them instead of copying them
     data.flags.writeable = False
     return data
+
+
+def _refusal(path, blob: bytes, header: bytes, dtype: np.dtype, n_channels: int, n_samples: int) -> DataError:
+    """Why ``blob``, the start of the file ``path``, is not the expected array: its header, parsed."""
+    fh = io.BytesIO(blob)
+    try:
+        version = np.lib.format.read_magic(fh)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran_order, got = read_header(fh)
+    except ValueError as exc:
+        return DataError(f"cannot read {path}: {exc}")
+    if got != dtype or len(shape) != 2 or shape[1] != n_channels:
+        return DataError(
+            f"{path}: expected {dtype.name} samples of shape (n, {n_channels}), got {got} {shape}"
+        )
+    if shape[0] != n_samples:
+        return DataError(f"{path}: {shape[0]} samples, expected {n_samples}")
+    if fortran_order:
+        return DataError(f"{path}: expected samples in C order, got a Fortran-order array")
+    if blob[:fh.tell()] != header:
+        return DataError(f"cannot read {path}: not the .npy header that numpy.save writes")
+    n_bytes = len(header) + n_samples * n_channels * dtype.itemsize
+    if len(blob) < n_bytes:
+        return DataError(f"cannot read {path}: the file ends after {len(blob)} of its {n_bytes} bytes")
+    return DataError(f"{path}: bytes after the {n_samples} samples")
 
 
 def load_trial_csv(

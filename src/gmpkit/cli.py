@@ -14,7 +14,6 @@ from pathlib import Path
 from . import __version__
 from .config import StudyConfig, default_config, load_config
 from .errors import ConfigError, GmpkitError
-from .passivity import estimates_from_csv
 from .study import SCHEMA_VERSION, SLOPE_CONTRAST, analyze_study, simulate_study, stats_study, stabilize_study
 
 EXIT_OK = 0
@@ -91,8 +90,7 @@ def _cmd_analyze(config: StudyConfig) -> int:
 
 
 def _cmd_stats(config: StudyConfig) -> int:
-    estimates = estimates_from_csv(Path(config.output.dir) / "analysis" / "eop_estimates.csv")
-    report = stats_study(estimates, config.output.dir)
+    report = stats_study(None, config.output.dir)
     for name, doc in report.get("contrasts", {}).items():
         if "p_value" in doc:
             print(f"{name}: p={doc['p_value']:.3g} {doc['mark']}")

@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .signals import SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms
+from .signals import (SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms, rms_grid,
+                      sample_range, window_rms)
 
 EMG_RATE = 2148.0  # Hz
 
@@ -171,22 +172,23 @@ def pct_mvc(
 ) -> float:
     """Mean %MVC over ``w``, pooled over the feedback channels.
 
-    Only the feedback channels' envelopes are computed. The envelope is
-    stamped at window centres, so its support is half an RMS window short
-    of the raw EMG span at both ends; ``w`` is clipped to that support (a
-    window fully outside it is a range error).
+    The envelope is stamped at window centres, so its support is half an
+    RMS window short of the raw EMG span at both ends; ``w`` is clipped to
+    that support (a window fully outside it is a range error). Only the
+    envelope samples inside the clipped window are computed, and only from
+    the feedback channels: they equal the samples of
+    :func:`pct_mvc_envelope` there bit for bit, since both come from
+    :func:`signals.window_rms` and the grid of :func:`signals.rms_grid`.
     """
     _check_calibration(emg, cal)
-    columns = list(feedback_channels)
-    data = emg.data[:, columns]
-    data.flags.writeable = False  # the signal takes it over without a copy
-    feedback = SampledSignal(emg.sample_rate, emg.start_time,
-                             tuple(emg.channels[ch] for ch in columns), data)
-    series = pct_mvc_envelope(feedback, MvcCalibration(tuple(cal.mvc_rms[ch] for ch in columns)),
-                              window_len, stride)
-    span = series.span()
-    clipped = Window(max(w.t_start, span.t_start), min(w.t_end, span.t_end))
-    fractions = series.slice(clipped).data
+    n_win, n_stride, first, rate, n_env = rms_grid(emg.n_samples, emg.sample_rate, emg.start_time,
+                                                   window_len, stride)
+    clipped = Window(max(w.t_start, first), min(w.t_end, first + (n_env - 1) / rate))
+    k_start, k_end = sample_range(n_env, rate, first, clipped)
+    # only the envelope samples inside the window, each from the feedback columns as they lie
+    envelope = window_rms([emg.data[:, ch] for ch in feedback_channels], n_win,
+                          np.arange(k_start, k_end + 1) * n_stride)
+    fractions = envelope / np.array([cal.mvc_rms[ch] for ch in feedback_channels])
     # Each channel summed in sample order: numpy sums the columns of a
     # four-channel array that way but may sum a narrower one's pairwise, so
     # this keeps the bits of the mean over the all-channel envelope.

@@ -28,7 +28,7 @@ import numpy as np
 from .biomech import TrialCondition, TrialRecord
 from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
 from .errors import DataError, DegenerateTrialError
-from .signals import SampledSignal, Window, check_aligned, inner_product_integral, l2_norm_integral
+from .signals import SampledSignal, Window, check_aligned, trapz_inner
 
 LEDGER_TOL_J = 1e-9  # slack of an energy ledger's sign test, also the stabilizer's
 VELOCITY_ENERGY_THRESHOLD = 1e-9
@@ -150,18 +150,20 @@ def estimate_eop(
 
     ``w`` is first snapped to whole perturbation periods
     (:func:`snap_window_to_periods`). Both integrals use the full 2-D inner
-    products, off-axis components included. The estimate carries the mean
-    %MVC of the feedback channels over the same window, normalized by
-    ``cal``.
+    products, off-axis components included, over one slice of each signal.
+    The estimate carries the mean %MVC of the feedback channels over the
+    same window, normalized by ``cal``.
     """
     w = snap_window_to_periods(w, trial.spec.frequency, trial.force.sample_rate)
-    denominator = l2_norm_integral(trial.velocity, w)
+    check_aligned(trial.force, trial.velocity)
+    force, velocity = trial.force.slice(w), trial.velocity.slice(w)
+    denominator = trapz_inner(velocity, velocity)
     if denominator <= VELOCITY_ENERGY_THRESHOLD:
         raise DegenerateTrialError(
             f"velocity energy {denominator:.3e} below threshold {VELOCITY_ENERGY_THRESHOLD:.0e}; "
             "trial carries no usable motion"
         )
-    numerator = inner_product_integral(trial.force, trial.velocity, w)
+    numerator = trapz_inner(force, velocity)
     return EopEstimate(
         subject_id=trial.subject_id,
         direction_index=trial.condition.direction_index,

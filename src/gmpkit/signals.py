@@ -123,24 +123,38 @@ class SampledSignal:
         The window must lie within the signal span (up to a microsample of
         slack); the sample rate is preserved.
         """
-        tol = _TIME_TOL / self.sample_rate
-        if w.t_start < self.start_time - tol or w.t_end > self.end_time + tol:
-            raise WindowRangeError(
-                f"window [{w.t_start}, {w.t_end}] outside signal span "
-                f"[{self.start_time}, {self.end_time}]"
-            )
-        k_start = math.ceil((w.t_start - self.start_time) * self.sample_rate - _TIME_TOL)
-        k_end = math.floor((w.t_end - self.start_time) * self.sample_rate + _TIME_TOL)
-        k_start = max(k_start, 0)
-        k_end = min(k_end, self.n_samples - 1)
-        if k_end < k_start:
-            raise WindowRangeError(f"window [{w.t_start}, {w.t_end}] contains no samples")
+        k_start, k_end = sample_range(self.n_samples, self.sample_rate, self.start_time, w)
         return SampledSignal(
             sample_rate=self.sample_rate,
             start_time=self.start_time + k_start / self.sample_rate,
             channels=self.channels,
             data=self.data[k_start : k_end + 1],
         )
+
+
+def sample_range(n_samples: int, sample_rate: float, start_time: float, w: Window) -> tuple[int, int]:
+    """First and last index of the samples inside ``w`` on a uniform grid.
+
+    The grid is ``n_samples`` samples from ``start_time`` at
+    ``sample_rate``; this is the arithmetic of :meth:`SampledSignal.slice`,
+    which needs no signal. The window must lie within the grid's span (up
+    to a microsample of slack) and hold at least one sample, or
+    WindowRangeError.
+    """
+    end_time = start_time + (n_samples - 1) / sample_rate
+    tol = _TIME_TOL / sample_rate
+    if w.t_start < start_time - tol or w.t_end > end_time + tol:
+        raise WindowRangeError(
+            f"window [{w.t_start}, {w.t_end}] outside signal span "
+            f"[{start_time}, {end_time}]"
+        )
+    k_start = math.ceil((w.t_start - start_time) * sample_rate - _TIME_TOL)
+    k_end = math.floor((w.t_end - start_time) * sample_rate + _TIME_TOL)
+    k_start = max(k_start, 0)
+    k_end = min(k_end, n_samples - 1)
+    if k_end < k_start:
+        raise WindowRangeError(f"window [{w.t_start}, {w.t_end}] contains no samples")
+    return k_start, k_end
 
 
 def _mutable(data: np.ndarray) -> bool:
@@ -184,15 +198,17 @@ def inner_product_integral(a: SampledSignal, b: SampledSignal, w: Window) -> flo
     the port, in joules.
     """
     check_aligned(a, b)
-    aw = a.slice(w)
-    bw = b.slice(w)
-    integrand = np.einsum("ij,ij->i", aw.data, bw.data)
-    return _trapz(integrand, 1.0 / aw.sample_rate)
+    return trapz_inner(a.slice(w), b.slice(w))
 
 
-def l2_norm_integral(y: SampledSignal, w: Window) -> float:
-    """Trapezoidal integral of ||y(t)||^2 over ``w``; always >= 0."""
-    return inner_product_integral(y, y, w)
+def trapz_inner(a: SampledSignal, b: SampledSignal) -> float:
+    """Trapezoidal integral of a(t)^T b(t) over the whole of two aligned signals.
+
+    :func:`inner_product_integral` without the alignment check and the
+    slicing, for a caller that has sliced both signals itself.
+    """
+    integrand = np.einsum("ij,ij->i", a.data, b.data)
+    return _trapz(integrand, 1.0 / a.sample_rate)
 
 
 def _rms_geometry(n_samples: int, sample_rate: float, window_len: float,
@@ -209,6 +225,39 @@ def _rms_geometry(n_samples: int, sample_rate: float, window_len: float,
     return n_win, n_stride
 
 
+def rms_grid(n_samples: int, sample_rate: float, start_time: float,
+             window_len: float, stride: float) -> tuple[int, int, float, float, int]:
+    """The sample grid of :func:`rms` of an ``n_samples``-sample signal, without the signal.
+
+    Returns the window and stride in whole samples, then the envelope's
+    start time, rate and sample count: windows start every stride from
+    sample 0, and each envelope sample is stamped at its window's centre.
+    """
+    n_win, n_stride = _rms_geometry(n_samples, sample_rate, window_len, stride)
+    first = start_time + (n_win - 1) / 2.0 / sample_rate
+    return n_win, n_stride, first, sample_rate / n_stride, (n_samples - n_win) // n_stride + 1
+
+
+def window_rms(columns, n_win: int, starts: np.ndarray) -> np.ndarray:
+    """RMS of each of ``columns`` over the ``n_win`` samples from each of ``starts``.
+
+    ``columns`` are 1-D sample arrays of one length, strided views
+    included; ``starts`` increase. Returns shape ``(len(starts),
+    len(columns))``. The squares go straight into one ``(m + 1, k)``
+    buffer, m the last sample a window covers, which then holds their
+    running sums from sample 0: no other full-length temporaries, and a
+    window's mean square is the same difference of running sums whichever
+    windows are asked for.
+    """
+    n_used = int(starts[-1]) + n_win
+    csum = np.empty((n_used + 1, len(columns)))
+    csum[0] = 0.0
+    for column, column_sums in zip(columns, csum[1:].T):
+        np.square(column[:n_used], out=column_sums)
+    np.cumsum(csum[1:], axis=0, out=csum[1:])
+    return np.sqrt((csum[starts + n_win] - csum[starts]) / n_win)
+
+
 def rms(signal: SampledSignal, window_len: float, stride: float) -> SampledSignal:
     """Sliding-window root-mean-square per channel.
 
@@ -216,22 +265,16 @@ def rms(signal: SampledSignal, window_len: float, stride: float) -> SampledSigna
     are snapped to whole samples. Output samples are stamped at window
     centres, so the output rate is ``sample_rate / round(stride * sample_rate)``
     (equal to 1/stride whenever the stride is a whole number of samples).
+    See :func:`rms_grid` and :func:`window_rms`.
     """
-    n_win, n_stride = _rms_geometry(signal.n_samples, signal.sample_rate, window_len, stride)
-    # squares and their running sums share one buffer: no full-length temporaries
-    csum = np.empty((signal.n_samples + 1, signal.n_channels))
-    csum[0] = 0.0
-    np.square(signal.data, out=csum[1:])
-    np.cumsum(csum[1:], axis=0, out=csum[1:])
-    starts = np.arange(0, signal.n_samples - n_win + 1, n_stride)
-    means = (csum[starts + n_win] - csum[starts]) / n_win
-    out = np.sqrt(means)
-    center_offset = (n_win - 1) / 2.0 / signal.sample_rate
+    n_win, n_stride, first, rate, n_out = rms_grid(
+        signal.n_samples, signal.sample_rate, signal.start_time, window_len, stride)
+    starts = np.arange(n_out) * n_stride
     return SampledSignal(
-        sample_rate=signal.sample_rate / n_stride,
-        start_time=signal.start_time + center_offset,
+        sample_rate=rate,
+        start_time=first,
         channels=signal.channels,
-        data=out,
+        data=window_rms(signal.data.T, n_win, starts),
     )
 
 
@@ -243,10 +286,8 @@ def rms_support(n_samples: int, sample_rate: float, start_time: float,
     so the values equal ``rms(signal, ...).span()`` bit for bit, without the
     signal. First and last are equal when the envelope has a single sample.
     """
-    n_win, n_stride = _rms_geometry(n_samples, sample_rate, window_len, stride)
-    first = start_time + (n_win - 1) / 2.0 / sample_rate
-    n_out = (n_samples - n_win) // n_stride + 1
-    return first, first + (n_out - 1) / (sample_rate / n_stride)
+    _, _, first, rate, n_out = rms_grid(n_samples, sample_rate, start_time, window_len, stride)
+    return first, first + (n_out - 1) / rate
 
 
 # -- filter kernels --------------------------------------------------------

@@ -90,7 +90,7 @@ from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synth
 from .errors import ConfigError, DataError, DegenerateSampleError, MapRangeError, json_field, json_value, read_json
 from .errors import write_json
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
-from .passivity import EopEstimate, estimate_eop, estimates_to_csv
+from .passivity import EopEstimate, estimate_eop, estimates_from_csv, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
@@ -536,7 +536,7 @@ def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided
     return _test_result_doc(result)
 
 
-def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
+def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
     """Reproduce the study's statistical analysis on a set of estimates.
 
     Groups the 40 per-test EoP values (subjects x directions), runs the KS
@@ -546,10 +546,17 @@ def stats_study(estimates: list[EopEstimate], out_dir=None) -> dict:
     The slope contrast is one-sided (low-frequency slopes greater): it tests
     a directional hypothesis and, with five subjects, a two-sided exact
     signed-rank test cannot reach p < 0.05 at all.
+
+    With ``out_dir``, the report also goes to its ``stats/``, and
+    ``estimates`` may be None: they are then read from its
+    ``analysis/eop_estimates.csv`` once the old ``stats/`` is gone, so a
+    damaged CSV leaves no stats.
     """
     # without out_dir, the report only: nothing is written or removed
     stage = nullcontext() if out_dir is None else _stage_outputs(Path(out_dir), "stats")
     with stage as staging:
+        if estimates is None:
+            estimates = estimates_from_csv(Path(out_dir) / "analysis" / "eop_estimates.csv")
         subjects = sorted({e.subject_id for e in estimates})
         if len(subjects) < 2:
             raise DegenerateSampleError(f"stats need >= 2 subjects, got {len(subjects)}")

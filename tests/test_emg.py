@@ -216,7 +216,7 @@ def _reference_pct_mvc(emg, cal, w, feedback_channels, window_len, stride):
     return float(np.mean([means[ch] for ch in feedback_channels]))
 
 
-@pytest.mark.parametrize("feedback_channels", [(0, 2), (1,), (3, 0)])
+@pytest.mark.parametrize("feedback_channels", [(0, 2), (1,), (3, 0), (1, 3)])
 @pytest.mark.parametrize("window, window_len, stride", [
     (Window(5.0, 10.0), 0.25, 0.05),
     (Window(7.0, 10.0), 0.25, 0.05),
@@ -224,6 +224,10 @@ def _reference_pct_mvc(emg, cal, w, feedback_channels, window_len, stride):
     (Window(2.3, 6.1), 0.5, 0.1),
     (Window(9.0, 10.0), 0.1, 0.013),
     (Window(8.0, 10.0), 2.0, 0.05),
+    (Window(0.0, 2.0), 0.5, 0.1),      # clipped at the start of the envelope's support
+    (Window(8.0, 10.0), 0.5, 0.1),     # clipped at its end
+    (Window(5.0, 5.02), 0.25, 0.05),   # one envelope sample, at 5.0065 s
+    (Window(9.83, 10.0), 0.25, 0.05),  # one envelope sample, the last, after clipping
 ])
 def test_pct_mvc_matches_all_channel_reference_bits(feedback_channels, window, window_len, stride):
     from gmpkit.biomech import ActivationProfile, LimbParams, PerturbationSpec, simulate_trial

@@ -6,6 +6,7 @@ Each test damages a copy of one small simulated study and runs
 typed error handling would fail the test.
 """
 
+import io
 import json
 import math
 import re
@@ -66,6 +67,13 @@ def truncate(path):
 
 def rewrite(path, fn):
     np.save(path, fn(np.load(path)))
+
+
+def npy_bytes(array):
+    """The bytes ``np.save`` writes for ``array``."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def test_truncated_trial_is_one_warning(study, capsys):
@@ -469,6 +477,23 @@ def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damag
     assert not (out / "stats").exists()
 
 
+def test_damaged_estimates_csv_removes_the_previous_stats(analyzed, tmp_path, capsys):
+    """stats removes its old outputs before it reads the CSV, so a refused CSV leaves no stale report."""
+    out = tmp_path / "out"
+    shutil.copytree(analyzed, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    assert (out / "stats" / "report.json").exists()
+    csv_path = out / "analysis" / "eop_estimates.csv"
+    csv_path.write_bytes(csv_path.read_bytes()[:200])
+    capsys.readouterr()
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(csv_path) in err
+    assert not (out / "stats").exists()
+
+
 def test_rerun_with_fewer_subjects_leaves_no_stale_file(tmp_path, capsys):
     """Each stage replaces its outputs whole, so no file of the third subject outlives the 3-subject run."""
     out, path = tmp_path / "out", tmp_path / "study.ini"
@@ -539,20 +564,27 @@ def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, cap
         # the robot file holding the EMG array, and the EMG file the robot array
         (lambda robot, emg: (emg, robot), "6445 samples, expected 3001"),
         (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
+        # arrays that numpy.load reads, given as the bytes written
+        (lambda robot, emg: (npy_bytes(robot) + b"\0" * 16, emg), "bytes after the 3001 samples"),
+        (lambda robot, emg: (npy_bytes(np.asfortranarray(robot)), emg), "got a Fortran-order array"),
+        (lambda robot, emg: (robot, npy_bytes(emg.astype(">f4"))), "got >f4 (6445, 4)"),
+        (lambda robot, emg: (npy_bytes(robot)[:60], emg), "cannot read"),
+        (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "the file ends after 128 of its"),
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
-    """``damage`` maps the stored (robot, EMG) arrays of a trial to the ones written."""
+    """``damage`` maps the stored (robot, EMG) arrays of a trial to the arrays or bytes written."""
     _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
     subject_id, trials = subjects[0]
     _, trial_id, condition, spec = trials[0]
     paths = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
     arrays = damage(*(np.load(simulated / rel) for rel in trial_files(trial_id)))
     for path, array in zip(paths, arrays):
-        np.save(path, array)
+        path.write_bytes(array if isinstance(array, bytes) else npy_bytes(array))
     with pytest.raises(DataError, match=re.escape(reason)) as error:
         load_trial_csv(*paths, streams, condition, spec, subject_id)
-    assert str(error.value).startswith(tuple(str(path) for path in paths))  # names the file
+    # names the file
+    assert str(error.value).removeprefix("cannot read ").startswith(tuple(str(path) for path in paths))
 
 
 def edit_map(edit):

@@ -16,7 +16,6 @@ from gmpkit.signals import (
     butter_bandpass_zpk,
     first_order_recurrence,
     inner_product_integral,
-    l2_norm_integral,
     read_csv,
     rms,
     rms_support,
@@ -145,19 +144,19 @@ def test_inner_product_alignment_errors():
 def test_l2_norm_constant_two_channels():
     # oracle: constant 2 on two channels over 3 s -> (4 + 4) * 3 = 24
     sig = make_signal(lambda t: np.full_like(t, 2.0), duration=3.0, channels=("u", "v"))
-    assert l2_norm_integral(sig, Window(0.0, 3.0)) == pytest.approx(24.0, abs=1e-9)
+    assert inner_product_integral(sig, sig, Window(0.0, 3.0)) == pytest.approx(24.0, abs=1e-9)
 
 
 def test_l2_norm_sine():
     sig = make_signal(lambda t: np.sin(2 * np.pi * t))
-    assert l2_norm_integral(sig, Window(0.0, 1.0)) == pytest.approx(0.5, abs=1e-6)
+    assert inner_product_integral(sig, sig, Window(0.0, 1.0)) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_l2_norm_zero_iff_zero_signal():
     zero = make_signal(lambda t: np.zeros_like(t))
-    assert l2_norm_integral(zero, Window(0.0, 1.0)) == 0.0
+    assert inner_product_integral(zero, zero, Window(0.0, 1.0)) == 0.0
     tiny = make_signal(lambda t: np.where(t == 0.5, 1e-3, 0.0))
-    assert l2_norm_integral(tiny, Window(0.0, 1.0)) > 0.0
+    assert inner_product_integral(tiny, tiny, Window(0.0, 1.0)) > 0.0
 
 
 def test_trapezoid_exact_for_piecewise_linear():
@@ -175,7 +174,7 @@ def test_trapezoid_exact_for_piecewise_linear():
 def test_l2_norm_nonnegative(offset, scale):
     t = np.arange(201) / 100.0
     sig = SampledSignal(100.0, 0.0, ("x",), offset + scale * np.sin(7 * t))
-    assert l2_norm_integral(sig, Window(0.0, 2.0)) >= 0.0
+    assert inner_product_integral(sig, sig, Window(0.0, 2.0)) >= 0.0
 
 
 def test_rms_constant():
