@@ -8,7 +8,7 @@ uses a map to budget a minimal-dissipation passivity stabilizer.
 
 __version__ = "0.1.0"
 
-from .signals import SampledSignal, Window, inner_product_integral, rms
+from .signals import SampledSignal, Window, rms
 from .biomech import (
     ActivationProfile,
     LimbParams,
@@ -30,7 +30,7 @@ from .config import StudyConfig, default_config, load_config
 
 __all__ = [
     "__version__",
-    "SampledSignal", "Window", "inner_product_integral", "rms",
+    "SampledSignal", "Window", "rms",
     "ActivationProfile", "LimbParams", "PerturbationSpec", "Subject", "TrialCondition",
     "TrialRecord", "analytic_eop", "make_cohort", "perturbation_direction", "simulate_trial",
     "MvcCalibration", "estimate_mvc", "pct_mvc", "synthesize_emg",

@@ -1,4 +1,4 @@
-"""Surface-EMG synthesis, MVC calibration, and %MVC envelopes.
+"""Surface-EMG synthesis, MVC calibration, and the %MVC readout.
 
 Four channels model four forearm muscles; two of them (palmaris longus and
 extensor digitorum, the channels most sensitive to grip co-activation)
@@ -138,30 +138,6 @@ def estimate_mvc(
     return MvcCalibration(mvc_rms=tuple(float(p) for p in peak))
 
 
-def _check_calibration(emg: SampledSignal, cal: MvcCalibration) -> None:
-    if emg.n_channels != len(cal.mvc_rms):
-        raise ValueError(
-            f"calibration covers {len(cal.mvc_rms)} channels, EMG has {emg.n_channels}"
-        )
-
-
-def pct_mvc_envelope(
-    emg: SampledSignal,
-    cal: MvcCalibration,
-    window_len: float = RMS_WINDOW_S,
-    stride: float = RMS_STRIDE_S,
-) -> SampledSignal:
-    """Normalized RMS envelope: fraction of MVC per channel over time (may exceed 1)."""
-    _check_calibration(emg, cal)
-    env = rms(emg, window_len, stride)
-    return SampledSignal(
-        sample_rate=env.sample_rate,
-        start_time=env.start_time,
-        channels=env.channels,
-        data=env.data / np.asarray(cal.mvc_rms),
-    )
-
-
 def pct_mvc(
     emg: SampledSignal,
     cal: MvcCalibration,
@@ -176,11 +152,15 @@ def pct_mvc(
     RMS window short of the raw EMG span at both ends; ``w`` is clipped to
     that support (a window fully outside it is a range error). Only the
     envelope samples inside the clipped window are computed, and only from
-    the feedback channels: they equal the samples of
-    :func:`pct_mvc_envelope` there bit for bit, since both come from
-    :func:`signals.window_rms` and the grid of :func:`signals.rms_grid`.
+    the feedback channels. They equal, bit for bit, the samples there of
+    each channel's :func:`signals.rms` envelope divided by its MVC level,
+    since both come from :func:`signals.window_rms` on the grid of
+    :func:`signals.rms_grid`.
     """
-    _check_calibration(emg, cal)
+    if emg.n_channels != len(cal.mvc_rms):
+        raise ValueError(
+            f"calibration covers {len(cal.mvc_rms)} channels, EMG has {emg.n_channels}"
+        )
     n_win, n_stride, first, rate, n_env = rms_grid(emg.n_samples, emg.sample_rate, emg.start_time,
                                                    window_len, stride)
     clipped = Window(max(w.t_start, first), min(w.t_end, first + (n_env - 1) / rate))

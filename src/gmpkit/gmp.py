@@ -76,9 +76,6 @@ class GmpMap:
     def complete(self) -> bool:
         return not self.missing_cells()
 
-    def cell(self, direction_index: int, activation_label: str, frequency_label: str) -> MapCell:
-        return self.cells[(direction_index, activation_label, frequency_label)]
-
 
 def build_map(
     estimates: Sequence[EopEstimate],
@@ -240,9 +237,9 @@ def load_map_json(path) -> GmpMap:
     """Rebuild a lookup-ready map from its JSON document.
 
     A document that does not parse, or lacks a key, or holds a value of the
-    wrong type or a non-finite number, or grid frequencies that repeat or
-    are not > 0, or a cell outside the grid or twice, is a ``DataError``
-    that names the file.
+    wrong type or a non-finite number, or no grid frequency, or grid
+    frequencies that repeat or are not > 0, or a cell outside the grid or
+    twice, is a ``DataError`` that names the file.
     """
     doc = read_json(path, "map")
     source = f"map {path}"
@@ -253,8 +250,9 @@ def load_map_json(path) -> GmpMap:
         raise DataError(f"{source}: unsupported direction count {directions}")
     grid_freqs = sorted(json_value(source, "a grid frequency", f, float)
                         for f in json_field(source, grid, "frequencies", list))
-    if len(grid_freqs) > len(FREQUENCY_LABELS):
-        raise DataError(f"{source}: more frequencies than supported labels")
+    if not 1 <= len(grid_freqs) <= len(FREQUENCY_LABELS):
+        raise DataError(f"{source}: need 1 to {len(FREQUENCY_LABELS)} grid frequencies, "
+                        f"got {len(grid_freqs)}")
     if any(not hz > 0 for hz in grid_freqs) or any(
         math.isclose(lower, higher, rel_tol=_HZ_REL_TOL) for lower, higher in zip(grid_freqs, grid_freqs[1:])
     ):

@@ -105,15 +105,8 @@ class SampledSignal:
     def duration(self) -> float:
         return (self.n_samples - 1) / self.sample_rate
 
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(self.n_samples) / self.sample_rate
-
-    def span(self) -> Window:
-        return Window(self.start_time, self.end_time)
 
     # -- operations -------------------------------------------------------
 
@@ -189,23 +182,14 @@ def _trapz(values: np.ndarray, dt: float) -> float:
     return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def inner_product_integral(a: SampledSignal, b: SampledSignal, w: Window) -> float:
-    """Trapezoidal approximation of the port energy integral over ``w``.
-
-    Channels are paired positionally and the channelwise products summed,
-    i.e. the integrand is the full vector inner product a(t)^T b(t). With a
-    force signal and a velocity signal this is the energy flowing through
-    the port, in joules.
-    """
-    check_aligned(a, b)
-    return trapz_inner(a.slice(w), b.slice(w))
-
-
 def trapz_inner(a: SampledSignal, b: SampledSignal) -> float:
     """Trapezoidal integral of a(t)^T b(t) over the whole of two aligned signals.
 
-    :func:`inner_product_integral` without the alignment check and the
-    slicing, for a caller that has sliced both signals itself.
+    Channels are paired positionally and the channelwise products summed,
+    so the integrand is the full vector inner product. With a force signal
+    and a velocity signal this is the energy flowing through the port, in
+    joules. Neither the alignment (:func:`check_aligned`) nor a window is
+    checked: the caller slices both signals to one window itself.
     """
     integrand = np.einsum("ij,ij->i", a.data, b.data)
     return _trapz(integrand, 1.0 / a.sample_rate)
@@ -282,9 +266,10 @@ def rms_support(n_samples: int, sample_rate: float, start_time: float,
                 window_len: float, stride: float) -> tuple[float, float]:
     """First and last timestamps of :func:`rms` of an ``n_samples``-sample signal.
 
-    Computed with the arithmetic ``rms`` and ``SampledSignal.end_time`` use,
-    so the values equal ``rms(signal, ...).span()`` bit for bit, without the
-    signal. First and last are equal when the envelope has a single sample.
+    Computed with the arithmetic of ``rms`` and ``SampledSignal.duration``,
+    so the values equal the envelope's ``start_time`` and ``start_time +
+    duration`` bit for bit, without the signal. First and last are equal
+    when the envelope has a single sample.
     """
     _, _, first, rate, n_out = rms_grid(n_samples, sample_rate, start_time, window_len, stride)
     return first, first + (n_out - 1) / rate

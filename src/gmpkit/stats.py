@@ -145,11 +145,7 @@ def _normal_p(ranks: np.ndarray, w_plus: float, sidedness: str) -> float:
     return _normal_cdf(z)
 
 
-def wilcoxon_signed_rank(
-    sample: PairedSample,
-    sidedness: str = "two-sided",
-    exact_max_n: int = EXACT_MAX_N,
-) -> TestResult:
+def wilcoxon_signed_rank(sample: PairedSample, sidedness: str = "two-sided") -> TestResult:
     """Wilcoxon signed-rank test on paired observations.
 
     The statistic is W+, the rank sum of positive differences a - b.
@@ -167,7 +163,7 @@ def wilcoxon_signed_rank(
         raise DegenerateSampleError(f"need >= 5 nonzero differences, got {n}")
     ranks = _rank_average(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-    if n <= exact_max_n:
+    if n <= EXACT_MAX_N:
         p = _exact_p(ranks, w_plus, sidedness)
         method = "exact"
     else:

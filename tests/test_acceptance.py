@@ -110,14 +110,14 @@ def test_criterion_3_qualitative_reproduction(full_study):
     for gmp_map in (*(maps[s] for s in subjects), analysis.median):
         for direction in range(8):
             for activation in ("relaxed", "stiff"):
-                low = gmp_map.cell(direction, activation, "low").xi
-                high = gmp_map.cell(direction, activation, "high").xi
+                low = gmp_map.cells[(direction, activation, "low")].xi
+                high = gmp_map.cells[(direction, activation, "high")].xi
                 assert low > high, (gmp_map.subject_id, direction, activation)
 
     # (b) stiff exceeds relaxed in >= 7 of 8 directions per subject at 1 Hz
     for subject in subjects:
         wins = sum(
-            maps[subject].cell(d, "stiff", "low").xi > maps[subject].cell(d, "relaxed", "low").xi
+            maps[subject].cells[(d, "stiff", "low")].xi > maps[subject].cells[(d, "relaxed", "low")].xi
             for d in range(8)
         )
         assert wins >= 7, (subject, wins)
@@ -303,7 +303,7 @@ def test_criterion_8_gmp_lookup(full_study):
         frequency = float(rng.uniform(1.0, 3.0))
         value = lookup(gmp_map, direction, pct, frequency)
         nodes = [
-            gmp_map.cell(direction, activation, freq).xi
+            gmp_map.cells[(direction, activation, freq)].xi
             for activation in ("relaxed", "stiff")
             for freq in ("low", "high")
         ]

@@ -7,7 +7,6 @@ from gmpkit.emg import (
     MvcCalibration,
     estimate_mvc,
     pct_mvc,
-    pct_mvc_envelope,
     synthesize_emg,
 )
 from gmpkit.errors import DegenerateSampleError, WindowRangeError
@@ -199,9 +198,16 @@ def test_pct_mvc_window_outside_span():
         pct_mvc(emg, cal, Window(5.0, 6.0), feedback_channels=(0,))
 
 
+def _pct_mvc_envelope(emg, cal, window_len, stride):
+    """The all-channel %MVC envelope: each channel's RMS envelope over its MVC level."""
+    env = rms(emg, window_len, stride)
+    return SampledSignal(env.sample_rate, env.start_time, env.channels,
+                         env.data / np.asarray(cal.mvc_rms))
+
+
 def test_pct_mvc_envelope_units():
     emg = synthesize_emg(activation_signal(0.4), (2.0,), seed=10)
-    series = pct_mvc_envelope(emg, MvcCalibration(mvc_rms=(2.0,)))
+    series = _pct_mvc_envelope(emg, MvcCalibration(mvc_rms=(2.0,)), 0.25, 0.05)
     assert series.data.mean() == pytest.approx(0.4, abs=0.05)
     assert np.all(series.data >= 0.0)
 
@@ -209,9 +215,9 @@ def test_pct_mvc_envelope_units():
 def _reference_pct_mvc(emg, cal, w, feedback_channels, window_len, stride):
     """pct_mvc as it was before it enveloped the feedback channels alone:
     the mean of every channel's envelope, then the feedback pair's pool."""
-    series = pct_mvc_envelope(emg, cal, window_len, stride)
-    span = series.span()
-    clipped = Window(max(w.t_start, span.t_start), min(w.t_end, span.t_end))
+    series = _pct_mvc_envelope(emg, cal, window_len, stride)
+    end = series.start_time + series.duration
+    clipped = Window(max(w.t_start, series.start_time), min(w.t_end, end))
     means = series.slice(clipped).data.mean(axis=0)
     return float(np.mean([means[ch] for ch in feedback_channels]))
 

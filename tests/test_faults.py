@@ -619,9 +619,11 @@ def negative_low_frequency(doc):
         (edit_map(lambda doc: doc.pop("cells")), "missing key 'cells'"),
         (edit_map(repeat_low_frequency), "grid frequencies must be distinct and > 0, got [1.0, 1.0]"),
         (edit_map(negative_low_frequency), "grid frequencies must be distinct and > 0, got [-1.0, 3.0]"),
+        (edit_map(lambda doc: doc.update(grid={"frequencies": [], "directions": 8}, cells=[])),
+         "need 1 to 2 grid frequencies, got 0"),
     ],
     ids=["torn", "xi-string-nan", "pct-mvc-infinity", "no-cells", "repeated-frequency",
-         "negative-frequency"],
+         "negative-frequency", "empty-grid"],
 )
 def test_damaged_map_json_is_a_data_error(tmp_path, capsys, damage, reason):
     map_path = tmp_path / "gmp_damaged.json"

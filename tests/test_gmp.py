@@ -118,8 +118,8 @@ def test_lookup_reproduces_nodes_exactly():
 
 def test_lookup_midpoint_between_activation_nodes():
     gmp_map = build_map(full_grid(simple_xi), "S1")
-    lo = gmp_map.cell(0, "relaxed", "low").xi
-    hi = gmp_map.cell(0, "stiff", "low").xi
+    lo = gmp_map.cells[(0, "relaxed", "low")].xi
+    hi = gmp_map.cells[(0, "stiff", "low")].xi
     mid_pct = 0.5 * (PCTS["relaxed"] + PCTS["stiff"])
     assert lookup(gmp_map, 0, mid_pct, 1.0) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
@@ -127,16 +127,16 @@ def test_lookup_midpoint_between_activation_nodes():
 def test_lookup_interpolates_in_frequency():
     gmp_map = build_map(full_grid(simple_xi), "S1")
     value = lookup(gmp_map, 3, 0.2, 2.0)
-    cells = [gmp_map.cell(3, act, freq).xi for act in ("relaxed", "stiff") for freq in ("low", "high")]
+    cells = [gmp_map.cells[(3, act, freq)].xi for act in ("relaxed", "stiff") for freq in ("low", "high")]
     assert min(cells) <= value <= max(cells)
 
 
 def test_lookup_clamps_pct_extrapolation():
     gmp_map = build_map(full_grid(simple_xi), "S1")
     at_zero = lookup(gmp_map, 0, 0.0, 1.0)
-    assert at_zero == pytest.approx(gmp_map.cell(0, "relaxed", "low").xi)
+    assert at_zero == pytest.approx(gmp_map.cells[(0, "relaxed", "low")].xi)
     at_one = lookup(gmp_map, 0, 1.0, 1.0)
-    assert at_one == pytest.approx(gmp_map.cell(0, "stiff", "low").xi)
+    assert at_one == pytest.approx(gmp_map.cells[(0, "stiff", "low")].xi)
 
 
 def test_lookup_refuses_frequency_outside_grid():
@@ -164,7 +164,7 @@ def test_lookup_stays_in_node_hull(direction, pct, frequency):
     gmp_map = build_map(full_grid(simple_xi), "S1")
     value = lookup(gmp_map, direction, pct, frequency)
     nodes = [
-        gmp_map.cell(direction, act, freq).xi
+        gmp_map.cells[(direction, act, freq)].xi
         for act in ("relaxed", "stiff")
         for freq in ("low", "high")
     ]
@@ -249,9 +249,9 @@ def test_spider_csv_layout(tmp_path):
     assert len(lines) == 9
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert float(first[1]) == gmp_map.cell(0, "relaxed", "low").xi
-    assert float(first[2]) == gmp_map.cell(0, "stiff", "low").xi
-    assert float(first[3]) == gmp_map.cell(0, "relaxed", "high").xi
-    assert float(first[4]) == gmp_map.cell(0, "stiff", "high").xi
+    assert float(first[1]) == gmp_map.cells[(0, "relaxed", "low")].xi
+    assert float(first[2]) == gmp_map.cells[(0, "stiff", "low")].xi
+    assert float(first[3]) == gmp_map.cells[(0, "relaxed", "high")].xi
+    assert float(first[4]) == gmp_map.cells[(0, "stiff", "high")].xi
     degrees = [int(line.split(",")[0]) for line in lines[1:]]
     assert degrees == [0, 45, 90, 135, 180, 225, 270, 315]

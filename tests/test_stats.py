@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special  # independent oracle for the Kolmogorov series
 
+from gmpkit import stats
 from gmpkit.errors import DegenerateSampleError
 from gmpkit.stats import (
     BoxSummary,
@@ -125,12 +126,18 @@ def test_normal_approximation_close_to_exact():
         d = rng.normal(size=n)
         while np.any(d == 0) or len(np.unique(np.abs(d))) < n:
             d = rng.normal(size=n)
-        sample = paired_from_differences(d)
-        exact = wilcoxon_signed_rank(sample, exact_max_n=12)
-        approx = wilcoxon_signed_rank(sample, exact_max_n=0)
-        assert approx.method == "normal-approximation"
-        worst = max(worst, abs(exact.p_value - approx.p_value))
+        ranks = stats._rank_average(np.abs(d))
+        w_plus = float(ranks[d > 0].sum())
+        exact = stats._exact_p(ranks, w_plus, "two-sided")
+        worst = max(worst, abs(exact - stats._normal_p(ranks, w_plus, "two-sided")))
     assert worst < 0.02
+
+
+@pytest.mark.parametrize("n, method", [(12, "exact"), (13, "normal-approximation")])
+def test_exact_enumeration_up_to_twelve_differences(n, method):
+    d = [k if k % 2 else -k for k in range(1, n + 1)]  # no ties, both signs
+    result = wilcoxon_signed_rank(paired_from_differences(d))
+    assert (result.n, result.method) == (n, method)
 
 
 @given(
