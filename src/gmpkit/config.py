@@ -23,7 +23,7 @@ from .biomech import (DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, JITTERED_PARAMS, MIN
 from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
-from .signals import Window, rms_support
+from .signals import Window, rms_range
 from .stabilizer import DEFAULT_SAFETY_FACTOR, FIELD_KINDS
 
 
@@ -81,35 +81,6 @@ class ScenarioConfig:
     amplitude_m: float = 0.03
     safety_factor: float = DEFAULT_SAFETY_FACTOR
     seed: int = 7
-
-
-def _check_envelope_window(config: StudyConfig) -> None:
-    """Refuse an analysis window that misses the %MVC envelope of the trials.
-
-    The envelope is stamped at RMS window centres, so it starts and ends
-    about half an RMS window inside the trial. At every frequency, the
-    analysis window [duration_s - analysis_window_s, duration_s], snapped to
-    whole periods as ``passivity.estimate_eop`` does, must overlap it by more
-    than a point. The envelope's timestamps are computed the way
-    ``signals.rms`` stamps the EMG that ``simulate_trial`` synthesizes over
-    the span of the robot grid.
-    """
-    p, emg, robot_hz, emg_hz = config.protocol, config.emg, config.rates.robot_hz, config.rates.emg_hz
-    _, n_emg = stored_samples(p.duration_s, robot_hz, emg_hz)
-    try:
-        first, last = rms_support(n_emg, emg_hz, 0.0, emg.rms_window_s, emg.rms_stride_s)
-        starts = [snap_window_to_periods(Window(p.duration_s - p.analysis_window_s, p.duration_s),
-                                         f, robot_hz).t_start for f in p.frequencies]
-    except (WindowRangeError, DegenerateTrialError) as exc:
-        raise ConfigError(f"analysis window or emg.rms_window_s out of range: {exc}") from None
-    start = max(starts)
-    if not (first < last and start < last):
-        raise ConfigError(
-            f"protocol.analysis_window_s = {p.analysis_window_s} s starts at {start:g} s once snapped "
-            f"to whole periods, but the %MVC envelope of emg.rms_window_s = {emg.rms_window_s} s "
-            f"covers [{first:.4g}, {last:.4g}] s of the {p.duration_s:g} s trials; lengthen the "
-            f"analysis window or shorten the RMS window"
-        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +141,19 @@ class StudyConfig:
         if self.emg.rms_window_s > MVC_DURATION_S:
             raise ConfigError(f"emg.rms_window_s = {self.emg.rms_window_s} exceeds the "
                               f"{MVC_DURATION_S} s MVC recordings")
-        _check_envelope_window(self)
+        # each frequency's analysis window, snapped to whole periods as estimate_eop does, must read
+        # the %MVC envelope that pct_mvc reads of the EMG simulate_trial synthesizes
+        _, n_emg_samples = stored_samples(p.duration_s, self.rates.robot_hz, self.rates.emg_hz)
+        for f in p.frequencies:
+            try:
+                w = snap_window_to_periods(Window(p.duration_s - p.analysis_window_s, p.duration_s), f,
+                                           self.rates.robot_hz)
+                rms_range(n_emg_samples, self.rates.emg_hz, 0.0, self.emg.rms_window_s, self.emg.rms_stride_s, w)
+            except (WindowRangeError, DegenerateTrialError) as exc:
+                raise ConfigError(f"protocol.analysis_window_s = {p.analysis_window_s} s, snapped to whole "
+                                  f"periods of {f:g} Hz, misses the %MVC envelope of emg.rms_window_s = "
+                                  f"{self.emg.rms_window_s} s ({exc}); lengthen the analysis window or shorten "
+                                  f"the RMS window") from None
         n_emg = len(DEFAULT_MVC_RMS_MV)
         if not self.emg.feedback_channels or any(
             not 0 <= ch < n_emg for ch in self.emg.feedback_channels
@@ -187,6 +170,10 @@ class StudyConfig:
                             ("frequency_hz", s.frequency_hz)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"stabilizer.{name} must be finite and > 0, got {value}")
+        # the co-simulation's step rule is the trials'
+        if self.rates.robot_hz < MIN_SAMPLES_PER_PERIOD * s.frequency_hz:
+            raise ConfigError(f"stabilizer.frequency_hz = {s.frequency_hz} exceeds rates.robot_hz / "
+                              f"{MIN_SAMPLES_PER_PERIOD:g} = {self.rates.robot_hz / MIN_SAMPLES_PER_PERIOD:g} Hz")
         for name, value in (("activation", s.activation), ("safety_factor", s.safety_factor)):
             if not 0 <= value <= 1:
                 raise ConfigError(f"stabilizer.{name} must be within [0, 1], got {value}")

@@ -6,8 +6,8 @@ drive the pooled %MVC readout used as the activation axis of the maps.
 
 %MVC is the sliding-window RMS of the raw EMG normalized by the RMS
 recorded at maximum voluntary contraction. Envelope window and stride
-are the ``[emg]`` settings; their defaults, 0.25 s / 0.05 s, are standard
-surface-EMG practice.
+are the ``[emg]`` settings, taken from the caller; their config defaults,
+0.25 s / 0.05 s, are standard surface-EMG practice.
 
 The raw EMG is white noise through a causal 4th-order Butterworth
 band-pass (20-450 Hz), computed with numpy alone: the filter is designed
@@ -30,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .signals import (SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms, rms_grid,
-                      sample_range, window_rms)
+from .signals import SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms, rms_range, window_rms
 
 EMG_RATE = 2148.0  # Hz
 
@@ -68,7 +67,7 @@ def synthesize_emg(
     activation: SampledSignal,
     mvc_rms: Sequence[float],
     seed,
-    rate: float = EMG_RATE,
+    rate: float,
 ) -> SampledSignal:
     """Raw EMG whose RMS envelope tracks activation * mvc_rms.
 
@@ -120,8 +119,8 @@ def synthesize_emg(
 
 def estimate_mvc(
     recordings: Sequence[SampledSignal],
-    window_len: float = RMS_WINDOW_S,
-    stride: float = RMS_STRIDE_S,
+    window_len: float,
+    stride: float,
 ) -> MvcCalibration:
     """Per-channel maximum sliding-RMS across all repetitions."""
     if len(recordings) == 0:
@@ -142,16 +141,15 @@ def pct_mvc(
     emg: SampledSignal,
     cal: MvcCalibration,
     w: Window,
-    feedback_channels: tuple[int, ...] = FEEDBACK_CHANNELS,
-    window_len: float = RMS_WINDOW_S,
-    stride: float = RMS_STRIDE_S,
+    feedback_channels: tuple[int, ...],
+    window_len: float,
+    stride: float,
 ) -> float:
     """Mean %MVC over ``w``, pooled over the feedback channels.
 
-    The envelope is stamped at window centres, so its support is half an
-    RMS window short of the raw EMG span at both ends; ``w`` is clipped to
-    that support (a window fully outside it is a range error). Only the
-    envelope samples inside the clipped window are computed, and only from
+    ``w`` reads the envelope samples that :func:`signals.rms_range` gives:
+    those inside ``w`` clipped to the envelope's support, a range error
+    when ``w`` misses it. Only those samples are computed, and only from
     the feedback channels. They equal, bit for bit, the samples there of
     each channel's :func:`signals.rms` envelope divided by its MVC level,
     since both come from :func:`signals.window_rms` on the grid of
@@ -161,10 +159,8 @@ def pct_mvc(
         raise ValueError(
             f"calibration covers {len(cal.mvc_rms)} channels, EMG has {emg.n_channels}"
         )
-    n_win, n_stride, first, rate, n_env = rms_grid(emg.n_samples, emg.sample_rate, emg.start_time,
-                                                   window_len, stride)
-    clipped = Window(max(w.t_start, first), min(w.t_end, first + (n_env - 1) / rate))
-    k_start, k_end = sample_range(n_env, rate, first, clipped)
+    n_win, n_stride, k_start, k_end = rms_range(emg.n_samples, emg.sample_rate, emg.start_time,
+                                                window_len, stride, w)
     # only the envelope samples inside the window, each from the feedback columns as they lie
     envelope = window_rms([emg.data[:, ch] for ch in feedback_channels], n_win,
                           np.arange(k_start, k_end + 1) * n_stride)

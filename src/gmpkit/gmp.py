@@ -239,7 +239,8 @@ def load_map_json(path) -> GmpMap:
     A document that does not parse, or lacks a key, or holds a value of the
     wrong type or a non-finite number, or no grid frequency, or grid
     frequencies that repeat or are not > 0, or a cell outside the grid or
-    twice, is a ``DataError`` that names the file.
+    twice, or a cell whose %MVC is negative (an RMS ratio cannot be), is a
+    ``DataError`` that names the file.
     """
     doc = read_json(path, "map")
     source = f"map {path}"
@@ -271,7 +272,10 @@ def load_map_json(path) -> GmpMap:
         key = (direction, activation, matches[0])
         if key in cells:
             raise DataError(f"{source}: duplicate cell {key}")
-        cells[key] = MapCell(json_field(source, cell, "xi", float), json_field(source, cell, "pct_mvc", float))
+        pct = json_field(source, cell, "pct_mvc", float)
+        if pct < 0:
+            raise DataError(f"{source}: cell {key} has a negative %MVC {pct}")
+        cells[key] = MapCell(json_field(source, cell, "xi", float), pct)
     return GmpMap(subject, cells, {label: hz for hz, label in label_by_hz.items()})
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .biomech import TrialCondition, TrialRecord
-from .emg import FEEDBACK_CHANNELS, MvcCalibration, RMS_STRIDE_S, RMS_WINDOW_S, pct_mvc
+from .emg import MvcCalibration, pct_mvc
 from .errors import DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, check_aligned, trapz_inner
 
@@ -142,9 +142,9 @@ def estimate_eop(
     trial: TrialRecord,
     w: Window,
     cal: MvcCalibration,
-    feedback_channels: tuple[int, ...] = FEEDBACK_CHANNELS,
-    rms_window: float = RMS_WINDOW_S,
-    rms_stride: float = RMS_STRIDE_S,
+    feedback_channels: tuple[int, ...],
+    rms_window: float,
+    rms_stride: float,
 ) -> EopEstimate:
     """Windowed EoP of a trial: energy ratio of force against velocity.
 

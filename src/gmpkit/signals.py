@@ -195,20 +195,6 @@ def trapz_inner(a: SampledSignal, b: SampledSignal) -> float:
     return _trapz(integrand, 1.0 / a.sample_rate)
 
 
-def _rms_geometry(n_samples: int, sample_rate: float, window_len: float,
-                  stride: float) -> tuple[int, int]:
-    """RMS window and stride in whole samples, checked against the signal length."""
-    if window_len <= 0 or stride <= 0:
-        raise ValueError("window_len and stride must be > 0")
-    n_win = max(1, round(window_len * sample_rate))
-    n_stride = max(1, round(stride * sample_rate))
-    if n_win > n_samples:
-        raise WindowRangeError(
-            f"RMS window of {n_win} samples longer than signal ({n_samples})"
-        )
-    return n_win, n_stride
-
-
 def rms_grid(n_samples: int, sample_rate: float, start_time: float,
              window_len: float, stride: float) -> tuple[int, int, float, float, int]:
     """The sample grid of :func:`rms` of an ``n_samples``-sample signal, without the signal.
@@ -217,9 +203,33 @@ def rms_grid(n_samples: int, sample_rate: float, start_time: float,
     start time, rate and sample count: windows start every stride from
     sample 0, and each envelope sample is stamped at its window's centre.
     """
-    n_win, n_stride = _rms_geometry(n_samples, sample_rate, window_len, stride)
+    if window_len <= 0 or stride <= 0:
+        raise ValueError("window_len and stride must be > 0")
+    n_win = max(1, round(window_len * sample_rate))
+    n_stride = max(1, round(stride * sample_rate))
+    if n_win > n_samples:
+        raise WindowRangeError(
+            f"RMS window of {n_win} samples longer than signal ({n_samples})"
+        )
     first = start_time + (n_win - 1) / 2.0 / sample_rate
     return n_win, n_stride, first, sample_rate / n_stride, (n_samples - n_win) // n_stride + 1
+
+
+def rms_range(n_samples: int, sample_rate: float, start_time: float,
+              window_len: float, stride: float, w: Window) -> tuple[int, int, int, int]:
+    """RMS window and stride in samples, and the first and last envelope sample that ``w`` reads.
+
+    ``w`` is clipped to the support of the envelope (:func:`rms_grid`); one
+    that overlaps it by no more than a point is a WindowRangeError.
+    """
+    n_win, n_stride, first, rate, n_env = rms_grid(n_samples, sample_rate, start_time, window_len, stride)
+    last = first + (n_env - 1) / rate
+    t_start, t_end = max(w.t_start, first), min(w.t_end, last)
+    if not t_start < t_end:
+        raise WindowRangeError(f"window [{w.t_start:g}, {w.t_end:g}] s misses the RMS envelope's "
+                               f"support [{first:.4g}, {last:.4g}] s")
+    k_start, k_end = sample_range(n_env, rate, first, Window(t_start, t_end))
+    return n_win, n_stride, k_start, k_end
 
 
 def window_rms(columns, n_win: int, starts: np.ndarray) -> np.ndarray:
@@ -260,19 +270,6 @@ def rms(signal: SampledSignal, window_len: float, stride: float) -> SampledSigna
         channels=signal.channels,
         data=window_rms(signal.data.T, n_win, starts),
     )
-
-
-def rms_support(n_samples: int, sample_rate: float, start_time: float,
-                window_len: float, stride: float) -> tuple[float, float]:
-    """First and last timestamps of :func:`rms` of an ``n_samples``-sample signal.
-
-    Computed with the arithmetic of ``rms`` and ``SampledSignal.duration``,
-    so the values equal the envelope's ``start_time`` and ``start_time +
-    duration`` bit for bit, without the signal. First and last are equal
-    when the envelope has a single sample.
-    """
-    _, _, first, rate, n_out = rms_grid(n_samples, sample_rate, start_time, window_len, stride)
-    return first, first + (n_out - 1) / rate
 
 
 # -- filter kernels --------------------------------------------------------

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import (
+    MIN_SAMPLES_PER_PERIOD,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -208,6 +209,9 @@ def run_interconnection(
     """
     if not 1000.0 <= rate < math.inf:
         raise IntegrationError(f"co-simulation rate must be finite and >= 1 kHz, got {rate}")
+    if rate < MIN_SAMPLES_PER_PERIOD * perturbation.frequency:
+        raise IntegrationError(f"rate {rate} Hz too low for {perturbation.frequency} Hz perturbation: need "
+                               f">= {MIN_SAMPLES_PER_PERIOD * perturbation.frequency} Hz (integration step too large)")
     if duration != perturbation.duration:
         raise IntegrationError(
             f"co-simulation duration {duration} s differs from the perturbation's {perturbation.duration} s"

@@ -87,8 +87,8 @@ from .biomech import (
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import ConfigError, DataError, DegenerateSampleError, MapRangeError, json_field, json_value, read_json
-from .errors import write_json
+from .errors import (ConfigError, DataError, DegenerateSampleError, IncompleteMapError, MapRangeError, json_field,
+                     json_value, read_json, write_json)
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_from_csv, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
@@ -673,9 +673,15 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
         if map_path is not None:
             gmp_map = load_map_json(map_path)
             try:
-                lookup(gmp_map, scenario.direction, scenario.activation, scenario.frequency_hz)
+                xi = lookup(gmp_map, scenario.direction, scenario.activation, scenario.frequency_hz)
             except MapRangeError as exc:
                 raise ConfigError(f"refusing scenario: {exc}") from None
+            except IncompleteMapError as exc:
+                raise DataError(f"map {map_path}: {exc}") from None
+            # a negative budget debits the observer ledger: the map would add injected damping
+            if scenario.safety_factor * xi < 0:
+                raise DataError(f"map {map_path}: grants the scenario a negative EoP budget "
+                                f"({scenario.safety_factor} x {xi} N*s/m)")
 
         out = staging / "stabilize"
         out.mkdir(parents=True)

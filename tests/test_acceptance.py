@@ -21,7 +21,7 @@ from gmpkit.biomech import (
     simulate_trial,
 )
 from gmpkit.config import default_config
-from gmpkit.emg import EMG_RATE, MvcCalibration
+from gmpkit.emg import EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S, MvcCalibration
 from gmpkit.gmp import lookup
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import SampledSignal, Window
@@ -31,6 +31,8 @@ from gmpkit.study import analyze_study, simulate_study, stats_study, trial_files
 
 ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
+# the [emg] settings, at their config defaults: feedback channels, RMS window and stride
+EMG_SETTINGS = (FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
 
 
 def ok(criterion, detail):
@@ -67,7 +69,7 @@ def test_criterion_1_analytic_eop_recovery():
     trial = simulate_trial(params, spec, ActivationProfile(0.0), seed=0, rate=1000.0,
                            mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
                            activation_label="relaxed", frequency_label="low")
-    est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+    est = estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
     elapsed = time.perf_counter() - started
     rel_err = abs(est.xi - 17.0) / 17.0
     assert rel_err < 1e-3
@@ -89,7 +91,7 @@ def test_criterion_2_model_vs_simulation_consistency():
             mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
             activation_label=act_label, frequency_label=freq_label,
         )
-        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
         reference = analytic_eop(params, direction, activation, frequency)
         worst = max(worst, abs(est.xi - reference) / reference)
     elapsed = time.perf_counter() - started

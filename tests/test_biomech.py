@@ -18,7 +18,7 @@ from gmpkit.biomech import (
     simulate_trial,
     trial_streams,
 )
-from gmpkit.emg import EMG_RATE, MvcCalibration
+from gmpkit.emg import EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S, MvcCalibration
 from gmpkit.errors import DegenerateTrialError, IntegrationError
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import Window
@@ -26,6 +26,8 @@ from gmpkit.signals import Window
 UNIT_GAINS = (1.0,) * 8
 ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
+# the [emg] settings, at their config defaults: feedback channels, RMS window and stride
+EMG_SETTINGS = (FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
 
 
 def kv_params(b0=15.0, gains=UNIT_GAINS):
@@ -82,7 +84,7 @@ def test_kelvin_voigt_trial_recovers_damping():
     for gains, direction in ((UNIT_GAINS, 0), ((0.8,) * 8, 3)):
         params = kv_params(b0=15.0, gains=gains)
         trial = run(params, direction=direction)
-        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
         expected = gains[direction] * 15.0
         assert est.xi == pytest.approx(expected, rel=1e-3)
 
@@ -91,13 +93,13 @@ def test_zero_amplitude_trial_flagged_downstream():
     trial = run(LimbParams(), amplitude=0.0)
     assert np.all(trial.velocity.data == 0.0)
     with pytest.raises(DegenerateTrialError):
-        estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+        estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
 
 
 def test_eop_increases_with_activation():
     params = LimbParams()
-    relaxed = estimate_eop(run(params, activation=0.0, seed=2), ANALYSIS_WINDOW, cal=CAL)
-    stiff = estimate_eop(run(params, activation=0.4, seed=2), ANALYSIS_WINDOW, cal=CAL)
+    relaxed = estimate_eop(run(params, activation=0.0, seed=2), ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
+    stiff = estimate_eop(run(params, activation=0.4, seed=2), ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
     assert stiff.xi > relaxed.xi
     assert analytic_eop(params, 0, 0.4, 1.0) > analytic_eop(params, 0, 0.0, 1.0)
 
@@ -133,7 +135,7 @@ def test_estimate_matches_analytic_at_2khz():
     params = LimbParams()
     for direction, activation, frequency in ((0, 0.4, 1.0), (2, 0.05, 3.0), (5, 0.4, 3.0)):
         trial = run(params, direction, activation, frequency, seed=11, rate=2000.0)
-        est = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
+        est = estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
         ana = analytic_eop(params, direction, activation, frequency)
         assert est.xi == pytest.approx(ana, rel=0.01)
 
@@ -281,6 +283,6 @@ def test_trial_csv_round_trip(tmp_path):
 def test_trial_csv_estimates_agree(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    direct = estimate_eop(trial, ANALYSIS_WINDOW, cal=CAL)
-    loaded = estimate_eop(back, ANALYSIS_WINDOW, cal=CAL)
+    direct = estimate_eop(trial, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
+    loaded = estimate_eop(back, ANALYSIS_WINDOW, CAL, *EMG_SETTINGS)
     assert loaded.xi == pytest.approx(direct.xi, rel=1e-12)

@@ -11,14 +11,22 @@ from its caller.
 
 import inspect
 import json
+import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gmpkit import cli
-from gmpkit.biomech import PerturbationSpec, Subject, make_cohort, simulate_trial
+from gmpkit.biomech import DEFAULT_MVC_RMS_MV, PerturbationSpec, Subject, make_cohort, simulate_trial, stored_samples
 from gmpkit.stabilizer import InterconnectionResult, run_interconnection
-from gmpkit.config import OutputConfig, config_from_sections, json_setting, load_config
+from gmpkit.config import (EmgConfig, OutputConfig, ProtocolConfig, StudyConfig, config_from_sections, json_setting,
+                           load_config)
+from gmpkit.emg import MvcCalibration, estimate_mvc, pct_mvc, synthesize_emg
+from gmpkit.errors import ConfigError, WindowRangeError
+from gmpkit.passivity import estimate_eop, snap_window_to_periods
+from gmpkit.signals import SampledSignal, Window
 from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
 
 CONFIGS = {
@@ -80,6 +88,10 @@ CALLER_SETTINGS = {
     simulate_trial: ("mvc_rms", "emg_rate", "subject_id"),
     Subject: ("mvc_rms",),
     InterconnectionResult: ("seed", "field"),
+    synthesize_emg: ("rate",),
+    estimate_mvc: ("window_len", "stride"),
+    pct_mvc: ("feedback_channels", "window_len", "stride"),
+    estimate_eop: ("feedback_channels", "rms_window", "rms_stride"),
 }
 
 
@@ -88,3 +100,38 @@ CALLER_SETTINGS = {
 def test_study_settings_have_no_library_default(function, names):
     parameters = inspect.signature(function).parameters
     assert [name for name in names if parameters[name].default is not inspect.Parameter.empty] == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(duration=st.floats(1.0, 4.0), analysis_window=st.floats(0.05, 4.0), rms_window=st.floats(0.05, 3.0),
+       rms_stride=st.floats(0.005, 0.5), frequency=st.floats(0.5, 8.0))
+@example(duration=3.0, analysis_window=1.0, rms_window=2.5, rms_stride=0.05, frequency=1.0)  # refused
+@example(duration=3.0, analysis_window=1.0, rms_window=0.25, rms_stride=0.05, frequency=1.0)
+def test_validation_agrees_with_the_pct_mvc_readout(duration, analysis_window, rms_window, rms_stride, frequency):
+    """A config is refused for its envelope exactly when pct_mvc cannot read a trial's analysis window."""
+    assume(analysis_window <= duration and rms_window <= duration)
+    config = StudyConfig(protocol=ProtocolConfig(frequencies=(frequency,), duration_s=duration,
+                                                 analysis_window_s=analysis_window),
+                         emg=EmgConfig(rms_window_s=rms_window, rms_stride_s=rms_stride))
+    try:
+        config.validate()
+        refused = False
+    except ConfigError as exc:
+        assert "envelope" in str(exc)  # every other check holds by construction
+        refused = True
+    rates = config.rates
+    n_robot, n_emg = stored_samples(duration, rates.robot_hz, rates.emg_hz)
+    activation = SampledSignal(rates.robot_hz, 0.0, ("a",), np.full(n_robot, 0.4))
+    emg = synthesize_emg(activation, DEFAULT_MVC_RMS_MV, seed=0, rate=rates.emg_hz)
+    assert emg.n_samples == n_emg
+    window = snap_window_to_periods(Window(duration - analysis_window, duration), frequency, rates.robot_hz)
+
+    def read():
+        return pct_mvc(emg, MvcCalibration(DEFAULT_MVC_RMS_MV), window, config.emg.feedback_channels,
+                       rms_window, rms_stride)
+
+    if refused:
+        with pytest.raises(WindowRangeError):
+            read()
+    else:
+        assert math.isfinite(read())

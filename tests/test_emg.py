@@ -4,6 +4,9 @@ import pytest
 from gmpkit.emg import (
     BAND_HZ,
     EMG_RATE,
+    FEEDBACK_CHANNELS,
+    RMS_STRIDE_S,
+    RMS_WINDOW_S,
     MvcCalibration,
     estimate_mvc,
     pct_mvc,
@@ -19,29 +22,29 @@ def activation_signal(level, duration=5.0, rate=1000.0):
 
 
 def test_zero_activation_gives_silent_channels():
-    emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0), seed=0)
+    emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0), seed=0, rate=EMG_RATE)
     env = rms(emg, 0.25, 0.05)
     assert np.all(env.data < 0.01)  # below 1% MVC
 
 
 def test_envelope_tracks_activation_level():
     # oracle: modulated unit-variance noise has windowed RMS = level * mvc
-    emg = synthesize_emg(activation_signal(0.4), (1.0,), seed=1)
+    emg = synthesize_emg(activation_signal(0.4), (1.0,), seed=1, rate=EMG_RATE)
     env = rms(emg, 0.25, 0.05)
     assert env.data.mean() == pytest.approx(0.4, abs=0.05)
 
 
 def test_seeds_change_waveform_not_envelope():
-    a = synthesize_emg(activation_signal(0.4), (1.0,), seed=1)
-    b = synthesize_emg(activation_signal(0.4), (1.0,), seed=2)
+    a = synthesize_emg(activation_signal(0.4), (1.0,), seed=1, rate=EMG_RATE)
+    b = synthesize_emg(activation_signal(0.4), (1.0,), seed=2, rate=EMG_RATE)
     assert not np.array_equal(a.data, b.data)
     assert rms(a, 0.25, 0.05).data.mean() == pytest.approx(rms(b, 0.25, 0.05).data.mean(), abs=0.05)
-    again = synthesize_emg(activation_signal(0.4), (1.0,), seed=1)
+    again = synthesize_emg(activation_signal(0.4), (1.0,), seed=1, rate=EMG_RATE)
     np.testing.assert_array_equal(a.data, again.data)
 
 
 def test_output_rate_and_channel_count():
-    emg = synthesize_emg(activation_signal(0.2, duration=2.0), (1.6, 1.1, 1.8, 1.3), seed=3)
+    emg = synthesize_emg(activation_signal(0.2, duration=2.0), (1.6, 1.1, 1.8, 1.3), seed=3, rate=EMG_RATE)
     assert emg.sample_rate == pytest.approx(EMG_RATE)
     assert emg.channels == ("emg1", "emg2", "emg3", "emg4")
     assert emg.n_samples == round(2.0 * EMG_RATE) + 1
@@ -88,19 +91,19 @@ def test_synthesis_matches_reference_bytes(duration, rate):
 @pytest.mark.parametrize("n_activations, mvc", [(1, (1.7,)), (2, (1.6, 1.1, 1.8, 1.3)), (2, (1.6,))])
 def test_synthesis_channel_layouts_match_reference_bytes(n_activations, mvc):
     activation = noisy_activation(3.0, n_activations)
-    emg = synthesize_emg(activation, mvc, seed=12)
+    emg = synthesize_emg(activation, mvc, seed=12, rate=EMG_RATE)
     assert emg.data.tobytes() == _reference_synthesize_emg(activation, mvc, 12).tobytes()
     assert not emg.data.flags.writeable
 
 
 def test_synthesized_emg_has_float32_resolution():
-    emg = synthesize_emg(noisy_activation(2.0, 2), (1.6, 1.1, 1.8, 1.3), seed=13)
+    emg = synthesize_emg(noisy_activation(2.0, 2), (1.6, 1.1, 1.8, 1.3), seed=13, rate=EMG_RATE)
     assert emg.data.dtype == np.float64
     assert emg.data.tobytes() == emg.data.astype(np.float32).astype(np.float64).tobytes()
 
 
 def test_synthesized_emg_is_zero_mean():
-    emg = synthesize_emg(activation_signal(0.5, duration=10.0), (1.0, 2.0), seed=4)
+    emg = synthesize_emg(activation_signal(0.5, duration=10.0), (1.0, 2.0), seed=4, rate=EMG_RATE)
     n = emg.n_samples
     for ch in range(emg.n_channels):
         x = emg.data[:, ch]
@@ -109,7 +112,7 @@ def test_synthesized_emg_is_zero_mean():
 
 def test_estimate_mvc_constant_recording():
     rec = SampledSignal(EMG_RATE, 0.0, ("emg1",), np.full(round(3 * EMG_RATE) + 1, 2.0))
-    cal = estimate_mvc([rec])
+    cal = estimate_mvc([rec], RMS_WINDOW_S, RMS_STRIDE_S)
     assert cal.mvc_rms[0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -117,22 +120,22 @@ def test_estimate_mvc_takes_max_across_repetitions():
     n = round(3 * EMG_RATE) + 1
     rep1 = SampledSignal(EMG_RATE, 0.0, ("emg1",), np.full(n, 1.8))
     rep2 = SampledSignal(EMG_RATE, 0.0, ("emg1",), np.full(n, 2.2))
-    cal = estimate_mvc([rep1, rep2])
+    cal = estimate_mvc([rep1, rep2], RMS_WINDOW_S, RMS_STRIDE_S)
     assert cal.mvc_rms[0] == pytest.approx(2.2, abs=1e-9)
-    assert estimate_mvc([rep2, rep1]).mvc_rms == cal.mvc_rms
+    assert estimate_mvc([rep2, rep1], RMS_WINDOW_S, RMS_STRIDE_S).mvc_rms == cal.mvc_rms
 
 
 def test_estimate_mvc_sine_burst():
     # oracle: full-period RMS of a 1 mV sine is 1/sqrt(2)
     t = np.arange(round(3 * EMG_RATE) + 1) / EMG_RATE
     rec = SampledSignal(EMG_RATE, 0.0, ("emg1",), np.sin(2 * np.pi * 40 * t))
-    cal = estimate_mvc([rec], window_len=0.25)
+    cal = estimate_mvc([rec], window_len=0.25, stride=RMS_STRIDE_S)
     assert cal.mvc_rms[0] == pytest.approx(1 / np.sqrt(2), abs=2e-3)
 
 
 def test_estimate_mvc_empty_input():
     with pytest.raises(DegenerateSampleError):
-        estimate_mvc([])
+        estimate_mvc([], RMS_WINDOW_S, RMS_STRIDE_S)
 
 
 def test_estimate_mvc_monotone_under_more_recordings():
@@ -141,32 +144,32 @@ def test_estimate_mvc_monotone_under_more_recordings():
     recs = [SampledSignal(EMG_RATE, 0.0, ("emg1",), np.full(n, lvl)) for lvl in rng_levels]
     previous = 0.0
     for count in range(1, len(recs) + 1):
-        value = estimate_mvc(recs[:count]).mvc_rms[0]
+        value = estimate_mvc(recs[:count], RMS_WINDOW_S, RMS_STRIDE_S).mvc_rms[0]
         assert value >= previous
         previous = value
 
 
 def test_pct_mvc_identity_at_mvc_level():
-    emg = synthesize_emg(activation_signal(1.0), (1.6, 1.8), seed=5)
+    emg = synthesize_emg(activation_signal(1.0), (1.6, 1.8), seed=5, rate=EMG_RATE)
     cal = MvcCalibration(mvc_rms=(1.6, 1.8))
-    result = pct_mvc(emg, cal, Window(1.0, 4.0), feedback_channels=(0, 1))
+    result = pct_mvc(emg, cal, Window(1.0, 4.0), (0, 1), RMS_WINDOW_S, RMS_STRIDE_S)
     assert result == pytest.approx(1.0, abs=0.05)
 
 
 def test_pct_mvc_zero_signal():
-    emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0, 1.0, 1.0), seed=6)
+    emg = synthesize_emg(activation_signal(0.0), (1.0, 1.0, 1.0, 1.0), seed=6, rate=EMG_RATE)
     cal = MvcCalibration(mvc_rms=(1.0, 1.0, 1.0, 1.0))
-    result = pct_mvc(emg, cal, Window(1.0, 4.0))
+    result = pct_mvc(emg, cal, Window(1.0, 4.0), FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
     assert result == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pct_mvc_scale_invariance():
-    emg = synthesize_emg(activation_signal(0.4), (1.0, 1.0), seed=7)
+    emg = synthesize_emg(activation_signal(0.4), (1.0, 1.0), seed=7, rate=EMG_RATE)
     cal = MvcCalibration(mvc_rms=(1.0, 1.0))
-    base = pct_mvc(emg, cal, Window(1.0, 4.0), feedback_channels=(0, 1))
+    base = pct_mvc(emg, cal, Window(1.0, 4.0), (0, 1), RMS_WINDOW_S, RMS_STRIDE_S)
     scaled = SampledSignal(emg.sample_rate, emg.start_time, emg.channels, emg.data * 3.5)
     cal_scaled = MvcCalibration(mvc_rms=(3.5, 3.5))
-    result = pct_mvc(scaled, cal_scaled, Window(1.0, 4.0), feedback_channels=(0, 1))
+    result = pct_mvc(scaled, cal_scaled, Window(1.0, 4.0), (0, 1), RMS_WINDOW_S, RMS_STRIDE_S)
     assert result == pytest.approx(base, rel=1e-9)
 
 
@@ -186,16 +189,16 @@ def test_pct_mvc_stiff_trial_reads_forty_percent():
         frequency_label="low",
     )
     cal = MvcCalibration(mvc_rms=(1.6, 1.1, 1.8, 1.3))
-    result = pct_mvc(trial.emg, cal, Window(5.0, 10.0))
+    result = pct_mvc(trial.emg, cal, Window(5.0, 10.0), FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
     assert isinstance(result, float)
     assert result == pytest.approx(0.40, abs=0.05)
 
 
 def test_pct_mvc_window_outside_span():
-    emg = synthesize_emg(activation_signal(0.4, duration=2.0), (1.0,), seed=9)
+    emg = synthesize_emg(activation_signal(0.4, duration=2.0), (1.0,), seed=9, rate=EMG_RATE)
     cal = MvcCalibration(mvc_rms=(1.0,))
     with pytest.raises(WindowRangeError):
-        pct_mvc(emg, cal, Window(5.0, 6.0), feedback_channels=(0,))
+        pct_mvc(emg, cal, Window(5.0, 6.0), (0,), RMS_WINDOW_S, RMS_STRIDE_S)
 
 
 def _pct_mvc_envelope(emg, cal, window_len, stride):
@@ -206,7 +209,7 @@ def _pct_mvc_envelope(emg, cal, window_len, stride):
 
 
 def test_pct_mvc_envelope_units():
-    emg = synthesize_emg(activation_signal(0.4), (2.0,), seed=10)
+    emg = synthesize_emg(activation_signal(0.4), (2.0,), seed=10, rate=EMG_RATE)
     series = _pct_mvc_envelope(emg, MvcCalibration(mvc_rms=(2.0,)), 0.25, 0.05)
     assert series.data.mean() == pytest.approx(0.4, abs=0.05)
     assert np.all(series.data >= 0.0)
@@ -258,6 +261,6 @@ def test_pct_mvc_matches_all_channel_reference_bits(feedback_channels, window, w
 
 
 def test_pct_mvc_refuses_calibration_of_another_channel_count():
-    emg = synthesize_emg(activation_signal(0.4, duration=2.0), (1.0, 1.0), seed=9)
+    emg = synthesize_emg(activation_signal(0.4, duration=2.0), (1.0, 1.0), seed=9, rate=EMG_RATE)
     with pytest.raises(ValueError, match="calibration covers 1 channels, EMG has 2"):
-        pct_mvc(emg, MvcCalibration(mvc_rms=(1.0,)), Window(0.5, 1.5), feedback_channels=(0,))
+        pct_mvc(emg, MvcCalibration(mvc_rms=(1.0,)), Window(0.5, 1.5), (0,), RMS_WINDOW_S, RMS_STRIDE_S)

@@ -621,9 +621,16 @@ def negative_low_frequency(doc):
         (edit_map(negative_low_frequency), "grid frequencies must be distinct and > 0, got [-1.0, 3.0]"),
         (edit_map(lambda doc: doc.update(grid={"frequencies": [], "directions": 8}, cells=[])),
          "need 1 to 2 grid frequencies, got 0"),
+        (edit_map(lambda doc: [cell.update(xi=-50.0, pct_mvc=-3.0 if cell["activation"] == "relaxed" else 7.0)
+                               for cell in doc["cells"]]),
+         "has a negative %MVC -3.0"),
+        (edit_map(lambda doc: [cell.update(xi=-50.0) for cell in doc["cells"]]),
+         "grants the scenario a negative EoP budget (0.8 x -50.0 N*s/m)"),
+        (edit_map(lambda doc: doc.update(subject="x", grid={"frequencies": [1.0], "directions": 8}, cells=[])),
+         "missing cell (0, 'relaxed', 'low')"),
     ],
     ids=["torn", "xi-string-nan", "pct-mvc-infinity", "no-cells", "repeated-frequency",
-         "negative-frequency", "empty-grid"],
+         "negative-frequency", "empty-grid", "negative-pct-mvc", "negative-budget", "missing-scenario-cell"],
 )
 def test_damaged_map_json_is_a_data_error(tmp_path, capsys, damage, reason):
     map_path = tmp_path / "gmp_damaged.json"

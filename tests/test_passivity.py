@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmpkit.biomech import DEFAULT_MVC_RMS_MV, ActivationProfile, LimbParams, PerturbationSpec, simulate_trial
-from gmpkit.emg import EMG_RATE, MvcCalibration
+from gmpkit.emg import EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S, MvcCalibration
 from gmpkit.errors import AlignmentError, DegenerateTrialError
 from gmpkit.passivity import (
     EopEstimate,
@@ -19,6 +19,8 @@ from gmpkit.signals import SampledSignal, Window
 
 RATE = 1000.0
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
+# the [emg] settings, at their config defaults: feedback channels, RMS window and stride
+EMG_SETTINGS = (FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
 
 
 def signal(fn, duration=1.0, channels=("x",)):
@@ -83,7 +85,7 @@ def test_negative_damper_nonpassive_at_first_step():
 
 
 def test_estimate_eop_kelvin_voigt():
-    est = estimate_eop(kv_trial(b0=15.0), Window(5.0, 10.0), cal=CAL)
+    est = estimate_eop(kv_trial(b0=15.0), Window(5.0, 10.0), CAL, *EMG_SETTINGS)
     assert est.xi == pytest.approx(15.0, abs=0.015)
     assert est.denominator > 0
     assert est.xi == pytest.approx(est.numerator / est.denominator, rel=1e-12)
@@ -91,14 +93,14 @@ def test_estimate_eop_kelvin_voigt():
 
 def test_estimate_eop_homogeneous_in_velocity():
     # linear limb, same seed: doubling the drive leaves the ratio unchanged
-    a = estimate_eop(kv_trial(seed=5, amplitude=0.03), Window(5.0, 10.0), cal=CAL)
-    b = estimate_eop(kv_trial(seed=5, amplitude=0.06), Window(5.0, 10.0), cal=CAL)
+    a = estimate_eop(kv_trial(seed=5, amplitude=0.03), Window(5.0, 10.0), CAL, *EMG_SETTINGS)
+    b = estimate_eop(kv_trial(seed=5, amplitude=0.06), Window(5.0, 10.0), CAL, *EMG_SETTINGS)
     assert b.xi == pytest.approx(a.xi, abs=1e-6)
 
 
 def test_estimate_eop_degenerate_trial():
     with pytest.raises(DegenerateTrialError):
-        estimate_eop(kv_trial(amplitude=0.0), Window(5.0, 10.0), cal=CAL)
+        estimate_eop(kv_trial(amplitude=0.0), Window(5.0, 10.0), CAL, *EMG_SETTINGS)
 
 
 def test_snap_window_to_integer_periods():
@@ -114,14 +116,14 @@ def test_snap_window_to_integer_periods():
 
 def test_estimate_eop_tracks_snapped_window():
     trial = kv_trial(seed=7)
-    est = estimate_eop(trial, Window(5.2, 9.9), cal=CAL)
+    est = estimate_eop(trial, Window(5.2, 9.9), CAL, *EMG_SETTINGS)
     assert est.window.t_end == pytest.approx(9.9)
     assert (est.window.t_end - est.window.t_start) == pytest.approx(4.0)
     assert est.xi == pytest.approx(15.0, abs=0.015)
 
 
 def test_estimates_csv_round_trip(tmp_path):
-    est = estimate_eop(kv_trial(seed=8), Window(5.0, 10.0), cal=CAL)
+    est = estimate_eop(kv_trial(seed=8), Window(5.0, 10.0), CAL, *EMG_SETTINGS)
     path = tmp_path / "estimates.csv"
     estimates_to_csv([est], path)
     with open(path) as fh:

@@ -18,7 +18,7 @@ from gmpkit.signals import (
     first_order_recurrence,
     read_csv,
     rms,
-    rms_support,
+    rms_range,
     trapz_inner,
     write_csv,
 )
@@ -227,10 +227,22 @@ def test_rms_matches_stacked_cumsum():
     (4001, 2000.0, 0.5, 0.25, 0.0503),  # stride off the sample grid
     (500, 1000.0, 0.0, 0.5, 0.3),       # a single envelope sample
 ])
-def test_rms_support_is_rms_span(n, rate, start, window_len, stride):
+def test_rms_range_reads_the_rms_envelope(n, rate, start, window_len, stride):
     sig = SampledSignal(rate, start, ("a",), np.ones(n))
     env = rms(sig, window_len, stride)
-    assert rms_support(n, rate, start, window_len, stride) == (env.start_time, env.start_time + env.duration)
+    whole = Window(start, start + (n - 1) / rate)
+    before = Window(start, env.start_time)  # touches the envelope's support at its first sample only
+    after = Window(start + (n - 1) / rate + 1.0, start + (n - 1) / rate + 2.0)
+    if env.n_samples == 1:  # a one-sample envelope's support is a point, which no window overlaps
+        windows = (whole, before, after)
+    else:
+        n_win, n_stride, k_start, k_end = rms_range(n, rate, start, window_len, stride, whole)
+        assert (n_win, n_stride) == (round(window_len * rate), max(1, round(stride * rate)))
+        assert (k_start, k_end) == (0, env.n_samples - 1)
+        windows = (before, after)
+    for w in windows:
+        with pytest.raises(WindowRangeError, match="misses the RMS envelope"):
+            rms_range(n, rate, start, window_len, stride, w)
 
 
 def test_rms_output_rate():

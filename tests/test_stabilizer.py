@@ -213,6 +213,15 @@ def test_rate_precondition():
             run_interconnection(LIMB, field, PERT, ACT, None, duration, 1000.0, 3, DEFAULT_SAFETY_FACTOR)
 
 
+def test_step_rule_is_the_trials():
+    # a trial needs MIN_SAMPLES_PER_PERIOD samples per period; so does the co-simulation
+    field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
+    for hz in (51.0, 400.0):
+        with pytest.raises(IntegrationError, match="integration step too large"):
+            run(field, perturbation=dataclasses.replace(SHORT_PERT, frequency=hz, duration=0.5))
+    assert run(field, perturbation=dataclasses.replace(SHORT_PERT, frequency=50.0, duration=0.5)).times.size == 501
+
+
 def test_runs_are_seed_deterministic():
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
     a = run(field, gmp_map=None, seed=9)
