@@ -398,24 +398,24 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two raw float32 arrays written with np.save: the
-# robot-rate force and velocity, shape (n, 4) with columns fx, fy, vx, vy,
-# and the EMG at its native rate, shape (n, 4). simulate_trial and
-# emg.synthesize_emg round their recorded samples to float32, so both arrays
-# read back bit for bit. The arrays carry samples only; their dtype, rates,
-# start times and channel labels are stored once per run, in the "streams"
-# doc of the manifest (see trial_streams), and their lengths follow from the
-# record's duration (stored_samples).
-
-SAMPLE_DTYPE = "<f4"
+# A trial is stored as two raw arrays written with np.save: the robot-rate
+# force and velocity as float32, shape (n, 4) with columns fx, fy, vx, vy,
+# and the EMG at its native rate as int16 digitizer codes of
+# emg.EMG_LSB_MV, shape (n, 4). simulate_trial rounds its recorded samples
+# to float32 and emg.synthesize_emg its EMG to whole codes, so both arrays
+# read back bit for bit. The arrays carry samples only; their dtype, code
+# step, rates, start times and channel labels are stored once per run, in
+# the "streams" doc of the manifest (see trial_streams), and their lengths
+# follow from the record's duration (stored_samples). save_samples and
+# load_samples are the one encoder and the one decoder of a stored array.
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
-    """Dtype, rate, start time and channel labels of the two stored trial arrays."""
+    """Dtype, code step (EMG), rate, start time and channel labels of the two stored trial arrays."""
     return {
-        "robot": {"dtype": SAMPLE_DTYPE, "rate_hz": robot_rate, "start_time_s": 0.0,
+        "robot": {"dtype": "<f4", "rate_hz": robot_rate, "start_time_s": 0.0,
                   "channels": list(ROBOT_CHANNELS)},
-        "emg": {"dtype": SAMPLE_DTYPE, "rate_hz": emg_rate, "start_time_s": 0.0,
+        "emg": {"dtype": "<i2", "lsb_mv": emg_module.EMG_LSB_MV, "rate_hz": emg_rate, "start_time_s": 0.0,
                 "channels": list(emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV)))},
     }
 
@@ -430,14 +430,38 @@ def stored_samples(duration: float, robot_rate: float, emg_rate: float) -> tuple
     return n_robot, round((n_robot - 1) / robot_rate * emg_rate) + 1
 
 
-def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as two float32 .npy arrays: force/velocity, and EMG.
+def save_samples(path, data: np.ndarray, stream: dict) -> None:
+    """Write ``data`` as one stored array of ``stream`` (a ``trial_streams`` doc).
 
-    The samples are rounded to float32, which leaves a simulated trial
-    unchanged. The name is historical: trials were once stored as CSV text.
+    A stream with a code step (``lsb_mv``) stores integer codes: each value
+    is rounded to the nearest code and saturated at the rails, never
+    wrapped (:func:`emg.round_to_codes`), so an EMG array on the code grid
+    is stored exactly. Other streams store ``data`` cast to their dtype.
+    Raises ValueError, naming ``path``, for a NaN that would be coded.
     """
-    np.save(path, np.column_stack([trial.force.data, trial.velocity.data]).astype(SAMPLE_DTYPE))
-    np.save(emg_path, trial.emg.data.astype(SAMPLE_DTYPE))
+    if "lsb_mv" in stream:
+        # the step is a power of two: multiplying by its reciprocal divides exactly
+        data = emg_module.round_to_codes(data * (1.0 / stream["lsb_mv"]))
+    try:
+        # a saturated code is in range, so only a NaN casts to an integer invalidly
+        with np.errstate(invalid="raise"):
+            data = data.astype(stream["dtype"])
+    except FloatingPointError:
+        raise ValueError(f"{path}: NaN samples have no code") from None
+    np.save(path, data)
+
+
+def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
+    """Write a trial as two .npy arrays: float32 force/velocity, and int16 EMG codes.
+
+    Each array is written by :func:`save_samples` with its stream of
+    :func:`trial_streams`, which leaves a simulated trial unchanged; the
+    EMG goes first, so an EMG that has no codes leaves no file. The name is
+    historical: trials were once stored as CSV text.
+    """
+    streams = trial_streams(trial.force.sample_rate, trial.emg.sample_rate)
+    save_samples(emg_path, trial.emg.data, streams["emg"])
+    save_samples(path, np.column_stack([trial.force.data, trial.velocity.data]), streams["robot"])
 
 
 @lru_cache(maxsize=8)
@@ -458,9 +482,10 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
     The file is read in one ``read``, and must be exactly the header that
     ``np.save`` writes for that C-order array (:func:`_npy_header`)
     followed by its samples. Returns them as float64, converted once, here,
-    and read-only. Raises DataError naming ``path`` for a missing or torn
-    file, a wrong dtype, shape, order or sample count, bytes after the
-    samples, and non-finite samples.
+    and read-only; integer codes are decoded as ``codes * lsb_mv``. Raises
+    DataError naming ``path`` for a missing or torn file, a wrong dtype,
+    shape, order or sample count, bytes after the samples, and non-finite
+    samples.
     """
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
     header = _npy_header(n_samples, n_channels, stream["dtype"])
@@ -473,10 +498,13 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
     if len(blob) != size or not blob.startswith(header):
         raise _refusal(path, blob, header, dtype, n_channels, n_samples)
     data = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_samples, n_channels)
-    n_bad = np.count_nonzero(~np.isfinite(data))
-    if n_bad:
-        raise DataError(f"{path}: {n_bad} non-finite samples")
-    data = data.astype(np.float64)
+    if "lsb_mv" in stream:  # a code cannot be non-finite
+        data = data * stream["lsb_mv"]
+    else:
+        n_bad = np.count_nonzero(~np.isfinite(data))
+        if n_bad:
+            raise DataError(f"{path}: {n_bad} non-finite samples")
+        data = data.astype(np.float64)
     # frozen, so the signals built on the samples share them instead of copying them
     data.flags.writeable = False
     return data

@@ -14,12 +14,17 @@ band-pass (20-450 Hz), computed with numpy alone: the filter is designed
 as zeros, poles and gain and applied as a frequency response to an FFT
 that also covers the filter's impulse-response tail. The noise is drawn
 into a zero-padded buffer and filtered there in place
-(:func:`signals.bandpass_padded`); the filtered rows are rescaled in place
-and then written once into the output, whose samples are rounded to
-float32, column by column. The array stays float64, but its values have
-the resolution of the trial store's float32 EMG (and still far more than
-a 16-bit EMG digitizer), so a stored and reloaded trial is bit-identical
-to the simulated one.
+(:func:`signals.bandpass_padded`), and each filtered row is rescaled in
+place.
+
+The EMG is digitized as a 16-bit surface-EMG system does it: each sample
+is a whole number of codes of ``EMG_LSB_MV`` (2^-11 mV, 0.49 uV), rounded
+to the nearest code and saturated at the int16 rails, -16 mV and just
+under +16 mV (:func:`round_to_codes`). The synthesized array stays
+float64 mV on that grid, and the trial store keeps the codes as int16.
+The step is a power of two, so a code times it and a value divided by it
+are exact in float64: a stored and reloaded trial is bit-identical to the
+simulated one.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ BAND_ORDER = 4
 RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
+# mV per digitizer code; the rails of the int16 codes are -2^15 and 2^15 - 1 codes
+EMG_LSB_MV = 2.0 ** -11
+_CODE_RAILS = (-2.0 ** 15, 2.0 ** 15 - 1.0)
+
 MVC_DURATION_S = 3.0  # s, each maximum-effort calibration recording
 MVC_RISE_S = 0.2      # s, time constant of its first-order rise to full effort
 
@@ -63,6 +72,17 @@ class MvcCalibration:
             raise ValueError(f"mvc_rms must be > 0 per channel, got {self.mvc_rms}")
 
 
+def round_to_codes(codes: np.ndarray) -> np.ndarray:
+    """Round ``codes``, EMG in units of ``EMG_LSB_MV``, in place to whole int16 codes; returns it.
+
+    Each value goes to the nearest code (half to even) and saturates at the
+    int16 rails, so it never wraps. A negative value that rounds to zero
+    stays -0.0.
+    """
+    np.rint(codes, out=codes)
+    return np.clip(codes, *_CODE_RAILS, out=codes)
+
+
 def synthesize_emg(
     activation: SampledSignal,
     mvc_rms: Sequence[float],
@@ -81,8 +101,10 @@ def synthesize_emg(
     The noise is drawn channel after channel from one stream, straight into
     the rows of one zero-padded buffer, and filtered causally from rest in
     place, in one batched FFT (:func:`signals.bandpass_padded`). The
-    samples are float64 values of float32 resolution: each output column is
-    rounded to float32 once, at the end, as the trial store keeps it.
+    samples are float64 mV on the digitizer's grid: each channel's
+    ``drive * mvc_rms * noise``, in codes, is rounded once to a whole code
+    and saturated at the rails (:func:`round_to_codes`), as the trial store
+    keeps it.
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -99,15 +121,16 @@ def synthesize_emg(
     noise = buffer[:, :n_out]
     std = noise.std(axis=1)
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
-    out = np.empty((n_out, n_channels))
-    rounded = np.empty(n_out, np.float32)
-    for ch in range(n_channels):
+    for ch, row in enumerate(noise):
         if std[ch] > 0:
-            noise[ch] /= std[ch]
-        column = out[:, ch]
-        np.multiply(drives[min(ch, len(drives) - 1)], mvc_rms[ch], out=column)
-        np.multiply(column, noise[ch], out=rounded)  # the float64 product, rounded once
-        column[...] = rounded
+            row /= std[ch]
+        # drive * mvc_rms * noise in codes; dividing by the power-of-two step is exact
+        row *= drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)
+    round_to_codes(noise)
+    noise *= EMG_LSB_MV
+    out = np.empty((n_out, n_channels))
+    # the transposed copy; adding +0.0 turns -0.0 into +0.0, as a stored code reads back
+    np.add(noise.T, 0.0, out=out)
     out.flags.writeable = False  # the signal takes it over without a copy
     return SampledSignal(
         sample_rate=rate,

@@ -3,10 +3,10 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 5
-      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG, (n, 4) float32
+      manifest.json                         run manifest, schema 6
+      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (n, 4) int16
       trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float32
-      trials/<subject>_<test>_d<i>_emg.npy  EMG at its native rate, (n, 4) float32
+      trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (n, 4) int16
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps
       analysis/gmp_median.json              cohort median map
@@ -31,10 +31,11 @@ and the spider columns.
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
-hold float32 samples only; their dtype, rates, start time and channel
-labels are stored once, under "streams" in the manifest, and their lengths
-follow from the config (``biomech.stored_samples``). File names follow
-from the subject and trial ids (``mvc_files``, ``trial_files``).
+hold samples only, float32 force and velocity and int16 EMG codes; their
+dtype, EMG code step, rates, start time and channel labels are stored
+once, under "streams" in the manifest, and their lengths follow from the
+config (``biomech.stored_samples``). File names follow from the subject
+and trial ids (``mvc_files``, ``trial_files``).
 
 ``_manifest`` states the manifest's layout, once. The manifest keeps a
 copy of the simulated config, without ``[output]``; the cohort seed is its
@@ -69,7 +70,6 @@ from .biomech import (
     FREQUENCY_LABELS,
     JITTERED_PARAMS,
     N_DIRECTIONS,
-    SAMPLE_DTYPE,
     TESTS,
     ActivationProfile,
     PerturbationSpec,
@@ -80,6 +80,7 @@ from .biomech import (
     load_samples,
     load_trial_csv,
     make_cohort,
+    save_samples,
     save_trial_csv,
     simulate_trial,
     stored_samples,
@@ -95,7 +96,7 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 MVC_REPETITIONS = 2
 
@@ -168,6 +169,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
     plan = protocol_plan(config)
 
     # stage 1: two maximum-effort recordings, which analyze calibrates %MVC on
+    emg_stream = trial_streams(config.rates.robot_hz, config.rates.emg_hz)["emg"]
     for rep, rel in enumerate(mvc_files(subject.subject_id)):
         act_signal = _constant_activation_signal(config, MVC_DURATION_S)
         rec = synthesize_emg(
@@ -176,7 +178,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             np.random.SeedSequence((seed, subject_idx, 90, rep)),
             rate=config.rates.emg_hz,
         )
-        np.save(out / rel, rec.data.astype(SAMPLE_DTYPE))  # stored as the trial EMG is
+        save_samples(out / rel, rec.data, emg_stream)  # stored as the trial EMG is
 
     # stage 2: the four tests in randomized order, eight directions each
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gmpkit.biomech import (
     simulate_trial,
     trial_streams,
 )
-from gmpkit.emg import EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S, MvcCalibration
+from gmpkit.emg import EMG_LSB_MV, EMG_RATE, FEEDBACK_CHANNELS, RMS_STRIDE_S, RMS_WINDOW_S, MvcCalibration
 from gmpkit.errors import DegenerateTrialError, IntegrationError
 from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import Window
@@ -264,7 +265,7 @@ def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
     assert np.load(tmp_path / "trial.npy").dtype.str == "<f4"
-    assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<f4"
+    assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<i2"
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
                               (back.emg, trial.emg)):
         assert loaded.data.dtype == np.float64
@@ -278,6 +279,29 @@ def test_trial_csv_round_trip(tmp_path):
         assert loaded.start_time == simulated.start_time
         assert loaded.channels == simulated.channels
     assert np.load(tmp_path / "trial.npy").shape == (trial.force.n_samples, 4)
+
+
+def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
+    """EMG built by hand, off the code grid and past +/-16 mV, reads back rounded and clipped, never wrapped."""
+    trial = run(LimbParams(), seed=9)
+    data = trial.emg.data + 0.3 * EMG_LSB_MV * np.sin(np.arange(trial.emg.data.size)).reshape(trial.emg.data.shape)
+    data[100:110] = 20.0
+    data[200:210] = -20.0
+    data[300, 0] = -0.4 * EMG_LSB_MV  # rounds to a zero code
+    hand_built = replace(trial, emg=replace(trial.emg, data=data))
+    back = save_and_load(hand_built, tmp_path)
+    codes = np.load(tmp_path / "trial_emg.npy")
+    assert codes.dtype.str == "<i2"
+    expected = np.clip(np.rint(data / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1)
+    assert np.array_equal(codes, expected)
+    assert np.all(codes[100:110] == 2 ** 15 - 1) and np.all(codes[200:210] == -2 ** 15)
+    assert back.emg.data.tobytes() == (expected.astype(np.int16) * EMG_LSB_MV).tobytes()
+    assert back.force.data.tobytes() == trial.force.data.tobytes()
+    data[400, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN samples have no code"):
+        save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.npy",
+                       tmp_path / "nan_emg.npy")
+    assert not list(tmp_path.glob("nan*"))
 
 
 def test_trial_csv_estimates_agree(tmp_path):

@@ -394,4 +394,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 5" in proc.stdout
+    assert "format schema 6" in proc.stdout

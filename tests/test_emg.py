@@ -3,6 +3,7 @@ import pytest
 
 from gmpkit.emg import (
     BAND_HZ,
+    EMG_LSB_MV,
     EMG_RATE,
     FEEDBACK_CHANNELS,
     RMS_STRIDE_S,
@@ -12,6 +13,7 @@ from gmpkit.emg import (
     pct_mvc,
     synthesize_emg,
 )
+from gmpkit.biomech import save_samples, trial_streams
 from gmpkit.errors import DegenerateSampleError, WindowRangeError
 from gmpkit.signals import SampledSignal, Window, _bandpass_response, bandpass_fft_length, rms
 
@@ -53,8 +55,9 @@ def test_output_rate_and_channel_count():
 def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAND_HZ, order=4):
     """synthesize_emg as it was before it filtered in place: one draw, copies.
 
-    Since the trial store keeps EMG as float32, the output is rounded to
-    float32 at the end; every earlier step is unchanged.
+    Since the trial store keeps EMG as int16 codes, the output is rounded to
+    the nearest code, saturated at the int16 rails and decoded at the end,
+    as a stored array reads back; every earlier step is unchanged.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_out = round(activation.duration * rate) + 1
@@ -70,7 +73,7 @@ def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAN
         drive = drives[min(ch, len(drives) - 1)]
         scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
         out[:, ch] = drive * mvc_rms[ch] * scaled
-    return out.astype(np.float32).astype(np.float64)
+    return np.clip(np.rint(out / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1).astype(np.int16) * EMG_LSB_MV
 
 
 def noisy_activation(duration, n_channels=1, rate=1000.0):
@@ -96,10 +99,34 @@ def test_synthesis_channel_layouts_match_reference_bytes(n_activations, mvc):
     assert not emg.data.flags.writeable
 
 
-def test_synthesized_emg_has_float32_resolution():
+def test_synthesized_emg_has_int16_resolution():
     emg = synthesize_emg(noisy_activation(2.0, 2), (1.6, 1.1, 1.8, 1.3), seed=13, rate=EMG_RATE)
     assert emg.data.dtype == np.float64
-    assert emg.data.tobytes() == emg.data.astype(np.float32).astype(np.float64).tobytes()
+    codes = emg.data / EMG_LSB_MV
+    assert np.array_equal(codes, np.rint(codes))
+    assert -2 ** 15 <= codes.min() and codes.max() <= 2 ** 15 - 1
+    # no -0.0, which no stored code reads back as
+    assert emg.data.tobytes() == (codes.astype(np.int16) * EMG_LSB_MV).tobytes()
+
+
+def test_emg_saturates_at_the_rails(tmp_path):
+    """A 10 mV MVC level at full effort passes +/-16 mV: in memory and on disk it stops at the rails, unwrapped."""
+    activation = activation_signal(1.0, duration=2.0)
+    emg = synthesize_emg(activation, (10.0,) * 4, seed=14, rate=EMG_RATE)
+    # the same noise and drive at a tenth of the level, which stays far inside the rails
+    tenth = synthesize_emg(activation, (1.0,) * 4, seed=14, rate=EMG_RATE).data / EMG_LSB_MV
+    stream = trial_streams(1000.0, EMG_RATE)["emg"]
+    save_samples(tmp_path / "emg.npy", emg.data, stream)
+    stored = np.load(tmp_path / "emg.npy")
+    assert stored.dtype.str == "<i2"
+    for codes in (emg.data / EMG_LSB_MV, stored):
+        for column in codes.T:
+            assert column.min() == -2 ** 15 and column.max() == 2 ** 15 - 1
+        beyond = np.abs(10 * tenth) > 2 ** 15
+        assert np.array_equal(codes[beyond], np.where(tenth[beyond] > 0, 2 ** 15 - 1, -2 ** 15))
+        inside = np.abs(10 * tenth) < 2 ** 15 - 6
+        # both round to the code: 10 * 0.5 codes at the tenth and 0.5 here
+        assert np.all(np.abs(codes[inside] - 10 * tenth[inside]) <= 5.5)
 
 
 def test_synthesized_emg_is_zero_mean():

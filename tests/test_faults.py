@@ -18,6 +18,7 @@ import pytest
 from gmpkit import cli, study as study_module
 from gmpkit.biomech import load_trial_csv
 from gmpkit.config import load_config
+from gmpkit.emg import EMG_LSB_MV
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
@@ -168,11 +169,14 @@ def silence_channel(path):
         (lambda paths: truncate(paths[0]), [0], "cannot read"),
         (lambda paths: rewrite(paths[1], lambda data: data[:-1]), [1], "6444 samples, expected 6445"),
         (lambda paths: rewrite(paths[0], lambda data: data.astype(np.float64)), [0],
-         "expected float32 samples"),
+         "expected int16 samples"),
+        # the schema-5 layout, whose EMG was float32 mV
+        (lambda paths: rewrite(paths[1], lambda data: (data * EMG_LSB_MV).astype(np.float32)), [1],
+         "expected int16 samples of shape (n, 4), got float32 (6445, 4)"),
         (lambda paths: [silence_channel(p) for p in paths], [0, 1],
          "a channel recorded no activity during MVC"),
     ],
-    ids=["missing", "torn", "short", "float64", "silent-channel"],
+    ids=["missing", "torn", "short", "float64", "float32", "silent-channel"],
 )
 def test_damaged_mvc_recording_is_a_data_error(study, capsys, damage, named, reason):
     """analyze calibrates %MVC on the mvc/ recordings, so a damaged one stops it before analysis/."""
@@ -256,6 +260,21 @@ def test_schema_4_manifest_is_a_typed_error(study, capsys):
     assert not (out / "analysis").exists()
 
 
+def test_schema_5_manifest_is_a_typed_error(study, capsys):
+    """Schema 5 stored the EMG as float32 mV, with no code step; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 5
+    manifest["streams"]["emg"]["dtype"] = "<f4"
+    del manifest["streams"]["emg"]["lsb_mv"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {out / 'manifest.json'}: schema version 5 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
 def test_torn_manifest_is_a_data_error(study, capsys):
     out, path = study
     truncate(out / "manifest.json")
@@ -320,7 +339,10 @@ def set_key(path, value):
          "subjects[1].subject_id is 'S1', where simulate writes 'S2'"),
         (set_key(("streams", "robot", "rate_hz"), 999.0),
          "streams.robot.rate_hz is 999.0, where simulate writes 1000.0"),
-        (set_key(("streams", "emg", "dtype"), "<f8"), "streams.emg.dtype is '<f8', where simulate writes '<f4'"),
+        (set_key(("streams", "emg", "dtype"), "<f4"), "streams.emg.dtype is '<f4', where simulate writes '<i2'"),
+        (set_key(("streams", "emg", "lsb_mv"), 2.0 ** -12),
+         "streams.emg.lsb_mv is 0.000244140625, where simulate writes 0.00048828125"),
+        (set_key(("streams", "emg", "lsb_mv"), None), "streams.emg.lsb_mv is missing, where simulate writes"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None),
@@ -355,7 +377,8 @@ def set_key(path, value):
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
          "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
-         "emg-dtype-off-schema", "unknown-protocol-key", "rates-a-list", "no-duration",
+         "emg-dtype-off-schema", "emg-lsb-off-schema", "emg-lsb-missing", "unknown-protocol-key", "rates-a-list",
+         "no-duration",
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
          "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
@@ -395,9 +418,9 @@ def test_every_manifest_leaf_is_checked(study, capsys):
     doc = json.loads(manifest_path.read_text())
     skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true|test_order)")
     checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
-    # streams: dtype, rate_hz, start_time_s and 4 channels of 2 streams; tests: 5 keys of 4;
-    # subjects: the subject_id and 32 trial ids of 2
-    assert len(checked) == 2 * 7 + 4 * 5 + 2 * 33
+    # streams: dtype, rate_hz, start_time_s and 4 channels of 2 streams, and the EMG's lsb_mv;
+    # tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
+    assert len(checked) == 2 * 7 + 1 + 4 * 5 + 2 * 33
     for leaf, node, key in checked:
         value = node[key]
         node[key] = changed = value + "x" if isinstance(value, str) else value + 1
@@ -559,15 +582,21 @@ def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, cap
         (lambda robot, emg: (robot.astype(np.float64), emg), "got float64 (3001, 4)"),
         (lambda robot, emg: (robot[:, :3], emg), "shape (n, 4)"),
         (lambda robot, emg: (robot.ravel(), emg), "shape (n, 4)"),
-        # the schema-3 layout, whose EMG was float64
-        (lambda robot, emg: (robot, emg.astype(np.float64)), "expected float32 samples"),
-        # the robot file holding the EMG array, and the EMG file the robot array
-        (lambda robot, emg: (emg, robot), "6445 samples, expected 3001"),
-        (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
+        # the schema-3 layout, whose EMG was float64, and the schema-5 layout, whose EMG was float32 mV
+        (lambda robot, emg: (robot, emg.astype(np.float64)), "expected int16 samples"),
+        (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(np.float32)),
+         "expected int16 samples of shape (n, 4), got float32 (6445, 4)"),
+        # the robot file holding the EMG array, and the EMG file the robot array: each fails on its dtype
+        (lambda robot, emg: (emg, robot), "expected float32 samples"),
+        (lambda robot, emg: (robot, robot), "expected int16 samples of shape (n, 4), got float32 (3001, 4)"),
+        # the same, cast to the file's dtype, so that only the sample count tells them apart
+        (lambda robot, emg: (emg.astype(np.float32), emg), "6445 samples, expected 3001"),
+        (lambda robot, emg: (robot, robot.astype(np.int16)), "3001 samples, expected 6445"),
         # arrays that numpy.load reads, given as the bytes written
         (lambda robot, emg: (npy_bytes(robot) + b"\0" * 16, emg), "bytes after the 3001 samples"),
         (lambda robot, emg: (npy_bytes(np.asfortranarray(robot)), emg), "got a Fortran-order array"),
         (lambda robot, emg: (robot, npy_bytes(emg.astype(">f4"))), "got >f4 (6445, 4)"),
+        (lambda robot, emg: (robot, npy_bytes(emg.astype(">i2"))), "got >i2 (6445, 4)"),
         (lambda robot, emg: (npy_bytes(robot)[:60], emg), "cannot read"),
         (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "the file ends after 128 of its"),
     ],

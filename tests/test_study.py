@@ -84,13 +84,13 @@ def npy_header_size(path) -> int:
 
 
 def test_store_size_is_headers_plus_samples(tmp_path):
-    """trials/ and mvc/ hold 4-channel float32 robot and EMG samples, nothing more."""
+    """trials/ and mvc/ hold 4-channel float32 robot samples and int16 EMG codes, nothing more."""
     config = default_config()
     config = replace(config, cohort=replace(config.cohort, subjects=2),
                      protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
     manifest = simulate_study(config, tmp_path)
-    itemsize = {kind: np.dtype(stream["dtype"]).itemsize for kind, stream in manifest["streams"].items()}
-    assert itemsize == {"robot": 4, "emg": 4}
+    assert {kind: stream["dtype"] for kind, stream in manifest["streams"].items()} == {"robot": "<f4", "emg": "<i2"}
+    itemsize = {"robot": 4, "emg": 2}
     robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
     expected = {}  # file -> bytes of samples
     for subject in manifest["subjects"]:
