@@ -14,7 +14,6 @@ from .biomech import (
     LimbParams,
     PerturbationSpec,
     Subject,
-    TrialCondition,
     TrialRecord,
     analytic_eop,
     make_cohort,
@@ -31,8 +30,7 @@ from .config import StudyConfig, default_config, load_config
 __all__ = [
     "__version__",
     "SampledSignal", "Window", "rms",
-    "ActivationProfile", "LimbParams", "PerturbationSpec", "Subject", "TrialCondition",
-    "TrialRecord", "analytic_eop", "make_cohort", "perturbation_direction", "simulate_trial",
+    "ActivationProfile", "LimbParams", "PerturbationSpec", "Subject", "TrialRecord", "analytic_eop", "make_cohort", "perturbation_direction", "simulate_trial",
     "MvcCalibration", "estimate_mvc", "pct_mvc", "synthesize_emg",
     "EnergyLedger", "EopEstimate", "energy_ledger", "estimate_eop", "is_passive",
     "GmpMap", "TrendLine", "build_map", "fit_trend", "lookup", "median_map",

@@ -38,9 +38,9 @@ oracle for the full simulation pipeline.
 The module also defines the protocol grid, once: ``N_DIRECTIONS`` spokes,
 ``ACTIVATION_LABELS``, ``FREQUENCY_LABELS`` and the ordered ``TESTS``
 table (LR, LS, HR, HS). Config, study and GMP maps derive their labels,
-codes and orders from it. A trial's labels are assigned by the caller's
-protocol (``simulate_trial`` requires them), never guessed from its
-activation target or frequency.
+codes and orders from it; :func:`check_cell` refuses a cell outside it.
+A trial's direction is its spec's, and its labels are assigned by the
+caller's protocol, never guessed from its activation target or frequency.
 
 The prescribed kinematics depend on the perturbation alone, so the trials
 at one frequency share one read-only copy of them (:func:`_axis_kinematics`).
@@ -124,7 +124,7 @@ class PerturbationSpec:
 
     frequency: float            # Hz
     amplitude: float            # m
-    direction_index: int        # 0..7, 45 degree increments
+    direction_index: int        # the spoke, 0 .. N_DIRECTIONS - 1
     duration: float             # s
 
     def __post_init__(self) -> None:
@@ -150,27 +150,11 @@ class ActivationProfile:
 
 
 @dataclass(frozen=True)
-class TrialCondition:
-    """A cell of the protocol grid; labels are from ACTIVATION_LABELS and FREQUENCY_LABELS."""
+class TrialRecord:
+    """One perturbation run: its cell's labels (the direction is the spec's) and the recorded signals."""
 
-    direction_index: int
     activation_label: str
     frequency_label: str
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.direction_index < N_DIRECTIONS:
-            raise ValueError(f"direction_index out of range: {self.direction_index}")
-        if self.activation_label not in ACTIVATION_LABELS:
-            raise ValueError(f"unknown activation label {self.activation_label!r}")
-        if self.frequency_label not in FREQUENCY_LABELS:
-            raise ValueError(f"unknown frequency label {self.frequency_label!r}")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One perturbation run: condition tag plus the recorded signals."""
-
-    condition: TrialCondition
     force: SampledSignal      # 2 channels fx, fy (N)
     velocity: SampledSignal   # 2 channels vx, vy (m/s)
     emg: SampledSignal        # 4 channels (mV), at its own rate
@@ -182,8 +166,7 @@ class TrialRecord:
             raise ValueError("force and velocity lengths differ")
         if not math.isclose(self.force.sample_rate, self.velocity.sample_rate):
             raise ValueError("force and velocity rates differ")
-        if self.condition.direction_index != self.spec.direction_index:
-            raise ValueError("condition direction inconsistent with perturbation spec")
+        check_cell(self.spec.direction_index, self.activation_label, self.frequency_label)
 
 
 @dataclass(frozen=True)
@@ -193,11 +176,21 @@ class Subject:
     mvc_rms: tuple[float, ...]
 
 
-def perturbation_direction(direction_index: int) -> np.ndarray:
-    """Unit 2-vector of cardinal direction ``i``: (cos, sin) of i*45 deg."""
+def check_cell(direction_index: int, activation_label: str, frequency_label: str) -> None:
+    """Raise ValueError unless the three name a cell of the protocol grid."""
     if not 0 <= direction_index < N_DIRECTIONS:
         raise ValueError(f"direction_index out of range: {direction_index}")
-    angle = math.pi * direction_index / 4.0
+    if activation_label not in ACTIVATION_LABELS:
+        raise ValueError(f"unknown activation label {activation_label!r}")
+    if frequency_label not in FREQUENCY_LABELS:
+        raise ValueError(f"unknown frequency label {frequency_label!r}")
+
+
+def perturbation_direction(direction_index: int) -> np.ndarray:
+    """Unit 2-vector of spoke ``i``: (cos, sin) of i/N_DIRECTIONS of a turn."""
+    if not 0 <= direction_index < N_DIRECTIONS:
+        raise ValueError(f"direction_index out of range: {direction_index}")
+    angle = 2.0 * math.pi * direction_index / N_DIRECTIONS
     return np.array([math.cos(angle), math.sin(angle)])
 
 
@@ -354,7 +347,7 @@ def simulate_trial(
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)
 
     return TrialRecord(
-        condition=TrialCondition(spec.direction_index, activation_label, frequency_label),
+        activation_label=activation_label, frequency_label=frequency_label,
         force=force,
         velocity=velocity,
         emg=emg,
@@ -540,16 +533,19 @@ def load_trial_csv(
     path,
     emg_path,
     streams: dict,
-    condition: TrialCondition,
     spec: PerturbationSpec,
     subject_id: str,
+    *,
+    activation_label: str,
+    frequency_label: str,
 ) -> TrialRecord:
     """Read a trial written by :func:`save_trial_csv`.
 
     ``streams`` is the manifest doc of :func:`trial_streams`; each array
     must have its stream's dtype and exactly the samples that
     :func:`stored_samples` gives for the perturbation's duration, and the
-    signals take their rates, start times and labels from it. The name is
+    signals take their rates, start times and labels from it; the labels
+    name the grid cell, as for :func:`simulate_trial`. The name is
     historical: trials were once stored as CSV text.
 
     Raises DataError, naming the file, for a missing, torn, short or long
@@ -561,7 +557,7 @@ def load_trial_csv(
     main = load_samples(path, robot, n_robot)
     emg_data = load_samples(emg_path, emg, n_emg)
     return TrialRecord(
-        condition=condition,
+        activation_label=activation_label, frequency_label=frequency_label,
         force=SampledSignal(rate, start, labels[0:2], main[:, 0:2]),
         velocity=SampledSignal(rate, start, labels[2:4], main[:, 2:4]),
         emg=SampledSignal(emg["rate_hz"], emg["start_time_s"], emg["channels"], emg_data),

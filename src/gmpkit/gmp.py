@@ -57,16 +57,24 @@ class MapCell:
 
 @dataclass(frozen=True)
 class GmpMap:
+    """A subject's cells, and its frequency grid in grid order: by Hz, with the leading ``FREQUENCY_LABELS``."""
+
     subject_id: str
     cells: dict[CellKey, MapCell]
-    frequencies: dict[str, float]   # frequency label -> Hz
+    frequencies: dict[str, float]   # frequency label -> Hz, lowest Hz first
+
+    def __post_init__(self) -> None:
+        frequencies = dict(sorted(self.frequencies.items(), key=lambda item: item[1]))
+        if tuple(frequencies) != FREQUENCY_LABELS[:len(frequencies)]:
+            raise MapConflictError(f"map {self.subject_id!r}: labels by Hz {frequencies} are not in grid order")
+        object.__setattr__(self, "frequencies", frequencies)
 
     def grid_keys(self) -> list[CellKey]:
         return [
             (d, act, freq)
             for d in range(N_DIRECTIONS)
             for act in ACTIVATION_LABELS
-            for freq in sorted(self.frequencies, key=self.frequencies.get)
+            for freq in self.frequencies
         ]
 
     def missing_cells(self) -> list[CellKey]:
@@ -84,9 +92,9 @@ def build_map(
 ) -> GmpMap:
     """Assemble a map from estimates; duplicate cells are a hard conflict.
 
-    The frequency grid (label -> Hz) is ``frequencies`` plus the Hz the
-    estimates carry; estimates sharing a label must agree on the Hz value.
-    With neither there is no grid, an ``IncompleteMapError``.
+    The frequency grid (label -> Hz), ``frequencies`` plus the Hz the
+    estimates carry, must give one Hz per label, and labels in Hz order
+    (:class:`GmpMap`); with neither there is no grid, an ``IncompleteMapError``.
     """
     cells: dict[CellKey, MapCell] = {}
     freqs: dict[str, float] = dict(frequencies) if frequencies else {}
@@ -153,12 +161,12 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
         raise ValueError(f"direction_index out of range: {direction_index}")
     if not 0.0 <= pct_mvc <= 1.0:
         raise ValueError(f"pct_mvc must be within [0, 1], got {pct_mvc}")
-    labels = sorted(gmp_map.frequencies, key=gmp_map.frequencies.get)
-    hz = [gmp_map.frequencies[label] for label in labels]
-    tol = _HZ_REL_TOL * max(1.0, abs(hz[-1]))
-    if frequency < hz[0] - tol or frequency > hz[-1] + tol:
+    rows = list(gmp_map.frequencies.items())  # (label, Hz), in grid order
+    (low, f0), (high, f1) = rows[0], rows[-1]
+    tol = _HZ_REL_TOL * max(1.0, abs(f1))
+    if frequency < f0 - tol or frequency > f1 + tol:
         raise MapRangeError(
-            f"frequency {frequency} Hz outside map grid [{hz[0]}, {hz[-1]}] Hz"
+            f"frequency {frequency} Hz outside map grid [{f0}, {f1}] Hz"
         )
 
     def xi_at(label: str) -> float:
@@ -172,14 +180,10 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
         (p0, v0), (p1, v1) = nodes
         return _interp_clamped(pct_mvc, p0, v0, p1, v1)
 
-    if len(labels) == 1:
-        return xi_at(labels[0])
-    upper = 1
-    while upper < len(hz) - 1 and frequency > hz[upper] + tol:
-        upper += 1
-    f0, f1 = hz[upper - 1], hz[upper]
-    y0, y1 = xi_at(labels[upper - 1]), xi_at(labels[upper])
-    return _interp_clamped(min(max(frequency, f0), f1), f0, y0, f1, y1)
+    y0 = xi_at(low)
+    if len(rows) == 1:
+        return y0
+    return _interp_clamped(min(max(frequency, f0), f1), f0, y0, f1, xi_at(high))
 
 
 def fit_trend(estimates: Sequence[EopEstimate], frequency_label: str) -> TrendLine:
@@ -212,11 +216,10 @@ def fit_trend(estimates: Sequence[EopEstimate], frequency_label: str) -> TrendLi
 
 def save_map_json(gmp_map: GmpMap, path) -> None:
     """Persist as ``{subject, grid:{frequencies, directions}, cells:[...]}``."""
-    labels = sorted(gmp_map.frequencies, key=gmp_map.frequencies.get)
     doc = {
         "subject": gmp_map.subject_id,
         "grid": {
-            "frequencies": [gmp_map.frequencies[label] for label in labels],
+            "frequencies": list(gmp_map.frequencies.values()),
             "directions": N_DIRECTIONS,
         },
         "cells": [
@@ -258,7 +261,7 @@ def load_map_json(path) -> GmpMap:
         math.isclose(lower, higher, rel_tol=_HZ_REL_TOL) for lower, higher in zip(grid_freqs, grid_freqs[1:])
     ):
         raise DataError(f"{source}: grid frequencies must be distinct and > 0, got {grid_freqs}")
-    label_by_hz = {hz: FREQUENCY_LABELS[i] for i, hz in enumerate(grid_freqs)}
+    frequencies = dict(zip(FREQUENCY_LABELS, grid_freqs))
     cells: dict[CellKey, MapCell] = {}
     for cell in json_field(source, doc, "cells", list):
         direction = json_field(source, cell, "dir", int)
@@ -266,7 +269,7 @@ def load_map_json(path) -> GmpMap:
         if not 0 <= direction < N_DIRECTIONS or activation not in ACTIVATION_LABELS:
             raise DataError(f"{source}: no grid cell for dir {direction}, activation {activation!r}")
         hz = json_field(source, cell, "frequency", float)
-        matches = [label for known_hz, label in label_by_hz.items() if math.isclose(known_hz, hz, rel_tol=_HZ_REL_TOL)]
+        matches = [label for label, known_hz in frequencies.items() if math.isclose(known_hz, hz, rel_tol=_HZ_REL_TOL)]
         if not matches:
             raise DataError(f"{source}: cell frequency {hz} Hz not in grid {grid_freqs}")
         key = (direction, activation, matches[0])
@@ -276,7 +279,7 @@ def load_map_json(path) -> GmpMap:
         if pct < 0:
             raise DataError(f"{source}: cell {key} has a negative %MVC {pct}")
         cells[key] = MapCell(json_field(source, cell, "xi", float), pct)
-    return GmpMap(subject, cells, {label: hz for hz, label in label_by_hz.items()})
+    return GmpMap(subject, cells, frequencies)
 
 
 SPIDER_CSV_HEADER = "direction_deg," + ",".join(f"xi_{code}" for code, _, _ in TESTS)
@@ -287,7 +290,7 @@ def save_spider_csv(gmp_map: GmpMap, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(SPIDER_CSV_HEADER + "\n")
         for direction in range(N_DIRECTIONS):
-            row = [str(direction * 45)]
+            row = [str(direction * 360 // N_DIRECTIONS)]
             for _, act, freq in TESTS:
                 cell = gmp_map.cells.get((direction, act, freq))
                 row.append("" if cell is None else repr(float(cell.xi)))

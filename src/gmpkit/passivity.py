@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biomech import TrialCondition, TrialRecord
+from .biomech import TrialRecord, check_cell
 from .emg import MvcCalibration, pct_mvc
 from .errors import DataError, DegenerateTrialError
 from .signals import SampledSignal, Window, check_aligned, trapz_inner
@@ -77,8 +77,7 @@ class EopEstimate:
     frequency_hz: float | None = None
 
     def __post_init__(self) -> None:
-        # refuses a direction or label outside the grid, as a trial's condition does
-        TrialCondition(self.direction_index, self.activation_label, self.frequency_label)
+        check_cell(self.direction_index, self.activation_label, self.frequency_label)
         for name in ("xi", "mean_pct_mvc", "numerator", "denominator"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -166,9 +165,9 @@ def estimate_eop(
     numerator = trapz_inner(force, velocity)
     return EopEstimate(
         subject_id=trial.subject_id,
-        direction_index=trial.condition.direction_index,
-        activation_label=trial.condition.activation_label,
-        frequency_label=trial.condition.frequency_label,
+        direction_index=trial.spec.direction_index,
+        activation_label=trial.activation_label,
+        frequency_label=trial.frequency_label,
         xi=numerator / denominator,
         mean_pct_mvc=pct_mvc(trial.emg, cal, w, feedback_channels, rms_window, rms_stride),
         numerator=numerator,
@@ -208,8 +207,8 @@ def estimates_from_csv(path) -> list[EopEstimate]:
     """Read the estimates written by :func:`estimates_to_csv`.
 
     Text that is not UTF-8, a wrong header, a short or malformed row, or a
-    row that is not a consistent estimate of a grid cell is a ``DataError``
-    that names the file (and the line).
+    row that is not a consistent estimate of a grid cell, or repeats one, is
+    a ``DataError`` that names the file (and the line).
     """
     with open(path, "r", newline="") as fh:
         try:
@@ -219,6 +218,7 @@ def estimates_from_csv(path) -> list[EopEstimate]:
     if lines[0].strip() != ESTIMATE_CSV_HEADER:
         raise DataError(f"{path}: unexpected header {lines[0].strip()!r}")
     out = []
+    first_line: dict[tuple, int] = {}  # (subject, direction, activation, frequency) -> its line
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -239,4 +239,8 @@ def estimates_from_csv(path) -> list[EopEstimate]:
             )
         except ValueError as exc:
             raise DataError(f"{path}, line {line_no}: {exc}") from None
+        cell = (subject, int(direction), activation, frequency)
+        if cell in first_line:
+            raise DataError(f"{path}, line {line_no}: duplicate estimate for {cell}, first on line {first_line[cell]}")
+        first_line[cell] = line_no
     return out

@@ -37,7 +37,7 @@ from .errors import DegenerateSampleError
 
 EXACT_MAX_N = 12
 
-SIDEDNESS = ("two-sided", "greater", "less")
+SIDEDNESS = ("two-sided", "greater")
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,8 @@ def _exact_p(ranks: np.ndarray, w_plus: float, sidedness: str) -> float:
     eps = 1e-9
     if sidedness == "two-sided":
         count = int(np.sum(np.abs(w_all - mu) >= abs(w_plus - mu) - eps))
-    elif sidedness == "greater":
-        count = int(np.sum(w_all >= w_plus - eps))
     else:
-        count = int(np.sum(w_all <= w_plus + eps))
+        count = int(np.sum(w_all >= w_plus - eps))
     return count / float(2 ** n)
 
 
@@ -138,11 +136,8 @@ def _normal_p(ranks: np.ndarray, w_plus: float, sidedness: str) -> float:
     if sidedness == "two-sided":
         z = (abs(w_plus - mu) - 0.5) / sd
         return min(1.0, 2.0 * (1.0 - _normal_cdf(max(z, 0.0))))
-    if sidedness == "greater":
-        z = (w_plus - mu - 0.5) / sd
-        return 1.0 - _normal_cdf(z)
-    z = (w_plus - mu + 0.5) / sd
-    return _normal_cdf(z)
+    z = (w_plus - mu - 0.5) / sd
+    return 1.0 - _normal_cdf(z)
 
 
 def wilcoxon_signed_rank(sample: PairedSample, sidedness: str = "two-sided") -> TestResult:

@@ -8,9 +8,9 @@ Owns the on-disk layout of a run:
       trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float32
       trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (n, 4) int16
       analysis/eop_estimates.csv            one row per estimated cell
-      analysis/gmp_<subject>.json           per-subject GMP maps
+      analysis/gmp_<subject>.json           per-subject GMP maps, grid frequencies lowest Hz first
       analysis/gmp_median.json              cohort median map
-      analysis/spider_<subject>.csv         spoke-plot data, also spider_median.csv
+      analysis/spider_<subject>.csv         one row per spoke, one xi column per test; also spider_median.csv
       analysis/summary.json                 trial counts, complete maps, warnings
       stats/report.json, stats/report.csv   statistical report
       stabilize/summary.json                the scenario and each run's verdict and energies
@@ -74,7 +74,6 @@ from .biomech import (
     ActivationProfile,
     PerturbationSpec,
     Subject,
-    TrialCondition,
     cohort_subject_id,
     jitter_range,
     load_samples,
@@ -88,8 +87,8 @@ from .biomech import (
 )
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
-from .errors import (ConfigError, DataError, DegenerateSampleError, IncompleteMapError, MapRangeError, json_field,
-                     json_value, read_json, write_json)
+from .errors import (ConfigError, DataError, DegenerateSampleError, IncompleteMapError, MapRangeError,
+                     SingularFitError, json_field, json_value, read_json, write_json)
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_from_csv, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
@@ -149,12 +148,11 @@ def _stage_outputs(out: Path, *names: str):
         _remove(staging)
 
 
-def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, TrialCondition, PerturbationSpec]]:
-    """A subject's trials in simulation order: ``(test_idx, trial_id, condition, spec)``."""
+def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, dict, PerturbationSpec]]:
+    """A subject's trials in simulation order: ``(test_idx, trial_id, test, spec)``, ``test`` a ``protocol_plan`` row."""
     protocol = config.protocol
     return [
-        (test_idx, f"{subject_id}_{test['code']}_d{direction}",
-         TrialCondition(direction, test["activation_label"], test["frequency_label"]),
+        (test_idx, f"{subject_id}_{test['code']}_d{direction}", test,
          PerturbationSpec(test["frequency_hz"], protocol.amplitude_m, direction, protocol.duration_s))
         for test_idx, test in enumerate(protocol_plan(config))
         for direction in range(N_DIRECTIONS)
@@ -184,18 +182,18 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
     order = [plan[i]["code"] for i in order_rng.permutation(len(plan))]
 
-    for test_idx, trial_id, condition, spec in trial_plan(config, subject.subject_id):
+    for test_idx, trial_id, test, spec in trial_plan(config, subject.subject_id):
         trial = simulate_trial(
             subject.params,
             spec,
-            ActivationProfile(target_pct_mvc=plan[test_idx]["target_pct_mvc"]),
-            np.random.SeedSequence((seed, subject_idx, test_idx, condition.direction_index)),
+            ActivationProfile(target_pct_mvc=test["target_pct_mvc"]),
+            np.random.SeedSequence((seed, subject_idx, test_idx, spec.direction_index)),
             rate=config.rates.robot_hz,
             mvc_rms=subject.mvc_rms,
             emg_rate=config.rates.emg_hz,
             subject_id=subject.subject_id,
-            activation_label=condition.activation_label,
-            frequency_label=condition.frequency_label,
+            activation_label=test["activation_label"],
+            frequency_label=test["frequency_label"],
         )
         save_trial_csv(trial, *(out / rel for rel in trial_files(trial_id)))
     return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms), "test_order": order}
@@ -439,10 +437,12 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
         n_missing = 0
         for (subject_id, trials), cal in zip(subjects, calibrations):
             subject_estimates = []
-            for _, trial_id, condition, spec in trials:
+            for _, trial_id, test, spec in trials:
                 files = trial_files(trial_id)
                 try:
-                    trial = load_trial_csv(*(out / rel for rel in files), streams, condition, spec, subject_id)
+                    trial = load_trial_csv(*(out / rel for rel in files), streams, spec, subject_id,
+                                           activation_label=test["activation_label"],
+                                           frequency_label=test["frequency_label"])
                 except DataError as exc:
                     n_missing += 1
                     message = str(exc)
@@ -523,7 +523,7 @@ def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided
     """Wilcoxon doc for a paired contrast; identical groups carry no
     evidence against the null and are reported as p = 1 rather than an
     error."""
-    if len(a) == len(b) and all(x == y for x, y in zip(a, b)):
+    if a and len(a) == len(b) and all(x == y for x, y in zip(a, b)):
         return {
             "statistic": 0.0,
             "p_value": 1.0,
@@ -593,19 +593,22 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
 
         freq_labels = sorted({e.frequency_label for e in estimates})
         slope_doc: dict = {"per_subject": {}}
-        slopes_by_label: dict[str, list[float]] = {label: [] for label in freq_labels}
         for subject_id in subjects:
             subject_est = [e for e in estimates if e.subject_id == subject_id]
             entry = {}
             for label in freq_labels:
-                trend = fit_trend(subject_est, label)
-                entry[label] = {"slope": trend.slope, "intercept": trend.intercept,
-                                "rss": trend.rss, "n": trend.n_points}
-                slopes_by_label[label].append(trend.slope)
+                try:
+                    trend = fit_trend(subject_est, label)
+                    entry[label] = {"slope": trend.slope, "intercept": trend.intercept,
+                                    "rss": trend.rss, "n": trend.n_points}
+                except SingularFitError as exc:
+                    entry[label] = {"error": str(exc)}
             slope_doc["per_subject"][subject_id] = entry
         if set(freq_labels) >= {_LOW, _HIGH}:
+            pairs = [(entry[_LOW]["slope"], entry[_HIGH]["slope"]) for entry in slope_doc["per_subject"].values()
+                     if "slope" in entry[_LOW] and "slope" in entry[_HIGH]]
             doc = {"sidedness": "greater", "group_a": f"slope_{_LOW}", "group_b": f"slope_{_HIGH}"}
-            doc.update(_paired_contrast(slopes_by_label[_LOW], slopes_by_label[_HIGH], "greater"))
+            doc.update(_paired_contrast([low for low, _ in pairs], [high for _, high in pairs], "greater"))
             slope_doc["contrast"] = doc
         report["slopes"] = slope_doc
 

@@ -180,10 +180,11 @@ def test_criterion_5_passivity_ledger(full_study):
     worst = np.inf
     n_trials = 0
     for subject in manifest["subjects"]:
-        for _, trial_id, condition, spec in trial_plan(full_study["config"], subject["subject_id"]):
+        for _, trial_id, test, spec in trial_plan(full_study["config"], subject["subject_id"]):
             robot_file, emg_file = trial_files(trial_id)
-            trial = load_trial_csv(out / robot_file, out / emg_file, manifest["streams"],
-                                   condition, spec, subject["subject_id"])
+            trial = load_trial_csv(out / robot_file, out / emg_file, manifest["streams"], spec,
+                                   subject["subject_id"], activation_label=test["activation_label"],
+                                   frequency_label=test["frequency_label"])
             verdict = is_passive(energy_ledger(trial.force, trial.velocity))
             worst = min(worst, verdict.min_margin)
             assert verdict.passive, (trial_id, verdict)

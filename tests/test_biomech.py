@@ -6,6 +6,7 @@ import pytest
 
 from gmpkit.biomech import (
     DEFAULT_MVC_RMS_MV,
+    N_DIRECTIONS,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -54,12 +55,25 @@ def test_perturbation_direction_cardinals():
     np.testing.assert_allclose(
         perturbation_direction(1), [math.sqrt(2) / 2] * 2, atol=1e-12
     )
-    for i in range(8):
+    for i in range(N_DIRECTIONS):
+        angle = 2.0 * math.pi * i / N_DIRECTIONS
+        assert perturbation_direction(i).tolist() == [math.cos(angle), math.sin(angle)]
         assert np.linalg.norm(perturbation_direction(i)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         perturbation_direction(8)
     with pytest.raises(ValueError):
         perturbation_direction(-1)
+
+
+def test_trial_record_refuses_an_off_grid_cell():
+    trial = run(LimbParams(), seed=1)
+    for labels in ({"activation_label": "medium"}, {"frequency_label": "mid"}):
+        with pytest.raises(ValueError, match="unknown"):
+            replace(trial, **labels)
+    with pytest.raises(ValueError, match="unknown activation label 'medium'"):
+        simulate_trial(LimbParams(), trial.spec, ActivationProfile(0.4), seed=0, rate=1000.0,
+                       mvc_rms=DEFAULT_MVC_RMS_MV, emg_rate=EMG_RATE, subject_id="S1",
+                       activation_label="medium", frequency_label="low")
 
 
 def test_analytic_eop_kelvin_voigt_is_scaled_base_damping():
@@ -258,7 +272,8 @@ def save_and_load(trial, tmp_path):
     path, emg_path = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
     save_trial_csv(trial, path, emg_path)
     streams = trial_streams(1000.0, EMG_RATE)
-    return load_trial_csv(path, emg_path, streams, trial.condition, trial.spec, trial.subject_id)
+    return load_trial_csv(path, emg_path, streams, trial.spec, trial.subject_id,
+                          activation_label=trial.activation_label, frequency_label=trial.frequency_label)
 
 
 def test_trial_csv_round_trip(tmp_path):

@@ -181,6 +181,23 @@ def test_analyze_fails_above_missing_budget(tmp_path):
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
 
 
+def test_stats_accepts_a_study_with_a_slope_that_cannot_be_fitted(tmp_path):
+    """15 of 160 trials missing passes analyze; S1 is left one high-frequency estimate, too few for a slope."""
+    path, out = write_config(tmp_path, "[cohort]\nsubjects = 5\n[protocol]\nduration_s = 2.0\n"
+                                       "analysis_window_s = 1.0\n")
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    for test, last in (("HR", 8), ("HS", 7)):
+        for direction in range(last):
+            (out / "trials" / f"S1_{test}_d{direction}.npy").unlink()
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    slopes = json.loads((out / "stats" / "report.json").read_text())["slopes"]
+    assert slopes["per_subject"]["S1"]["high"] == {
+        "error": "need >= 2 estimates with frequency label 'high', got 1"}
+    assert "slope" in slopes["per_subject"]["S2"]["high"]
+    assert slopes["contrast"]["error"] == "paired sample needs n >= 5, got 4"
+
+
 def test_analyze_takes_analysis_settings_from_its_config(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK

@@ -212,11 +212,11 @@ def test_schema_2_manifest_is_a_typed_error(study, capsys):
     manifest["schema_version"] = 2
     for subject in manifest["subjects"]:
         subject["trials"] = [
-            {"trial_id": trial_id, "test": tests[test_idx]["code"], "direction": condition.direction_index,
-             "activation_label": condition.activation_label, "frequency_label": condition.frequency_label,
-             "frequency_hz": spec.frequency, "target_pct_mvc": tests[test_idx]["target_pct_mvc"],
+            {"trial_id": trial_id, "test": test["code"], "direction": spec.direction_index,
+             "activation_label": test["activation_label"], "frequency_label": test["frequency_label"],
+             "frequency_hz": spec.frequency, "target_pct_mvc": test["target_pct_mvc"],
              "robot_file": trial_files(trial_id)[0], "emg_file": trial_files(trial_id)[1]}
-            for test_idx, trial_id, condition, spec in trial_plan(config, subject["subject_id"])
+            for _, trial_id, test, spec in trial_plan(config, subject["subject_id"])
         ]
     (out / "manifest.json").write_text(json.dumps(manifest))
     code, err = analyze(path, capsys)
@@ -479,10 +479,12 @@ def set_fields(**values):
         (edit_line(3, set_fields(pct_mvc="nan")), "line 3: mean_pct_mvc must be finite, got nan"),
         (edit_line(5, set_fields(pct_mvc="inf")), "line 5: mean_pct_mvc must be finite, got inf"),
         (edit_line(4, set_fields(xi="inf", numerator="inf")), "line 4: xi must be finite, got inf"),
+        (lambda path: path.write_text(path.read_text() + path.read_text().splitlines(keepends=True)[1]),
+         r"line 66: duplicate estimate for \('S1', 0, 'relaxed', 'low'\), first on line 2"),
     ],
     ids=["torn", "header", "short-row", "long-row", "bad-estimate", "not-a-number",
          "activation-off-grid", "direction-off-grid", "not-utf8", "pct-mvc-nan", "pct-mvc-inf",
-         "xi-inf"],
+         "xi-inf", "duplicate-row"],
 )
 def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damage, reason):
     out = tmp_path / "out"
@@ -605,13 +607,14 @@ def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
     """``damage`` maps the stored (robot, EMG) arrays of a trial to the arrays or bytes written."""
     _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
     subject_id, trials = subjects[0]
-    _, trial_id, condition, spec = trials[0]
+    _, trial_id, test, spec = trials[0]
     paths = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
     arrays = damage(*(np.load(simulated / rel) for rel in trial_files(trial_id)))
     for path, array in zip(paths, arrays):
         path.write_bytes(array if isinstance(array, bytes) else npy_bytes(array))
     with pytest.raises(DataError, match=re.escape(reason)) as error:
-        load_trial_csv(*paths, streams, condition, spec, subject_id)
+        load_trial_csv(*paths, streams, spec, subject_id, activation_label=test["activation_label"],
+                       frequency_label=test["frequency_label"])
     # names the file
     assert str(error.value).removeprefix("cannot read ").startswith(tuple(str(path) for path in paths))
 

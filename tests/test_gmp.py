@@ -1,9 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gmpkit.biomech import perturbation_direction
 from gmpkit.errors import IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from gmpkit.gmp import (
     build_map,
@@ -69,6 +72,21 @@ def test_build_duplicate_cell_conflicts():
     estimates.append(make_estimate(0, "relaxed", "low", 99.0))
     with pytest.raises(MapConflictError):
         build_map(estimates, "S1")
+
+
+def test_build_refuses_labels_against_hz_order():
+    # low at 3 Hz and high at 1 Hz: saved by Hz, such a map would swap its columns on load
+    swapped = [replace(e, frequency_hz=4.0 - e.frequency_hz) for e in full_grid(simple_xi)]
+    with pytest.raises(MapConflictError, match="not in grid order"):
+        build_map(swapped, "S1")
+    with pytest.raises(MapConflictError):
+        build_map([], "S1", frequencies={"high": 1.0})
+
+
+def test_map_holds_frequencies_in_grid_order():
+    gmp_map = build_map([], "S1", frequencies={"high": 3.0, "low": 1.0})
+    assert list(gmp_map.frequencies.items()) == [("low", 1.0), ("high", 3.0)]
+    assert [key[2] for key in gmp_map.grid_keys()[:2]] == ["low", "high"]
 
 
 def test_median_of_single_map_is_identity():
@@ -223,7 +241,7 @@ def test_fit_trend_shift_invariance(shift):
 
 
 def test_map_json_round_trip(tmp_path):
-    gmp_map = build_map(full_grid(simple_xi), "S1")
+    gmp_map = build_map(full_grid(simple_xi), "S1", frequencies={"high": 3.0, "low": 1.0})
     path = tmp_path / "map.json"
     save_map_json(gmp_map, path)
     doc = json.loads(path.read_text())
@@ -234,9 +252,8 @@ def test_map_json_round_trip(tmp_path):
     back = load_map_json(path)
     assert back.subject_id == "S1"
     assert back.complete
-    for key, cell in gmp_map.cells.items():
-        assert back.cells[key].xi == cell.xi
-        assert back.cells[key].mean_pct_mvc == cell.mean_pct_mvc
+    assert list(back.frequencies.items()) == list(gmp_map.frequencies.items())
+    assert back.cells == gmp_map.cells  # every cell under its own label
     assert lookup(back, 2, 0.3, 2.0) == pytest.approx(lookup(gmp_map, 2, 0.3, 2.0))
 
 
@@ -255,3 +272,7 @@ def test_spider_csv_layout(tmp_path):
     assert float(first[4]) == gmp_map.cells[(0, "stiff", "high")].xi
     degrees = [int(line.split(",")[0]) for line in lines[1:]]
     assert degrees == [0, 45, 90, 135, 180, 225, 270, 315]
+    # each row's angle is its spoke's
+    for direction, deg in enumerate(degrees):
+        np.testing.assert_allclose(perturbation_direction(direction),
+                                   [math.cos(math.radians(deg)), math.sin(math.radians(deg))], atol=1e-15)

@@ -142,6 +142,11 @@ def test_eop_estimate_validation():
         EopEstimate("S1", 0, "relaxed", "low", 2.0, 0.1, 1.0, 1.0)  # xi != num/den
     with pytest.raises(ValueError):
         EopEstimate("S1", 0, "relaxed", "low", 1.0, 0.1, 1.0, 0.0)  # zero denominator
+    for cell, reason in (((8, "relaxed", "low"), "direction_index out of range"),
+                         ((0, "medium", "low"), "unknown activation label"),
+                         ((0, "relaxed", "mid"), "unknown frequency label")):
+        with pytest.raises(ValueError, match=reason):
+            EopEstimate("S1", *cell, 1.0, 0.1, 1.0, 1.0)
     for value in (math.nan, math.inf, -math.inf):
         for field in ("xi", "mean_pct_mvc", "numerator", "denominator"):
             fields = {**dict(xi=1.0, mean_pct_mvc=0.1, numerator=1.0, denominator=1.0), field: value}

@@ -71,6 +71,25 @@ def test_stats_detects_synthetic_effects():
     assert "error" in report["slopes"]["contrast"]
 
 
+def test_stats_reports_a_slope_that_cannot_be_fitted():
+    """A subject with one high-frequency estimate has no high slope; the contrast pairs the others."""
+    def xi_fn(subject, d, act, freq):
+        return 20.0 + d + (6.0 if act == "stiff" else 0.0) + (2.0 if (act, freq) == ("stiff", "low") else 0.0)
+
+    subjects = tuple(f"S{i}" for i in range(1, 7))
+    estimates = [e for e in grid_estimates(xi_fn, subjects) if e.subject_id != "S1" or e.frequency_label == "low"
+                 or (e.direction_index, e.activation_label) == (0, "stiff")]
+    slopes = stats_study(estimates)["slopes"]
+    assert slopes["per_subject"]["S1"]["high"] == {
+        "error": "need >= 2 estimates with frequency label 'high', got 1"}
+    assert slopes["per_subject"]["S1"]["low"]["n"] == 16
+    assert slopes["contrast"]["n"] == 5
+    assert slopes["contrast"]["p_value"] == 1 / 32  # all five differences positive
+    # no subject with both slopes: nothing to pair, an error and not p = 1
+    no_high = [e for e in estimates if e.frequency_label == "low" or e.subject_id == "S1"]
+    assert stats_study(no_high)["slopes"]["contrast"]["error"] == "paired sample needs n >= 5, got 0"
+
+
 def test_stats_requires_two_subjects():
     with pytest.raises(DegenerateSampleError):
         stats_study(grid_estimates(lambda s, d, a, f: 10.0, subjects=("S1",)))
