@@ -83,6 +83,10 @@ ROBOT_RATE = 1000.0  # Hz
 # the fixed integration step needs at least this many samples per perturbation period
 MIN_SAMPLES_PER_PERIOD = 20.0
 ROBOT_CHANNELS = ("fx", "fy", "vx", "vy")  # force, then velocity
+# their code steps, as a 16-bit force/encoder DAQ stores them: 2^-6 N and
+# 2^-12 m/s, so the rails (emg.CODE_RAILS codes) are -512 N to just under
+# +512 N and -8 m/s to just under +8 m/s
+ROBOT_LSB = (2.0 ** -6, 2.0 ** -6, 2.0 ** -12, 2.0 ** -12)
 
 
 @dataclass(frozen=True)
@@ -294,9 +298,12 @@ def simulate_trial(
     is one first-order recurrence, evaluated by the doubling scan of
     :func:`signals.first_order_recurrence` rather than a per-sample loop.
     The integration runs in float64; only the recorded force and velocity
-    are rounded to float32 resolution, as the trial store keeps them (and
-    as :func:`emg.synthesize_emg` rounds the EMG), so a stored trial reads
-    back bit for bit. ``seed`` may be an int or a numpy SeedSequence. The
+    are rounded, to whole int16 codes of ``ROBOT_LSB``, as the trial store
+    keeps them (and as :func:`emg.synthesize_emg` rounds the EMG), so a
+    stored trial reads back bit for bit. A recorded sample beyond a rail of
+    its codes (+/-512 N, +/-8 m/s) raises IntegrationError naming the
+    channel, its peak and the rails: clipping it would bias the estimate.
+    ``seed`` may be an int or a numpy SeedSequence. The
     trial's grid cell is named by ``activation_label`` and
     ``frequency_label``, which the caller's protocol assigns; nothing here
     infers them from the target or the frequency.
@@ -331,14 +338,27 @@ def simulate_trial(
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
 
     # The recorded fx, fy, vx, vy: each the float64 projection onto the
-    # direction, rounded to float32 once through one reused scratch row, as
-    # the trial store keeps them. Read-only, so the signals share the array.
+    # direction in codes of its step (a power of two, so folding it into the
+    # weight is exact), rounded to whole codes in place, as the trial store
+    # keeps them. Read-only, so the signals share the array.
     dx, dy = perturbation_direction(spec.direction_index)
     recorded = np.empty((n_samples, len(ROBOT_CHANNELS)))
-    rounded = np.empty(n_samples, np.float32)
-    for column, axis, weight in zip(recorded.T, (f_ax, f_ax, v_ax, v_ax), (dx, dy, dx, dy)):
-        np.multiply(axis, weight, out=rounded)
-        column[...] = rounded
+    for column, axis, weight, step in zip(recorded.T, (f_ax, f_ax, v_ax, v_ax), (dx, dy, dx, dy), ROBOT_LSB):
+        np.multiply(axis, weight / step, out=column)
+    np.rint(recorded, out=recorded)
+    low, high = emg_module.CODE_RAILS
+    # one reduction over the whole array; the per-channel ones (numpy reduces
+    # a column of an (n, 4) array slowly) only to word the refusal
+    if recorded.min() < low or recorded.max() > high:
+        for name, unit, step, column in zip(ROBOT_CHANNELS, ("N", "N", "m/s", "m/s"), ROBOT_LSB, recorded.T):
+            least, most = column.min(), column.max()
+            if least < low or most > high:
+                raise IntegrationError(
+                    f"recorded {name} reaches {(least if least < low else most) * step:g} {unit}, beyond the "
+                    f"rails of its 16-bit codes, {low * step:g} to {high * step:g} {unit}")
+    for column, step in zip(recorded.T, ROBOT_LSB):
+        column *= step
+    recorded += 0.0  # a zero code reads back as +0.0, so -0.0 goes
     recorded.flags.writeable = False
     force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], recorded[:, :2])
     velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], recorded[:, 2:])
@@ -391,25 +411,29 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two raw arrays written with np.save: the robot-rate
-# force and velocity as float32, shape (n, 4) with columns fx, fy, vx, vy,
-# and the EMG at its native rate as int16 digitizer codes of
-# emg.EMG_LSB_MV, shape (n, 4). simulate_trial rounds its recorded samples
-# to float32 and emg.synthesize_emg its EMG to whole codes, so both arrays
-# read back bit for bit. The arrays carry samples only; their dtype, code
-# step, rates, start times and channel labels are stored once per run, in
-# the "streams" doc of the manifest (see trial_streams), and their lengths
+# A trial is stored as two raw arrays written with np.save, both
+# little-endian int16 codes of shape (n, 4): the robot-rate force and
+# velocity, columns fx, fy, vx, vy in codes of ROBOT_LSB (2^-6 N, 2^-12
+# m/s), and the EMG at its native rate in codes of emg.EMG_LSB_MV. A code
+# times its channel's step is the sample. simulate_trial rounds its
+# recorded samples to whole codes, refusing one beyond a rail, and
+# emg.synthesize_emg its EMG, saturated at the rails, so both arrays read
+# back bit for bit. The arrays carry samples only; their dtype, code steps,
+# rates, start times and channel labels are stored once per run, in the
+# "streams" doc of the manifest (see trial_streams), and their lengths
 # follow from the record's duration (stored_samples). save_samples and
 # load_samples are the one encoder and the one decoder of a stored array.
+# Schema 6 stored the force and velocity as float32.
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
-    """Dtype, code step (EMG), rate, start time and channel labels of the two stored trial arrays."""
+    """Dtype, per-channel code step, rate, start time and channel labels of the two stored trial arrays."""
+    emg_channels = emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV))
     return {
-        "robot": {"dtype": "<f4", "rate_hz": robot_rate, "start_time_s": 0.0,
+        "robot": {"dtype": "<i2", "lsb": list(ROBOT_LSB), "rate_hz": robot_rate, "start_time_s": 0.0,
                   "channels": list(ROBOT_CHANNELS)},
-        "emg": {"dtype": "<i2", "lsb_mv": emg_module.EMG_LSB_MV, "rate_hz": emg_rate, "start_time_s": 0.0,
-                "channels": list(emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV)))},
+        "emg": {"dtype": "<i2", "lsb": [emg_module.EMG_LSB_MV] * len(emg_channels), "rate_hz": emg_rate,
+                "start_time_s": 0.0, "channels": list(emg_channels)},
     }
 
 
@@ -423,38 +447,48 @@ def stored_samples(duration: float, robot_rate: float, emg_rate: float) -> tuple
     return n_robot, round((n_robot - 1) / robot_rate * emg_rate) + 1
 
 
-def save_samples(path, data: np.ndarray, stream: dict) -> None:
-    """Write ``data`` as one stored array of ``stream`` (a ``trial_streams`` doc).
-
-    A stream with a code step (``lsb_mv``) stores integer codes: each value
-    is rounded to the nearest code and saturated at the rails, never
-    wrapped (:func:`emg.round_to_codes`), so an EMG array on the code grid
-    is stored exactly. Other streams store ``data`` cast to their dtype.
-    Raises ValueError, naming ``path``, for a NaN that would be coded.
-    """
-    if "lsb_mv" in stream:
-        # the step is a power of two: multiplying by its reciprocal divides exactly
-        data = emg_module.round_to_codes(data * (1.0 / stream["lsb_mv"]))
+def _codes(path, data: np.ndarray, stream: dict) -> np.ndarray:
+    """``data`` as the int16 codes of ``stream``; see :func:`save_samples`."""
+    # column by column: numpy broadcasts a step per column over (n, 4) rows slowly
+    codes = np.empty(data.shape)
+    for column, values, step in zip(codes.T, data.T, stream["lsb"]):
+        np.divide(values, step, out=column)
+    emg_module.round_to_codes(codes)
     try:
         # a saturated code is in range, so only a NaN casts to an integer invalidly
         with np.errstate(invalid="raise"):
-            data = data.astype(stream["dtype"])
+            return codes.astype(stream["dtype"])
     except FloatingPointError:
         raise ValueError(f"{path}: NaN samples have no code") from None
-    np.save(path, data)
+
+
+def save_samples(path, data: np.ndarray, stream: dict) -> None:
+    """Write ``data`` as one stored array of ``stream`` (a ``trial_streams`` doc).
+
+    Each value is divided by its channel's code step (``lsb``), rounded to
+    the nearest code and saturated at the rails, never wrapped
+    (:func:`emg.round_to_codes`), so an array on the code grid is stored
+    exactly. Raises ValueError, naming ``path``, for a NaN, which has no
+    code.
+    """
+    np.save(path, _codes(path, data, stream))
 
 
 def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as two .npy arrays: float32 force/velocity, and int16 EMG codes.
+    """Write a trial as two .npy arrays of int16 codes: force/velocity, and EMG.
 
-    Each array is written by :func:`save_samples` with its stream of
-    :func:`trial_streams`, which leaves a simulated trial unchanged; the
-    EMG goes first, so an EMG that has no codes leaves no file. The name is
-    historical: trials were once stored as CSV text.
+    Each array is encoded as :func:`save_samples` does, with its stream of
+    :func:`trial_streams`, which leaves a simulated trial unchanged. Both
+    are encoded before either is written, so a trial with a NaN sample
+    leaves no file. The name is historical: trials were once stored as CSV
+    text.
     """
     streams = trial_streams(trial.force.sample_rate, trial.emg.sample_rate)
-    save_samples(emg_path, trial.emg.data, streams["emg"])
-    save_samples(path, np.column_stack([trial.force.data, trial.velocity.data]), streams["robot"])
+    robot = np.column_stack([trial.force.data, trial.velocity.data])
+    arrays = ((emg_path, _codes(emg_path, trial.emg.data, streams["emg"])),
+              (path, _codes(path, robot, streams["robot"])))
+    for target, codes in arrays:
+        np.save(target, codes)
 
 
 @lru_cache(maxsize=8)
@@ -474,11 +508,11 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
 
     The file is read in one ``read``, and must be exactly the header that
     ``np.save`` writes for that C-order array (:func:`_npy_header`)
-    followed by its samples. Returns them as float64, converted once, here,
-    and read-only; integer codes are decoded as ``codes * lsb_mv``. Raises
-    DataError naming ``path`` for a missing or torn file, a wrong dtype,
-    shape, order or sample count, bytes after the samples, and non-finite
-    samples.
+    followed by its samples. Returns them decoded as ``codes * lsb``, one
+    step per channel, as float64 and read-only. Raises DataError naming
+    ``path`` for a missing or torn file, a wrong dtype, shape, order or
+    sample count, and bytes after the samples. A code cannot be
+    non-finite, so the samples need no scan.
     """
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
     header = _npy_header(n_samples, n_channels, stream["dtype"])
@@ -490,14 +524,10 @@ def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     if len(blob) != size or not blob.startswith(header):
         raise _refusal(path, blob, header, dtype, n_channels, n_samples)
-    data = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_samples, n_channels)
-    if "lsb_mv" in stream:  # a code cannot be non-finite
-        data = data * stream["lsb_mv"]
-    else:
-        n_bad = np.count_nonzero(~np.isfinite(data))
-        if n_bad:
-            raise DataError(f"{path}: {n_bad} non-finite samples")
-        data = data.astype(np.float64)
+    codes = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_samples, n_channels)
+    data = np.empty(codes.shape)
+    for column, coded, step in zip(data.T, codes.T, stream["lsb"]):
+        np.multiply(coded, step, out=column)
     # frozen, so the signals built on the samples share them instead of copying them
     data.flags.writeable = False
     return data
@@ -549,7 +579,7 @@ def load_trial_csv(
     historical: trials were once stored as CSV text.
 
     Raises DataError, naming the file, for a missing, torn, short or long
-    file, a wrong shape or dtype, and non-finite samples.
+    file, and a wrong shape or dtype.
     """
     robot, emg = streams["robot"], streams["emg"]
     rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]

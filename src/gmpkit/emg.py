@@ -48,9 +48,10 @@ BAND_ORDER = 4
 RMS_WINDOW_S = 0.25
 RMS_STRIDE_S = 0.05
 
-# mV per digitizer code; the rails of the int16 codes are -2^15 and 2^15 - 1 codes
+# mV per digitizer code
 EMG_LSB_MV = 2.0 ** -11
-_CODE_RAILS = (-2.0 ** 15, 2.0 ** 15 - 1.0)
+# the rails of every stored int16 code, in codes
+CODE_RAILS = (-2.0 ** 15, 2.0 ** 15 - 1.0)
 
 MVC_DURATION_S = 3.0  # s, each maximum-effort calibration recording
 MVC_RISE_S = 0.2      # s, time constant of its first-order rise to full effort
@@ -73,14 +74,14 @@ class MvcCalibration:
 
 
 def round_to_codes(codes: np.ndarray) -> np.ndarray:
-    """Round ``codes``, EMG in units of ``EMG_LSB_MV``, in place to whole int16 codes; returns it.
+    """Round ``codes``, samples in units of their code step, in place to whole int16 codes; returns it.
 
     Each value goes to the nearest code (half to even) and saturates at the
     int16 rails, so it never wraps. A negative value that rounds to zero
     stays -0.0.
     """
     np.rint(codes, out=codes)
-    return np.clip(codes, *_CODE_RAILS, out=codes)
+    return np.clip(codes, *CODE_RAILS, out=codes)
 
 
 def synthesize_emg(

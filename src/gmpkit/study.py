@@ -3,9 +3,9 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 6
+      manifest.json                         run manifest, schema 7
       mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (n, 4) int16
-      trials/<subject>_<test>_d<i>.npy      force/velocity fx, fy, vx, vy, (n, 4) float32
+      trials/<subject>_<test>_d<i>.npy      force/velocity codes fx, fy, vx, vy, (n, 4) int16
       trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (n, 4) int16
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps, grid frequencies lowest Hz first
@@ -31,11 +31,12 @@ and the spider columns.
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
-hold samples only, float32 force and velocity and int16 EMG codes; their
-dtype, EMG code step, rates, start time and channel labels are stored
-once, under "streams" in the manifest, and their lengths follow from the
-config (``biomech.stored_samples``). File names follow from the subject
-and trial ids (``mvc_files``, ``trial_files``).
+hold samples only, all of them int16 codes (schema 6 stored force and
+velocity as float32); their dtype, per-channel code step (``lsb``), rates,
+start time and channel labels are stored once, under "streams" in the
+manifest, and their lengths follow from the config
+(``biomech.stored_samples``). File names follow from the subject and trial
+ids (``mvc_files``, ``trial_files``).
 
 ``_manifest`` states the manifest's layout, once. The manifest keeps a
 copy of the simulated config, without ``[output]``; the cohort seed is its
@@ -95,7 +96,7 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 MVC_REPETITIONS = 2
 
@@ -547,7 +548,10 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
     and compares the per-subject trend-line slopes between frequencies.
     The slope contrast is one-sided (low-frequency slopes greater): it tests
     a directional hypothesis and, with five subjects, a two-sided exact
-    signed-rank test cannot reach p < 0.05 at all.
+    signed-rank test cannot reach p < 0.05 at all. A group that lacks a
+    (subject, direction) pair, say for a trial analyze could not read, has
+    no tests: its KS entry and each contrast on it are ``{"error": ...}``
+    naming the missing pairs, as is a slope that cannot be fitted.
 
     With ``out_dir``, the report also goes to its ``stats/``, and
     ``estimates`` may be None: they are then read from its
@@ -568,15 +572,22 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
 
         directions = sorted({key[2] for key in by_cell})
         pairing = [(s, d) for s in subjects for d in directions]
-        groups: dict[str, list[float]] = {}
-        for code, _, _ in TESTS:
-            values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
-            if len(values) == len(pairing) and values:
-                groups[code] = values
-
+        activations = {e.activation_label for e in estimates}
+        freq_labels = sorted({e.frequency_label for e in estimates})
         report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
-
-        for code, values in groups.items():
+        groups: dict[str, list[float]] = {}  # the groups with every (subject, direction) pair
+        gaps: dict[str, str] = {}  # why each of the other tests' groups has no test
+        for code, act, freq in TESTS:
+            if act not in activations or freq not in freq_labels:
+                continue  # not a test of this study
+            values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
+            missing = [f"{s} d{d}" for s, d in pairing if (code, s, d) not in by_cell]
+            if missing:
+                gaps[code] = (f"no estimate for {len(missing)} of {len(pairing)} (subject, direction) pairs: "
+                              f"{', '.join(missing)}")
+                report["groups"][code] = {"n": len(values), "ks_normality": {"error": gaps[code]}}
+                continue
+            groups[code] = values
             doc = {"n": len(values), "box": asdict(box_summary(values))}
             try:
                 doc["ks_normality"] = _test_result_doc(ks_normality(values))
@@ -585,13 +596,16 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
             report["groups"][code] = doc
 
         for name, code_a, code_b in _CONTRASTS:
-            if code_a not in groups or code_b not in groups:
+            if code_a not in report["groups"] or code_b not in report["groups"]:
                 continue
             doc = {"group_a": code_a, "group_b": code_b}
-            doc.update(_paired_contrast(groups[code_a], groups[code_b]))
+            lacking = [code for code in (code_a, code_b) if code in gaps]
+            if lacking:
+                doc["error"] = "; ".join(f"group {code}: {gaps[code]}" for code in lacking)
+            else:
+                doc.update(_paired_contrast(groups[code_a], groups[code_b]))
             report["contrasts"][name] = doc
 
-        freq_labels = sorted({e.frequency_label for e in estimates})
         slope_doc: dict = {"per_subject": {}}
         for subject_id in subjects:
             subject_est = [e for e in estimates if e.subject_id == subject_id]

@@ -7,6 +7,7 @@ import pytest
 from gmpkit.biomech import (
     DEFAULT_MVC_RMS_MV,
     N_DIRECTIONS,
+    ROBOT_LSB,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
@@ -16,6 +17,7 @@ from gmpkit.biomech import (
     load_trial_csv,
     make_cohort,
     perturbation_direction,
+    save_samples,
     save_trial_csv,
     simulate_trial,
     trial_streams,
@@ -222,8 +224,9 @@ def test_axis_kinematics_are_shared_and_read_only():
     shared = _axis_kinematics(1.0, 0.03, 10001, 1000.0)
     assert all(a is b for a, b in zip(shared, _axis_kinematics(1.0, 0.03, 10001, 1000.0)))
     assert len(shared) == 3 and not any(array.flags.writeable for array in shared)
-    # the trials project the shared velocity onto their directions, at float32 resolution
-    recorded = shared[1].astype(np.float32).astype(np.float64)
+    # the trials project the shared velocity onto their directions, in whole codes of its step
+    step = ROBOT_LSB[2]
+    recorded = np.rint(shared[1] / step) * step
     np.testing.assert_array_equal(first.velocity.data[:, 0], recorded)
     np.testing.assert_array_equal(second.velocity.data[:, 1], recorded)
     for trial in (first, second):
@@ -235,15 +238,44 @@ def test_rate_too_low_raises_integration_error():
         run(LimbParams(), frequency=3.0, rate=50.0)
 
 
-def test_simulated_force_and_velocity_have_float32_resolution():
+def test_simulated_force_and_velocity_are_whole_codes():
+    """2^-6 N and 2^-12 m/s codes within the int16 rails, with no -0.0 (a zero code reads back as +0.0)."""
+    assert ROBOT_LSB == (2.0 ** -6, 2.0 ** -6, 2.0 ** -12, 2.0 ** -12)
     trial = run(LimbParams(), direction=1, seed=4)
-    for signal in (trial.force, trial.velocity):
+    for signal, steps in ((trial.force, ROBOT_LSB[:2]), (trial.velocity, ROBOT_LSB[2:])):
         assert signal.data.dtype == np.float64
-        assert signal.data.tobytes() == signal.data.astype(np.float32).astype(np.float64).tobytes()
-    # each sample is the float64 projection onto the direction, rounded once
+        codes = signal.data / np.array(steps)
+        assert np.array_equal(codes, np.rint(codes))
+        assert codes.min() >= -2 ** 15 and codes.max() <= 2 ** 15 - 1
+        assert not np.any(np.signbit(signal.data[signal.data == 0.0]))
+    # each sample is the float64 projection onto the direction, rounded once to the nearest code
     _, v_ax, _ = _axis_kinematics(1.0, 0.03, 10001, 1000.0)
-    projected = np.outer(v_ax, perturbation_direction(1)).astype(np.float32).astype(np.float64)
+    projected = np.rint(np.outer(v_ax, perturbation_direction(1)) / ROBOT_LSB[2]) * ROBOT_LSB[2] + 0.0
     assert trial.velocity.data.tobytes() == projected.tobytes()
+    # a spoke along y projects a zero x force, of either sign before rounding
+    along_y = run(LimbParams(), direction=2, seed=4)
+    assert np.all(along_y.force.data[:, 0] == 0.0) and not np.any(np.signbit(along_y.force.data[:, 0]))
+
+
+@pytest.mark.parametrize(
+    "params, frequency, amplitude, reason",
+    [
+        # 2 kg at 10 Hz and 10 cm: about 790 N of inertia at 6.3 m/s
+        (LimbParams(), 10.0, 0.10, r"recorded fx reaches -?\d+(\.\d+)? N, beyond the rails of its 16-bit codes, "
+                                   r"-512 to 511\.984 N"),
+        # a near-massless, near-free limb at 1 Hz and 1.5 m: 9.4 m/s under 1 N
+        (LimbParams(mass=0.01, base_damping=0.01, stiffness=0.01, maxwell_damping_base=0.0,
+                    maxwell_damping_gain=0.0), 1.0, 1.5,
+         r"recorded vx reaches -?\d+(\.\d+)? m/s, beyond the rails of its 16-bit codes, -8 to 7\.99976 m/s"),
+    ],
+    ids=["force", "velocity"],
+)
+def test_a_sample_beyond_a_rail_is_an_integration_error(params, frequency, amplitude, reason):
+    """A force or velocity beyond its 16-bit rails is refused, not clipped: a clipped force biases xi."""
+    spec = PerturbationSpec(frequency=frequency, amplitude=amplitude, direction_index=0, duration=2.0)
+    with pytest.raises(IntegrationError, match=reason):
+        simulate_trial(params, spec, ActivationProfile(0.4), seed=0, rate=1000.0, mvc_rms=DEFAULT_MVC_RMS_MV,
+                       emg_rate=EMG_RATE, subject_id="S1", activation_label="stiff", frequency_label="low")
 
 
 def test_emg_rate_and_channels():
@@ -279,7 +311,7 @@ def save_and_load(trial, tmp_path):
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    assert np.load(tmp_path / "trial.npy").dtype.str == "<f4"
+    assert np.load(tmp_path / "trial.npy").dtype.str == "<i2"
     assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<i2"
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
                               (back.emg, trial.emg)):
@@ -317,6 +349,41 @@ def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
         save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.npy",
                        tmp_path / "nan_emg.npy")
     assert not list(tmp_path.glob("nan*"))
+
+
+def test_off_grid_robot_samples_are_stored_rounded_and_saturated(tmp_path):
+    """Force and velocity built by hand, off the code grid and past the rails, read back rounded and clipped."""
+    trial = run(LimbParams(), seed=9)
+    data = np.column_stack([trial.force.data, trial.velocity.data])
+    data += 0.3 * np.array(ROBOT_LSB) * np.sin(np.arange(data.size)).reshape(data.shape)
+    data[100:110] = (600.0, 600.0, 9.0, 9.0)
+    data[200:210] = (-600.0, -600.0, -9.0, -9.0)
+    data[300, 2] = -0.4 * ROBOT_LSB[2]  # rounds to a zero code
+    stream = trial_streams(1000.0, EMG_RATE)["robot"]
+    save_samples(tmp_path / "robot.npy", data, stream)
+    codes = np.load(tmp_path / "robot.npy")
+    assert codes.dtype.str == "<i2"
+    expected = np.clip(np.rint(data / np.array(ROBOT_LSB)), -2 ** 15, 2 ** 15 - 1)
+    assert np.array_equal(codes, expected)
+    assert np.all(codes[100:110] == 2 ** 15 - 1) and np.all(codes[200:210] == -2 ** 15)  # never wrapped
+    hand_built = replace(trial, force=replace(trial.force, data=data[:, :2]),
+                         velocity=replace(trial.velocity, data=data[:, 2:]))
+    back = save_and_load(hand_built, tmp_path)
+    decoded = expected.astype(np.int16) * np.array(ROBOT_LSB)
+    assert back.force.data.tobytes() == decoded[:, :2].tobytes()
+    assert back.velocity.data.tobytes() == decoded[:, 2:].tobytes()
+    assert back.emg.data.tobytes() == trial.emg.data.tobytes()
+
+
+def test_robot_nan_sample_is_refused_when_saved(tmp_path):
+    """A NaN force has no code: saving the trial raises, naming the file, and writes neither array."""
+    trial = run(LimbParams(), seed=9)
+    force = trial.force.data.copy()
+    force[1500, 0] = np.nan
+    paths = tmp_path / "nan.npy", tmp_path / "nan_emg.npy"
+    with pytest.raises(ValueError, match=f"{paths[0]}: NaN samples have no code"):
+        save_trial_csv(replace(trial, force=replace(trial.force, data=force)), *paths)
+    assert not list(tmp_path.iterdir())
 
 
 def test_trial_csv_estimates_agree(tmp_path):

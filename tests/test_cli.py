@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,19 @@ def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
     assert result.n_missing == 1
     assert len(result.maps["S1"].missing_cells()) == 1
     assert result.median is not None  # S2 still complete
+    # stats reports the group that lacks the trial, and each contrast on it, with an error
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    report = json.loads((out / "stats" / "report.json").read_text())
+    gap = "no estimate for 1 of 16 (subject, direction) pairs: S1 d3"
+    assert report["groups"]["HS"] == {"n": 15, "ks_normality": {"error": gap}}
+    assert sorted(report["groups"]) == ["HR", "HS", "LR", "LS"]
+    for name, group_a, group_b in (("frequency_effect_stiff", "LS", "HS"), ("activation_effect_high", "HS", "HR")):
+        assert report["contrasts"][name] == {"group_a": group_a, "group_b": group_b, "error": f"group HS: {gap}"}
+    for name in ("frequency_effect_relaxed", "activation_effect_low"):
+        assert "p_value" in report["contrasts"][name]
+    # report.csv keeps the tests that gave a p-value (two subjects are too few for the slope contrast)
+    csv_names = [line.split(",")[1] for line in (out / "stats" / "report.csv").read_text().splitlines()[1:]]
+    assert csv_names == ["LR", "LS", "HR", "frequency_effect_relaxed", "activation_effect_low"]
 
 
 def test_analyze_fails_above_missing_budget(tmp_path):
@@ -371,6 +385,33 @@ def test_simulate_refuses_non_finite_limb_values(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+# 2 kg driven at 10 Hz over 10 cm: about 790 N of inertia, past the +/-512 N rails of the force codes
+PAST_FORCE_RAIL = ("[cohort]\nsubjects = 2\n[protocol]\nfrequencies = 10.0\namplitude_m = 0.1\n"
+                   "duration_s = 1.0\nanalysis_window_s = 0.5\n")
+# a near-massless, near-free limb driven at 1 Hz over 1.5 m: 9.4 m/s under 1 N, past the +/-8 m/s rails
+PAST_VELOCITY_RAIL = ("[cohort]\nsubjects = 2\n[limb]\nmass = 0.01\nbase_damping = 0.01\nstiffness = 0.01\n"
+                      "maxwell_damping_base = 0\nmaxwell_damping_gain = 0\n[protocol]\nfrequencies = 1.0\n"
+                      "amplitude_m = 1.5\nduration_s = 2.0\nanalysis_window_s = 1.0\n")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("text, reason", [
+    (PAST_FORCE_RAIL, r"recorded fx reaches -\d+\.?\d* N, beyond the rails of its 16-bit codes, -512 to 511\.984 N"),
+    (PAST_VELOCITY_RAIL,
+     r"recorded vx reaches -\d+\.?\d* m/s, beyond the rails of its 16-bit codes, -8 to 7\.99976 m/s"),
+], ids=["force", "velocity"])
+def test_simulate_refuses_a_sample_beyond_a_rail(tmp_path, capsys, text, reason, jobs):
+    """A trial that saturates its 16-bit codes fails simulate, which leaves no study behind, not even the old one."""
+    path, out = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    path, _ = write_config(tmp_path, text, out)
+    assert cli.main(["simulate", "--config", str(path), "--jobs", str(jobs)]) == cli.EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(f"error: {reason}\n", err), err
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text, flags", [(TINY, ["--seed", "-1"]),
                                          (TINY.replace("seed = 77", "seed = -1"), [])],
                          ids=["flag", "config"])
@@ -411,4 +452,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 6" in proc.stdout
+    assert "format schema 7" in proc.stdout

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gmpkit import cli, study as study_module
-from gmpkit.biomech import load_trial_csv
+from gmpkit.biomech import ROBOT_LSB, load_trial_csv
 from gmpkit.config import load_config
 from gmpkit.emg import EMG_LSB_MV
 from gmpkit.errors import DataError
@@ -129,20 +129,6 @@ def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, caps
     summary = json.loads((out / "analysis" / "summary.json").read_text())
     assert summary["complete_maps"] == ["S2"]
     assert (out / "analysis" / "gmp_median.json").exists()
-
-
-def test_nan_sample_is_rejected(study, capsys):
-    out, path = study
-
-    def poison(data):
-        data[1500, 0] = np.nan
-        return data
-
-    rewrite(out / "trials" / "S2_HS_d5.npy", poison)
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_OK
-    assert "unreadable trial S2_HS_d5" in err
-    assert "1 non-finite samples" in err
 
 
 def test_deleted_emg_file_is_one_warning(study, capsys):
@@ -265,12 +251,30 @@ def test_schema_5_manifest_is_a_typed_error(study, capsys):
     out, path = study
     manifest = load_manifest(out)
     manifest["schema_version"] = 5
-    manifest["streams"]["emg"]["dtype"] = "<f4"
-    del manifest["streams"]["emg"]["lsb_mv"]
+    manifest["streams"]["robot"]["dtype"] = manifest["streams"]["emg"]["dtype"] = "<f4"
+    for stream in manifest["streams"].values():
+        del stream["lsb"]
     (out / "manifest.json").write_text(json.dumps(manifest))
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert f"manifest {out / 'manifest.json'}: schema version 5 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
+def test_schema_6_manifest_is_a_typed_error(study, capsys):
+    """Schema 6 stored force and velocity as float32, and the EMG code step as lsb_mv; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 6
+    robot, emg = manifest["streams"]["robot"], manifest["streams"]["emg"]
+    robot["dtype"] = "<f4"
+    del robot["lsb"]
+    emg["lsb_mv"] = emg.pop("lsb")[0]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {out / 'manifest.json'}: schema version 6 is not supported" in err
     assert "re-run simulate" in err
     assert not (out / "analysis").exists()
 
@@ -340,9 +344,16 @@ def set_key(path, value):
         (set_key(("streams", "robot", "rate_hz"), 999.0),
          "streams.robot.rate_hz is 999.0, where simulate writes 1000.0"),
         (set_key(("streams", "emg", "dtype"), "<f4"), "streams.emg.dtype is '<f4', where simulate writes '<i2'"),
-        (set_key(("streams", "emg", "lsb_mv"), 2.0 ** -12),
-         "streams.emg.lsb_mv is 0.000244140625, where simulate writes 0.00048828125"),
-        (set_key(("streams", "emg", "lsb_mv"), None), "streams.emg.lsb_mv is missing, where simulate writes"),
+        (set_key(("streams", "emg", "lsb"), [2.0 ** -12] * 4),
+         "streams.emg.lsb[0] is 0.000244140625, where simulate writes 0.00048828125"),
+        (set_key(("streams", "emg", "lsb"), None), "streams.emg.lsb is missing, where simulate writes [0.00048828125"),
+        (set_key(("streams", "robot", "dtype"), "<f4"), "streams.robot.dtype is '<f4', where simulate writes '<i2'"),
+        (set_key(("streams", "robot", "lsb"), [2.0 ** -5, 2.0 ** -5, 2.0 ** -12, 2.0 ** -12]),
+         "streams.robot.lsb[0] is 0.03125, where simulate writes 0.015625"),
+        (set_key(("streams", "robot", "lsb"), None), "streams.robot.lsb is missing, where simulate writes [0.015625"),
+        # schema 6's EMG code step
+        (set_key(("streams", "emg", "lsb_mv"), 2.0 ** -11), "streams.emg.lsb_mv is 0.00048828125, which simulate "
+                                                           "does not write"),
         (set_key(("config", "protocol", "speed_m_s"), 0.1), "unknown key 'speed_m_s' in [protocol]"),
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None),
@@ -377,7 +388,8 @@ def set_key(path, value):
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
          "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
-         "emg-dtype-off-schema", "emg-lsb-off-schema", "emg-lsb-missing", "unknown-protocol-key", "rates-a-list",
+         "emg-dtype-off-schema", "emg-lsb-off-schema", "emg-lsb-missing", "robot-dtype-off-schema",
+         "robot-lsb-off-schema", "robot-lsb-missing", "emg-lsb-mv-listed", "unknown-protocol-key", "rates-a-list",
          "no-duration",
          "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
@@ -418,9 +430,9 @@ def test_every_manifest_leaf_is_checked(study, capsys):
     doc = json.loads(manifest_path.read_text())
     skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true|test_order)")
     checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
-    # streams: dtype, rate_hz, start_time_s and 4 channels of 2 streams, and the EMG's lsb_mv;
+    # streams: dtype, rate_hz, start_time_s, 4 channels and 4 code steps of 2 streams;
     # tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
-    assert len(checked) == 2 * 7 + 1 + 4 * 5 + 2 * 33
+    assert len(checked) == 2 * 11 + 4 * 5 + 2 * 33
     for leaf, node, key in checked:
         value = node[key]
         node[key] = changed = value + "x" if isinstance(value, str) else value + 1
@@ -580,20 +592,20 @@ def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, cap
     [
         (lambda robot, emg: (robot[:-1], emg), "3000 samples, expected 3001"),
         (lambda robot, emg: (np.vstack([robot, robot[-1:]]), emg), "3002 samples, expected 3001"),
-        # the schema-4 layout, whose force and velocity were float64
+        # the schema-4 layout, whose force and velocity were float64, and the schema-6 layout, float32
         (lambda robot, emg: (robot.astype(np.float64), emg), "got float64 (3001, 4)"),
+        (lambda robot, emg: ((robot * np.array(ROBOT_LSB)).astype(np.float32), emg),
+         "expected int16 samples of shape (n, 4), got float32 (3001, 4)"),
         (lambda robot, emg: (robot[:, :3], emg), "shape (n, 4)"),
         (lambda robot, emg: (robot.ravel(), emg), "shape (n, 4)"),
         # the schema-3 layout, whose EMG was float64, and the schema-5 layout, whose EMG was float32 mV
         (lambda robot, emg: (robot, emg.astype(np.float64)), "expected int16 samples"),
         (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(np.float32)),
          "expected int16 samples of shape (n, 4), got float32 (6445, 4)"),
-        # the robot file holding the EMG array, and the EMG file the robot array: each fails on its dtype
-        (lambda robot, emg: (emg, robot), "expected float32 samples"),
-        (lambda robot, emg: (robot, robot), "expected int16 samples of shape (n, 4), got float32 (3001, 4)"),
-        # the same, cast to the file's dtype, so that only the sample count tells them apart
-        (lambda robot, emg: (emg.astype(np.float32), emg), "6445 samples, expected 3001"),
-        (lambda robot, emg: (robot, robot.astype(np.int16)), "3001 samples, expected 6445"),
+        # the robot file holding the EMG array, and the EMG file the robot array: both int16, so the sample
+        # count tells them apart
+        (lambda robot, emg: (emg, robot), "6445 samples, expected 3001"),
+        (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
         # arrays that numpy.load reads, given as the bytes written
         (lambda robot, emg: (npy_bytes(robot) + b"\0" * 16, emg), "bytes after the 3001 samples"),
         (lambda robot, emg: (npy_bytes(np.asfortranarray(robot)), emg), "got a Fortran-order array"),

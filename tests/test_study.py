@@ -1,9 +1,10 @@
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmpkit.biomech import make_cohort
+from gmpkit.biomech import make_cohort, stored_samples
 from gmpkit.emg import estimate_mvc, synthesize_emg
 from gmpkit.errors import DegenerateSampleError
 from gmpkit.passivity import EopEstimate
@@ -95,35 +96,36 @@ def test_stats_requires_two_subjects():
         stats_study(grid_estimates(lambda s, d, a, f: 10.0, subjects=("S1",)))
 
 
-def npy_header_size(path) -> int:
-    with open(path, "rb") as fh:
-        assert np.lib.format.read_magic(fh) == (1, 0)
-        np.lib.format.read_array_header_1_0(fh)
-        return fh.tell()
+def npy_header_size(n_samples: int) -> int:
+    """Bytes of the header ``np.save`` writes before an (n, 4) int16 array."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros((n_samples, 4), "<i2"))
+    return len(buffer.getvalue()) - n_samples * 4 * 2
 
 
 def test_store_size_is_headers_plus_samples(tmp_path):
-    """trials/ and mvc/ hold 4-channel float32 robot samples and int16 EMG codes, nothing more."""
+    """Every file of trials/ and mvc/ is the np.save header and n x 4 int16 codes, nothing more."""
     config = default_config()
     config = replace(config, cohort=replace(config.cohort, subjects=2),
                      protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
     manifest = simulate_study(config, tmp_path)
-    assert {kind: stream["dtype"] for kind, stream in manifest["streams"].items()} == {"robot": "<f4", "emg": "<i2"}
-    itemsize = {"robot": 4, "emg": 2}
+    assert {kind: stream["dtype"] for kind, stream in manifest["streams"].items()} == {"robot": "<i2", "emg": "<i2"}
     robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
-    expected = {}  # file -> bytes of samples
+    n_robot, n_emg = stored_samples(2.0, robot_hz, emg_hz)
+    n_mvc = stored_samples(MVC_DURATION_S, robot_hz, emg_hz)[1]
+    assert (n_robot, n_emg, n_mvc) == (2001, 4297, 6445)
+    expected = {}  # file -> samples per channel
     for subject in manifest["subjects"]:
         for rel in mvc_files(subject["subject_id"]):
-            expected[rel] = (round(MVC_DURATION_S * emg_hz) + 1) * 4 * itemsize["emg"]
+            expected[rel] = n_mvc
         for trial_id in subject["trials"]:
             robot_file, emg_file = trial_files(trial_id)
-            expected[robot_file] = (round(2.0 * robot_hz) + 1) * 4 * itemsize["robot"]
-            expected[emg_file] = (round(2.0 * emg_hz) + 1) * 4 * itemsize["emg"]
+            expected[robot_file], expected[emg_file] = n_robot, n_emg
     files = [path for folder in ("trials", "mvc") for path in (tmp_path / folder).iterdir()]
     assert sorted(path.relative_to(tmp_path).as_posix() for path in files) == sorted(expected)
     assert len(expected) == 2 * (64 + 2)
-    assert sum(path.stat().st_size for path in files) == sum(
-        npy_header_size(tmp_path / rel) + size for rel, size in expected.items())
+    for rel, n_samples in expected.items():
+        assert (tmp_path / rel).stat().st_size == npy_header_size(n_samples) + n_samples * 4 * 2, rel
 
 
 def test_calibration_reads_back_the_levels_of_the_simulated_recordings(tmp_path):
