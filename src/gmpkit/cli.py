@@ -41,11 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("stabilize", "run the configured stabilizer scenario"),
         ("all", "simulate + analyze + stats + stabilize"),
     ):
+        # each subcommand takes only the flags it reads
+        simulates = name in ("simulate", "all")
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the run seed")
+        if simulates:
+            cmd.add_argument("--seed", type=int, default=None, help="override [cohort] seed")
         cmd.add_argument("--out", type=Path, default=None, help="override the output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="parallel simulation workers")
+        if simulates:
+            cmd.add_argument("--jobs", type=int, default=None,
+                             help="override [output] jobs: parallel simulation workers")
         if name in ("stabilize", "all"):
             cmd.add_argument("--map", type=Path, default=None, help="GMP map JSON for the stabilizer")
     return parser
@@ -53,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> StudyConfig:
     config = default_config() if args.config is None else load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, cohort=replace(config.cohort, seed=args.seed))
     if args.out is not None:
         config = replace(config, output=replace(config.output, dir=str(args.out)))
-    if args.jobs is not None:
+    if getattr(args, "jobs", None) is not None:
         config = replace(config, output=replace(config.output, jobs=args.jobs))
     config.validate()
     return config

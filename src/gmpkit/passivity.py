@@ -58,7 +58,6 @@ class PassivityVerdict:
     passive: bool
     min_margin: float                      # min over grid of E_S
     first_violation_time: float | None = None
-    deficit: float | None = None           # magnitude of worst shortfall
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def is_passive(ledger: EnergyLedger) -> PassivityVerdict:
     E(0) = 0, as every simulated trial does.
     """
     energy = ledger.energy
-    min_idx = int(np.argmin(energy))
-    min_margin = float(energy[min_idx])
+    min_margin = float(energy.min())
     if min_margin >= -LEDGER_TOL_J:
         return PassivityVerdict(passive=True, min_margin=min_margin)
     violating = np.nonzero(energy < -LEDGER_TOL_J)[0]
@@ -114,7 +112,6 @@ def is_passive(ledger: EnergyLedger) -> PassivityVerdict:
         passive=False,
         min_margin=min_margin,
         first_violation_time=float(ledger.times[first]),
-        deficit=float(-energy[min_idx]),
     )
 
 

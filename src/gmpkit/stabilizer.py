@@ -109,7 +109,6 @@ class ForceFieldSpec:
 @dataclass(frozen=True)
 class InterconnectionResult:
     verdict: str                         # "bounded" | "unbounded"
-    unbounded_time: float | None
     injected_dissipation: float          # J
     field_energy: float                  # final absorbed energy of the field port, J
     budget_rate: float                   # xi_hat used by the controller, N*s/m
@@ -201,8 +200,9 @@ def run_interconnection(
     steady response has roughly the perturbation amplitude) plays the role
     of the task, while the field and the controller forces act on the same
     axis. The run is declared unbounded as soon as |v| exceeds 1e3 times
-    the perturbation amplitude. ``duration`` must be the perturbation's;
-    the run has ``round(duration * rate) + 1`` samples.
+    the perturbation amplitude, and stops there: its last sample,
+    ``times[-1]``, is the first beyond that limit. ``duration`` must be the
+    perturbation's; a bounded run has ``round(duration * rate) + 1`` samples.
 
     With a map, the controller credits xi_hat = safety_factor * lookup(...)
     at the perturbation frequency and the scenario's activation level.
@@ -251,7 +251,6 @@ def run_interconnection(
     f_m = 0.0
     w_obs = 0.0
     verdict = "bounded"
-    unbounded_time = None
     end = n_samples
 
     for n, f_exc, denom in zip(range(n_samples), f_exc_series.tolist(), denom_next.tolist()):
@@ -275,7 +274,6 @@ def run_interconnection(
 
         if not -v_limit <= v <= v_limit:
             verdict = "unbounded"
-            unbounded_time = float(times[n])
             end = n + 1
             break
 
@@ -317,7 +315,6 @@ def run_interconnection(
     injected = running_sum(dissipated)
     return InterconnectionResult(
         verdict=verdict,
-        unbounded_time=unbounded_time,
         injected_dissipation=float(injected[-1]),
         field_energy=float(field_energy[-1]),
         budget_rate=xi_hat,

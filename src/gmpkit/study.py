@@ -12,7 +12,7 @@ Owns the on-disk layout of a run:
       analysis/gmp_median.json              cohort median map
       analysis/spider_<subject>.csv         one row per spoke, one xi column per test; also spider_median.csv
       analysis/summary.json                 trial counts, complete maps, warnings
-      stats/report.json, stats/report.csv   statistical report
+      stats/report.json                     statistical report: KS groups, contrasts, slopes
       stabilize/summary.json                the scenario and each run's verdict and energies
       stabilize/<run>_trajectory.csv        per run (baseline, with_map): motion, forces, alpha
       stabilize/<run>_ledger.csv            per run: field, injected and observer energies
@@ -508,18 +508,6 @@ def _test_result_doc(result) -> dict:
     }
 
 
-def _csv_rows(report: dict) -> list[str]:
-    """The ``report.csv`` lines of a ``stats_study`` report, one per test that gave a p-value."""
-    tests = [("ks_normality", code, code, "", doc["ks_normality"]) for code, doc in report["groups"].items()]
-    tests += [("wilcoxon", name, doc["group_a"], doc["group_b"], doc) for name, doc in report["contrasts"].items()]
-    if "contrast" in report["slopes"]:
-        doc = report["slopes"]["contrast"]
-        tests.append(("wilcoxon", SLOPE_CONTRAST, doc["group_a"], doc["group_b"], doc))
-    return [f"{kind},{name},{group_a},{group_b},{doc['n']},{float(doc['statistic'])!r},"
-            f"{float(doc['p_value'])!r},{doc['method']},{doc['mark']}\n"
-            for kind, name, group_a, group_b, doc in tests if "p_value" in doc]
-
-
 def _paired_contrast(a: list[float], b: list[float], sidedness: str = "two-sided") -> dict:
     """Wilcoxon doc for a paired contrast; identical groups carry no
     evidence against the null and are reported as p = 1 rather than an
@@ -549,9 +537,12 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
     The slope contrast is one-sided (low-frequency slopes greater): it tests
     a directional hypothesis and, with five subjects, a two-sided exact
     signed-rank test cannot reach p < 0.05 at all. A group that lacks a
-    (subject, direction) pair, say for a trial analyze could not read, has
-    no tests: its KS entry and each contrast on it are ``{"error": ...}``
-    naming the missing pairs, as is a slope that cannot be fitted.
+    (subject, direction) pair of the grid's 8 directions, say for a trial
+    analyze could not read, has no tests, even where the direction is
+    missing for every subject: its KS entry and each contrast on it are
+    ``{"error": ...}`` naming the missing pairs, as is a slope that cannot
+    be fitted. Both activation levels are tests of every study; the
+    frequencies are those of the estimates.
 
     With ``out_dir``, the report also goes to its ``stats/``, and
     ``estimates`` may be None: they are then read from its
@@ -570,15 +561,14 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
         by_cell = {(_CODE[e.activation_label, e.frequency_label], e.subject_id, e.direction_index): e
                    for e in estimates}
 
-        directions = sorted({key[2] for key in by_cell})
-        pairing = [(s, d) for s in subjects for d in directions]
-        activations = {e.activation_label for e in estimates}
+        # a one-frequency study has no high-frequency tests; every other cell of the grid is expected
+        pairing = [(s, d) for s in subjects for d in range(N_DIRECTIONS)]
         freq_labels = sorted({e.frequency_label for e in estimates})
         report: dict = {"groups": {}, "contrasts": {}, "slopes": {}}
         groups: dict[str, list[float]] = {}  # the groups with every (subject, direction) pair
         gaps: dict[str, str] = {}  # why each of the other tests' groups has no test
-        for code, act, freq in TESTS:
-            if act not in activations or freq not in freq_labels:
+        for code, _, freq in TESTS:
+            if freq not in freq_labels:
                 continue  # not a test of this study
             values = [by_cell[(code, s, d)].xi for s, d in pairing if (code, s, d) in by_cell]
             missing = [f"{s} d{d}" for s, d in pairing if (code, s, d) not in by_cell]
@@ -630,9 +620,6 @@ def stats_study(estimates: list[EopEstimate] | None, out_dir=None) -> dict:
             stats_dir = staging / "stats"
             stats_dir.mkdir(parents=True)
             write_json(stats_dir / "report.json", report)
-            with open(stats_dir / "report.csv", "w", newline="") as fh:
-                fh.write("kind,name,group_a,group_b,n,statistic,p_value,method,mark\n")
-                fh.writelines(_csv_rows(report))
     return report
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -126,11 +127,11 @@ def test_full_pipeline_and_outputs(tmp_path):
         "analysis/gmp_median.json",
         "analysis/spider_S1.csv",
         "stats/report.json",
-        "stats/report.csv",
         "stabilize/summary.json",
         "stabilize/baseline_trajectory.csv",
     ):
         assert (out / name).exists(), name
+    assert [p.name for p in (out / "stats").iterdir()] == ["report.json"]  # the report, once
     report = json.loads((out / "stats" / "report.json").read_text())
     for contrast in report["contrasts"].values():
         assert contrast["p_value"] < 0.05
@@ -181,9 +182,32 @@ def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
         assert report["contrasts"][name] == {"group_a": group_a, "group_b": group_b, "error": f"group HS: {gap}"}
     for name in ("frequency_effect_relaxed", "activation_effect_low"):
         assert "p_value" in report["contrasts"][name]
-    # report.csv keeps the tests that gave a p-value (two subjects are too few for the slope contrast)
-    csv_names = [line.split(",")[1] for line in (out / "stats" / "report.csv").read_text().splitlines()[1:]]
-    assert csv_names == ["LR", "LS", "HR", "frequency_effect_relaxed", "activation_effect_low"]
+    # the tests that gave a p-value (two subjects are too few for the slope contrast)
+    tested = [*(code for code, doc in report["groups"].items() if "p_value" in doc["ks_normality"]),
+              *(name for name, doc in report["contrasts"].items() if "p_value" in doc)]
+    assert tested == ["HR", "LR", "LS", "activation_effect_low", "frequency_effect_relaxed"]
+    assert "p_value" not in report["slopes"]["contrast"]
+
+
+def test_stats_pairs_every_group_over_the_grid_directions(tmp_path):
+    """A direction missing for every subject leaves every group short, not a smaller complete sample."""
+    path, out = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    victims = sorted((out / "trials").glob("*_d3.npy"))
+    assert len(victims) == 8  # the robot file of 8 of the 64 trials: 2 subjects x 4 tests
+    for victim in victims:
+        victim.unlink()
+    # over the missing-trial budget, but analyze still writes its analysis/
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    report = json.loads((out / "stats" / "report.json").read_text())
+    gap = "no estimate for 2 of 16 (subject, direction) pairs: S1 d3, S2 d3"
+    assert report["groups"] == {code: {"n": 14, "ks_normality": {"error": gap}} for code in ("LR", "LS", "HR", "HS")}
+    assert len(report["contrasts"]) == 4
+    for doc in report["contrasts"].values():
+        groups = (doc["group_a"], doc["group_b"])
+        assert doc == {"group_a": groups[0], "group_b": groups[1],
+                       "error": "; ".join(f"group {code}: {gap}" for code in groups)}
 
 
 def test_analyze_fails_above_missing_budget(tmp_path):
@@ -422,6 +446,46 @@ def test_simulate_refuses_a_negative_seed(tmp_path, capsys, text, flags):
     assert "Traceback" not in err
     assert "cohort.seed must be >= 0, got -1" in err
     assert not out.exists()
+
+
+def subcommand_flags() -> dict[str, list[str]]:
+    """The long flags of each subcommand of the parser, in the order ``--help`` lists them."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [flag for action in cmd._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"]
+            for name, cmd in sub.choices.items()}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    assert subcommand_flags() == {
+        "simulate": ["--config", "--seed", "--out", "--jobs"],
+        "analyze": ["--config", "--out"],
+        "stats": ["--config", "--out"],
+        "stabilize": ["--config", "--out", "--map"],
+        "all": ["--config", "--seed", "--out", "--jobs", "--map"],
+    }
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--seed", "1"], ["stats", "--jobs", "2"],
+                                  ["stabilize", "--seed", "1"]], ids=lambda argv: "-".join(argv[:2]))
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    path, out = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "all"])
+def test_simulating_subcommands_take_seed_and_jobs(tmp_path, command):
+    path, _ = write_config(tmp_path)
+    args = cli._build_parser().parse_args([command, "--config", str(path), "--seed", "3", "--jobs", "2"])
+    config = cli._load(args)
+    assert (config.cohort.seed, config.output.jobs) == (3, 2)
 
 
 def test_stats_requires_analysis_outputs(tmp_path):

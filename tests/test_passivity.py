@@ -82,7 +82,7 @@ def test_negative_damper_nonpassive_at_first_step():
     verdict = is_passive(energy_ledger(u, y))
     assert not verdict.passive
     assert verdict.first_violation_time == pytest.approx(1.0 / RATE)
-    assert verdict.deficit > 0
+    assert verdict.min_margin < 0
 
 
 def test_estimate_eop_kelvin_voigt():

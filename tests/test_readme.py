@@ -1,4 +1,4 @@
-"""The README's library example runs as written, and its file formats match the code."""
+"""The README's library example runs as written, and its CLI block and file formats match the code."""
 
 import configparser
 import contextlib
@@ -10,6 +10,7 @@ from pathlib import Path
 
 from gmpkit import study
 from gmpkit.config import default_config, load_config
+from test_cli import subcommand_flags
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +50,20 @@ def test_config_block_is_the_full_default_config(tmp_path):
     parser.read_string(config_block())
     listed = {section: sorted(parser[section]) for section in parser.sections()}
     assert listed == {section: sorted(keys) for section, keys in asdict(default_config()).items()}
+
+
+def cli_block() -> str:
+    text = README.read_text()
+    section = text[text.index("## CLI"):]
+    match = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert match, "no sh block under '## CLI'"
+    return match.group(1)
+
+
+def test_cli_block_lists_each_subcommands_flags():
+    listed = {command: re.findall(r"\[(--[\w-]+)", usage)
+              for command, usage in re.findall(r"^gmpkit (\w+) +(.*)$", cli_block(), re.M)}
+    assert listed == subcommand_flags()
 
 
 def file_formats() -> str:
