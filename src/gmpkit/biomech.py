@@ -399,11 +399,6 @@ def make_cohort(n_subjects: int, jitter: float, seed: int, base: LimbParams) -> 
     return subjects
 
 
-def jitter_range(value: float, jitter: float) -> tuple[float, float]:
-    """Least and greatest ``value * (1 + jitter * u)`` over the ``u`` in [-1, 1) that ``make_cohort`` draws."""
-    return value * (1.0 - jitter), value * (1.0 + jitter)
-
-
 def cohort_subject_id(idx: int) -> str:
     """The id of subject ``idx`` (from 0) of a cohort: S1, S2, ..."""
     return f"S{idx + 1}"
@@ -423,7 +418,6 @@ def cohort_subject_id(idx: int) -> str:
 # "streams" doc of the manifest (see trial_streams), and their lengths
 # follow from the record's duration (stored_samples). save_samples and
 # load_samples are the one encoder and the one decoder of a stored array.
-# Schema 6 stored the force and velocity as float32.
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:

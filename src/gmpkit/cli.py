@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("simulate", "record the MVC calibration and run the randomized perturbation protocol"),
+        ("simulate", "record the MVC calibration and run the perturbation protocol"),
         ("analyze", "estimate EoP per trial and build GMP maps"),
         ("stats", "statistical report over the analysis outputs"),
         ("stabilize", "run the configured stabilizer scenario"),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .biomech import (DEFAULT_MVC_RMS_MV, FREQUENCY_LABELS, JITTERED_PARAMS, MIN_SAMPLES_PER_PERIOD, N_DIRECTIONS,
-                      ROBOT_RATE, LimbParams, jitter_range, stored_samples)
+                      ROBOT_RATE, LimbParams, stored_samples)
 from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRIDE_S, RMS_WINDOW_S
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
@@ -99,10 +99,10 @@ class StudyConfig:
             raise ConfigError("cohort.subjects must be >= 1")
         if not 0 <= self.cohort.jitter < 1:
             raise ConfigError("cohort.jitter must be in [0, 1)")
-        # checked before make_cohort multiplies, where numpy would overflow to inf
+        # checked before make_cohort multiplies by up to 1 + jitter, where numpy would overflow to inf
         for name in JITTERED_PARAMS:
             value = getattr(self.limb, name)
-            if not math.isfinite(jitter_range(value, self.cohort.jitter)[1]):
+            if not math.isfinite(value * (1.0 + self.cohort.jitter)):
                 raise ConfigError(f"limb.{name} must be finite once cohort.jitter = {self.cohort.jitter} "
                                   f"scales it, got {value}")
         for name, seed in (("cohort.seed", self.cohort.seed), ("stabilizer.seed", self.stabilizer.seed)):
@@ -249,10 +249,10 @@ def config_from_sections(sections, source: str, convert) -> StudyConfig:
 
 def load_config(path) -> StudyConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
     sections = {section: dict(parser.items(section)) for section in parser.sections()}
     return config_from_sections(sections, str(path), _ini_value)

@@ -3,7 +3,7 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 7
+      manifest.json                         run manifest, schema 8
       mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (n, 4) int16
       trials/<subject>_<test>_d<i>.npy      force/velocity codes fx, fy, vx, vy, (n, 4) int16
       trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (n, 4) int16
@@ -31,10 +31,9 @@ and the spider columns.
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
 order, so parallel workers produce byte-identical files. The .npy arrays
-hold samples only, all of them int16 codes (schema 6 stored force and
-velocity as float32); their dtype, per-channel code step (``lsb``), rates,
-start time and channel labels are stored once, under "streams" in the
-manifest, and their lengths follow from the config
+hold samples only, all of them int16 codes; their dtype, per-channel code
+step (``lsb``), rates, start time and channel labels are stored once,
+under "streams" in the manifest, and their lengths follow from the config
 (``biomech.stored_samples``). File names follow from the subject and trial
 ids (``mvc_files``, ``trial_files``).
 
@@ -42,10 +41,10 @@ ids (``mvc_files``, ``trial_files``).
 copy of the simulated config, without ``[output]``; the cohort seed is its
 ``[cohort] seed``. ``analyze`` reads that copy back with the reader of a
 config file (``config.config_from_sections``), so it passes the same
-checks, and checks each subject's drawn values: ``params`` and
-``mvc_rms_true`` that ``make_cohort`` can draw for it, and a
-``test_order`` that is an order of the tests. The manifest must then be,
-key for key, what simulate writes for that config and those values, with
+checks. Each subject's ``params`` and ``mvc_rms_true`` are simulate's
+record of what ``make_cohort`` drew; ``analyze`` does not read them, and
+takes them as found. The manifest must then be, key for key, what
+simulate writes for that config and those values, with
 ``toolkit_version`` any string. Any disagreement is a ``DataError`` that
 names the manifest and the first entry that differs, by its JSON path.
 ``analyze`` calibrates each subject's %MVC on its ``mvc/`` recordings
@@ -67,16 +66,13 @@ import numpy as np
 from . import __version__
 from .biomech import (
     ACTIVATION_LABELS,
-    DEFAULT_MVC_RMS_MV,
     FREQUENCY_LABELS,
-    JITTERED_PARAMS,
     N_DIRECTIONS,
     TESTS,
     ActivationProfile,
     PerturbationSpec,
     Subject,
     cohort_subject_id,
-    jitter_range,
     load_samples,
     load_trial_csv,
     make_cohort,
@@ -89,14 +85,14 @@ from .biomech import (
 from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections, frequency_labels, json_setting
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import (ConfigError, DataError, DegenerateSampleError, IncompleteMapError, MapRangeError,
-                     SingularFitError, json_field, json_value, read_json, write_json)
+                     SingularFitError, json_field, read_json, write_json)
 from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
 from .passivity import EopEstimate, estimate_eop, estimates_from_csv, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 MVC_REPETITIONS = 2
 
@@ -165,7 +161,6 @@ def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, dic
 
 def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, out_dir: str) -> dict:
     seed, out = config.cohort.seed, Path(out_dir)
-    plan = protocol_plan(config)
 
     # stage 1: two maximum-effort recordings, which analyze calibrates %MVC on
     emg_stream = trial_streams(config.rates.robot_hz, config.rates.emg_hz)["emg"]
@@ -179,10 +174,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
         )
         save_samples(out / rel, rec.data, emg_stream)  # stored as the trial EMG is
 
-    # stage 2: the four tests in randomized order, eight directions each
-    order_rng = np.random.default_rng(np.random.SeedSequence((seed, subject_idx, 91)))
-    order = [plan[i]["code"] for i in order_rng.permutation(len(plan))]
-
+    # stage 2: the tests in protocol order, eight directions each; each trial's seed is its cell's
     for test_idx, trial_id, test, spec in trial_plan(config, subject.subject_id):
         trial = simulate_trial(
             subject.params,
@@ -197,7 +189,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             frequency_label=test["frequency_label"],
         )
         save_trial_csv(trial, *(out / rel for rel in trial_files(trial_id)))
-    return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms), "test_order": order}
+    return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms)}
 
 
 def _constant_activation_signal(config: StudyConfig, duration: float) -> SampledSignal:
@@ -241,8 +233,9 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
 def _manifest(config: StudyConfig, drawn: list[dict]) -> dict:
     """The manifest of a study of ``config``, the one place that states its layout.
 
-    ``drawn`` holds each subject's ``params``, ``mvc_rms_true`` and
-    ``test_order``, in cohort order. Everything else follows from the config.
+    ``drawn`` holds each subject's ``params`` and ``mvc_rms_true``, in
+    cohort order: simulate's record of the draw, which analyze copies from
+    the manifest as found. Everything else follows from the config.
     """
     subject_ids = [cohort_subject_id(i) for i in range(config.cohort.subjects)]
     return {
@@ -291,31 +284,6 @@ def _first_difference(found, expected, where: str = "") -> str | None:
     return None
 
 
-def _check_drawn(where: str, subject: dict, config: StudyConfig) -> None:
-    """A DataError unless a subject's ``params`` and ``mvc_rms_true`` are ones ``make_cohort`` can draw.
-
-    That is: the config's ``[limb]``, with each of ``JITTERED_PARAMS`` and
-    each true MVC level within its ``jitter_range``. The subject's own draw
-    is not recomputed: importing numpy.random for it would add about 6 MB,
-    13%, to the peak resident memory of ``analyze`` on a 5-subject study.
-    """
-    params = json_field(where, subject, "params", dict)
-    mvc_true = json_field(where, subject, "mvc_rms_true", list)
-    limb = asdict(config.limb)
-    if sorted(params) != sorted(limb) or params["direction_gains"] != list(limb["direction_gains"]):
-        raise DataError(f"{where}: params {params!r} are not the config's [limb] with {', '.join(JITTERED_PARAMS)} "
-                        f"jittered")
-    if len(mvc_true) != len(DEFAULT_MVC_RMS_MV):
-        raise DataError(f"{where}: mvc_rms_true needs {len(DEFAULT_MVC_RMS_MV)} levels, got {mvc_true!r}")
-    drawn = [(f"params {name}", params[name], limb[name]) for name in JITTERED_PARAMS]
-    drawn += [(f"mvc_rms_true {i}", level, DEFAULT_MVC_RMS_MV[i]) for i, level in enumerate(mvc_true)]
-    for what, value, base in drawn:
-        low, high = jitter_range(base, config.cohort.jitter)
-        if not low <= json_value(where, what, value, float) <= high:
-            raise DataError(f"{where}: {what} = {value!r} is outside [{low!r}, {high!r}], the values the "
-                            f"config's cohort draws from")
-
-
 def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
@@ -323,11 +291,10 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     config file is (``config.config_from_sections``); the streams; and per
     subject ``(subject_id, trial_plan(config, subject_id))``.
 
-    Each subject's ``params`` and ``mvc_rms_true`` must be ones the config's
-    cohort can draw (``_check_drawn``), and its ``test_order`` an order of
-    the tests' codes. The manifest must then be, key for key, the
-    ``_manifest`` that simulate writes for that config and those drawn
-    values, but for ``toolkit_version``, which may be any string.
+    The manifest must be, key for key, the ``_manifest`` that simulate
+    writes for that config, but for ``toolkit_version``, which may be any
+    string, and each subject's ``params`` and ``mvc_rms_true``: analyze does
+    not read those, so they are taken as found, and may be left out.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -345,16 +312,11 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     except ConfigError as exc:
         raise DataError(str(exc)) from None
     toolkit = json_field(source, manifest, "toolkit_version", str)
-    codes = [test["code"] for test in protocol_plan(config)]
     docs = json_field(source, manifest, "subjects", list)
-    for i, subject in enumerate(docs):
-        where = f"{source}: subject {cohort_subject_id(i)}"
-        _check_drawn(where, subject, config)
-        order = json_field(where, subject, "test_order", list)
-        if len(order) != len(codes) or any(code not in order for code in codes):
-            raise DataError(f"{where}: test_order {order!r} is not an order of the tests {codes}")
-    # a subject left out draws nothing, so that the comparison names it
-    drawn = [{key: subject[key] for key in ("params", "mvc_rms_true", "test_order")} for subject in docs]
+    # the drawn values as found, since analyze reads none of them; a subject entry that is not an
+    # object, or one left out, draws nothing, so that the comparison names it
+    drawn = [{key: subject[key] for key in ("params", "mvc_rms_true") if key in subject}
+             if isinstance(subject, dict) else {} for subject in docs]
     drawn += [{}] * (config.cohort.subjects - len(drawn))
     # compared as parsed JSON, where a tuple is a list
     expected = {**json.loads(json.dumps(_manifest(config, drawn))), "toolkit_version": toolkit}

@@ -120,7 +120,7 @@ def test_full_pipeline_and_outputs(tmp_path):
     manifest = load_manifest(out)
     assert len(manifest["subjects"]) == 2
     assert all(len(s["trials"]) == 32 for s in manifest["subjects"])
-    assert sorted(s["test_order"] for s in manifest["subjects"])  # recorded per subject
+    assert not any("test_order" in s for s in manifest["subjects"])  # the trials run in protocol order
     for name in (
         "analysis/eop_estimates.csv",
         "analysis/gmp_S1.json",
@@ -503,6 +503,17 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[cohort]\nseed = 1\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_out_dir_collision_is_io_error(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
@@ -516,4 +527,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 7" in proc.stdout
+    assert "format schema 8" in proc.stdout

@@ -279,6 +279,43 @@ def test_schema_6_manifest_is_a_typed_error(study, capsys):
     assert not (out / "analysis").exists()
 
 
+def test_schema_7_manifest_is_a_typed_error(study, capsys):
+    """Schema 7 recorded a test_order per subject, which the trials did not run in; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 7
+    for subject in manifest["subjects"]:
+        subject["test_order"] = ["HS", "LR", "HR", "LS"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {out / 'manifest.json'}: schema version 7 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
+def test_manifest_without_drawn_values_analyzes_the_same(simulated, tmp_path, capsys):
+    """analyze reads no subject's params or mvc_rms_true, so a manifest without them gives the same outputs."""
+    outputs = {}
+    for name in ("untouched", "stripped"):
+        out = tmp_path / name
+        shutil.copytree(simulated, out)
+        if name == "stripped":
+            manifest = load_manifest(out)
+            for subject in manifest["subjects"]:
+                del subject["params"], subject["mvc_rms_true"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        path = tmp_path / f"{name}.ini"
+        path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+        assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
+        assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        outputs[name] = {p.relative_to(out): p.read_bytes() for stage in ("analysis", "stats")
+                         for p in sorted((out / stage).rglob("*")) if p.is_file()}
+    assert len(outputs["untouched"]) == 9  # estimates, 3 maps, 3 spiders, summary, report
+    assert outputs["stripped"] == outputs["untouched"]
+
+
 def test_torn_manifest_is_a_data_error(study, capsys):
     out, path = study
     truncate(out / "manifest.json")
@@ -339,6 +376,7 @@ def set_key(path, value):
         (edit_trials(lambda ids: ",".join(ids)),
          "subjects[1].trials is 'S2_LR_d0,S2_..."),
         (set_key(("subjects", 1), None), "subjects[1] is missing, where simulate writes {'subject_id': 'S2', "),
+        (set_key(("subjects", 0), ["S1"]), "subjects[0] is ['S1'], where simulate writes {'subject_id': 'S1', "),
         (lambda doc: set_key(("subjects", 1), doc["subjects"][0])(doc),
          "subjects[1].subject_id is 'S1', where simulate writes 'S2'"),
         (set_key(("streams", "robot", "rate_hz"), 999.0),
@@ -358,10 +396,6 @@ def set_key(path, value):
         (set_key(("config", "rates"), []), "[rates] must hold keys and values, got []"),
         (set_key(("config", "protocol", "duration_s"), None),
          "config.protocol.duration_s is missing, where simulate writes 10.0"),
-        (set_key(("subjects", 0, "test_order"), ["XX"]),
-         "subject S1: test_order ['XX'] is not an order of the tests ['LR', 'LS', 'HR', 'HS']"),
-        (set_key(("subjects", 0, "test_order"), ["LR", "LS", "HR", "LR"]),
-         "subject S1: test_order ['LR', 'LS', 'HR', 'LR'] is not an order"),
         (set_key(("subjects", 0, "mvc_recordings"), ["mvc/nothing.npy"]),
          "subjects[0].mvc_recordings is ['mvc/nothing.npy'], which simulate does not write"),
         (set_key(("toolkit_version",), []), "toolkit_version must be of type str, got []"),
@@ -369,14 +403,6 @@ def set_key(path, value):
         (set_key(("seed",), "x"), "seed is 'x', which simulate does not write"),
         (set_key(("seed",), 31), "seed is 31, which simulate does not write"),
         (set_key(("config", "cohort", "seed"), -1), "cohort.seed must be >= 0, got -1"),
-        (set_key(("subjects", 0, "params"), []), "subject S1: params must be of type dict, got []"),
-        (set_key(("subjects", 0, "mvc_rms_true"), "none"),
-         "subject S1: mvc_rms_true must be of type list, got 'none'"),
-        (lambda doc: set_key(("subjects", 0, "params", "mass"), 2 * doc["subjects"][0]["params"]["mass"])(doc),
-         "subject S1: params mass = "),
-        (set_key(("subjects", 1, "params", "direction_gains"), [1.0] * 8),
-         "subject S2: params {'base_damping'"),
-        (set_key(("subjects", 1, "mvc_rms_true"), [0.0] * 4), "subject S2: mvc_rms_true 0 = 0.0 is outside"),
         # schema 4's calibrated levels, which analyze now estimates on the mvc/ recordings
         (lambda doc: set_key(("subjects", 0, "mvc_rms"), doc["subjects"][0]["mvc_rms_true"])(doc),
          "subjects[0].mvc_rms is ["),
@@ -387,14 +413,12 @@ def set_key(path, value):
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
-         "trials-not-a-list", "subject-dropped", "subject-twice", "robot-rate-off-config",
+         "trials-not-a-list", "subject-dropped", "subject-not-an-object", "subject-twice", "robot-rate-off-config",
          "emg-dtype-off-schema", "emg-lsb-off-schema", "emg-lsb-missing", "robot-dtype-off-schema",
          "robot-lsb-off-schema", "robot-lsb-missing", "emg-lsb-mv-listed", "unknown-protocol-key", "rates-a-list",
-         "no-duration",
-         "test-order-off-grid", "test-order-repeats", "mvc-recordings-listed",
+         "no-duration", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
-         "params-a-list", "mvc-rms-true-a-string", "mass-doubled", "direction-gains-off-config",
-         "mvc-rms-true-zero", "mvc-rms-listed", "limb-overflows-jitter", "targets-out-of-label-order"],
+         "mvc-rms-listed", "limb-overflows-jitter", "targets-out-of-label-order"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
@@ -421,14 +445,14 @@ def test_every_manifest_leaf_is_checked(study, capsys):
     """A value changed at any leaf of the manifest is refused, by the leaf's path.
 
     Left out: ``toolkit_version`` (any string), the subjects' drawn values
-    (``params``, ``mvc_rms_true``, ``test_order``, which analyze can only
-    range-check), the ``config`` copy (analyze derives the rest from it) and
+    (``params`` and ``mvc_rms_true``, which analyze does not read), the
+    ``config`` copy (analyze derives the rest from it) and
     ``schema_version`` (refused with its own "re-run simulate" message).
     """
     out, path = study
     manifest_path = out / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true|test_order)")
+    skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true)")
     checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
     # streams: dtype, rate_hz, start_time_s, 4 channels and 4 code steps of 2 streams;
     # tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
