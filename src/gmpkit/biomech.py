@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import io
 import math
+import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -406,28 +407,39 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two raw arrays written with np.save, both
-# little-endian int16 codes of shape (n, 4): the robot-rate force and
-# velocity, columns fx, fy, vx, vy in codes of ROBOT_LSB (2^-6 N, 2^-12
-# m/s), and the EMG at its native rate in codes of emg.EMG_LSB_MV. A code
-# times its channel's step is the sample. simulate_trial rounds its
-# recorded samples to whole codes, refusing one beyond a rail, and
-# emg.synthesize_emg its EMG, saturated at the rails, so both arrays read
-# back bit for bit. The arrays carry samples only; their dtype, code steps,
-# rates, start times and channel labels are stored once per run, in the
-# "streams" doc of the manifest (see trial_streams), and their lengths
-# follow from the record's duration (stored_samples). save_samples and
-# load_samples are the one encoder and the one decoder of a stored array.
+# A trial is stored as two files of little-endian int16 codes, both
+# channel-major, that is a (channels, n) array: the robot-rate force and
+# velocity, rows fx, fy, vx, vy in codes of ROBOT_LSB (2^-6 N, 2^-12 m/s),
+# and the EMG at its native rate in codes of emg.EMG_LSB_MV. A code times
+# its channel's step is the sample. The EMG file is the .npy that np.save
+# writes for its codes. The robot stream is smooth, so its file holds each
+# channel's first differences instead, channel after channel (the first
+# code, then each code minus the one before it, modulo 2^16), deflated into
+# one zlib stream; a cumulative sum that wraps as int16 does gives back the
+# codes exactly. simulate_trial rounds its recorded samples to whole codes,
+# refusing one beyond a rail, and emg.synthesize_emg its EMG, saturated at
+# the rails, so both arrays read back bit for bit. The files carry samples
+# only; their layout, encoding, dtype, code steps, rates, start times and
+# channel labels are stored once per run, in the "streams" doc of the
+# manifest (see trial_streams), and their lengths follow from the record's
+# duration (stored_samples). save_samples and load_samples are the one
+# encoder and the one decoder of a stored array.
+
+# the encoding of trial_streams for one zlib stream of first differences; the other is "npy"
+_ZLIB_DELTA = "zlib-delta"
+_ZLIB_LEVEL = 1  # the robot differences deflate about tenfold at the fastest level
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
-    """Dtype, per-channel code step, rate, start time and channel labels of the two stored trial arrays."""
+    """Layout, encoding, dtype, per-channel code step, rate, start time and channel labels of the two stored
+    trial arrays."""
     emg_channels = emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV))
     return {
-        "robot": {"dtype": "<i2", "lsb": list(ROBOT_LSB), "rate_hz": robot_rate, "start_time_s": 0.0,
-                  "channels": list(ROBOT_CHANNELS)},
-        "emg": {"dtype": "<i2", "lsb": [emg_module.EMG_LSB_MV] * len(emg_channels), "rate_hz": emg_rate,
-                "start_time_s": 0.0, "channels": list(emg_channels)},
+        "robot": {"layout": "channel-major", "encoding": _ZLIB_DELTA, "dtype": "<i2", "lsb": list(ROBOT_LSB),
+                  "rate_hz": robot_rate, "start_time_s": 0.0, "channels": list(ROBOT_CHANNELS)},
+        "emg": {"layout": "channel-major", "encoding": "npy", "dtype": "<i2",
+                "lsb": [emg_module.EMG_LSB_MV] * len(emg_channels), "rate_hz": emg_rate, "start_time_s": 0.0,
+                "channels": list(emg_channels)},
     }
 
 
@@ -441,12 +453,12 @@ def stored_samples(duration: float, robot_rate: float, emg_rate: float) -> tuple
     return n_robot, round((n_robot - 1) / robot_rate * emg_rate) + 1
 
 
-def _codes(path, data: np.ndarray, stream: dict) -> np.ndarray:
-    """``data`` as the int16 codes of ``stream``; see :func:`save_samples`."""
-    # column by column: numpy broadcasts a step per column over (n, 4) rows slowly
-    codes = np.empty(data.shape)
-    for column, values, step in zip(codes.T, data.T, stream["lsb"]):
-        np.divide(values, step, out=column)
+def _codes(path, channels, stream: dict) -> np.ndarray:
+    """The codes of ``stream`` of ``channels``, 1-D sample arrays of one length, one row each; see
+    :func:`save_samples`."""
+    codes = np.empty((len(channels), len(channels[0])))
+    for row, values, step in zip(codes, channels, stream["lsb"]):
+        np.divide(values, step, out=row)
     emg_module.round_to_codes(codes)
     try:
         # a saturated code is in range, so only a NaN casts to an integer invalidly
@@ -456,79 +468,132 @@ def _codes(path, data: np.ndarray, stream: dict) -> np.ndarray:
         raise ValueError(f"{path}: NaN samples have no code") from None
 
 
+def _file_bytes(path, channels, stream: dict) -> bytes:
+    """The bytes of the stored array of ``stream`` that holds ``channels``; see :func:`save_samples`."""
+    codes = _codes(path, channels, stream)
+    if stream["encoding"] == _ZLIB_DELTA:
+        deltas = codes.copy()
+        np.subtract(codes[:, 1:], codes[:, :-1], out=deltas[:, 1:])  # in int16, so modulo 2^16
+        return zlib.compress(deltas.tobytes(), _ZLIB_LEVEL)
+    return _npy_header(*codes.shape, stream["dtype"]) + codes.tobytes()
+
+
+def _write(path, blob: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
 def save_samples(path, data: np.ndarray, stream: dict) -> None:
-    """Write ``data`` as one stored array of ``stream`` (a ``trial_streams`` doc).
+    """Write ``data``, shape (n, channels), as one stored array of ``stream`` (a ``trial_streams`` doc).
 
     Each value is divided by its channel's code step (``lsb``), rounded to
     the nearest code and saturated at the rails, never wrapped
     (:func:`emg.round_to_codes`), so an array on the code grid is stored
-    exactly. Raises ValueError, naming ``path``, for a NaN, which has no
-    code.
+    exactly. The codes are stored channel-major, in the stream's encoding
+    (see the trial store above). Raises ValueError, naming ``path``, for a
+    NaN, which has no code.
     """
-    np.save(path, _codes(path, data, stream))
+    _write(path, _file_bytes(path, data.T, stream))
 
 
 def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as two .npy arrays of int16 codes: force/velocity, and EMG.
+    """Write a trial as its two stored arrays: the force/velocity stream at ``path``, the EMG at ``emg_path``.
 
     Each array is encoded as :func:`save_samples` does, with its stream of
-    :func:`trial_streams`, which leaves a simulated trial unchanged. Both
-    are encoded before either is written, so a trial with a NaN sample
-    leaves no file. The name is historical: trials were once stored as CSV
-    text.
+    :func:`trial_streams`, which leaves a simulated trial unchanged: the
+    robot rows fx, fy, vx, vy as one zlib stream of their first
+    differences, the EMG rows as a .npy of int16 codes. Both are encoded
+    before either is written, so a trial with a NaN sample leaves no file.
+    The name is historical: trials were once stored as CSV text.
     """
     streams = trial_streams(trial.force.sample_rate, trial.emg.sample_rate)
-    robot = np.column_stack([trial.force.data, trial.velocity.data])
-    arrays = ((emg_path, _codes(emg_path, trial.emg.data, streams["emg"])),
-              (path, _codes(path, robot, streams["robot"])))
-    for target, codes in arrays:
-        np.save(target, codes)
+    files = ((emg_path, _file_bytes(emg_path, trial.emg.data.T, streams["emg"])),
+             (path, _file_bytes(path, (*trial.force.data.T, *trial.velocity.data.T), streams["robot"])))
+    for target, blob in files:
+        _write(target, blob)
 
 
 @lru_cache(maxsize=8)
-def _npy_header(n_samples: int, n_channels: int, dtype: str) -> bytes:
+def _npy_header(n_channels: int, n_samples: int, dtype: str) -> bytes:
     """The header ``np.save`` writes before a C-order array of that shape and dtype."""
     buffer = io.BytesIO()
     np.lib.format.write_array_header_1_0(buffer, {
         "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
         "fortran_order": False,
-        "shape": (n_samples, n_channels),
+        "shape": (n_channels, n_samples),
     })
     return buffer.getvalue()
 
 
-def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
-    """The ``n_samples`` rows of one stored array of ``stream`` (a ``trial_streams`` doc).
+def _read(path, limit: int = -1) -> bytes:
+    """The bytes of the file ``path``, at most ``limit`` of them if it is not negative, in one ``read``."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read(limit)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
-    The file is read in one ``read``, and must be exactly the header that
-    ``np.save`` writes for that C-order array (:func:`_npy_header`)
-    followed by its samples. Returns them decoded as ``codes * lsb``, one
-    step per channel, as float64 and read-only. Raises DataError naming
-    ``path`` for a missing or torn file, a wrong dtype, shape, order or
-    sample count, and bytes after the samples. A code cannot be
+
+def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
+    """The ``(n_samples, channels)`` samples of one stored array of ``stream`` (a ``trial_streams`` doc).
+
+    The file is read in one ``read``. An ``npy`` file must be exactly the
+    header that ``np.save`` writes for the (channels, n_samples) C-order
+    array (:func:`_npy_header`) followed by its codes. A ``zlib-delta``
+    file must be one zlib stream of the channels' first differences, with
+    nothing after it (:func:`_deltas`). The codes are decoded as ``codes *
+    lsb``, row by row, into a read-only float64 (channels, n_samples)
+    array, and its transpose is returned: the samples as a signal lays them
+    out, without a copy. Raises DataError naming ``path`` for a missing or
+    torn file, a wrong dtype, shape, order or sample count, a stream that
+    does not inflate, and bytes after the samples. A code cannot be
     non-finite, so the samples need no scan.
     """
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
-    header = _npy_header(n_samples, n_channels, stream["dtype"])
-    size = len(header) + n_samples * n_channels * dtype.itemsize
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            blob = fh.read(size + 1)  # one byte more shows a file that is too long
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if len(blob) != size or not blob.startswith(header):
-        raise _refusal(path, blob, header, dtype, n_channels, n_samples)
-    codes = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_samples, n_channels)
+    if stream["encoding"] == _ZLIB_DELTA:
+        # the differences summed back in int16, which wraps as they did: the codes exactly
+        codes = np.cumsum(_deltas(path, _read(path), dtype, n_channels, n_samples), axis=1, dtype=dtype)
+    else:
+        header = _npy_header(n_channels, n_samples, stream["dtype"])
+        size = len(header) + n_channels * n_samples * dtype.itemsize
+        blob = _read(path, size + 1)  # one byte more shows a file that is too long
+        if len(blob) != size or not blob.startswith(header):
+            raise _refusal(path, blob, header, dtype, n_channels, n_samples)
+        codes = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_channels, n_samples)
     data = np.empty(codes.shape)
-    for column, coded, step in zip(data.T, codes.T, stream["lsb"]):
-        np.multiply(coded, step, out=column)
+    for row, coded, step in zip(data, codes, stream["lsb"]):
+        np.multiply(coded, step, out=row)
     # frozen, so the signals built on the samples share them instead of copying them
     data.flags.writeable = False
-    return data
+    return data.T
+
+
+def _deltas(path, blob: bytes, dtype: np.dtype, n_channels: int, n_samples: int) -> np.ndarray:
+    """The (n_channels, n_samples) first differences held by ``blob``, the bytes of the zlib file ``path``."""
+    size = n_channels * n_samples * dtype.itemsize
+    inflater = zlib.decompressobj()
+    try:
+        # one byte more than the differences at most, so a crafted file cannot inflate without bound
+        raw = inflater.decompress(blob, size + 1)
+    except zlib.error as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if len(raw) > size:  # stopped at the bound, with input left over
+        raise DataError(f"{path}: more than {n_samples} samples")
+    if not inflater.eof:
+        raise DataError(f"cannot read {path}: the file ends inside its zlib stream")
+    sample_bytes = n_channels * dtype.itemsize
+    if len(raw) % sample_bytes:
+        raise DataError(f"{path}: {len(raw)} bytes of {dtype.name} differences, not whole samples "
+                        f"of {n_channels} channels")
+    if len(raw) != size:
+        raise DataError(f"{path}: {len(raw) // sample_bytes} samples, expected {n_samples}")
+    if inflater.unused_data:
+        raise DataError(f"{path}: bytes after the {n_samples} samples")
+    return np.frombuffer(raw, dtype).reshape(n_channels, n_samples)
 
 
 def _refusal(path, blob: bytes, header: bytes, dtype: np.dtype, n_channels: int, n_samples: int) -> DataError:
-    """Why ``blob``, the start of the file ``path``, is not the expected array: its header, parsed."""
+    """Why ``blob``, the start of the .npy file ``path``, is not the expected array: its header, parsed."""
     fh = io.BytesIO(blob)
     try:
         version = np.lib.format.read_magic(fh)
@@ -537,12 +602,12 @@ def _refusal(path, blob: bytes, header: bytes, dtype: np.dtype, n_channels: int,
         shape, fortran_order, got = read_header(fh)
     except ValueError as exc:
         return DataError(f"cannot read {path}: {exc}")
-    if got != dtype or len(shape) != 2 or shape[1] != n_channels:
+    if got != dtype or len(shape) != 2 or shape[0] != n_channels:
         return DataError(
-            f"{path}: expected {dtype.name} samples of shape (n, {n_channels}), got {got} {shape}"
+            f"{path}: expected {dtype.name} samples of shape ({n_channels}, n), got {got} {shape}"
         )
-    if shape[0] != n_samples:
-        return DataError(f"{path}: {shape[0]} samples, expected {n_samples}")
+    if shape[1] != n_samples:
+        return DataError(f"{path}: {shape[1]} samples, expected {n_samples}")
     if fortran_order:
         return DataError(f"{path}: expected samples in C order, got a Fortran-order array")
     if blob[:fh.tell()] != header:
@@ -565,15 +630,17 @@ def load_trial_csv(
 ) -> TrialRecord:
     """Read a trial written by :func:`save_trial_csv`.
 
-    ``streams`` is the manifest doc of :func:`trial_streams`; each array
-    must have its stream's dtype and exactly the samples that
-    :func:`stored_samples` gives for the perturbation's duration, and the
-    signals take their rates, start times and labels from it; the labels
-    name the grid cell, as for :func:`simulate_trial`. The name is
-    historical: trials were once stored as CSV text.
+    ``streams`` is the manifest doc of :func:`trial_streams`; each file
+    must hold, in its stream's encoding, exactly the samples that
+    :func:`stored_samples` gives for the perturbation's duration
+    (:func:`load_samples`), and the signals take their rates, start times
+    and labels from it; the labels name the grid cell, as for
+    :func:`simulate_trial`. Each signal's samples are a view of its
+    file's channel-major rows. The name is historical: trials were once
+    stored as CSV text.
 
     Raises DataError, naming the file, for a missing, torn, short or long
-    file, and a wrong shape or dtype.
+    file, a robot stream that does not inflate, and a wrong shape or dtype.
     """
     robot, emg = streams["robot"], streams["emg"]
     rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]

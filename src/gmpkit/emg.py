@@ -105,7 +105,8 @@ def synthesize_emg(
     samples are float64 mV on the digitizer's grid: each channel's
     ``drive * mvc_rms * noise``, in codes, is rounded once to a whole code
     and saturated at the rails (:func:`round_to_codes`), as the trial store
-    keeps it.
+    keeps it. The signal's ``(n, channels)`` samples are the transposed
+    view of those rows, channel-major as the trial store lays them out.
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -129,15 +130,13 @@ def synthesize_emg(
         row *= drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)
     round_to_codes(noise)
     noise *= EMG_LSB_MV
-    out = np.empty((n_out, n_channels))
-    # the transposed copy; adding +0.0 turns -0.0 into +0.0, as a stored code reads back
-    np.add(noise.T, 0.0, out=out)
-    out.flags.writeable = False  # the signal takes it over without a copy
+    noise += 0.0  # a zero code reads back as +0.0, so -0.0 goes
+    buffer.flags.writeable = False  # the signal takes the rows over without a copy
     return SampledSignal(
         sample_rate=rate,
         start_time=activation.start_time,
         channels=channel_labels(n_channels),
-        data=out,
+        data=buffer[:, :n_out].T,  # a view made after the freeze, so it is read-only too
     )
 
 

@@ -3,10 +3,11 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 8
-      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (n, 4) int16
-      trials/<subject>_<test>_d<i>.npy      force/velocity codes fx, fy, vx, vy, (n, 4) int16
-      trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (n, 4) int16
+      manifest.json                         run manifest, schema 9
+      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (4, n) int16
+      trials/<subject>_<test>_d<i>.zlib     force/velocity codes fx, fy, vx, vy, (4, n) int16 first
+                                            differences in one zlib stream
+      trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (4, n) int16
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps, grid frequencies lowest Hz first
       analysis/gmp_median.json              cohort median map
@@ -30,10 +31,11 @@ and the spider columns.
 
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
-order, so parallel workers produce byte-identical files. The .npy arrays
-hold samples only, all of them int16 codes; their dtype, per-channel code
-step (``lsb``), rates, start time and channel labels are stored once,
-under "streams" in the manifest, and their lengths follow from the config
+order, so parallel workers produce byte-identical files. The trial and
+MVC files hold samples only, all of them int16 codes, one row per channel;
+their layout, encoding, dtype, per-channel code step (``lsb``), rates,
+start time and channel labels are stored once, under "streams" in the
+manifest, and their lengths follow from the config
 (``biomech.stored_samples``). File names follow from the subject and trial
 ids (``mvc_files``, ``trial_files``).
 
@@ -92,7 +94,7 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 MVC_REPETITIONS = 2
 
@@ -116,7 +118,7 @@ def mvc_files(subject_id: str) -> list[str]:
 
 def trial_files(trial_id: str) -> tuple[str, str]:
     """The robot and EMG array files of a trial, relative to the study dir."""
-    return f"trials/{trial_id}.npy", f"trials/{trial_id}_emg.npy"
+    return f"trials/{trial_id}.zlib", f"trials/{trial_id}_emg.npy"
 
 
 def _remove(path: Path) -> None:

@@ -5,13 +5,14 @@
 
 - ``study/``: the small text outputs, verbatim (``manifest.json``,
   ``analysis/``, ``stats/`` and ``stabilize/summary.json``);
-- ``digests.json``: the sha256 of every other output (the ``.npy`` arrays
-  and the stabilizer's trajectory and ledger CSVs), and the Python version,
-  numpy version and machine that wrote them.
+- ``digests.json``: the sha256 of every other output (the trial and MVC
+  files and the stabilizer's trajectory and ledger CSVs), and the Python,
+  numpy and zlib versions and the machine that wrote them.
 
 ``test_reference.py`` reruns the study. Under the recorded versions every
 output must match byte for byte. The bytes depend on numpy's float paths
-(pocketfft, SIMD loops), so under other versions only the text outputs are
+(pocketfft, SIMD loops), and a robot file's on the zlib that deflated it,
+so under other versions only the text outputs are
 compared: every number within ``REL_TOL`` of the reference plus
 ``ABS_TOL``, and every other field exactly. On a failure the message is
 ``comparison_table``: per file and per numeric column, the largest relative
@@ -34,6 +35,7 @@ import platform
 import shutil
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,8 @@ ABS_TOL = 1e-9
 
 def versions() -> dict:
     """What the output bytes depend on, besides the code."""
-    return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine()}
+    return {"python": platform.python_version(), "numpy": np.__version__, "zlib": zlib.ZLIB_RUNTIME_VERSION,
+            "machine": platform.machine()}
 
 
 def run_study(out: Path) -> None:
@@ -65,8 +68,8 @@ def run_study(out: Path) -> None:
 
 
 def is_digest_only(rel: str) -> bool:
-    """Arrays and stabilizer sample CSVs are pinned by digest; the rest is kept verbatim."""
-    return rel.endswith(".npy") or (rel.startswith("stabilize/") and rel.endswith(".csv"))
+    """Trial and MVC files and stabilizer sample CSVs are pinned by digest; the rest is kept verbatim."""
+    return rel.endswith((".npy", ".zlib")) or (rel.startswith("stabilize/") and rel.endswith(".csv"))
 
 
 def output_files(out: Path) -> list[str]:

@@ -1,4 +1,6 @@
+import io
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,13 @@ ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
 # the [emg] settings, at their config defaults: feedback channels, RMS window and stride
 EMG_SETTINGS = (FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
+
+
+def npy_bytes(array):
+    """The bytes ``np.save`` writes for ``array``."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def kv_params(b0=15.0, gains=UNIT_GAINS):
@@ -300,24 +309,37 @@ def test_cohort_jitter_within_bounds():
 
 
 def save_and_load(trial, tmp_path):
-    """Round-trip a trial through the .npy trial store at its simulated rates."""
-    path, emg_path = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
+    """Round-trip a trial through the trial store at its simulated rates."""
+    path, emg_path = tmp_path / "trial.zlib", tmp_path / "trial_emg.npy"
     save_trial_csv(trial, path, emg_path)
     streams = trial_streams(1000.0, EMG_RATE)
     return load_trial_csv(path, emg_path, streams, trial.spec, trial.subject_id,
                           activation_label=trial.activation_label, frequency_label=trial.frequency_label)
 
 
+def robot_codes(path):
+    """The (4, n) int16 codes of a robot file, decoded as the README's recipe does."""
+    deltas = np.frombuffer(zlib.decompress(path.read_bytes()), "<i2").reshape(4, -1)
+    return np.cumsum(deltas, axis=1, dtype="<i2")
+
+
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    assert np.load(tmp_path / "trial.npy").dtype.str == "<i2"
-    assert np.load(tmp_path / "trial_emg.npy").dtype.str == "<i2"
+    emg_codes = np.load(tmp_path / "trial_emg.npy")
+    assert emg_codes.dtype.str == "<i2" and emg_codes.shape == (4, trial.emg.n_samples)
+    assert emg_codes.flags.c_contiguous  # channel-major: one row per channel
+    assert (tmp_path / "trial_emg.npy").read_bytes() == npy_bytes(emg_codes)  # as np.save writes it
+    codes = robot_codes(tmp_path / "trial.zlib")
+    assert codes.shape == (4, trial.force.n_samples)
+    assert codes.tobytes() == np.rint(np.vstack([trial.force.data.T, trial.velocity.data.T])
+                                      / np.array(ROBOT_LSB)[:, None]).astype("<i2").tobytes()
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
                               (back.emg, trial.emg)):
         assert loaded.data.dtype == np.float64
         assert loaded.data.tobytes() == simulated.data.tobytes()  # bit-exact
         assert not loaded.data.flags.writeable
+        assert loaded.data.T.base is not None and loaded.data.T.base.flags.c_contiguous  # views of the rows
     assert back.force.sample_rate == back.velocity.sample_rate == 1000.0
     assert back.emg.sample_rate == EMG_RATE
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),
@@ -325,7 +347,20 @@ def test_trial_csv_round_trip(tmp_path):
         assert loaded.sample_rate == simulated.sample_rate
         assert loaded.start_time == simulated.start_time
         assert loaded.channels == simulated.channels
-    assert np.load(tmp_path / "trial.npy").shape == (trial.force.n_samples, 4)
+
+
+def test_a_force_step_beyond_int16_round_trips(tmp_path):
+    """A jump from -500 N to +500 N is a difference of 64000 codes, beyond int16: it wraps, and reads back exactly."""
+    trial = run(LimbParams(), seed=9)
+    force = np.array(trial.force.data)
+    force[:2000] = -500.0
+    force[2000:] = 500.0
+    stepped = replace(trial, force=replace(trial.force, data=force))
+    back = save_and_load(stepped, tmp_path)
+    assert back.force.data.tobytes() == force.tobytes()
+    assert back.velocity.data.tobytes() == trial.velocity.data.tobytes()
+    deltas = np.frombuffer(zlib.decompress((tmp_path / "trial.zlib").read_bytes()), "<i2").reshape(4, -1)
+    assert deltas[0, 2000] == 64000 - 2 ** 16  # the step, modulo 2^16
 
 
 def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
@@ -340,13 +375,13 @@ def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
     codes = np.load(tmp_path / "trial_emg.npy")
     assert codes.dtype.str == "<i2"
     expected = np.clip(np.rint(data / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1)
-    assert np.array_equal(codes, expected)
-    assert np.all(codes[100:110] == 2 ** 15 - 1) and np.all(codes[200:210] == -2 ** 15)
+    assert np.array_equal(codes, expected.T)
+    assert np.all(codes[:, 100:110] == 2 ** 15 - 1) and np.all(codes[:, 200:210] == -2 ** 15)
     assert back.emg.data.tobytes() == (expected.astype(np.int16) * EMG_LSB_MV).tobytes()
     assert back.force.data.tobytes() == trial.force.data.tobytes()
     data[400, 1] = np.nan
     with pytest.raises(ValueError, match="NaN samples have no code"):
-        save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.npy",
+        save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.zlib",
                        tmp_path / "nan_emg.npy")
     assert not list(tmp_path.glob("nan*"))
 
@@ -360,12 +395,11 @@ def test_off_grid_robot_samples_are_stored_rounded_and_saturated(tmp_path):
     data[200:210] = (-600.0, -600.0, -9.0, -9.0)
     data[300, 2] = -0.4 * ROBOT_LSB[2]  # rounds to a zero code
     stream = trial_streams(1000.0, EMG_RATE)["robot"]
-    save_samples(tmp_path / "robot.npy", data, stream)
-    codes = np.load(tmp_path / "robot.npy")
-    assert codes.dtype.str == "<i2"
+    save_samples(tmp_path / "robot.zlib", data, stream)
+    codes = robot_codes(tmp_path / "robot.zlib")
     expected = np.clip(np.rint(data / np.array(ROBOT_LSB)), -2 ** 15, 2 ** 15 - 1)
-    assert np.array_equal(codes, expected)
-    assert np.all(codes[100:110] == 2 ** 15 - 1) and np.all(codes[200:210] == -2 ** 15)  # never wrapped
+    assert np.array_equal(codes, expected.T)
+    assert np.all(codes[:, 100:110] == 2 ** 15 - 1) and np.all(codes[:, 200:210] == -2 ** 15)  # never wrapped
     hand_built = replace(trial, force=replace(trial.force, data=data[:, :2]),
                          velocity=replace(trial.velocity, data=data[:, 2:]))
     back = save_and_load(hand_built, tmp_path)
@@ -380,7 +414,7 @@ def test_robot_nan_sample_is_refused_when_saved(tmp_path):
     trial = run(LimbParams(), seed=9)
     force = trial.force.data.copy()
     force[1500, 0] = np.nan
-    paths = tmp_path / "nan.npy", tmp_path / "nan_emg.npy"
+    paths = tmp_path / "nan.zlib", tmp_path / "nan_emg.npy"
     with pytest.raises(ValueError, match=f"{paths[0]}: NaN samples have no code"):
         save_trial_csv(replace(trial, force=replace(trial.force, data=force)), *paths)
     assert not list(tmp_path.iterdir())

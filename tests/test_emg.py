@@ -107,6 +107,9 @@ def test_synthesized_emg_has_int16_resolution():
     assert -2 ** 15 <= codes.min() and codes.max() <= 2 ** 15 - 1
     # no -0.0, which no stored code reads back as
     assert emg.data.tobytes() == (codes.astype(np.int16) * EMG_LSB_MV).tobytes()
+    # the (n, 4) view of one read-only row per channel, as the trial store lays the channels out
+    assert not emg.data.flags.writeable
+    assert all(emg.data[:, ch].flags.c_contiguous for ch in range(4))
 
 
 def test_emg_saturates_at_the_rails(tmp_path):
@@ -118,7 +121,8 @@ def test_emg_saturates_at_the_rails(tmp_path):
     stream = trial_streams(1000.0, EMG_RATE)["emg"]
     save_samples(tmp_path / "emg.npy", emg.data, stream)
     stored = np.load(tmp_path / "emg.npy")
-    assert stored.dtype.str == "<i2"
+    assert stored.dtype.str == "<i2" and stored.shape == (4, emg.n_samples)  # channel-major
+    stored = stored.T
     for codes in (emg.data / EMG_LSB_MV, stored):
         for column in codes.T:
             assert column.min() == -2 ** 15 and column.max() == 2 ** 15 - 1

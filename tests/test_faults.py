@@ -11,18 +11,20 @@ import json
 import math
 import re
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 
 from gmpkit import cli, study as study_module
-from gmpkit.biomech import ROBOT_LSB, load_trial_csv
+from gmpkit.biomech import load_samples, load_trial_csv, stored_samples
 from gmpkit.config import load_config
 from gmpkit.emg import EMG_LSB_MV
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
 from gmpkit.study import SCHEMA_VERSION, _read_manifest, load_manifest, mvc_files, trial_files, trial_plan
+from test_biomech import robot_codes
 
 STUDY = """
 [cohort]
@@ -79,7 +81,7 @@ def npy_bytes(array):
 
 def test_truncated_trial_is_one_warning(study, capsys):
     out, path = study
-    truncate(out / "trials" / "S1_LR_d0.npy")
+    truncate(out / "trials" / "S1_LR_d0.zlib")
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_OK
     assert "unreadable trial S1_LR_d0" in err
@@ -92,14 +94,14 @@ def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_
     summaries = []
     for out in (tmp_path / "a" / "out", tmp_path / "another" / "place"):
         shutil.copytree(simulated, out)
-        (out / "trials" / "S1_LR_d0.npy").unlink()
+        (out / "trials" / "S1_LR_d0.zlib").unlink()
         path = out.parent / "study.ini"
         path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
         assert analyze(path, capsys)[0] == cli.EXIT_OK
         summaries.append((out / "analysis" / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert json.loads(summaries[0])["warnings"] == [
-        "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.npy: No such file or directory",
+        "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.zlib: No such file or directory",
         "map S1 missing 1 cells",
         "median map computed over complete maps only",
     ]
@@ -107,7 +109,7 @@ def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_
 
 def test_damage_above_budget_fails_analysis(study, capsys):
     out, path = study
-    trials = sorted(p for p in (out / "trials").glob("S1_*_d*.npy") if "emg" not in p.name)
+    trials = sorted((out / "trials").glob("S1_*_d*.zlib"))
     # 4 deleted + 3 torn = 7 of 64 trials, above the 10% budget only when
     # the two kinds of failure are counted together
     for victim in trials[:4]:
@@ -121,7 +123,7 @@ def test_damage_above_budget_fails_analysis(study, capsys):
 
 def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, capsys):
     out, path = study
-    for victim in (out / "trials").glob("S1_H?_d?.npy"):
+    for victim in (out / "trials").glob("S1_H?_d?.zlib"):
         victim.unlink()
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS  # 16 of 64 trials missing, above the budget
@@ -141,9 +143,9 @@ def test_deleted_emg_file_is_one_warning(study, capsys):
 
 
 def silence_channel(path):
-    """Zero EMG channel 1 of an MVC recording."""
+    """Zero EMG channel 1, the second row, of an MVC recording."""
     def silence(data):
-        data[:, 1] = 0.0
+        data[1] = 0
         return data
     rewrite(path, silence)
 
@@ -153,12 +155,12 @@ def silence_channel(path):
     [
         (lambda paths: paths[1].unlink(), [1], "cannot read"),
         (lambda paths: truncate(paths[0]), [0], "cannot read"),
-        (lambda paths: rewrite(paths[1], lambda data: data[:-1]), [1], "6444 samples, expected 6445"),
+        (lambda paths: rewrite(paths[1], lambda data: data[:, :-1]), [1], "6444 samples, expected 6445"),
         (lambda paths: rewrite(paths[0], lambda data: data.astype(np.float64)), [0],
          "expected int16 samples"),
         # the schema-5 layout, whose EMG was float32 mV
         (lambda paths: rewrite(paths[1], lambda data: (data * EMG_LSB_MV).astype(np.float32)), [1],
-         "expected int16 samples of shape (n, 4), got float32 (6445, 4)"),
+         "expected int16 samples of shape (4, n), got float32 (4, 6445)"),
         (lambda paths: [silence_channel(p) for p in paths], [0, 1],
          "a channel recorded no activity during MVC"),
     ],
@@ -290,6 +292,21 @@ def test_schema_7_manifest_is_a_typed_error(study, capsys):
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert f"manifest {out / 'manifest.json'}: schema version 7 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
+def test_schema_8_manifest_is_a_typed_error(study, capsys):
+    """Schema 8 stored every array as an (n, 4) .npy, the robot stream raw; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 8
+    for stream in manifest["streams"].values():
+        del stream["layout"], stream["encoding"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {out / 'manifest.json'}: schema version 8 is not supported" in err
     assert "re-run simulate" in err
     assert not (out / "analysis").exists()
 
@@ -454,9 +471,9 @@ def test_every_manifest_leaf_is_checked(study, capsys):
     doc = json.loads(manifest_path.read_text())
     skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true)")
     checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
-    # streams: dtype, rate_hz, start_time_s, 4 channels and 4 code steps of 2 streams;
-    # tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
-    assert len(checked) == 2 * 11 + 4 * 5 + 2 * 33
+    # streams: layout, encoding, dtype, rate_hz, start_time_s, 4 channels and 4 code steps of 2
+    # streams; tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
+    assert len(checked) == 2 * 13 + 4 * 5 + 2 * 33
     for leaf, node, key in checked:
         value = node[key]
         node[key] = changed = value + "x" if isinstance(value, str) else value + 1
@@ -611,48 +628,107 @@ def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, cap
     assert sorted(p.name for p in out.iterdir()) == left
 
 
+def robot_stream(codes):
+    """The bytes of a robot file that holds ``codes``, an int16 (channels, n) array, as simulate writes them."""
+    deltas = codes.astype("<i2")
+    deltas[:, 1:] -= codes[:, :-1]
+    return zlib.compress(deltas.tobytes(), 1)
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
-        (lambda robot, emg: (robot[:-1], emg), "3000 samples, expected 3001"),
-        (lambda robot, emg: (np.vstack([robot, robot[-1:]]), emg), "3002 samples, expected 3001"),
-        # the schema-4 layout, whose force and velocity were float64, and the schema-6 layout, float32
-        (lambda robot, emg: (robot.astype(np.float64), emg), "got float64 (3001, 4)"),
-        (lambda robot, emg: ((robot * np.array(ROBOT_LSB)).astype(np.float32), emg),
-         "expected int16 samples of shape (n, 4), got float32 (3001, 4)"),
-        (lambda robot, emg: (robot[:, :3], emg), "shape (n, 4)"),
-        (lambda robot, emg: (robot.ravel(), emg), "shape (n, 4)"),
+        (lambda robot, emg: (robot[:, :-1], emg), "3000 samples, expected 3001"),
+        # inflated only to one byte more than the expected differences, so the count is not known
+        (lambda robot, emg: (np.hstack([robot, robot[:, -1:]]), emg), "more than 3001 samples"),
+        (lambda robot, emg: (robot[:3], emg), "18006 bytes of int16 differences, not whole samples of 4 channels"),
         # the schema-3 layout, whose EMG was float64, and the schema-5 layout, whose EMG was float32 mV
         (lambda robot, emg: (robot, emg.astype(np.float64)), "expected int16 samples"),
         (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(np.float32)),
-         "expected int16 samples of shape (n, 4), got float32 (6445, 4)"),
-        # the robot file holding the EMG array, and the EMG file the robot array: both int16, so the sample
+         "expected int16 samples of shape (4, n), got float32 (4, 6445)"),
+        # the schema-8 layout of the EMG file, which has the same name: one row per sample
+        (lambda robot, emg: (robot, emg.T.copy()), "expected int16 samples of shape (4, n), got int16 (6445, 4)"),
+        # the robot file holding the EMG codes, and the EMG file the robot codes: both int16, so the sample
         # count tells them apart
-        (lambda robot, emg: (emg, robot), "6445 samples, expected 3001"),
+        (lambda robot, emg: (emg, robot), "more than 3001 samples"),
         (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
-        # arrays that numpy.load reads, given as the bytes written
-        (lambda robot, emg: (npy_bytes(robot) + b"\0" * 16, emg), "bytes after the 3001 samples"),
-        (lambda robot, emg: (npy_bytes(np.asfortranarray(robot)), emg), "got a Fortran-order array"),
-        (lambda robot, emg: (robot, npy_bytes(emg.astype(">f4"))), "got >f4 (6445, 4)"),
-        (lambda robot, emg: (robot, npy_bytes(emg.astype(">i2"))), "got >i2 (6445, 4)"),
-        (lambda robot, emg: (npy_bytes(robot)[:60], emg), "cannot read"),
+        # files given as the bytes written
+        (lambda robot, emg: (robot_stream(robot) + b"\0", emg), "bytes after the 3001 samples"),
+        (lambda robot, emg: (robot, npy_bytes(np.asfortranarray(emg))), "got a Fortran-order array"),
+        (lambda robot, emg: (robot, npy_bytes(emg.astype(">f4"))), "got >f4 (4, 6445)"),
+        (lambda robot, emg: (robot, npy_bytes(emg.astype(">i2"))), "got >i2 (4, 6445)"),
+        (lambda robot, emg: (robot_stream(robot)[:60], emg), "cannot read"),
         (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "the file ends after 128 of its"),
+        # a schema-8 robot file, a raw (n, 4) .npy, under the schema-9 name
+        (lambda robot, emg: (npy_bytes(robot.T.copy()), emg), "incorrect header check"),
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
-    """``damage`` maps the stored (robot, EMG) arrays of a trial to the arrays or bytes written."""
+    """``damage`` maps the stored (robot, EMG) codes of a trial, (4, n) int16 each, to the codes or bytes written."""
     _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
     subject_id, trials = subjects[0]
     _, trial_id, test, spec = trials[0]
-    paths = tmp_path / "trial.npy", tmp_path / "trial_emg.npy"
-    arrays = damage(*(np.load(simulated / rel) for rel in trial_files(trial_id)))
-    for path, array in zip(paths, arrays):
-        path.write_bytes(array if isinstance(array, bytes) else npy_bytes(array))
+    paths = tmp_path / "trial.zlib", tmp_path / "trial_emg.npy"
+    robot_file, emg_file = (simulated / rel for rel in trial_files(trial_id))
+    arrays = damage(robot_codes(robot_file), np.load(emg_file))
+    for path, array, encode in zip(paths, arrays, (robot_stream, npy_bytes)):
+        path.write_bytes(array if isinstance(array, bytes) else encode(array))
     with pytest.raises(DataError, match=re.escape(reason)) as error:
         load_trial_csv(*paths, streams, spec, subject_id, activation_label=test["activation_label"],
                        frequency_label=test["frequency_label"])
     # names the file
     assert str(error.value).removeprefix("cannot read ").startswith(tuple(str(path) for path in paths))
+
+
+def test_every_bit_flip_of_a_robot_file_is_refused_or_changes_nothing(simulated, tmp_path):
+    """Flip each bit of one robot file in turn: the loader refuses the file, naming it, or reads the same codes.
+
+    zlib's checksum covers the inflated differences, so a flip that changes
+    a sample is refused; the few flips that pass change nothing the stream
+    decodes to. analyze turns the refusal into that trial's warning.
+    """
+    _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
+    subject_id, trials = subjects[0]
+    _, trial_id, _, spec = trials[0]
+    stream = streams["robot"]
+    n_samples = stored_samples(spec.duration, stream["rate_hz"], streams["emg"]["rate_hz"])[0]
+    original = simulated / trial_files(trial_id)[0]
+    blob, expected = original.read_bytes(), load_samples(original, stream, n_samples).tobytes()
+    path = tmp_path / "flipped.zlib"
+    path.write_bytes(blob)
+    refused = 0
+    with open(path, "r+b", buffering=0) as fh:  # each flip rewrites one byte in place
+        for offset, byte in enumerate(blob):
+            for bit in range(8):
+                fh.seek(offset)
+                fh.write(bytes([byte ^ 1 << bit]))
+                try:
+                    samples = load_samples(path, stream, n_samples)
+                except DataError as exc:
+                    assert str(exc).removeprefix("cannot read ").startswith(str(path)), (offset, bit)
+                    refused += 1
+                else:
+                    assert samples.tobytes() == expected, (offset, bit)
+            fh.seek(offset)
+            fh.write(bytes([byte]))
+    assert path.read_bytes() == blob
+    assert refused > 0.9 * 8 * len(blob)
+
+
+def test_flipped_robot_file_is_that_trials_warning(study, capsys):
+    """A bit flipped inside a robot file's zlib stream skips that trial with a warning; the others read as before."""
+    out, path = study
+    assert analyze(path, capsys)[0] == cli.EXIT_OK
+    before = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+    victim = out / "trials" / "S1_LR_d0.zlib"
+    blob = bytearray(victim.read_bytes())
+    blob[len(blob) // 2] ^= 0x10
+    victim.write_bytes(blob)
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.zlib: Error -3 while decompressing data" in err
+    after = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+    assert after == [row for row in before if not row.startswith("S1,0,relaxed,low,")]
 
 
 def edit_map(edit):

@@ -1,4 +1,5 @@
 import io
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -97,19 +98,22 @@ def test_stats_requires_two_subjects():
 
 
 def npy_header_size(n_samples: int) -> int:
-    """Bytes of the header ``np.save`` writes before an (n, 4) int16 array."""
+    """Bytes of the header ``np.save`` writes before a (4, n) int16 array."""
     buffer = io.BytesIO()
-    np.save(buffer, np.zeros((n_samples, 4), "<i2"))
+    np.save(buffer, np.zeros((4, n_samples), "<i2"))
     return len(buffer.getvalue()) - n_samples * 4 * 2
 
 
 def test_store_size_is_headers_plus_samples(tmp_path):
-    """Every file of trials/ and mvc/ is the np.save header and n x 4 int16 codes, nothing more."""
+    """Every EMG file of trials/ and mvc/ is the np.save header and 4 x n int16 codes, nothing more; every
+    robot file one zlib stream of 4 x n int16 differences, nothing more."""
     config = default_config()
     config = replace(config, cohort=replace(config.cohort, subjects=2),
                      protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
     manifest = simulate_study(config, tmp_path)
-    assert {kind: stream["dtype"] for kind, stream in manifest["streams"].items()} == {"robot": "<i2", "emg": "<i2"}
+    assert {kind: (stream["layout"], stream["encoding"], stream["dtype"])
+            for kind, stream in manifest["streams"].items()} == {
+        "robot": ("channel-major", "zlib-delta", "<i2"), "emg": ("channel-major", "npy", "<i2")}
     robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
     n_robot, n_emg = stored_samples(2.0, robot_hz, emg_hz)
     n_mvc = stored_samples(MVC_DURATION_S, robot_hz, emg_hz)[1]
@@ -125,7 +129,13 @@ def test_store_size_is_headers_plus_samples(tmp_path):
     assert sorted(path.relative_to(tmp_path).as_posix() for path in files) == sorted(expected)
     assert len(expected) == 2 * (64 + 2)
     for rel, n_samples in expected.items():
-        assert (tmp_path / rel).stat().st_size == npy_header_size(n_samples) + n_samples * 4 * 2, rel
+        if rel.endswith(".zlib"):
+            inflater = zlib.decompressobj()
+            assert len(inflater.decompress((tmp_path / rel).read_bytes())) == n_samples * 4 * 2, rel
+            assert inflater.eof and not inflater.unused_data, rel
+            assert (tmp_path / rel).stat().st_size < n_samples * 4 * 2 / 5, rel  # the smooth stream deflates
+        else:
+            assert (tmp_path / rel).stat().st_size == npy_header_size(n_samples) + n_samples * 4 * 2, rel
 
 
 def test_calibration_reads_back_the_levels_of_the_simulated_recordings(tmp_path):
