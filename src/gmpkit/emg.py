@@ -9,13 +9,11 @@ recorded at maximum voluntary contraction. Envelope window and stride
 are the ``[emg]`` settings, taken from the caller; their config defaults,
 0.25 s / 0.05 s, are standard surface-EMG practice.
 
-The raw EMG is white noise through a causal 4th-order Butterworth
-band-pass (20-450 Hz), computed with numpy alone: the filter is designed
-as zeros, poles and gain and applied as a frequency response to an FFT
-that also covers the filter's impulse-response tail. The noise is drawn
-into a zero-padded buffer and filtered there in place
-(:func:`signals.bandpass_padded`), and each filtered row is rescaled in
-place.
+The raw EMG is Gaussian noise with the spectrum of white noise through a
+4th-order Butterworth band-pass (20-450 Hz), computed with numpy alone:
+the filter is designed as zeros, poles and gain, and its magnitude
+response shapes complex normals drawn on an rfft grid, which one inverse
+FFT turns into unit-variance noise (:func:`signals.bandpass_noise`).
 
 The EMG is digitized as a 16-bit surface-EMG system does it: each sample
 is a whole number of codes of ``EMG_LSB_MV`` (2^-11 mV, 0.49 uV), rounded
@@ -35,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .signals import SampledSignal, Window, bandpass_fft_length, bandpass_padded, rms, rms_range, window_rms
+from .signals import SampledSignal, Window, bandpass_noise, rms, rms_range, window_rms
 
 EMG_RATE = 2148.0  # Hz
 
@@ -92,16 +90,16 @@ def synthesize_emg(
 ) -> SampledSignal:
     """Raw EMG whose RMS envelope tracks activation * mvc_rms.
 
-    Each channel is band-passed white noise (4th-order Butterworth,
-    20-450 Hz) rescaled to unit variance and amplitude-modulated by the
+    Each channel is unit-variance band-limited noise (the spectrum of a
+    4th-order Butterworth band-pass, 20-450 Hz) amplitude-modulated by the
     activation trajectory, so the windowed RMS equals
     ``activation * mvc_rms`` in expectation. The activation signal may be
     at any rate; it is interpolated onto the output grid. A single
     activation channel drives all EMG channels (co-activation).
 
-    The noise is drawn channel after channel from one stream, straight into
-    the rows of one zero-padded buffer, and filtered causally from rest in
-    place, in one batched FFT (:func:`signals.bandpass_padded`). The
+    The noise's spectrum is drawn channel after channel from one stream
+    and transformed back in one batched inverse FFT
+    (:func:`signals.bandpass_noise`), whose rows the signal keeps. The
     samples are float64 mV on the digitizer's grid: each channel's
     ``drive * mvc_rms * noise``, in codes, is rounded once to a whole code
     and saturated at the rails (:func:`round_to_codes`), as the trial store
@@ -115,17 +113,10 @@ def synthesize_emg(
     t_out = activation.start_time + np.arange(n_out) / rate
     t_act = activation.times()
 
-    buffer = np.empty((n_channels, bandpass_fft_length(BAND_ORDER, BAND_HZ, float(rate), n_out)))
-    for row in buffer:
-        rng.standard_normal(out=row[:n_out])
-    buffer[:, n_out:] = 0.0
-    bandpass_padded(buffer, BAND_ORDER, BAND_HZ, rate)
+    buffer = bandpass_noise(rng, n_channels, n_out, BAND_ORDER, BAND_HZ, rate)
     noise = buffer[:, :n_out]
-    std = noise.std(axis=1)
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
     for ch, row in enumerate(noise):
-        if std[ch] > 0:
-            row /= std[ch]
         # drive * mvc_rms * noise in codes; dividing by the power-of-two step is exact
         row *= drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)
     round_to_codes(noise)

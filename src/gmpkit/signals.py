@@ -4,10 +4,8 @@ The numerical substrate for the whole toolkit: slicing by time window,
 trapezoidal quadrature of inner products, sliding-window RMS, the CSV
 interchange format, and two filter kernels in plain numpy: a first-order
 linear recurrence (the Maxwell branch and the AR(1) activation noise) and
-a causal Butterworth band-pass (the EMG noise). The band-pass works in
-place on a zero-padded buffer of :func:`bandpass_fft_length` samples per
-row, so a caller that draws its samples into such a buffer filters them
-without a full-length copy.
+Gaussian noise with a Butterworth band-pass's spectrum (the EMG noise),
+drawn on an rfft grid and taken back to time in one inverse FFT.
 
 Conventions
 -----------
@@ -297,10 +295,6 @@ def first_order_recurrence(a, b) -> np.ndarray:
     return y
 
 
-# the band-pass FFT covers the impulse response until it has decayed by this
-_TAIL_DECAY = 1e-20
-
-
 def butter_bandpass_zpk(
     order: int, band: tuple[float, float], rate: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -346,47 +340,47 @@ def _fast_fft_length(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def bandpass_fft_length(order: int, band: tuple[float, float], rate: float, n: int) -> int:
-    """FFT length that band-passes ``n`` samples without wrap-around.
+def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> np.ndarray:
+    """The band-pass's magnitude response |H| on the rfft grid of length ``nfft``; read-only.
 
-    The FFT covers the n samples plus the impulse response's tail: the
-    samples until the slowest pole has decayed by _TAIL_DECAY.
+    The DC and Nyquist bins are exactly zero, where the filter's zeros sit.
     """
-    _, poles, _ = butter_bandpass_zpk(order, band, rate)
-    tail = math.ceil(math.log(_TAIL_DECAY) / math.log(float(np.max(np.abs(poles)))))
-    return _fast_fft_length(n + tail)
-
-
-@lru_cache(maxsize=16)
-def _bandpass_response(order: int, band: tuple[float, float], rate: float, nfft: int) -> np.ndarray:
-    """The band-pass's frequency response on the rfft grid of length ``nfft``."""
     zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
     z = np.exp(2j * np.pi * np.arange(nfft // 2 + 1) / nfft)
-    response = np.full(len(z), gain, dtype=complex)
+    magnitude = np.full(len(z), abs(gain))
     for zero in zeros:
-        response *= z - zero
+        magnitude *= np.abs(z - zero)
     for pole in poles:
-        response /= z - pole
-    response.flags.writeable = False
-    return response
+        magnitude /= np.abs(z - pole)
+    magnitude[0] = 0.0
+    if nfft % 2 == 0:
+        magnitude[-1] = 0.0
+    magnitude.flags.writeable = False
+    return magnitude
 
 
-def bandpass_padded(buffer: np.ndarray, order: int, band: tuple[float, float], rate: float) -> None:
-    """Causal Butterworth band-pass of each row of ``buffer``, in place.
+def bandpass_noise(rng: np.random.Generator, rows: int, n: int, order: int, band: tuple[float, float],
+                   rate: float) -> np.ndarray:
+    """``rows`` channels of unit-variance Gaussian noise through a Butterworth band-pass, drawn as a spectrum.
 
-    ``buffer`` is a float64 array of shape ``(..., nfft)`` whose rows hold
-    n samples followed by zeros, with ``nfft = bandpass_fft_length(order,
-    band, rate, n)``. Its ``rfft`` is multiplied by the filter's frequency
-    response and transformed back into ``buffer``; the first n samples of
-    each row are then the filtered signal. The FFT holds the signal plus
-    the impulse response's tail, so the circular convolution equals the
-    causal time-domain filter (second-order sections started from zero
-    state) to rounding.
+    Returns a float64 ``(rows, nfft)`` array, ``nfft = _fast_fft_length(n)``, whose first ``n``
+    samples per row are the noise. Complex standard normals are drawn row after row straight into
+    the rfft grid, shaped by the filter's magnitude and scaled in closed form (Parseval) so that
+    each sample has unit variance, then transformed back by one ``irfft``. The noise is circular
+    and stationary: it has no start-up transient. Raises ValueError when no bin between DC and
+    Nyquist is left to carry the noise, as for one or two samples.
     """
-    nfft = buffer.shape[-1]
-    spectrum = np.fft.rfft(buffer)
-    spectrum *= _bandpass_response(order, (float(band[0]), float(band[1])), float(rate), nfft)
-    np.fft.irfft(spectrum, nfft, out=buffer)
+    nfft = _fast_fft_length(n)
+    magnitude = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
+    power = float(magnitude @ magnitude)
+    if not power > 0:
+        raise ValueError(f"{n} samples at {rate} Hz have no frequency bin inside the band {band}")
+    spectrum = np.empty((rows, len(magnitude)), dtype=complex)
+    for row in spectrum:
+        rng.standard_normal(out=row.view(np.float64))
+    # E|X_k|^2 = 2 |H_k|^2 s^2, and a sample's variance is 4 s^2 sum_k |H_k|^2 / nfft^2
+    spectrum *= magnitude * (nfft / (2.0 * math.sqrt(power)))
+    return np.fft.irfft(spectrum, nfft)
 
 
 # -- CSV interchange -------------------------------------------------------

@@ -21,8 +21,10 @@ Owns the on-disk layout of a run:
 Each stage replaces its outputs whole (``_stage_outputs``): it removes
 the old ones when it starts, writes the new ones into ``.gmpkit-staging/``
 in the output dir, and renames them into place once all are written,
-simulate's ``manifest.json`` last. A stage that fails leaves none of its
-outputs and no staging dir; the outputs of the other stages stay.
+simulate's ``manifest.json`` last. Simulate first removes ``analysis/``
+and ``stats/`` too, and analyze ``stats/``, which were built from the
+outputs they replace; ``stabilize/`` depends only on its map and stays. A
+stage that fails leaves none of its outputs and no staging dir.
 
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
@@ -129,15 +131,16 @@ def _remove(path: Path) -> None:
 
 
 @contextmanager
-def _stage_outputs(out: Path, *names: str):
+def _stage_outputs(out: Path, *names: str, stale: tuple[str, ...] = ()):
     """Replace a stage's outputs ``names`` in ``out`` whole; yields the staging dir to write them into.
 
-    The old outputs go first. The staging dir sits in ``out``, so that a rename stays on one filesystem;
-    the new outputs are renamed into place, in the order of ``names``, once the body returns, and the
-    staging dir goes whether the body returns or raises.
+    The old outputs go first, after the later stages' outputs ``stale`` that were built from them. The
+    staging dir sits in ``out``, so that a rename stays on one filesystem; the new outputs are renamed
+    into place, in the order of ``names``, once the body returns, and the staging dir goes whether the
+    body returns or raises.
     """
     staging = out / ".gmpkit-staging"
-    for path in (staging, *(out / name for name in reversed(names))):
+    for path in (staging, *(out / name for name in (*stale, *reversed(names)))):
         _remove(path)
     try:
         yield staging
@@ -213,7 +216,7 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
         seed=config.cohort.seed,
         base=config.limb,
     )
-    with _stage_outputs(out, "mvc", "trials", "manifest.json") as staging:
+    with _stage_outputs(out, "mvc", "trials", "manifest.json", stale=("analysis", "stats")) as staging:
         (staging / "mvc").mkdir(parents=True)
         (staging / "trials").mkdir()
         tasks = [(config, subject, idx, str(staging)) for idx, subject in enumerate(cohort)]
@@ -382,7 +385,7 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
     """
     out = Path(out_dir)
     path = out / "manifest.json"
-    with _stage_outputs(out, "analysis") as staging:
+    with _stage_outputs(out, "analysis", stale=("stats",)) as staging:
         settings, streams, subjects = _read_manifest(load_manifest(out), path)
         settings = replace(settings, emg=config.emg, protocol=replace(
             settings.protocol, analysis_window_s=config.protocol.analysis_window_s))

@@ -489,6 +489,17 @@ def test_simulating_subcommands_take_seed_and_jobs(tmp_path, command):
     assert (config.cohort.seed, config.output.jobs) == (3, 2)
 
 
+def test_simulate_removes_the_analysis_and_report_it_makes_stale(tmp_path, capsys):
+    path, out = write_config(tmp_path)
+    assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
+    assert cli.main(["simulate", "--config", str(path), "--seed", "5"]) == cli.EXIT_OK
+    assert not (out / "analysis").exists() and not (out / "stats").exists()
+    assert (out / "stabilize").is_dir()  # built from its map alone
+    capsys.readouterr()
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_IO
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_stats_requires_analysis_outputs(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_IO

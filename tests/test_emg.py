@@ -15,7 +15,7 @@ from gmpkit.emg import (
 )
 from gmpkit.biomech import save_samples, trial_streams
 from gmpkit.errors import DegenerateSampleError, WindowRangeError
-from gmpkit.signals import SampledSignal, Window, _bandpass_response, bandpass_fft_length, rms
+from gmpkit.signals import SampledSignal, Window, _bandpass_magnitude, _fast_fft_length, rms
 
 
 def activation_signal(level, duration=5.0, rate=1000.0):
@@ -53,26 +53,28 @@ def test_output_rate_and_channel_count():
 
 
 def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAND_HZ, order=4):
-    """synthesize_emg as it was before it filtered in place: one draw, copies.
+    """synthesize_emg in plain, copying steps: a shaped spectrum, one inverse FFT, codes.
 
-    Since the trial store keeps EMG as int16 codes, the output is rounded to
-    the nearest code, saturated at the int16 rails and decoded at the end,
-    as a stored array reads back; every earlier step is unchanged.
+    Each channel's complex standard normals are drawn in turn from one stream
+    on the rfft grid of the smallest fast FFT length that holds the samples,
+    multiplied by the band-pass magnitude scaled for unit variance
+    (Parseval over the bins strictly between DC and Nyquist), and
+    transformed back. The modulated noise is rounded to the nearest code,
+    saturated at the int16 rails and decoded, as a stored array reads back.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_out = round(activation.duration * rate) + 1
     t_out = activation.start_time + np.arange(n_out) / rate
-    nfft = bandpass_fft_length(order, band, rate, n_out)
-    response = _bandpass_response(order, band, rate, nfft)
-    x = rng.standard_normal((len(mvc_rms), n_out))
-    noise = np.fft.irfft(np.fft.rfft(x, nfft) * response, nfft)[..., :n_out]
-    std = noise.std(axis=1)
+    nfft = _fast_fft_length(n_out)
+    magnitude = _bandpass_magnitude(order, band, rate, nfft)
+    spectrum = np.array([rng.standard_normal(2 * len(magnitude)).view(complex) for _ in mvc_rms])
+    inner = magnitude[1:(nfft + 1) // 2]
+    scale = nfft / (2 * np.sqrt(np.sum(inner ** 2)))
+    noise = np.fft.irfft(spectrum * (magnitude * scale), nfft)[:, :n_out]
     drives = [np.interp(t_out, activation.times(), col) for col in activation.data.T]
     out = np.empty((n_out, len(mvc_rms)))
     for ch in range(len(mvc_rms)):
-        drive = drives[min(ch, len(drives) - 1)]
-        scaled = noise[ch] / std[ch] if std[ch] > 0 else noise[ch]
-        out[:, ch] = drive * mvc_rms[ch] * scaled
+        out[:, ch] = drives[min(ch, len(drives) - 1)] * mvc_rms[ch] * noise[ch]
     return np.clip(np.rint(out / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1).astype(np.int16) * EMG_LSB_MV
 
 
@@ -89,6 +91,9 @@ def test_synthesis_matches_reference_bytes(duration, rate):
     emg = synthesize_emg(noisy_activation(duration), mvc, seed=11, rate=rate)
     expected = _reference_synthesize_emg(noisy_activation(duration), mvc, 11, rate=rate)
     assert emg.data.tobytes() == expected.tobytes()
+    # one read-only row per channel, no longer than the inverse FFT it came from
+    assert not emg.data.flags.writeable
+    assert emg.data.strides == (8, 8 * _fast_fft_length(emg.n_samples))
 
 
 @pytest.mark.parametrize("n_activations, mvc", [(1, (1.7,)), (2, (1.6, 1.1, 1.8, 1.3)), (2, (1.6,))])
@@ -97,6 +102,7 @@ def test_synthesis_channel_layouts_match_reference_bytes(n_activations, mvc):
     emg = synthesize_emg(activation, mvc, seed=12, rate=EMG_RATE)
     assert emg.data.tobytes() == _reference_synthesize_emg(activation, mvc, 12).tobytes()
     assert not emg.data.flags.writeable
+    assert all(emg.data[:, ch].flags.c_contiguous for ch in range(len(mvc)))
 
 
 def test_synthesized_emg_has_int16_resolution():
@@ -131,6 +137,18 @@ def test_emg_saturates_at_the_rails(tmp_path):
         inside = np.abs(10 * tenth) < 2 ** 15 - 6
         # both round to the code: 10 * 0.5 codes at the tenth and 0.5 here
         assert np.all(np.abs(codes[inside] - 10 * tenth[inside]) <= 5.5)
+
+
+def test_synthesized_emg_has_unit_variance_in_expectation():
+    """At full activation and a 1 mV MVC level, each sample's variance is 1 mV^2.
+
+    Over 200 records of 1 s (2149 samples) the mean sample variance of a
+    channel has a standard error of about 0.3%, so 1% is about three of them.
+    """
+    variances = np.array([
+        synthesize_emg(activation_signal(1.0, duration=1.0), (1.0,) * 4, seed=seed, rate=EMG_RATE).data.var(axis=0)
+        for seed in range(200)])
+    np.testing.assert_allclose(variances.mean(axis=0), 1.0, rtol=0.01)
 
 
 def test_synthesized_emg_is_zero_mean():

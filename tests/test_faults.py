@@ -599,6 +599,16 @@ def test_failed_analysis_leaves_no_analysis_for_stats(analyzed, tmp_path, capsys
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mvc", "trials"]
 
 
+def test_analysis_removes_the_report_built_from_the_one_it_replaces(analyzed, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(analyzed, out)
+    path = tmp_path / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    assert analyze(path, capsys)[0] == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "trials"]
+
+
 def disk_full(*args, **kwargs):
     raise OSError(28, "No space left on device")
 
@@ -607,8 +617,8 @@ def disk_full(*args, **kwargs):
     "command, writer, left",
     [
         ("analyze", "save_spider_csv", ["manifest.json", "mvc", "trials"]),
-        # a later stage's outputs stay
-        ("simulate", "save_trial_csv", ["analysis"]),
+        # the analysis built from the replaced trials goes too
+        ("simulate", "save_trial_csv", []),
         ("stabilize", "write_csv", ["analysis", "manifest.json", "mvc", "trials"]),
     ],
 )

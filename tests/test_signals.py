@@ -11,8 +11,9 @@ from gmpkit.errors import AlignmentError, WindowRangeError
 from gmpkit.signals import (
     SampledSignal,
     Window,
-    bandpass_fft_length,
-    bandpass_padded,
+    _bandpass_magnitude,
+    _fast_fft_length,
+    bandpass_noise,
     butter_bandpass_zpk,
     check_aligned,
     first_order_recurrence,
@@ -348,42 +349,26 @@ def test_butter_bandpass_zpk_rejects_bad_band():
             butter_bandpass_zpk(order, band, 2148.0)
 
 
-def padded_bandpass(x, order):
-    """``x`` band-passed along its last axis by :func:`bandpass_padded`, from a zero-padded copy."""
-    n = x.shape[-1]
-    buffer = np.zeros(x.shape[:-1] + (bandpass_fft_length(order, (20.0, 450.0), 2148.0, n),))
-    buffer[..., :n] = x
-    bandpass_padded(buffer, order, (20.0, 450.0), 2148.0)
-    return buffer[..., :n]
-
-
-def sosfilt_bandpass(x, order):
-    sos = sps.butter(order, (20.0, 450.0), btype="bandpass", fs=2148.0, output="sos")
-    return sps.sosfilt(sos, x, axis=-1)
-
-
+@pytest.mark.parametrize("band, rate", [((20.0, 450.0), 2148.0), ((5.0, 40.0), 200.0)], ids=["emg", "narrow"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("n", [50, 6445, 21481])
-def test_butter_bandpass_matches_sosfilt(order, n):
-    x = np.random.default_rng(order * n).standard_normal((3, n))
-    expected = sosfilt_bandpass(x, order)
-    actual = padded_bandpass(x, order)
-    assert actual.shape == x.shape
-    assert _relative_error(actual, expected) <= 1e-12
-    # one row filtered alone gives the same samples as in the batch
-    np.testing.assert_allclose(padded_bandpass(x[1], order), actual[1],
-                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+@pytest.mark.parametrize("n", [50, 241, 6445, 21481])  # nfft 243 is odd: no Nyquist bin
+def test_bandpass_magnitude_matches_scipy(order, band, rate, n):
+    nfft = _fast_fft_length(n)
+    grid = np.arange(nfft // 2 + 1) * rate / nfft
+    _, expected = sps.freqz_zpk(*sps.butter(order, band, btype="bandpass", fs=rate, output="zpk"),
+                                worN=grid, fs=rate)
+    actual = _bandpass_magnitude(order, band, rate, nfft)
+    np.testing.assert_allclose(actual, np.abs(expected), rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    # the filter's zeros sit at DC and Nyquist, where the magnitude is exactly zero
+    assert actual[0] == 0.0 and (nfft % 2 or actual[-1] == 0.0)
+    assert not actual.flags.writeable
 
 
-def test_bandpass_padded_filters_in_place():
-    n = 6445
-    x = np.random.default_rng(8).standard_normal((2, n))
-    buffer = np.zeros((2, bandpass_fft_length(4, (20.0, 450.0), 2148.0, n)))
-    buffer[:, :n] = x
-    address = buffer.ctypes.data
-    assert bandpass_padded(buffer, 4, (20.0, 450.0), 2148.0) is None
-    assert buffer.ctypes.data == address
-    assert _relative_error(buffer[:, :n], sosfilt_bandpass(x, 4)) <= 1e-12
+@pytest.mark.parametrize("n", [1, 2])
+def test_bandpass_noise_refuses_a_record_with_no_bin_in_the_band(n):
+    # DC and Nyquist are the only bins, and the filter's zeros sit on both
+    with pytest.raises(ValueError, match="no frequency bin inside the band"):
+        bandpass_noise(np.random.default_rng(0), 1, n, 4, (20.0, 450.0), 2148.0)
 
 
 def test_import_loads_no_scipy():
