@@ -50,7 +50,6 @@ independent trials can run in parallel and share no mutable state.
 
 from __future__ import annotations
 
-import io
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -407,37 +406,37 @@ def cohort_subject_id(idx: int) -> str:
 
 # -- trial store -------------------------------------------------------------
 #
-# A trial is stored as two files of little-endian int16 codes, both
-# channel-major, that is a (channels, n) array: the robot-rate force and
-# velocity, rows fx, fy, vx, vy in codes of ROBOT_LSB (2^-6 N, 2^-12 m/s),
-# and the EMG at its native rate in codes of emg.EMG_LSB_MV. A code times
-# its channel's step is the sample. The EMG file is the .npy that np.save
-# writes for its codes. The robot stream is smooth, so its file holds each
-# channel's first differences instead, channel after channel (the first
-# code, then each code minus the one before it, modulo 2^16), deflated into
-# one zlib stream; a cumulative sum that wraps as int16 does gives back the
-# codes exactly. simulate_trial rounds its recorded samples to whole codes,
-# refusing one beyond a rail, and emg.synthesize_emg its EMG, saturated at
-# the rails, so both arrays read back bit for bit. The files carry samples
-# only; their layout, encoding, dtype, code steps, rates, start times and
-# channel labels are stored once per run, in the "streams" doc of the
-# manifest (see trial_streams), and their lengths follow from the record's
-# duration (stored_samples). save_samples and load_samples are the one
-# encoder and the one decoder of a stored array.
+# A trial is stored as one file, its robot stream and then its EMG, both
+# little-endian int16 codes, both channel-major, that is a (channels, n)
+# array: the robot-rate force and velocity, rows fx, fy, vx, vy in codes of
+# ROBOT_LSB (2^-6 N, 2^-12 m/s), and the EMG at its native rate in codes of
+# emg.EMG_LSB_MV. A code times its channel's step is the sample. The robot
+# stream is smooth, so the file holds each channel's first differences
+# instead, channel after channel (the first code, then each code minus the
+# one before it, modulo 2^16), deflated into one zlib stream; a cumulative
+# sum that wraps as int16 does gives back the codes exactly. The EMG codes
+# follow that stream, raw. An MVC file is raw EMG codes alone.
+# simulate_trial rounds its recorded samples to whole codes, refusing one
+# beyond a rail, and emg.synthesize_emg its EMG, saturated at the rails, so
+# both arrays read back bit for bit. The files carry samples only; their
+# layout, encoding, dtype, code steps, rates, start times and channel
+# labels are stored once per run, in the "streams" doc of the manifest (see
+# trial_streams), with each file's CRC-32, and their lengths follow from
+# the record's duration (stored_samples). load_samples is the one decoder.
 
-# the encoding of trial_streams for one zlib stream of first differences; the other is "npy"
+# the encoding of trial_streams for one zlib stream of first differences; the other is "raw"
 _ZLIB_DELTA = "zlib-delta"
 _ZLIB_LEVEL = 1  # the robot differences deflate about tenfold at the fastest level
 
 
 def trial_streams(robot_rate: float, emg_rate: float) -> dict:
     """Layout, encoding, dtype, per-channel code step, rate, start time and channel labels of the two stored
-    trial arrays."""
+    trial arrays, in the order a trial file holds them."""
     emg_channels = emg_module.channel_labels(len(DEFAULT_MVC_RMS_MV))
     return {
         "robot": {"layout": "channel-major", "encoding": _ZLIB_DELTA, "dtype": "<i2", "lsb": list(ROBOT_LSB),
                   "rate_hz": robot_rate, "start_time_s": 0.0, "channels": list(ROBOT_CHANNELS)},
-        "emg": {"layout": "channel-major", "encoding": "npy", "dtype": "<i2",
+        "emg": {"layout": "channel-major", "encoding": "raw", "dtype": "<i2",
                 "lsb": [emg_module.EMG_LSB_MV] * len(emg_channels), "rate_hz": emg_rate, "start_time_s": 0.0,
                 "channels": list(emg_channels)},
     }
@@ -468,23 +467,26 @@ def _codes(path, channels, stream: dict) -> np.ndarray:
         raise ValueError(f"{path}: NaN samples have no code") from None
 
 
-def _file_bytes(path, channels, stream: dict) -> bytes:
-    """The bytes of the stored array of ``stream`` that holds ``channels``; see :func:`save_samples`."""
+def _encode(path, channels, stream: dict) -> bytes:
+    """The bytes that hold ``channels`` in ``stream``'s encoding; see :func:`save_samples`."""
     codes = _codes(path, channels, stream)
     if stream["encoding"] == _ZLIB_DELTA:
         deltas = codes.copy()
         np.subtract(codes[:, 1:], codes[:, :-1], out=deltas[:, 1:])  # in int16, so modulo 2^16
         return zlib.compress(deltas.tobytes(), _ZLIB_LEVEL)
-    return _npy_header(*codes.shape, stream["dtype"]) + codes.tobytes()
+    return codes.tobytes()
 
 
-def _write(path, blob: bytes) -> None:
+def _write(path, blob: bytes) -> int:
+    """Write ``blob`` as the file ``path``; returns its CRC-32."""
     with open(path, "wb") as fh:
         fh.write(blob)
+    return zlib.crc32(blob)
 
 
-def save_samples(path, data: np.ndarray, stream: dict) -> None:
-    """Write ``data``, shape (n, channels), as one stored array of ``stream`` (a ``trial_streams`` doc).
+def save_samples(path, data: np.ndarray, stream: dict) -> int:
+    """Write ``data``, shape (n, channels), as one file of ``stream`` (a ``trial_streams`` doc); returns the
+    file's CRC-32.
 
     Each value is divided by its channel's code step (``lsb``), rounded to
     the nearest code and saturated at the rails, never wrapped
@@ -493,160 +495,127 @@ def save_samples(path, data: np.ndarray, stream: dict) -> None:
     (see the trial store above). Raises ValueError, naming ``path``, for a
     NaN, which has no code.
     """
-    _write(path, _file_bytes(path, data.T, stream))
+    return _write(path, _encode(path, data.T, stream))
 
 
-def save_trial_csv(trial: TrialRecord, path, emg_path) -> None:
-    """Write a trial as its two stored arrays: the force/velocity stream at ``path``, the EMG at ``emg_path``.
+def save_trial_csv(trial: TrialRecord, path) -> int:
+    """Write a trial as one file at ``path``: its force/velocity stream, then its EMG; returns the file's CRC-32.
 
     Each array is encoded as :func:`save_samples` does, with its stream of
     :func:`trial_streams`, which leaves a simulated trial unchanged: the
     robot rows fx, fy, vx, vy as one zlib stream of their first
-    differences, the EMG rows as a .npy of int16 codes. Both are encoded
-    before either is written, so a trial with a NaN sample leaves no file.
-    The name is historical: trials were once stored as CSV text.
+    differences, the EMG rows as raw int16 codes. Both are encoded before
+    the file is written, so a trial with a NaN sample leaves no file. The
+    name is historical: trials were once stored as CSV text.
     """
     streams = trial_streams(trial.force.sample_rate, trial.emg.sample_rate)
-    files = ((emg_path, _file_bytes(emg_path, trial.emg.data.T, streams["emg"])),
-             (path, _file_bytes(path, (*trial.force.data.T, *trial.velocity.data.T), streams["robot"])))
-    for target, blob in files:
-        _write(target, blob)
+    robot = _encode(path, (*trial.force.data.T, *trial.velocity.data.T), streams["robot"])
+    return _write(path, robot + _encode(path, trial.emg.data.T, streams["emg"]))
 
 
-@lru_cache(maxsize=8)
-def _npy_header(n_channels: int, n_samples: int, dtype: str) -> bytes:
-    """The header ``np.save`` writes before a C-order array of that shape and dtype."""
-    buffer = io.BytesIO()
-    np.lib.format.write_array_header_1_0(buffer, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-        "fortran_order": False,
-        "shape": (n_channels, n_samples),
-    })
-    return buffer.getvalue()
+def _decode(path, blob, stream: dict, n_samples: int) -> tuple[np.ndarray, bytes]:
+    """The (channels, n_samples) codes of ``stream`` at the start of ``blob``, bytes of the file ``path``, and
+    the bytes after them.
 
-
-def _read(path, limit: int = -1) -> bytes:
-    """The bytes of the file ``path``, at most ``limit`` of them if it is not negative, in one ``read``."""
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            return fh.read(limit)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def load_samples(path, stream: dict, n_samples: int) -> np.ndarray:
-    """The ``(n_samples, channels)`` samples of one stored array of ``stream`` (a ``trial_streams`` doc).
-
-    The file is read in one ``read``. An ``npy`` file must be exactly the
-    header that ``np.save`` writes for the (channels, n_samples) C-order
-    array (:func:`_npy_header`) followed by its codes. A ``zlib-delta``
-    file must be one zlib stream of the channels' first differences, with
-    nothing after it (:func:`_deltas`). The codes are decoded as ``codes *
-    lsb``, row by row, into a read-only float64 (channels, n_samples)
-    array, and its transpose is returned: the samples as a signal lays them
-    out, without a copy. Raises DataError naming ``path`` for a missing or
-    torn file, a wrong dtype, shape, order or sample count, a stream that
-    does not inflate, and bytes after the samples. A code cannot be
-    non-finite, so the samples need no scan.
+    A ``zlib-delta`` stream is inflated to one byte more than its
+    differences at most, so a crafted file cannot inflate without bound.
     """
     dtype, n_channels = np.dtype(stream["dtype"]), len(stream["channels"])
-    if stream["encoding"] == _ZLIB_DELTA:
-        # the differences summed back in int16, which wraps as they did: the codes exactly
-        codes = np.cumsum(_deltas(path, _read(path), dtype, n_channels, n_samples), axis=1, dtype=dtype)
-    else:
-        header = _npy_header(n_channels, n_samples, stream["dtype"])
-        size = len(header) + n_channels * n_samples * dtype.itemsize
-        blob = _read(path, size + 1)  # one byte more shows a file that is too long
-        if len(blob) != size or not blob.startswith(header):
-            raise _refusal(path, blob, header, dtype, n_channels, n_samples)
-        codes = np.frombuffer(blob, dtype, offset=len(header)).reshape(n_channels, n_samples)
-    data = np.empty(codes.shape)
-    for row, coded, step in zip(data, codes, stream["lsb"]):
-        np.multiply(coded, step, out=row)
-    # frozen, so the signals built on the samples share them instead of copying them
-    data.flags.writeable = False
-    return data.T
-
-
-def _deltas(path, blob: bytes, dtype: np.dtype, n_channels: int, n_samples: int) -> np.ndarray:
-    """The (n_channels, n_samples) first differences held by ``blob``, the bytes of the zlib file ``path``."""
     size = n_channels * n_samples * dtype.itemsize
-    inflater = zlib.decompressobj()
-    try:
-        # one byte more than the differences at most, so a crafted file cannot inflate without bound
-        raw = inflater.decompress(blob, size + 1)
-    except zlib.error as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if len(raw) > size:  # stopped at the bound, with input left over
-        raise DataError(f"{path}: more than {n_samples} samples")
-    if not inflater.eof:
-        raise DataError(f"cannot read {path}: the file ends inside its zlib stream")
+    delta = stream["encoding"] == _ZLIB_DELTA
+    if delta:
+        inflater = zlib.decompressobj()
+        try:
+            raw = inflater.decompress(blob, size + 1)
+        except zlib.error as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None
+        if len(raw) > size:  # stopped at the bound, with input left over
+            raise DataError(f"{path}: more than {n_samples} samples")
+        if not inflater.eof:
+            raise DataError(f"cannot read {path}: the file ends inside its zlib stream")
+        rest = inflater.unused_data
+    else:
+        raw, rest = blob[:size], blob[size:]
     sample_bytes = n_channels * dtype.itemsize
     if len(raw) % sample_bytes:
-        raise DataError(f"{path}: {len(raw)} bytes of {dtype.name} differences, not whole samples "
-                        f"of {n_channels} channels")
+        raise DataError(f"{path}: {len(raw)} bytes of {dtype.name} {'differences' if delta else 'codes'}, "
+                        f"not whole samples of {n_channels} channels")
     if len(raw) != size:
         raise DataError(f"{path}: {len(raw) // sample_bytes} samples, expected {n_samples}")
-    if inflater.unused_data:
-        raise DataError(f"{path}: bytes after the {n_samples} samples")
-    return np.frombuffer(raw, dtype).reshape(n_channels, n_samples)
+    codes = np.frombuffer(raw, dtype).reshape(n_channels, n_samples)
+    if delta:
+        # summed back in int16, which wraps as the differences did: the codes exactly
+        codes = np.cumsum(codes, axis=1, dtype=dtype)
+    return codes, rest
 
 
-def _refusal(path, blob: bytes, header: bytes, dtype: np.dtype, n_channels: int, n_samples: int) -> DataError:
-    """Why ``blob``, the start of the .npy file ``path``, is not the expected array: its header, parsed."""
-    fh = io.BytesIO(blob)
+def load_samples(path, layout, *, crc32: int) -> list[np.ndarray]:
+    """The ``(n_samples, channels)`` samples of each ``(stream, n_samples)`` of ``layout`` (``stream`` a
+    ``trial_streams`` doc), in the order the file ``path`` holds them, as the ``save_*`` functions write it.
+
+    The file is read in one ``read`` of at most the bytes its samples can
+    take (for a ``zlib-delta`` stream, zlib's ``compressBound``) plus one,
+    and must match ``crc32`` before anything is decoded. The streams follow
+    each other with nothing after the last (:func:`_decode`). The codes are
+    decoded as ``codes * lsb``, row by row, into a read-only float64
+    (channels, n_samples) array, and its transpose is returned: the samples
+    as a signal lays them out, without a copy. A code cannot be non-finite,
+    so the samples need no scan. Raises DataError naming ``path`` for a
+    missing file, a longer one, bytes that do not match ``crc32``, and a
+    stream that does not decode to exactly its samples.
+    """
+    limit = 0
+    for stream, n_samples in layout:
+        size = len(stream["channels"]) * n_samples * np.dtype(stream["dtype"]).itemsize
+        limit += size + (size >> 12) + (size >> 14) + (size >> 25) + 13 if stream["encoding"] == _ZLIB_DELTA else size
     try:
-        version = np.lib.format.read_magic(fh)
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        shape, fortran_order, got = read_header(fh)
-    except ValueError as exc:
-        return DataError(f"cannot read {path}: {exc}")
-    if got != dtype or len(shape) != 2 or shape[0] != n_channels:
-        return DataError(
-            f"{path}: expected {dtype.name} samples of shape ({n_channels}, n), got {got} {shape}"
-        )
-    if shape[1] != n_samples:
-        return DataError(f"{path}: {shape[1]} samples, expected {n_samples}")
-    if fortran_order:
-        return DataError(f"{path}: expected samples in C order, got a Fortran-order array")
-    if blob[:fh.tell()] != header:
-        return DataError(f"cannot read {path}: not the .npy header that numpy.save writes")
-    n_bytes = len(header) + n_samples * n_channels * dtype.itemsize
-    if len(blob) < n_bytes:
-        return DataError(f"cannot read {path}: the file ends after {len(blob)} of its {n_bytes} bytes")
-    return DataError(f"{path}: bytes after the {n_samples} samples")
+        with open(path, "rb", buffering=0) as fh:
+            blob = fh.read(limit + 1)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if len(blob) > limit:
+        raise DataError(f"{path}: longer than the {limit} bytes its samples can take")
+    if zlib.crc32(blob) != crc32:
+        raise DataError(f"{path}: the file's bytes do not match the manifest's CRC-32")
+    arrays = []
+    for stream, n_samples in layout:
+        codes, blob = _decode(path, blob, stream, n_samples)
+        data = np.empty(codes.shape)
+        for row, coded, step in zip(data, codes, stream["lsb"]):
+            np.multiply(coded, step, out=row)
+        # frozen, so the signals built on the samples share them instead of copying them
+        data.flags.writeable = False
+        arrays.append(data.T)
+    if blob:
+        raise DataError(f"{path}: bytes after its samples")
+    return arrays
 
 
 def load_trial_csv(
     path,
-    emg_path,
     streams: dict,
     spec: PerturbationSpec,
     subject_id: str,
     *,
+    crc32: int,
     activation_label: str,
     frequency_label: str,
 ) -> TrialRecord:
     """Read a trial written by :func:`save_trial_csv`.
 
-    ``streams`` is the manifest doc of :func:`trial_streams`; each file
-    must hold, in its stream's encoding, exactly the samples that
-    :func:`stored_samples` gives for the perturbation's duration
-    (:func:`load_samples`), and the signals take their rates, start times
-    and labels from it; the labels name the grid cell, as for
-    :func:`simulate_trial`. Each signal's samples are a view of its
-    file's channel-major rows. The name is historical: trials were once
-    stored as CSV text.
-
-    Raises DataError, naming the file, for a missing, torn, short or long
-    file, a robot stream that does not inflate, and a wrong shape or dtype.
+    ``streams`` is the manifest doc of :func:`trial_streams` and ``crc32``
+    the file's CRC-32. The file must hold, robot stream first, exactly the
+    samples that :func:`stored_samples` gives for the perturbation's
+    duration, and is refused as :func:`load_samples` says. The signals take
+    their rates, start times and labels from ``streams``; the labels name
+    the grid cell, as for :func:`simulate_trial`. Each signal's samples are
+    a view of the channel-major rows of its stream. The name is historical:
+    trials were once stored as CSV text.
     """
     robot, emg = streams["robot"], streams["emg"]
     rate, start, labels = robot["rate_hz"], robot["start_time_s"], robot["channels"]
     n_robot, n_emg = stored_samples(spec.duration, rate, emg["rate_hz"])
-    main = load_samples(path, robot, n_robot)
-    emg_data = load_samples(emg_path, emg, n_emg)
+    main, emg_data = load_samples(path, [(robot, n_robot), (emg, n_emg)], crc32=crc32)
     return TrialRecord(
         activation_label=activation_label, frequency_label=frequency_label,
         force=SampledSignal(rate, start, labels[0:2], main[:, 0:2]),

@@ -3,11 +3,11 @@
 Owns the on-disk layout of a run:
 
     out/
-      manifest.json                         run manifest, schema 9
-      mvc/<subject>_rep<k>_emg.npy          MVC calibration EMG codes, (4, n) int16
-      trials/<subject>_<test>_d<i>.zlib     force/velocity codes fx, fy, vx, vy, (4, n) int16 first
-                                            differences in one zlib stream
-      trials/<subject>_<test>_d<i>_emg.npy  EMG codes at its native rate, (4, n) int16
+      manifest.json                         run manifest, schema 10
+      mvc/<subject>_rep<k>.emg              MVC calibration EMG codes, (4, n) int16
+      trials/<subject>_<test>_d<i>.trial    force/velocity codes fx, fy, vx, vy, (4, n) int16 first
+                                            differences in one zlib stream, then the EMG codes at
+                                            their native rate, (4, n) int16
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps, grid frequencies lowest Hz first
       analysis/gmp_median.json              cohort median map
@@ -39,7 +39,7 @@ their layout, encoding, dtype, per-channel code step (``lsb``), rates,
 start time and channel labels are stored once, under "streams" in the
 manifest, and their lengths follow from the config
 (``biomech.stored_samples``). File names follow from the subject and trial
-ids (``mvc_files``, ``trial_files``).
+ids (``mvc_files``, ``trial_file``).
 
 ``_manifest`` states the manifest's layout, once. The manifest keeps a
 copy of the simulated config, without ``[output]``; the cohort seed is its
@@ -47,8 +47,9 @@ copy of the simulated config, without ``[output]``; the cohort seed is its
 config file (``config.config_from_sections``), so it passes the same
 checks. Each subject's ``params`` and ``mvc_rms_true`` are simulate's
 record of what ``make_cohort`` drew; ``analyze`` does not read them, and
-takes them as found. The manifest must then be, key for key, what
-simulate writes for that config and those values, with
+takes them as found, as it does its ``crc32``, the CRC-32 of each of its
+files, which the loaders check. The manifest must then be, key for key,
+what simulate writes for that config and those values, with
 ``toolkit_version`` any string. Any disagreement is a ``DataError`` that
 names the manifest and the first entry that differs, by its JSON path.
 ``analyze`` calibrates each subject's %MVC on its ``mvc/`` recordings
@@ -96,7 +97,7 @@ from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from .stats import PairedSample, box_summary, ks_normality, wilcoxon_signed_rank
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 MVC_REPETITIONS = 2
 
@@ -115,12 +116,12 @@ def protocol_plan(config: StudyConfig) -> list[dict]:
 
 def mvc_files(subject_id: str) -> list[str]:
     """A subject's MVC recording files, relative to the study dir, one per repetition."""
-    return [f"mvc/{subject_id}_rep{rep + 1}_emg.npy" for rep in range(MVC_REPETITIONS)]
+    return [f"mvc/{subject_id}_rep{rep + 1}.emg" for rep in range(MVC_REPETITIONS)]
 
 
-def trial_files(trial_id: str) -> tuple[str, str]:
-    """The robot and EMG array files of a trial, relative to the study dir."""
-    return f"trials/{trial_id}.zlib", f"trials/{trial_id}_emg.npy"
+def trial_file(trial_id: str) -> str:
+    """The file of a trial, relative to the study dir."""
+    return f"trials/{trial_id}.trial"
 
 
 def _remove(path: Path) -> None:
@@ -166,6 +167,7 @@ def trial_plan(config: StudyConfig, subject_id: str) -> list[tuple[int, str, dic
 
 def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, out_dir: str) -> dict:
     seed, out = config.cohort.seed, Path(out_dir)
+    crc32 = {}
 
     # stage 1: two maximum-effort recordings, which analyze calibrates %MVC on
     emg_stream = trial_streams(config.rates.robot_hz, config.rates.emg_hz)["emg"]
@@ -177,7 +179,7 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             np.random.SeedSequence((seed, subject_idx, 90, rep)),
             rate=config.rates.emg_hz,
         )
-        save_samples(out / rel, rec.data, emg_stream)  # stored as the trial EMG is
+        crc32[rel] = save_samples(out / rel, rec.data, emg_stream)  # stored as the trial EMG is
 
     # stage 2: the tests in protocol order, eight directions each; each trial's seed is its cell's
     for test_idx, trial_id, test, spec in trial_plan(config, subject.subject_id):
@@ -193,8 +195,9 @@ def _simulate_subject(config: StudyConfig, subject: Subject, subject_idx: int, o
             activation_label=test["activation_label"],
             frequency_label=test["frequency_label"],
         )
-        save_trial_csv(trial, *(out / rel for rel in trial_files(trial_id)))
-    return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms)}
+        rel = trial_file(trial_id)
+        crc32[rel] = save_trial_csv(trial, out / rel)
+    return {"params": asdict(subject.params), "mvc_rms_true": list(subject.mvc_rms), "crc32": crc32}
 
 
 def _constant_activation_signal(config: StudyConfig, duration: float) -> SampledSignal:
@@ -238,9 +241,9 @@ def simulate_study(config: StudyConfig, out_dir) -> dict:
 def _manifest(config: StudyConfig, drawn: list[dict]) -> dict:
     """The manifest of a study of ``config``, the one place that states its layout.
 
-    ``drawn`` holds each subject's ``params`` and ``mvc_rms_true``, in
-    cohort order: simulate's record of the draw, which analyze copies from
-    the manifest as found. Everything else follows from the config.
+    ``drawn`` holds each subject's ``params``, ``mvc_rms_true`` and
+    ``crc32``, in cohort order: simulate's record of the draw and of its
+    files, which analyze copies as found. The rest follows from the config.
     """
     subject_ids = [cohort_subject_id(i) for i in range(config.cohort.subjects)]
     return {
@@ -289,17 +292,19 @@ def _first_difference(found, expected, where: str = "") -> str | None:
     return None
 
 
-def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
+def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list, dict[str, int]]:
     """What ``analyze_study`` reads from a parsed manifest, typed and checked.
 
-    Returns ``(config, streams, subjects)``: the simulated config, read as a
-    config file is (``config.config_from_sections``); the streams; and per
-    subject ``(subject_id, trial_plan(config, subject_id))``.
+    Returns ``(config, streams, subjects, crc32)``: the simulated config,
+    read as a config file is (``config.config_from_sections``); the streams;
+    per subject ``(subject_id, trial_plan(config, subject_id))``; and every
+    file's CRC-32, by its path relative to the study dir.
 
     The manifest must be, key for key, the ``_manifest`` that simulate
     writes for that config, but for ``toolkit_version``, which may be any
-    string, and each subject's ``params`` and ``mvc_rms_true``: analyze does
-    not read those, so they are taken as found, and may be left out.
+    string, and each subject's ``params``, ``mvc_rms_true`` and ``crc32``,
+    taken as found; the first two may be left out (analyze does not read
+    them), and ``crc32`` must map exactly the subject's files to CRC-32s.
 
     Any fault is a ``DataError`` whose message starts with ``manifest <path>: ``.
     """
@@ -318,9 +323,9 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
         raise DataError(str(exc)) from None
     toolkit = json_field(source, manifest, "toolkit_version", str)
     docs = json_field(source, manifest, "subjects", list)
-    # the drawn values as found, since analyze reads none of them; a subject entry that is not an
-    # object, or one left out, draws nothing, so that the comparison names it
-    drawn = [{key: subject[key] for key in ("params", "mvc_rms_true") if key in subject}
+    # the drawn values and checksums as found, the checksums checked below; a subject entry that is not
+    # an object, or one left out, draws nothing, so that the comparison names it
+    drawn = [{key: subject[key] for key in ("params", "mvc_rms_true", "crc32") if key in subject}
              if isinstance(subject, dict) else {} for subject in docs]
     drawn += [{}] * (config.cohort.subjects - len(drawn))
     # compared as parsed JSON, where a tuple is a list
@@ -329,26 +334,51 @@ def _read_manifest(manifest, path) -> tuple[StudyConfig, dict, list]:
     if difference:
         raise DataError(f"{source}: {difference}")
     subjects = [(doc["subject_id"], trial_plan(config, doc["subject_id"])) for doc in docs]
-    return config, expected["streams"], subjects
+    crc32 = {}
+    for i, (doc, (subject_id, trials)) in enumerate(zip(docs, subjects)):
+        files = [*mvc_files(subject_id), *(trial_file(trial_id) for _, trial_id, _, _ in trials)]
+        crc32.update(_checksums(f"{source}: subjects[{i}].crc32", doc.get("crc32", _ABSENT), files))
+    return config, expected["streams"], subjects, crc32
 
 
-def subject_calibration(out_dir, subject_id: str, streams: dict, emg: EmgConfig) -> MvcCalibration:
+def _checksums(where: str, found, files: list[str]) -> dict[str, int]:
+    """``found``, a subject's ``crc32`` map, once it holds a CRC-32 for each of ``files`` and nothing else."""
+    if not isinstance(found, dict):
+        got = "is missing" if found is _ABSENT else f"is {reprlib.repr(found)}"
+        raise DataError(f"{where} {got}, where simulate writes an object of each file's CRC-32")
+    missing = [rel for rel in files if rel not in found]
+    if missing:
+        raise DataError(f"{where} lacks {missing[0]}, which simulate writes")
+    extra = sorted(found.keys() - set(files))
+    if extra:
+        raise DataError(f"{where} names {extra[0]}, which simulate does not write")
+    for rel, value in found.items():
+        if type(value) is not int or not 0 <= value < 2 ** 32:
+            raise DataError(f"{where} holds {reprlib.repr(value)} for {rel}, not a CRC-32 (an integer "
+                            f"from 0 to 2^32 - 1)")
+    return found
+
+
+def subject_calibration(out_dir, subject_id: str, streams: dict, emg: EmgConfig,
+                        crc32: dict[str, int]) -> MvcCalibration:
     """A subject's MVC levels, estimated on its ``mvc_files`` with the ``[emg]`` envelope settings.
 
     ``streams`` is the manifest's doc of ``trial_streams``; the recordings
-    share its EMG stream and are ``MVC_DURATION_S`` long. Raises DataError,
-    naming the file, for a recording that ``biomech.load_samples`` refuses,
-    and for recordings with a channel that shows no activity.
+    share its EMG stream and are ``MVC_DURATION_S`` long; ``crc32`` is
+    ``_read_manifest``'s. Raises DataError, naming the file, for a
+    recording that ``biomech.load_samples`` refuses, and for recordings
+    with a channel that shows no activity.
     """
     stream = streams["emg"]
     _, n_samples = stored_samples(MVC_DURATION_S, streams["robot"]["rate_hz"], stream["rate_hz"])
-    paths = [Path(out_dir) / rel for rel in mvc_files(subject_id)]
+    paths = {rel: Path(out_dir) / rel for rel in mvc_files(subject_id)}
     recordings = [SampledSignal(stream["rate_hz"], stream["start_time_s"], stream["channels"],
-                                load_samples(path, stream, n_samples)) for path in paths]
+                                load_samples(path, [(stream, n_samples)], crc32=crc32[rel])[0])
+                  for rel, path in paths.items()]
     try:
         return estimate_mvc(recordings, emg.rms_window_s, emg.rms_stride_s)
     except DegenerateSampleError as exc:
-        raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
+        raise DataError(f"{', '.join(map(str, paths.values()))}: {exc}") from None
 
 
 # -- analyze ----------------------------------------------------------------
@@ -380,13 +410,14 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
     settings that the simulated config with them fails to ``validate()``
     are a ``ConfigError``, all before anything is written; the previous
     ``analysis/`` is gone by then (``_stage_outputs``). A trial whose file
-    is absent or unreadable is skipped with a warning that names the file
-    relative to the study dir, and counted in ``n_missing``.
+    is absent or unreadable (``biomech.load_samples``) is skipped with a
+    warning that names the file relative to the study dir, and counted in
+    ``n_missing``.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
     with _stage_outputs(out, "analysis", stale=("stats",)) as staging:
-        settings, streams, subjects = _read_manifest(load_manifest(out), path)
+        settings, streams, subjects, crc32 = _read_manifest(load_manifest(out), path)
         settings = replace(settings, emg=config.emg, protocol=replace(
             settings.protocol, analysis_window_s=config.protocol.analysis_window_s))
         try:
@@ -394,7 +425,8 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
         except ConfigError as exc:
             raise ConfigError(f"analysis settings for the trials of {path}: {exc}") from None
         protocol, emg_cfg = settings.protocol, settings.emg
-        calibrations = [subject_calibration(out, subject_id, streams, emg_cfg) for subject_id, _ in subjects]
+        calibrations = [subject_calibration(out, subject_id, streams, emg_cfg, crc32)
+                        for subject_id, _ in subjects]
         window = Window(protocol.duration_s - protocol.analysis_window_s, protocol.duration_s)
         grid = dict(frequency_labels(protocol))
 
@@ -406,17 +438,15 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
         for (subject_id, trials), cal in zip(subjects, calibrations):
             subject_estimates = []
             for _, trial_id, test, spec in trials:
-                files = trial_files(trial_id)
+                rel = trial_file(trial_id)
                 try:
-                    trial = load_trial_csv(*(out / rel for rel in files), streams, spec, subject_id,
+                    trial = load_trial_csv(out / rel, streams, spec, subject_id, crc32=crc32[rel],
                                            activation_label=test["activation_label"],
                                            frequency_label=test["frequency_label"])
                 except DataError as exc:
                     n_missing += 1
-                    message = str(exc)
-                    for rel in files:  # so that the summary does not depend on where the study is
-                        message = message.replace(str(out / rel), rel)
-                    warnings.append(f"unreadable trial {trial_id}: {message}")
+                    # named relative to the study dir, so that the summary does not depend on where it is
+                    warnings.append(f"unreadable trial {trial_id}: {str(exc).replace(str(out / rel), rel)}")
                     continue
                 subject_estimates.append(estimate_eop(
                     trial, window, cal=cal, feedback_channels=emg_cfg.feedback_channels,

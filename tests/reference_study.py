@@ -11,7 +11,7 @@
 
 ``test_reference.py`` reruns the study. Under the recorded versions every
 output must match byte for byte. The bytes depend on numpy's float paths
-(pocketfft, SIMD loops), and a robot file's on the zlib that deflated it,
+(pocketfft, SIMD loops), and a trial file's on the zlib that deflated it,
 so under other versions only the text outputs are
 compared: every number within ``REL_TOL`` of the reference plus
 ``ABS_TOL``, and every other field exactly. On a failure the message is
@@ -69,7 +69,7 @@ def run_study(out: Path) -> None:
 
 def is_digest_only(rel: str) -> bool:
     """Trial and MVC files and stabilizer sample CSVs are pinned by digest; the rest is kept verbatim."""
-    return rel.endswith((".npy", ".zlib")) or (rel.startswith("stabilize/") and rel.endswith(".csv"))
+    return rel.endswith((".trial", ".emg")) or (rel.startswith("stabilize/") and rel.endswith(".csv"))
 
 
 def output_files(out: Path) -> list[str]:

@@ -27,7 +27,7 @@ from gmpkit.passivity import energy_ledger, estimate_eop, is_passive
 from gmpkit.signals import SampledSignal, Window
 from gmpkit.stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
 from gmpkit.stats import PairedSample, ks_statistic, wilcoxon_signed_rank
-from gmpkit.study import analyze_study, simulate_study, stats_study, trial_files, trial_plan
+from gmpkit.study import analyze_study, simulate_study, stats_study, trial_file, trial_plan
 
 ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
@@ -181,9 +181,9 @@ def test_criterion_5_passivity_ledger(full_study):
     n_trials = 0
     for subject in manifest["subjects"]:
         for _, trial_id, test, spec in trial_plan(full_study["config"], subject["subject_id"]):
-            robot_file, emg_file = trial_files(trial_id)
-            trial = load_trial_csv(out / robot_file, out / emg_file, manifest["streams"], spec,
-                                   subject["subject_id"], activation_label=test["activation_label"],
+            rel = trial_file(trial_id)
+            trial = load_trial_csv(out / rel, manifest["streams"], spec, subject["subject_id"],
+                                   crc32=subject["crc32"][rel], activation_label=test["activation_label"],
                                    frequency_label=test["frequency_label"])
             verdict = is_passive(energy_ledger(trial.force, trial.velocity))
             worst = min(worst, verdict.min_margin)

@@ -1,4 +1,3 @@
-import io
 import math
 import zlib
 from dataclasses import replace
@@ -34,13 +33,6 @@ ANALYSIS_WINDOW = Window(5.0, 10.0)
 CAL = MvcCalibration(DEFAULT_MVC_RMS_MV)
 # the [emg] settings, at their config defaults: feedback channels, RMS window and stride
 EMG_SETTINGS = (FEEDBACK_CHANNELS, RMS_WINDOW_S, RMS_STRIDE_S)
-
-
-def npy_bytes(array):
-    """The bytes ``np.save`` writes for ``array``."""
-    buffer = io.BytesIO()
-    np.save(buffer, array)
-    return buffer.getvalue()
 
 
 def kv_params(b0=15.0, gains=UNIT_GAINS):
@@ -310,27 +302,30 @@ def test_cohort_jitter_within_bounds():
 
 def save_and_load(trial, tmp_path):
     """Round-trip a trial through the trial store at its simulated rates."""
-    path, emg_path = tmp_path / "trial.zlib", tmp_path / "trial_emg.npy"
-    save_trial_csv(trial, path, emg_path)
+    path = tmp_path / "trial.trial"
+    crc32 = save_trial_csv(trial, path)
+    assert crc32 == zlib.crc32(path.read_bytes())
     streams = trial_streams(1000.0, EMG_RATE)
-    return load_trial_csv(path, emg_path, streams, trial.spec, trial.subject_id,
+    return load_trial_csv(path, streams, trial.spec, trial.subject_id, crc32=crc32,
                           activation_label=trial.activation_label, frequency_label=trial.frequency_label)
 
 
-def robot_codes(path):
-    """The (4, n) int16 codes of a robot file, decoded as the README's recipe does."""
-    deltas = np.frombuffer(zlib.decompress(path.read_bytes()), "<i2").reshape(4, -1)
-    return np.cumsum(deltas, axis=1, dtype="<i2")
+def trial_codes(path):
+    """The (4, n) int16 robot and EMG codes of a trial file, decoded as the README's recipe does; a file of
+    the robot stream alone has no EMG codes."""
+    d = zlib.decompressobj()
+    deltas = np.frombuffer(d.decompress(path.read_bytes()), "<i2").reshape(4, -1)
+    return np.cumsum(deltas, axis=1, dtype="<i2"), np.frombuffer(d.unused_data, "<i2").reshape(4, -1)
 
 
 def test_trial_csv_round_trip(tmp_path):
     trial = run(LimbParams(), seed=9)
     back = save_and_load(trial, tmp_path)
-    emg_codes = np.load(tmp_path / "trial_emg.npy")
-    assert emg_codes.dtype.str == "<i2" and emg_codes.shape == (4, trial.emg.n_samples)
-    assert emg_codes.flags.c_contiguous  # channel-major: one row per channel
-    assert (tmp_path / "trial_emg.npy").read_bytes() == npy_bytes(emg_codes)  # as np.save writes it
-    codes = robot_codes(tmp_path / "trial.zlib")
+    codes, emg_codes = trial_codes(tmp_path / "trial.trial")
+    assert emg_codes.shape == (4, trial.emg.n_samples)
+    # channel-major: one row per channel, right after the robot stream, with no header
+    assert emg_codes.tobytes() == np.rint(trial.emg.data.T / EMG_LSB_MV).astype("<i2").tobytes()
+    assert (tmp_path / "trial.trial").read_bytes().endswith(emg_codes.tobytes())
     assert codes.shape == (4, trial.force.n_samples)
     assert codes.tobytes() == np.rint(np.vstack([trial.force.data.T, trial.velocity.data.T])
                                       / np.array(ROBOT_LSB)[:, None]).astype("<i2").tobytes()
@@ -359,7 +354,8 @@ def test_a_force_step_beyond_int16_round_trips(tmp_path):
     back = save_and_load(stepped, tmp_path)
     assert back.force.data.tobytes() == force.tobytes()
     assert back.velocity.data.tobytes() == trial.velocity.data.tobytes()
-    deltas = np.frombuffer(zlib.decompress((tmp_path / "trial.zlib").read_bytes()), "<i2").reshape(4, -1)
+    inflated = zlib.decompressobj().decompress((tmp_path / "trial.trial").read_bytes())
+    deltas = np.frombuffer(inflated, "<i2").reshape(4, -1)
     assert deltas[0, 2000] == 64000 - 2 ** 16  # the step, modulo 2^16
 
 
@@ -372,8 +368,7 @@ def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
     data[300, 0] = -0.4 * EMG_LSB_MV  # rounds to a zero code
     hand_built = replace(trial, emg=replace(trial.emg, data=data))
     back = save_and_load(hand_built, tmp_path)
-    codes = np.load(tmp_path / "trial_emg.npy")
-    assert codes.dtype.str == "<i2"
+    _, codes = trial_codes(tmp_path / "trial.trial")
     expected = np.clip(np.rint(data / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1)
     assert np.array_equal(codes, expected.T)
     assert np.all(codes[:, 100:110] == 2 ** 15 - 1) and np.all(codes[:, 200:210] == -2 ** 15)
@@ -381,8 +376,7 @@ def test_off_grid_emg_is_stored_rounded_and_saturated(tmp_path):
     assert back.force.data.tobytes() == trial.force.data.tobytes()
     data[400, 1] = np.nan
     with pytest.raises(ValueError, match="NaN samples have no code"):
-        save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.zlib",
-                       tmp_path / "nan_emg.npy")
+        save_trial_csv(replace(trial, emg=replace(trial.emg, data=data)), tmp_path / "nan.trial")
     assert not list(tmp_path.glob("nan*"))
 
 
@@ -396,7 +390,7 @@ def test_off_grid_robot_samples_are_stored_rounded_and_saturated(tmp_path):
     data[300, 2] = -0.4 * ROBOT_LSB[2]  # rounds to a zero code
     stream = trial_streams(1000.0, EMG_RATE)["robot"]
     save_samples(tmp_path / "robot.zlib", data, stream)
-    codes = robot_codes(tmp_path / "robot.zlib")
+    codes, _ = trial_codes(tmp_path / "robot.zlib")
     expected = np.clip(np.rint(data / np.array(ROBOT_LSB)), -2 ** 15, 2 ** 15 - 1)
     assert np.array_equal(codes, expected.T)
     assert np.all(codes[:, 100:110] == 2 ** 15 - 1) and np.all(codes[:, 200:210] == -2 ** 15)  # never wrapped
@@ -410,13 +404,13 @@ def test_off_grid_robot_samples_are_stored_rounded_and_saturated(tmp_path):
 
 
 def test_robot_nan_sample_is_refused_when_saved(tmp_path):
-    """A NaN force has no code: saving the trial raises, naming the file, and writes neither array."""
+    """A NaN force has no code: saving the trial raises, naming the file, and writes no file."""
     trial = run(LimbParams(), seed=9)
     force = trial.force.data.copy()
     force[1500, 0] = np.nan
-    paths = tmp_path / "nan.zlib", tmp_path / "nan_emg.npy"
-    with pytest.raises(ValueError, match=f"{paths[0]}: NaN samples have no code"):
-        save_trial_csv(replace(trial, force=replace(trial.force, data=force)), *paths)
+    path = tmp_path / "nan.trial"
+    with pytest.raises(ValueError, match=f"{path}: NaN samples have no code"):
+        save_trial_csv(replace(trial, force=replace(trial.force, data=force)), path)
     assert not list(tmp_path.iterdir())
 
 

@@ -89,8 +89,7 @@ def test_simulate_trial_counts_single_subject_one_frequency(tmp_path):
     manifest = load_manifest(out)
     trials = [t for s in manifest["subjects"] for t in s["trials"]]
     assert len(trials) == 16  # 1 subject x 2 activations x 8 directions
-    assert len(list((out / "trials").glob("*.zlib"))) == 16  # force/velocity per trial
-    assert len(list((out / "trials").glob("*_emg.npy"))) == 16  # EMG per trial
+    assert len(list((out / "trials").iterdir())) == 16  # one file per trial: force/velocity, then EMG
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     result = analyze_study(out, load_config(path))
     assert result.maps["S1"].complete
@@ -109,7 +108,7 @@ def test_parallel_workers_match_serial_bytes(tmp_path):
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
-    assert sum(f.parts[0] == "trials" for f in files) == 128  # 2 subjects x 32 trials x 2 arrays
+    assert sum(f.parts[0] == "trials" for f in files) == 64  # 2 subjects x 32 trials
     assert Path("manifest.json") in files
     for name in files:
         assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
@@ -156,15 +155,15 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 def test_seed_flag_changes_outputs(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path), "--seed", "1"]) == cli.EXIT_OK
-    first = (out / "trials" / "S1_LR_d0.zlib").read_bytes()
+    first = (out / "trials" / "S1_LR_d0.trial").read_bytes()
     assert cli.main(["simulate", "--config", str(path), "--seed", "2"]) == cli.EXIT_OK
-    assert (out / "trials" / "S1_LR_d0.zlib").read_bytes() != first
+    assert (out / "trials" / "S1_LR_d0.trial").read_bytes() != first
 
 
 def test_analyze_tolerates_one_missing_trial(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    victim = out / "trials" / "S1_HS_d3.zlib"
+    victim = out / "trials" / "S1_HS_d3.trial"
     victim.unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     err = capsys.readouterr().err
@@ -194,8 +193,8 @@ def test_stats_pairs_every_group_over_the_grid_directions(tmp_path):
     """A direction missing for every subject leaves every group short, not a smaller complete sample."""
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    victims = sorted((out / "trials").glob("*_d3.zlib"))
-    assert len(victims) == 8  # the robot file of 8 of the 64 trials: 2 subjects x 4 tests
+    victims = sorted((out / "trials").glob("*_d3.trial"))
+    assert len(victims) == 8  # the files of 8 of the 64 trials: 2 subjects x 4 tests
     for victim in victims:
         victim.unlink()
     # over the missing-trial budget, but analyze still writes its analysis/
@@ -214,7 +213,7 @@ def test_stats_pairs_every_group_over_the_grid_directions(tmp_path):
 def test_analyze_fails_above_missing_budget(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    victims = sorted((out / "trials").glob("S1_*_d*.zlib"))
+    victims = sorted((out / "trials").glob("S1_*_d*.trial"))
     for victim in victims[:10]:
         victim.unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
@@ -227,7 +226,7 @@ def test_stats_accepts_a_study_with_a_slope_that_cannot_be_fitted(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
     for test, last in (("HR", 8), ("HS", 7)):
         for direction in range(last):
-            (out / "trials" / f"S1_{test}_d{direction}.zlib").unlink()
+            (out / "trials" / f"S1_{test}_d{direction}.trial").unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
     slopes = json.loads((out / "stats" / "report.json").read_text())["slopes"]
@@ -313,7 +312,7 @@ def test_failed_reanalysis_removes_stale_median(tmp_path):
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     median_files = [out / "analysis" / "gmp_median.json", out / "analysis" / "spider_median.csv"]
     assert all(p.exists() for p in median_files)
-    for victim in ("S1_LR_d0.zlib", "S1_LS_d5.zlib"):  # 2 of 16 trials
+    for victim in ("S1_LR_d0.trial", "S1_LS_d5.trial"):  # 2 of 16 trials
         (out / "trials" / victim).unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
     assert not any(p.exists() for p in median_files)
@@ -539,4 +538,4 @@ def test_version_runs_as_module():
     )
     assert proc.returncode == 0
     assert "gmpkit 0.1.0" in proc.stdout
-    assert "format schema 9" in proc.stdout
+    assert "format schema 10" in proc.stdout

@@ -27,7 +27,7 @@ from gmpkit.emg import MvcCalibration, estimate_mvc, pct_mvc, synthesize_emg
 from gmpkit.errors import ConfigError, WindowRangeError
 from gmpkit.passivity import estimate_eop, snap_window_to_periods
 from gmpkit.signals import SampledSignal, Window
-from gmpkit.study import _read_manifest, load_manifest, trial_files, trial_plan
+from gmpkit.study import _read_manifest, load_manifest, mvc_files, trial_file, trial_plan
 
 CONFIGS = {
     "default": "",
@@ -62,7 +62,7 @@ def test_simulated_manifest_reads_back_as_the_config(tmp_path):
                                 "analysis_window_s = 1.0\nfrequencies = 1.0\n")
     assert cli.main(["simulate", "--config", str(tmp_path / "study.ini")]) == cli.EXIT_OK
     out = tmp_path / "out"
-    simulated, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
+    simulated, _, subjects, _ = _read_manifest(load_manifest(out), out / "manifest.json")
     assert simulated == replace(config, output=OutputConfig())
     assert [len(trials) for _, trials in subjects] == [16]
 
@@ -72,12 +72,13 @@ def test_simulated_manifest_reads_back_as_the_trial_plan(tmp_path, name):
     config = read_ini(tmp_path, CONFIGS[name])
     assert cli.main(["simulate", "--config", str(tmp_path / "study.ini")]) == cli.EXIT_OK
     out = tmp_path / "out"
-    _, _, subjects = _read_manifest(load_manifest(out), out / "manifest.json")
+    _, _, subjects, crc32 = _read_manifest(load_manifest(out), out / "manifest.json")
     assert [subject_id for subject_id, _ in subjects] == [f"S{i + 1}" for i in range(config.cohort.subjects)]
     for subject_id, trials in subjects:
         assert trials == trial_plan(config, subject_id)
-    files = {rel for _, trials in subjects for _, trial_id, _, _ in trials for rel in trial_files(trial_id)}
+    files = {trial_file(trial_id) for _, trials in subjects for _, trial_id, _, _ in trials}
     assert files == {f"trials/{path.name}" for path in (out / "trials").iterdir()}
+    assert set(crc32) == files | {rel for subject_id, _ in subjects for rel in mvc_files(subject_id)}
 
 
 # the study settings that each function or record takes from its caller

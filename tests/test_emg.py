@@ -125,9 +125,9 @@ def test_emg_saturates_at_the_rails(tmp_path):
     # the same noise and drive at a tenth of the level, which stays far inside the rails
     tenth = synthesize_emg(activation, (1.0,) * 4, seed=14, rate=EMG_RATE).data / EMG_LSB_MV
     stream = trial_streams(1000.0, EMG_RATE)["emg"]
-    save_samples(tmp_path / "emg.npy", emg.data, stream)
-    stored = np.load(tmp_path / "emg.npy")
-    assert stored.dtype.str == "<i2" and stored.shape == (4, emg.n_samples)  # channel-major
+    save_samples(tmp_path / "mvc.emg", emg.data, stream)
+    stored = np.fromfile(tmp_path / "mvc.emg", "<i2").reshape(4, -1)  # channel-major
+    assert stored.shape == (4, emg.n_samples)
     stored = stored.T
     for codes in (emg.data / EMG_LSB_MV, stored):
         for column in codes.T:

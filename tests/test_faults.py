@@ -15,6 +15,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gmpkit import cli, study as study_module
 from gmpkit.biomech import load_samples, load_trial_csv, stored_samples
@@ -23,8 +24,8 @@ from gmpkit.emg import EMG_LSB_MV
 from gmpkit.errors import DataError
 from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
-from gmpkit.study import SCHEMA_VERSION, _read_manifest, load_manifest, mvc_files, trial_files, trial_plan
-from test_biomech import robot_codes
+from gmpkit.study import SCHEMA_VERSION, _read_manifest, load_manifest, mvc_files, trial_file, trial_plan
+from test_biomech import trial_codes
 
 STUDY = """
 [cohort]
@@ -68,8 +69,19 @@ def truncate(path):
     path.write_bytes(blob[: len(blob) // 2])
 
 
-def rewrite(path, fn):
-    np.save(path, fn(np.load(path)))
+def rewrite(out, rel, blob):
+    """Write ``blob`` as the file ``rel`` of the study ``out``, and its CRC-32 into the manifest."""
+    (out / rel).write_bytes(blob)
+    manifest = load_manifest(out)
+    for subject in manifest["subjects"]:
+        if rel in subject["crc32"]:
+            subject["crc32"][rel] = zlib.crc32(blob)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def mvc_codes(path):
+    """The (4, n) int16 codes of an MVC file."""
+    return np.fromfile(path, "<i2").reshape(4, -1)
 
 
 def npy_bytes(array):
@@ -81,7 +93,7 @@ def npy_bytes(array):
 
 def test_truncated_trial_is_one_warning(study, capsys):
     out, path = study
-    truncate(out / "trials" / "S1_LR_d0.zlib")
+    truncate(out / "trials" / "S1_LR_d0.trial")
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_OK
     assert "unreadable trial S1_LR_d0" in err
@@ -94,14 +106,14 @@ def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_
     summaries = []
     for out in (tmp_path / "a" / "out", tmp_path / "another" / "place"):
         shutil.copytree(simulated, out)
-        (out / "trials" / "S1_LR_d0.zlib").unlink()
+        (out / "trials" / "S1_LR_d0.trial").unlink()
         path = out.parent / "study.ini"
         path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
         assert analyze(path, capsys)[0] == cli.EXIT_OK
         summaries.append((out / "analysis" / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert json.loads(summaries[0])["warnings"] == [
-        "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.zlib: No such file or directory",
+        "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.trial: No such file or directory",
         "map S1 missing 1 cells",
         "median map computed over complete maps only",
     ]
@@ -109,7 +121,7 @@ def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_
 
 def test_damage_above_budget_fails_analysis(study, capsys):
     out, path = study
-    trials = sorted((out / "trials").glob("S1_*_d*.zlib"))
+    trials = sorted((out / "trials").glob("S1_*_d*.trial"))
     # 4 deleted + 3 torn = 7 of 64 trials, above the 10% budget only when
     # the two kinds of failure are counted together
     for victim in trials[:4]:
@@ -123,7 +135,7 @@ def test_damage_above_budget_fails_analysis(study, capsys):
 
 def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, capsys):
     out, path = study
-    for victim in (out / "trials").glob("S1_H?_d?.zlib"):
+    for victim in (out / "trials").glob("S1_H?_d?.trial"):
         victim.unlink()
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS  # 16 of 64 trials missing, above the budget
@@ -133,35 +145,27 @@ def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, caps
     assert (out / "analysis" / "gmp_median.json").exists()
 
 
-def test_deleted_emg_file_is_one_warning(study, capsys):
-    out, path = study
-    (out / "trials" / "S1_HR_d2_emg.npy").unlink()
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_OK
-    assert "unreadable trial S1_HR_d2" in err
-    assert "S1_HR_d2_emg.npy" in err
-
-
-def silence_channel(path):
-    """Zero EMG channel 1, the second row, of an MVC recording."""
-    def silence(data):
-        data[1] = 0
-        return data
-    rewrite(path, silence)
+def silence_channel(out, rel):
+    """Zero EMG channel 1, the second row, of an MVC recording, with its CRC-32 in the manifest."""
+    codes = mvc_codes(out / rel)
+    codes[1] = 0
+    rewrite(out, rel, codes.tobytes())
 
 
 @pytest.mark.parametrize(
     "damage, named, reason",
     [
-        (lambda paths: paths[1].unlink(), [1], "cannot read"),
-        (lambda paths: truncate(paths[0]), [0], "cannot read"),
-        (lambda paths: rewrite(paths[1], lambda data: data[:, :-1]), [1], "6444 samples, expected 6445"),
-        (lambda paths: rewrite(paths[0], lambda data: data.astype(np.float64)), [0],
-         "expected int16 samples"),
-        # the schema-5 layout, whose EMG was float32 mV
-        (lambda paths: rewrite(paths[1], lambda data: (data * EMG_LSB_MV).astype(np.float32)), [1],
-         "expected int16 samples of shape (4, n), got float32 (4, 6445)"),
-        (lambda paths: [silence_channel(p) for p in paths], [0, 1],
+        (lambda out, files: (out / files[1]).unlink(), [1], "cannot read"),
+        (lambda out, files: truncate(out / files[0]), [0], "the file's bytes do not match the manifest's CRC-32"),
+        # the rest with their CRC-32 in the manifest, so that the decoder refuses them
+        (lambda out, files: rewrite(out, files[1], mvc_codes(out / files[1])[:, :-1].tobytes()), [1],
+         "6444 samples, expected 6445"),
+        # the schema-3 layout, whose EMG was float64, and the schema-5 layout, whose EMG was float32 mV
+        (lambda out, files: rewrite(out, files[0], mvc_codes(out / files[0]).astype(np.float64).tobytes()), [0],
+         "longer than the 51560 bytes its samples can take"),
+        (lambda out, files: rewrite(out, files[1], (mvc_codes(out / files[1]) * EMG_LSB_MV).astype(np.float32)
+                                    .tobytes()), [1], "longer than the 51560 bytes its samples can take"),
+        (lambda out, files: [silence_channel(out, rel) for rel in files], [0, 1],
          "a channel recorded no activity during MVC"),
     ],
     ids=["missing", "torn", "short", "float64", "float32", "silent-channel"],
@@ -169,8 +173,9 @@ def silence_channel(path):
 def test_damaged_mvc_recording_is_a_data_error(study, capsys, damage, named, reason):
     """analyze calibrates %MVC on the mvc/ recordings, so a damaged one stops it before analysis/."""
     out, path = study
-    paths = [out / rel for rel in mvc_files("S2")]
-    damage(paths)
+    files = mvc_files("S2")
+    paths = [out / rel for rel in files]
+    damage(out, files)
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert all(str(paths[i]) in err for i in named)
@@ -203,7 +208,7 @@ def test_schema_2_manifest_is_a_typed_error(study, capsys):
             {"trial_id": trial_id, "test": test["code"], "direction": spec.direction_index,
              "activation_label": test["activation_label"], "frequency_label": test["frequency_label"],
              "frequency_hz": spec.frequency, "target_pct_mvc": test["target_pct_mvc"],
-             "robot_file": trial_files(trial_id)[0], "emg_file": trial_files(trial_id)[1]}
+             "robot_file": f"trials/{trial_id}.zlib", "emg_file": f"trials/{trial_id}_emg.npy"}
             for _, trial_id, test, spec in trial_plan(config, subject["subject_id"])
         ]
     (out / "manifest.json").write_text(json.dumps(manifest))
@@ -307,6 +312,22 @@ def test_schema_8_manifest_is_a_typed_error(study, capsys):
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert f"manifest {out / 'manifest.json'}: schema version 8 is not supported" in err
+    assert "re-run simulate" in err
+    assert not (out / "analysis").exists()
+
+
+def test_schema_9_manifest_is_a_typed_error(study, capsys):
+    """Schema 9 stored each trial as a robot file and an EMG .npy, with no CRC-32; it is refused, not read."""
+    out, path = study
+    manifest = load_manifest(out)
+    manifest["schema_version"] = 9
+    manifest["streams"]["emg"]["encoding"] = "npy"
+    for subject in manifest["subjects"]:
+        del subject["crc32"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_ANALYSIS
+    assert f"manifest {out / 'manifest.json'}: schema version 9 is not supported" in err
     assert "re-run simulate" in err
     assert not (out / "analysis").exists()
 
@@ -427,6 +448,22 @@ def set_key(path, value):
         (set_key(("config", "limb", "maxwell_stiffness"), 1.7e308), "limb.maxwell_stiffness must be finite"),
         (set_key(("config", "protocol", "relaxed_target"), 0.4),
          "protocol.relaxed_target = 0.4 must be below protocol.stiff_target = 0.4"),
+        (set_key(("subjects", 0, "crc32"), None),
+         "subjects[0].crc32 is missing, where simulate writes an object of each file's CRC-32"),
+        (set_key(("subjects", 1, "crc32"), []),
+         "subjects[1].crc32 is [], where simulate writes an object of each file's CRC-32"),
+        (set_key(("subjects", 0, "crc32", "trials/S1_LR_d0.trial"), None),
+         "subjects[0].crc32 lacks trials/S1_LR_d0.trial, which simulate writes"),
+        (set_key(("subjects", 0, "crc32", "trials/S2_LR_d0.trial"), 0),
+         "subjects[0].crc32 names trials/S2_LR_d0.trial, which simulate does not write"),
+        (set_key(("subjects", 1, "crc32", "mvc/S2_rep2.emg"), "123"),
+         "subjects[1].crc32 holds '123' for mvc/S2_rep2.emg, not a CRC-32 (an integer from 0 to 2^32 - 1)"),
+        (set_key(("subjects", 1, "crc32", "trials/S2_HS_d7.trial"), -1),
+         "subjects[1].crc32 holds -1 for trials/S2_HS_d7.trial, not a CRC-32"),
+        (set_key(("subjects", 0, "crc32", "trials/S1_HS_d7.trial"), 2 ** 32),
+         "subjects[0].crc32 holds 4294967296 for trials/S1_HS_d7.trial, not a CRC-32"),
+        (set_key(("subjects", 0, "crc32", "trials/S1_HS_d7.trial"), True),
+         "subjects[0].crc32 holds True for trials/S1_HS_d7.trial, not a CRC-32"),
     ],
     ids=["no-config", "a-list", "no-trials", "activation-off-grid", "direction-off-grid",
          "hz-off-grid", "hz-a-string", "trial-dropped", "trial-duplicated", "last-trial-dropped",
@@ -435,7 +472,9 @@ def set_key(path, value):
          "robot-lsb-off-schema", "robot-lsb-missing", "emg-lsb-mv-listed", "unknown-protocol-key", "rates-a-list",
          "no-duration", "mvc-recordings-listed",
          "toolkit-version-not-a-string", "seed-not-an-int", "seed-off-config", "config-seed-negative",
-         "mvc-rms-listed", "limb-overflows-jitter", "targets-out-of-label-order"],
+         "mvc-rms-listed", "limb-overflows-jitter", "targets-out-of-label-order", "crc32-missing",
+         "crc32-a-list", "crc32-lacks-a-file", "crc32-names-another-file", "crc32-a-string", "crc32-negative",
+         "crc32-too-large", "crc32-a-bool"],
 )
 def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
@@ -462,14 +501,15 @@ def test_every_manifest_leaf_is_checked(study, capsys):
     """A value changed at any leaf of the manifest is refused, by the leaf's path.
 
     Left out: ``toolkit_version`` (any string), the subjects' drawn values
-    (``params`` and ``mvc_rms_true``, which analyze does not read), the
+    (``params`` and ``mvc_rms_true``, which analyze does not read), their
+    ``crc32`` maps (checked against the files: see the damage tests), the
     ``config`` copy (analyze derives the rest from it) and
     ``schema_version`` (refused with its own "re-run simulate" message).
     """
     out, path = study
     manifest_path = out / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true)")
+    skipped = re.compile(r"toolkit_version|schema_version|config\.|subjects\[\d+\]\.(params|mvc_rms_true|crc32)")
     checked = [(leaf, node, key) for leaf, node, key in leaves(doc) if not skipped.match(leaf)]
     # streams: layout, encoding, dtype, rate_hz, start_time_s, 4 channels and 4 code steps of 2
     # streams; tests: 5 keys of 4; subjects: the subject_id and 32 trial ids of 2
@@ -639,10 +679,34 @@ def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, cap
 
 
 def robot_stream(codes):
-    """The bytes of a robot file that holds ``codes``, an int16 (channels, n) array, as simulate writes them."""
+    """The zlib stream of ``codes``, an int16 (channels, n) array, as simulate writes a trial's robot stream."""
     deltas = codes.astype("<i2")
     deltas[:, 1:] -= codes[:, :-1]
     return zlib.compress(deltas.tobytes(), 1)
+
+
+def first_trial(simulated):
+    """``(streams, crc32, subject_id, trial_id, test, spec)`` of the first trial of the simulated study."""
+    _, streams, subjects, crc32 = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
+    subject_id, trials = subjects[0]
+    _, trial_id, test, spec = trials[0]
+    return streams, crc32, subject_id, trial_id, test, spec
+
+
+def load_first_trial(simulated, path, crc32):
+    """The first trial of the simulated study, read from ``path`` with ``crc32``."""
+    streams, _, subject_id, _, test, spec = first_trial(simulated)
+    return load_trial_csv(path, streams, spec, subject_id, crc32=crc32, activation_label=test["activation_label"],
+                          frequency_label=test["frequency_label"])
+
+
+def write_trial(path, robot, emg):
+    """Write a trial file of ``robot``, int16 (channels, n) codes or the bytes of its stream, then ``emg``,
+    an array whose bytes are written as they are, or bytes; returns what was written."""
+    blob = (robot if isinstance(robot, bytes) else robot_stream(robot)) + (
+        emg if isinstance(emg, bytes) else emg.tobytes())
+    path.write_bytes(blob)
+    return blob
 
 
 @pytest.mark.parametrize(
@@ -652,68 +716,83 @@ def robot_stream(codes):
         # inflated only to one byte more than the expected differences, so the count is not known
         (lambda robot, emg: (np.hstack([robot, robot[:, -1:]]), emg), "more than 3001 samples"),
         (lambda robot, emg: (robot[:3], emg), "18006 bytes of int16 differences, not whole samples of 4 channels"),
-        # the schema-3 layout, whose EMG was float64, and the schema-5 layout, whose EMG was float32 mV
-        (lambda robot, emg: (robot, emg.astype(np.float64)), "expected int16 samples"),
-        (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(np.float32)),
-         "expected int16 samples of shape (4, n), got float32 (4, 6445)"),
-        # the schema-8 layout of the EMG file, which has the same name: one row per sample
-        (lambda robot, emg: (robot, emg.T.copy()), "expected int16 samples of shape (4, n), got int16 (6445, 4)"),
-        # the robot file holding the EMG codes, and the EMG file the robot codes: both int16, so the sample
+        # the robot stream holding the EMG codes, and the EMG the robot codes: both int16, so the sample
         # count tells them apart
         (lambda robot, emg: (emg, robot), "more than 3001 samples"),
         (lambda robot, emg: (robot, robot), "3001 samples, expected 6445"),
-        # files given as the bytes written
-        (lambda robot, emg: (robot_stream(robot) + b"\0", emg), "bytes after the 3001 samples"),
-        (lambda robot, emg: (robot, npy_bytes(np.asfortranarray(emg))), "got a Fortran-order array"),
-        (lambda robot, emg: (robot, npy_bytes(emg.astype(">f4"))), "got >f4 (4, 6445)"),
-        (lambda robot, emg: (robot, npy_bytes(emg.astype(">i2"))), "got >i2 (4, 6445)"),
+        (lambda robot, emg: (robot, emg[:, :-1]), "6444 samples, expected 6445"),
+        # parts given as the bytes written
+        (lambda robot, emg: (robot, emg.tobytes()[:-1]), "51559 bytes of int16 codes, not whole samples of 4 channels"),
+        (lambda robot, emg: (robot, emg.tobytes() + b"\0"), "bytes after its samples"),
+        # a byte between the streams, which moves the EMG one byte on
+        (lambda robot, emg: (robot_stream(robot) + b"\0", emg), "bytes after its samples"),
         (lambda robot, emg: (robot_stream(robot)[:60], emg), "cannot read"),
-        (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "the file ends after 128 of its"),
-        # a schema-8 robot file, a raw (n, 4) .npy, under the schema-9 name
-        (lambda robot, emg: (npy_bytes(robot.T.copy()), emg), "incorrect header check"),
+        # a schema-9 EMG file, the .npy of the codes, in place of the codes; and its header alone
+        (lambda robot, emg: (robot, npy_bytes(emg)), "bytes after its samples"),
+        (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "16 samples, expected 6445"),
+        # the schema-5 EMG, float32 mV: twice the bytes the codes can take
+        (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(">f4")), "longer than the 75587 bytes"),
+        # a schema-8 robot file, a raw (n, 4) .npy, under the new name
+        (lambda robot, emg: (npy_bytes(robot.T.copy()), b""), "incorrect header check"),
     ],
 )
 def test_loader_rejects_bad_arrays(simulated, tmp_path, damage, reason):
-    """``damage`` maps the stored (robot, EMG) codes of a trial, (4, n) int16 each, to the codes or bytes written."""
-    _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
-    subject_id, trials = subjects[0]
-    _, trial_id, test, spec = trials[0]
-    paths = tmp_path / "trial.zlib", tmp_path / "trial_emg.npy"
-    robot_file, emg_file = (simulated / rel for rel in trial_files(trial_id))
-    arrays = damage(robot_codes(robot_file), np.load(emg_file))
-    for path, array, encode in zip(paths, arrays, (robot_stream, npy_bytes)):
-        path.write_bytes(array if isinstance(array, bytes) else encode(array))
+    """``damage`` maps the stored (robot, EMG) codes of a trial, (4, n) int16 each, to the codes or bytes written.
+
+    The loader is given the CRC-32 of the bytes written, so that its decoder, not the checksum, refuses them.
+    """
+    _, _, _, trial_id, _, _ = first_trial(simulated)
+    path = tmp_path / "trial.trial"
+    blob = write_trial(path, *damage(*trial_codes(simulated / trial_file(trial_id))))
     with pytest.raises(DataError, match=re.escape(reason)) as error:
-        load_trial_csv(*paths, streams, spec, subject_id, activation_label=test["activation_label"],
-                       frequency_label=test["frequency_label"])
+        load_first_trial(simulated, path, zlib.crc32(blob))
     # names the file
-    assert str(error.value).removeprefix("cannot read ").startswith(tuple(str(path) for path in paths))
+    assert str(error.value).removeprefix("cannot read ").startswith(str(path))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda robot, emg: (robot, emg.T.copy()),  # sample-major, as a Fortran-order array lays it out
+        lambda robot, emg: (robot, emg.astype(">i2")),
+        lambda robot, emg: (robot.T.copy(), emg),
+        lambda robot, emg: (robot, np.roll(emg, 1, axis=1)),
+    ],
+    ids=["emg-sample-major", "emg-big-endian", "robot-sample-major", "emg-one-sample-late"],
+)
+def test_loader_refuses_bytes_that_do_not_match_the_crc32(simulated, tmp_path, damage):
+    """Codes of the right length in the wrong order decode without a fault; the trial's CRC-32 refuses them."""
+    _, crc32, _, trial_id, _, _ = first_trial(simulated)
+    path = tmp_path / "trial.trial"
+    write_trial(path, *damage(*trial_codes(simulated / trial_file(trial_id))))
+    with pytest.raises(DataError, match=re.escape(f"{path}: the file's bytes do not match the manifest's CRC-32")):
+        load_first_trial(simulated, path, crc32[trial_file(trial_id)])
 
 
 def test_every_bit_flip_of_a_robot_file_is_refused_or_changes_nothing(simulated, tmp_path):
-    """Flip each bit of one robot file in turn: the loader refuses the file, naming it, or reads the same codes.
+    """Flip each bit of one robot stream in turn: the decoder refuses it, naming the file, or reads the same codes.
 
-    zlib's checksum covers the inflated differences, so a flip that changes
-    a sample is refused; the few flips that pass change nothing the stream
-    decodes to. analyze turns the refusal into that trial's warning.
+    The stream is a trial file's, stored alone, and each flip is given its
+    own CRC-32, so that the decoder alone judges it. zlib's checksum covers
+    the inflated differences, so a flip that changes a sample is refused;
+    the few flips that pass change nothing the stream decodes to.
     """
-    _, streams, subjects = _read_manifest(load_manifest(simulated), simulated / "manifest.json")
-    subject_id, trials = subjects[0]
-    _, trial_id, _, spec = trials[0]
+    streams, _, _, trial_id, _, spec = first_trial(simulated)
     stream = streams["robot"]
     n_samples = stored_samples(spec.duration, stream["rate_hz"], streams["emg"]["rate_hz"])[0]
-    original = simulated / trial_files(trial_id)[0]
-    blob, expected = original.read_bytes(), load_samples(original, stream, n_samples).tobytes()
     path = tmp_path / "flipped.zlib"
-    path.write_bytes(blob)
+    blob = write_trial(path, trial_codes(simulated / trial_file(trial_id))[0], b"")
+    expected = load_samples(path, [(stream, n_samples)], crc32=zlib.crc32(blob))[0].tobytes()
     refused = 0
     with open(path, "r+b", buffering=0) as fh:  # each flip rewrites one byte in place
         for offset, byte in enumerate(blob):
             for bit in range(8):
+                flipped = bytes([byte ^ 1 << bit])
                 fh.seek(offset)
-                fh.write(bytes([byte ^ 1 << bit]))
+                fh.write(flipped)
                 try:
-                    samples = load_samples(path, stream, n_samples)
+                    samples, = load_samples(path, [(stream, n_samples)],
+                                            crc32=zlib.crc32(blob[:offset] + flipped + blob[offset + 1:]))
                 except DataError as exc:
                     assert str(exc).removeprefix("cannot read ").startswith(str(path)), (offset, bit)
                     refused += 1
@@ -725,20 +804,114 @@ def test_every_bit_flip_of_a_robot_file_is_refused_or_changes_nothing(simulated,
     assert refused > 0.9 * 8 * len(blob)
 
 
-def test_flipped_robot_file_is_that_trials_warning(study, capsys):
-    """A bit flipped inside a robot file's zlib stream skips that trial with a warning; the others read as before."""
+def analyzed_study(study, capsys):
+    """The study analyzed, with its stats; returns the rows of its ``eop_estimates.csv``."""
     out, path = study
     assert analyze(path, capsys)[0] == cli.EXIT_OK
-    before = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
-    victim = out / "trials" / "S1_LR_d0.zlib"
+    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
+    return (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+
+
+def assert_trials_skipped(out, before, cells):
+    """analysis/ holds the rows of ``before`` but those of ``cells``, and the stats built on the old one are gone."""
+    after = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+    assert after == [row for row in before if not row.startswith(cells)]
+    assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "trials"]
+
+
+CRC_MISMATCH = "the file's bytes do not match the manifest's CRC-32"
+
+
+def test_flipped_robot_file_is_that_trials_warning(study, capsys):
+    """A bit flipped inside a trial's zlib stream skips that trial with a warning; the others read as before."""
+    out, path = study
+    before = analyzed_study(study, capsys)
+    victim = out / "trials" / "S1_LR_d0.trial"
     blob = bytearray(victim.read_bytes())
-    blob[len(blob) // 2] ^= 0x10
+    blob[len(robot_stream(trial_codes(victim)[0])) // 2] ^= 0x10
     victim.write_bytes(blob)
     code, err = analyze(path, capsys)
     assert code == cli.EXIT_OK
-    assert "unreadable trial S1_LR_d0: cannot read trials/S1_LR_d0.zlib: Error -3 while decompressing data" in err
-    after = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
-    assert after == [row for row in before if not row.startswith("S1,0,relaxed,low,")]
+    assert f"unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: {CRC_MISMATCH}" in err
+    assert_trials_skipped(out, before, "S1,0,relaxed,low,")
+
+
+def test_swapped_trial_files_are_two_warnings(study, capsys):
+    """Two well-formed trial files swapped: each fails the CRC-32 of the trial whose name it has."""
+    out, path = study
+    before = analyzed_study(study, capsys)
+    first, second = out / "trials" / "S1_LR_d0.trial", out / "trials" / "S1_HS_d0.trial"
+    blobs = first.read_bytes(), second.read_bytes()
+    first.write_bytes(blobs[1])
+    second.write_bytes(blobs[0])
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    for trial_id in ("S1_LR_d0", "S1_HS_d0"):
+        assert f"unreadable trial {trial_id}: trials/{trial_id}.trial: {CRC_MISMATCH}" in err
+    assert json.loads((out / "analysis" / "summary.json").read_text())["n_missing"] == 2
+    assert_trials_skipped(out, before, ("S1,0,relaxed,low,", "S1,0,stiff,high,"))
+
+
+def test_one_row_robot_stream_is_refused(simulated, study, tmp_path, capsys):
+    """A robot stream of the four channels' codes differenced as one row has the right length and inflates:
+    the decoder reads each channel less the last code of the one before, and the CRC-32 refuses it."""
+    out, path = study
+    before = analyzed_study(study, capsys)
+    victim = out / "trials" / "S1_LR_d0.trial"
+    robot, emg = trial_codes(victim)
+    flat = robot.reshape(-1)
+    deltas = flat.copy()
+    deltas[1:] -= flat[:-1]
+    one_row = zlib.compress(deltas.tobytes(), 1)
+    blob = write_trial(tmp_path / "one_row.trial", one_row, emg)
+    shifted = load_first_trial(simulated, tmp_path / "one_row.trial", zlib.crc32(blob))
+    assert np.array_equal(shifted.force.data[:, 1], (robot[1] - robot[0, -1]).astype("<i2") * 2.0 ** -6)
+    victim.write_bytes(blob)
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert f"unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: {CRC_MISMATCH}" in err
+    assert_trials_skipped(out, before, "S1,0,relaxed,low,")
+
+
+def test_trial_file_with_a_megabyte_appended_is_that_trials_warning(study, capsys):
+    """The loader reads a trial file only up to the most bytes its samples can take, so 1 MB more is refused."""
+    out, path = study
+    before = analyzed_study(study, capsys)
+    with open(out / "trials" / "S1_LR_d0.trial", "ab") as fh:
+        fh.write(bytes(2 ** 20))
+    code, err = analyze(path, capsys)
+    assert code == cli.EXIT_OK
+    assert "unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: longer than the " in err
+    assert_trials_skipped(out, before, "S1,0,relaxed,low,")
+
+
+@pytest.mark.parametrize("part", ["robot", "emg", "mvc"])
+@settings(max_examples=10, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_flipped_bit_is_refused(study, capsys, part, data):
+    """One bit flipped anywhere in a trial file, in its zlib stream or in its EMG, is that trial's warning;
+    in an MVC file, exit 4 with no analysis/. Never exit 0 with a moved estimate."""
+    out, path = study
+    before = analyzed_study(study, capsys)
+    rel = "mvc/S1_rep2.emg" if part == "mvc" else "trials/S1_LR_d0.trial"
+    blob = (out / rel).read_bytes()
+    stream_end = len(robot_stream(trial_codes(out / rel)[0])) if part != "mvc" else 0
+    offset = data.draw(st.integers(*((0, stream_end - 1) if part == "robot" else (stream_end, len(blob) - 1))))
+    flipped = bytearray(blob)
+    flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
+    (out / rel).write_bytes(flipped)
+    try:
+        code, err = analyze(path, capsys)
+        if part == "mvc":
+            assert code == cli.EXIT_ANALYSIS
+            assert f"{out / rel}: {CRC_MISMATCH}" in err
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mvc", "trials"]
+        else:
+            assert code == cli.EXIT_OK
+            assert f"unreadable trial S1_LR_d0: {rel}: {CRC_MISMATCH}" in err
+            assert_trials_skipped(out, before, "S1,0,relaxed,low,")
+    finally:
+        (out / rel).write_bytes(blob)
 
 
 def edit_map(edit):

@@ -1,4 +1,3 @@
-import io
 import zlib
 from dataclasses import replace
 
@@ -18,7 +17,7 @@ from gmpkit.study import (
     simulate_study,
     stats_study,
     subject_calibration,
-    trial_files,
+    trial_file,
 )
 from gmpkit.config import default_config
 
@@ -97,45 +96,41 @@ def test_stats_requires_two_subjects():
         stats_study(grid_estimates(lambda s, d, a, f: 10.0, subjects=("S1",)))
 
 
-def npy_header_size(n_samples: int) -> int:
-    """Bytes of the header ``np.save`` writes before a (4, n) int16 array."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.zeros((4, n_samples), "<i2"))
-    return len(buffer.getvalue()) - n_samples * 4 * 2
-
-
 def test_store_size_is_headers_plus_samples(tmp_path):
-    """Every EMG file of trials/ and mvc/ is the np.save header and 4 x n int16 codes, nothing more; every
-    robot file one zlib stream of 4 x n int16 differences, nothing more."""
+    """Every file of mvc/ is 4 x n int16 EMG codes, nothing more; every file of trials/ one zlib stream of
+    4 x n int16 differences, then 4 x n int16 EMG codes, nothing more; each has its CRC-32 in the manifest."""
     config = default_config()
     config = replace(config, cohort=replace(config.cohort, subjects=2),
                      protocol=replace(config.protocol, duration_s=2.0, analysis_window_s=1.0))
     manifest = simulate_study(config, tmp_path)
     assert {kind: (stream["layout"], stream["encoding"], stream["dtype"])
             for kind, stream in manifest["streams"].items()} == {
-        "robot": ("channel-major", "zlib-delta", "<i2"), "emg": ("channel-major", "npy", "<i2")}
+        "robot": ("channel-major", "zlib-delta", "<i2"), "emg": ("channel-major", "raw", "<i2")}
     robot_hz, emg_hz = config.rates.robot_hz, config.rates.emg_hz
     n_robot, n_emg = stored_samples(2.0, robot_hz, emg_hz)
     n_mvc = stored_samples(MVC_DURATION_S, robot_hz, emg_hz)[1]
     assert (n_robot, n_emg, n_mvc) == (2001, 4297, 6445)
-    expected = {}  # file -> samples per channel
+    expected = {}  # file -> EMG samples per channel
+    crc32 = {}
     for subject in manifest["subjects"]:
         for rel in mvc_files(subject["subject_id"]):
             expected[rel] = n_mvc
         for trial_id in subject["trials"]:
-            robot_file, emg_file = trial_files(trial_id)
-            expected[robot_file], expected[emg_file] = n_robot, n_emg
+            expected[trial_file(trial_id)] = n_emg
+        crc32.update(subject["crc32"])
     files = [path for folder in ("trials", "mvc") for path in (tmp_path / folder).iterdir()]
-    assert sorted(path.relative_to(tmp_path).as_posix() for path in files) == sorted(expected)
-    assert len(expected) == 2 * (64 + 2)
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in files) == sorted(expected) == sorted(crc32)
+    assert len(expected) == 2 * (32 + 2)
     for rel, n_samples in expected.items():
-        if rel.endswith(".zlib"):
+        blob = (tmp_path / rel).read_bytes()
+        assert zlib.crc32(blob) == crc32[rel], rel
+        if rel.endswith(".trial"):
             inflater = zlib.decompressobj()
-            assert len(inflater.decompress((tmp_path / rel).read_bytes())) == n_samples * 4 * 2, rel
-            assert inflater.eof and not inflater.unused_data, rel
-            assert (tmp_path / rel).stat().st_size < n_samples * 4 * 2 / 5, rel  # the smooth stream deflates
-        else:
-            assert (tmp_path / rel).stat().st_size == npy_header_size(n_samples) + n_samples * 4 * 2, rel
+            assert len(inflater.decompress(blob)) == n_robot * 4 * 2, rel
+            assert inflater.eof, rel
+            assert len(blob) - len(inflater.unused_data) < n_robot * 4 * 2 / 5, rel  # the smooth stream deflates
+            blob = inflater.unused_data
+        assert len(blob) == n_samples * 4 * 2, rel
 
 
 def test_calibration_reads_back_the_levels_of_the_simulated_recordings(tmp_path):
@@ -153,7 +148,8 @@ def test_calibration_reads_back_the_levels_of_the_simulated_recordings(tmp_path)
             for rep in range(MVC_REPETITIONS)
         ]
         expected = estimate_mvc(recordings, config.emg.rms_window_s, config.emg.rms_stride_s)
-        assert subject_calibration(tmp_path, subject.subject_id, manifest["streams"], config.emg) == expected
+        assert subject_calibration(tmp_path, subject.subject_id, manifest["streams"], config.emg,
+                                   manifest["subjects"][idx]["crc32"]) == expected
 
 
 class RecordingPool:
