@@ -727,10 +727,15 @@ def write_trial(path, robot, emg):
         # a byte between the streams, which moves the EMG one byte on
         (lambda robot, emg: (robot_stream(robot) + b"\0", emg), "bytes after its samples"),
         (lambda robot, emg: (robot_stream(robot)[:60], emg), "cannot read"),
-        # a schema-9 EMG file, the .npy of the codes, in place of the codes; and its header alone
+        # a schema-9 EMG file, the .npy of the codes, in place of the codes; the same of a Fortran-order
+        # array; and its header alone
         (lambda robot, emg: (robot, npy_bytes(emg)), "bytes after its samples"),
+        (lambda robot, emg: (robot, npy_bytes(np.asfortranarray(emg))), "bytes after its samples"),
         (lambda robot, emg: (robot, npy_bytes(emg)[:-emg.nbytes]), "16 samples, expected 6445"),
-        # the schema-5 EMG, float32 mV: twice the bytes the codes can take
+        # the schema-3 EMG, float64 codes, four times the bytes the codes can take, and the schema-5 EMG,
+        # float32 mV, little- and big-endian, twice them
+        (lambda robot, emg: (robot, emg.astype(np.float64)), "longer than the 75587 bytes"),
+        (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(np.float32)), "longer than the 75587 bytes"),
         (lambda robot, emg: (robot, (emg * EMG_LSB_MV).astype(">f4")), "longer than the 75587 bytes"),
         # a schema-8 robot file, a raw (n, 4) .npy, under the new name
         (lambda robot, emg: (npy_bytes(robot.T.copy()), b""), "incorrect header check"),
