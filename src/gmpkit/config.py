@@ -24,7 +24,7 @@ from .emg import BAND_HZ, EMG_RATE, FEEDBACK_CHANNELS, MVC_DURATION_S, RMS_STRID
 from .errors import ConfigError, DegenerateTrialError, WindowRangeError, typed_json
 from .passivity import snap_window_to_periods
 from .signals import Window, rms_range
-from .stabilizer import DEFAULT_SAFETY_FACTOR, FIELD_KINDS
+from .stabilizer import DEFAULT_SAFETY_FACTOR, FIELD_KINDS, MIN_COSIM_RATE_HZ
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,9 @@ class StudyConfig:
         if not MIN_SAMPLES_PER_PERIOD * max(p.frequencies) <= self.rates.robot_hz < math.inf:
             raise ConfigError(f"rates.robot_hz must be finite and at least {MIN_SAMPLES_PER_PERIOD:g}x the protocol "
                               f"frequencies")
+        if self.rates.robot_hz < MIN_COSIM_RATE_HZ:
+            raise ConfigError(f"rates.robot_hz = {self.rates.robot_hz:g} is below the co-simulation's "
+                              f"{MIN_COSIM_RATE_HZ:g} Hz")
         if not 2 * BAND_HZ[1] < self.rates.emg_hz < math.inf:
             raise ConfigError("rates.emg_hz must be finite and exceed twice the EMG band edge")
         if not (self.emg.rms_window_s > 0 and self.emg.rms_stride_s > 0):

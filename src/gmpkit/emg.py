@@ -11,9 +11,9 @@ are the ``[emg]`` settings, taken from the caller; their config defaults,
 
 The raw EMG is Gaussian noise with the spectrum of white noise through a
 4th-order Butterworth band-pass (20-450 Hz), computed with numpy alone:
-the filter is designed as zeros, poles and gain, and its magnitude
-response shapes complex normals drawn on an rfft grid, which one inverse
-FFT turns into unit-variance noise (:func:`signals.bandpass_noise`).
+the filter's magnitude response, in closed form, shapes complex normals
+drawn on an rfft grid, which one inverse FFT turns into unit-variance
+noise (:func:`signals.bandpass_noise`).
 
 The EMG is digitized as a 16-bit surface-EMG system does it: each sample
 is a whole number of codes of ``EMG_LSB_MV`` (2^-11 mV, 0.49 uV), rounded

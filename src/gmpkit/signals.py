@@ -295,37 +295,6 @@ def first_order_recurrence(a, b) -> np.ndarray:
     return y
 
 
-def butter_bandpass_zpk(
-    order: int, band: tuple[float, float], rate: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Zeros, poles and gain of a digital Butterworth band-pass.
-
-    The classic bilinear design, step for step: the analog prototype's
-    poles on the left unit half-circle, band edges (as fractions of
-    Nyquist) prewarped for the bilinear transform, the low-pass to
-    band-pass transform, then the bilinear transform. Any order >= 1.
-    """
-    low, high = band
-    if order < 1 or not 0 < low < high < rate / 2.0:
-        raise ValueError(f"need order >= 1 and 0 < band < rate/2, got {order}, {band}, {rate}")
-    # analog prototype: unit-circle poles, no zeros, unit gain
-    proto = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
-    # edges as fractions of Nyquist, prewarped at a normalized rate of 2
-    fs2 = 4.0
-    warped = fs2 * np.tan(np.pi * np.array([low, high]) / (rate / 2.0) / 2.0)
-    bw = warped[1] - warped[0]
-    wo = math.sqrt(warped[0] * warped[1])
-    # low-pass to band-pass: each pole splits in two, order zeros at s = 0
-    p_lp = proto * bw / 2.0
-    shift = np.sqrt(p_lp**2 - wo**2)
-    poles_s = np.concatenate((p_lp + shift, p_lp - shift))
-    # bilinear transform: s = 0 maps to z = 1, s = infinity to z = -1
-    poles = (fs2 + poles_s) / (fs2 - poles_s)
-    zeros = np.concatenate((np.ones(order), -np.ones(order)))
-    gain = float(bw**order * np.real(fs2**order / np.prod(fs2 - poles_s)))
-    return zeros, poles, gain
-
-
 def _fast_fft_length(n: int) -> int:
     """Smallest 2^i * 3^j * 5^k >= n."""
     best = 1 << (n - 1).bit_length()
@@ -341,20 +310,21 @@ def _fast_fft_length(n: int) -> int:
 
 @lru_cache(maxsize=16)
 def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> np.ndarray:
-    """The band-pass's magnitude response |H| on the rfft grid of length ``nfft``; read-only.
+    """The magnitude response |H| of a digital Butterworth band-pass on the rfft grid of length ``nfft``; read-only.
 
-    The DC and Nyquist bins are exactly zero, where the filter's zeros sit.
+    The closed form of the bilinear design, any order >= 1: with ``W = tan(pi f / rate)`` at a
+    frequency f, and ``W_lo``, ``W_hi`` at the band edges, ``|H| = 1 / sqrt(1 + x^(2 order))``
+    where ``x = (W^2 - W_lo W_hi) / ((W_hi - W_lo) W)``. The DC and Nyquist bins are exactly
+    zero, where the filter's zeros sit.
     """
-    zeros, poles, gain = butter_bandpass_zpk(order, band, rate)
-    z = np.exp(2j * np.pi * np.arange(nfft // 2 + 1) / nfft)
-    magnitude = np.full(len(z), abs(gain))
-    for zero in zeros:
-        magnitude *= np.abs(z - zero)
-    for pole in poles:
-        magnitude /= np.abs(z - pole)
-    magnitude[0] = 0.0
-    if nfft % 2 == 0:
-        magnitude[-1] = 0.0
+    low, high = band
+    if order < 1 or not 0 < low < high < rate / 2.0:
+        raise ValueError(f"need order >= 1 and 0 < band < rate/2, got {order}, {band}, {rate}")
+    w_lo, w_hi = math.tan(math.pi * low / rate), math.tan(math.pi * high / rate)
+    # only the bins strictly between DC and Nyquist: W = 0 at DC
+    w = np.tan(np.pi * np.arange(1, (nfft + 1) // 2) / nfft)
+    magnitude = np.zeros(nfft // 2 + 1)
+    magnitude[1:len(w) + 1] = 1.0 / np.sqrt(1.0 + ((w * w - w_lo * w_hi) / ((w_hi - w_lo) * w)) ** (2 * order))
     magnitude.flags.writeable = False
     return magnitude
 

@@ -65,6 +65,7 @@ FIELD_KINDS = ("negative-damping", "delayed-spring")
 
 VELOCITY_DEADBAND = 1e-6     # m/s
 DEFAULT_SAFETY_FACTOR = 0.8
+MIN_COSIM_RATE_HZ = 1000.0   # the co-simulation's slowest rate
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,8 @@ def run_interconnection(
     With a map, the controller credits xi_hat = safety_factor * lookup(...)
     at the perturbation frequency and the scenario's activation level.
     """
-    if not 1000.0 <= rate < math.inf:
-        raise IntegrationError(f"co-simulation rate must be finite and >= 1 kHz, got {rate}")
+    if not MIN_COSIM_RATE_HZ <= rate < math.inf:
+        raise IntegrationError(f"co-simulation rate must be finite and >= {MIN_COSIM_RATE_HZ:g} Hz, got {rate}")
     if rate < MIN_SAMPLES_PER_PERIOD * perturbation.frequency:
         raise IntegrationError(f"rate {rate} Hz too low for {perturbation.frequency} Hz perturbation: need "
                                f">= {MIN_SAMPLES_PER_PERIOD * perturbation.frequency} Hz (integration step too large)")

@@ -94,18 +94,9 @@ def _normal_cdf(z: float) -> float:
 
 def _rank_average(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties receiving the average of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return 0.5 * (2 * ends - counts + 1)[inverse]
 
 
 def _exact_p(ranks: np.ndarray, w_plus: float, sidedness: str) -> float:

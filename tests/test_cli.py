@@ -395,6 +395,16 @@ def test_simulate_refuses_non_finite_protocol_values(tmp_path, capsys, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "stabilize", "all"])
+def test_robot_rate_below_the_cosimulation_floor_is_refused_before_any_output(tmp_path, capsys, command):
+    # 500 Hz samples the protocol's 3 Hz well enough, but the co-simulation needs 1 kHz
+    path, out = write_config(tmp_path, TINY + "\n[rates]\nrobot_hz = 500\n")
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rates.robot_hz" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("mass", "inf"), ("direction_gains", "1,1,1,1,1,1,1,nan"),
     ("maxwell_damping_gain", "nan"), ("maxwell_damping_base", "inf"),
