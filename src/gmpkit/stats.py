@@ -54,6 +54,10 @@ class PairedSample:
             raise ValueError(f"paired sample lengths differ: {len(a)} vs {len(b)}")
         if len(a) < 5:
             raise ValueError(f"paired sample needs n >= 5, got {len(a)}")
+        for side, values in (("a", a), ("b", b)):
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ValueError(f"paired sample {side}[{i}] is not finite: {v}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -16,7 +16,9 @@ Owns the on-disk layout of a run:
       stats/report.json                     statistical report: KS groups, contrasts, slopes
       stabilize/summary.json                the scenario and each run's verdict and energies
       stabilize/<run>_trajectory.csv        per run (baseline, with_map): motion, forces, alpha
-      stabilize/<run>_ledger.csv            per run: field, injected and observer energies
+
+``tests/test_outputs.py`` holds this block to what ``gmpkit all`` writes: a
+file it does not name, or a line no file matches, fails the suite.
 
 Each stage replaces its outputs whole (``_stage_outputs``): it removes
 the old ones when it starts, writes the new ones into ``.gmpkit-staging/``
@@ -641,7 +643,9 @@ def _run_doc(run) -> dict:
     }
 
 
-def _run_to_files(run, out_dir: Path, tag: str) -> None:
+def _write_trajectory(run, out_dir: Path, tag: str) -> None:
+    """``<tag>_trajectory.csv``: the run's samples. Its ledgers are not written, since
+    ``vel``, ``force_field`` and ``alpha`` give them back bit for bit (see the README)."""
     traj = SampledSignal(
         sample_rate=1.0 / (run.times[1] - run.times[0]),
         start_time=float(run.times[0]),
@@ -650,13 +654,6 @@ def _run_to_files(run, out_dir: Path, tag: str) -> None:
                               run.force_limb, run.alpha]),
     )
     write_csv(traj, out_dir / f"{tag}_trajectory.csv")
-    ledger = SampledSignal(
-        sample_rate=traj.sample_rate,
-        start_time=traj.start_time,
-        channels=("field_energy", "injected_energy", "observer_w"),
-        data=np.column_stack([run.field_energy_series, run.injected_series, run.observer_w]),
-    )
-    write_csv(ledger, out_dir / f"{tag}_ledger.csv")
 
 
 def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
@@ -692,7 +689,7 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
                       duration=scenario.duration_s, rate=config.rates.robot_hz, seed=scenario.seed,
                       safety_factor=scenario.safety_factor)
         baseline = run_interconnection(gmp_map=None, **common)
-        _run_to_files(baseline, out, "baseline")
+        _write_trajectory(baseline, out, "baseline")
         summary = {
             "scenario": {
                 "field_kind": field_spec.kind,
@@ -707,7 +704,7 @@ def stabilize_study(config: StudyConfig, out_dir, map_path=None) -> dict:
         }
         if gmp_map is not None:
             with_map = run_interconnection(gmp_map=gmp_map, **common)
-            _run_to_files(with_map, out, "with_map")
+            _write_trajectory(with_map, out, "with_map")
             summary["with_map"] = {**_run_doc(with_map), "eop_budget": with_map.budget_rate}
             if baseline.bounded and with_map.bounded:
                 savings = dissipation_savings(with_map, baseline)

@@ -6,8 +6,8 @@
 - ``study/``: the small text outputs, verbatim (``manifest.json``,
   ``analysis/``, ``stats/`` and ``stabilize/summary.json``);
 - ``digests.json``: the sha256 of every other output (the trial and MVC
-  files and the stabilizer's trajectory and ledger CSVs), and the Python,
-  numpy and zlib versions and the machine that wrote them.
+  files and the stabilizer's trajectory CSVs), and the Python, numpy and
+  zlib versions and the machine that wrote them.
 
 ``test_reference.py`` reruns the study. Under the recorded versions every
 output must match byte for byte. The bytes depend on numpy's float paths

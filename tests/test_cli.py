@@ -342,12 +342,12 @@ def test_stabilize_passive_scenario(tmp_path):
 def test_stabilize_without_map_removes_stale_with_map_outputs(tmp_path):
     path, out = write_config(tmp_path)
     assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
-    with_map_files = [out / "stabilize" / "with_map_trajectory.csv", out / "stabilize" / "with_map_ledger.csv"]
-    assert all(p.exists() for p in with_map_files)
+    stabilize = out / "stabilize"
+    assert sorted(p.name for p in stabilize.iterdir()) == [
+        "baseline_trajectory.csv", "summary.json", "with_map_trajectory.csv"]
     assert cli.main(["stabilize", "--config", str(path)]) == cli.EXIT_OK
-    assert "with_map" not in json.loads((out / "stabilize" / "summary.json").read_text())
-    assert not any(p.exists() for p in with_map_files)
-    assert (out / "stabilize" / "baseline_trajectory.csv").exists()
+    assert "with_map" not in json.loads((stabilize / "summary.json").read_text())
+    assert sorted(p.name for p in stabilize.iterdir()) == ["baseline_trajectory.csv", "summary.json"]
 
 
 def test_stabilize_refuses_frequency_outside_map(tmp_path):

@@ -117,6 +117,16 @@ def test_degenerate_samples():
             wilcoxon_signed_rank(paired_from_differences([1.0] * 5), sidedness=sidedness)
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_paired_sample_refuses_non_finite_values(side, bad):
+    # a NaN difference would survive d != 0 and be ranked and counted
+    values, zeros = (1.0, 2.0, 3.0, 4.0, bad, 6.0), (0.0,) * 6
+    a, b = (values, zeros) if side == "a" else (zeros, values)
+    with pytest.raises(ValueError, match=rf"paired sample {side}\[4\] is not finite"):
+        PairedSample(a, b)
+
+
 def test_normal_approximation_close_to_exact():
     rng = np.random.default_rng(7)
     worst = 0.0
