@@ -59,7 +59,7 @@ import numpy as np
 
 from . import emg as emg_module
 from .errors import ConfigError, DataError, IntegrationError
-from .signals import SampledSignal, first_order_recurrence
+from .signals import SampledSignal, check_aligned, first_order_recurrence
 
 N_DIRECTIONS = 8
 
@@ -155,7 +155,10 @@ class ActivationProfile:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One perturbation run: its cell's labels (the direction is the spec's) and the recorded signals."""
+    """One perturbation run: its cell's labels (the direction is the spec's) and the recorded signals.
+
+    Force and velocity share rate, start time, length and channel count (:func:`signals.check_aligned`).
+    """
 
     activation_label: str
     frequency_label: str
@@ -166,10 +169,7 @@ class TrialRecord:
     subject_id: str
 
     def __post_init__(self) -> None:
-        if self.force.n_samples != self.velocity.n_samples:
-            raise ValueError("force and velocity lengths differ")
-        if not math.isclose(self.force.sample_rate, self.velocity.sample_rate):
-            raise ValueError("force and velocity rates differ")
+        check_aligned(self.force, self.velocity)
         check_cell(self.spec.direction_index, self.activation_label, self.frequency_label)
 
 
@@ -188,6 +188,13 @@ def check_cell(direction_index: int, activation_label: str, frequency_label: str
         raise ValueError(f"unknown activation label {activation_label!r}")
     if frequency_label not in FREQUENCY_LABELS:
         raise ValueError(f"unknown frequency label {frequency_label!r}")
+
+
+def check_step_rate(rate: float, frequency: float) -> None:
+    """IntegrationError unless a step of ``1/rate`` s leaves MIN_SAMPLES_PER_PERIOD in a ``frequency`` Hz period."""
+    if rate < MIN_SAMPLES_PER_PERIOD * frequency:
+        raise IntegrationError(f"rate {rate} Hz too low for {frequency} Hz perturbation: "
+                               f"need >= {MIN_SAMPLES_PER_PERIOD * frequency} Hz (integration step too large)")
 
 
 def perturbation_direction(direction_index: int) -> np.ndarray:
@@ -308,11 +315,7 @@ def simulate_trial(
     ``frequency_label``, which the caller's protocol assigns; nothing here
     infers them from the target or the frequency.
     """
-    if rate < MIN_SAMPLES_PER_PERIOD * spec.frequency:
-        raise IntegrationError(
-            f"rate {rate} Hz too low for {spec.frequency} Hz perturbation: "
-            f"need >= {MIN_SAMPLES_PER_PERIOD * spec.frequency} Hz (integration step too large)"
-        )
+    check_step_rate(rate, spec.frequency)
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     act_seq, emg_seq = seed_seq.spawn(2)
 

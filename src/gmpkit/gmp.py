@@ -8,8 +8,8 @@ of a spoke: %MVC extrapolation is clamped to the nearest edge, frequency
 extrapolation is refused (no data outside the measured grid). Directions
 are categorical; no interpolation across spokes.
 
-The grid (directions, activation and frequency labels, the tests' column
-order) is :mod:`gmpkit.biomech`'s. A map cell keeps only what the map JSON
+The grid (directions, activation and frequency labels) is
+:mod:`gmpkit.biomech`'s. A map cell keeps only what the map JSON
 stores and :func:`lookup` reads: xi and the measured mean %MVC
 (:class:`MapCell`); the estimate behind it stays with the estimates.
 
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biomech import ACTIVATION_LABELS, FREQUENCY_LABELS, N_DIRECTIONS, TESTS
+from .biomech import ACTIVATION_LABELS, FREQUENCY_LABELS, N_DIRECTIONS
 from .errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from .errors import json_field, json_value, read_json, write_json
 from .passivity import EopEstimate
@@ -281,17 +281,3 @@ def load_map_json(path) -> GmpMap:
         cells[key] = MapCell(json_field(source, cell, "xi", float), pct)
     return GmpMap(subject, cells, frequencies)
 
-
-SPIDER_CSV_HEADER = "direction_deg," + ",".join(f"xi_{code}" for code, _, _ in TESTS)
-
-
-def save_spider_csv(gmp_map: GmpMap, path) -> None:
-    """Spoke-plot data: one row per direction, one xi column per test, in TESTS order."""
-    with open(path, "w", newline="") as fh:
-        fh.write(SPIDER_CSV_HEADER + "\n")
-        for direction in range(N_DIRECTIONS):
-            row = [str(direction * 360 // N_DIRECTIONS)]
-            for _, act, freq in TESTS:
-                cell = gmp_map.cells.get((direction, act, freq))
-                row.append("" if cell is None else repr(float(cell.xi)))
-            fh.write(",".join(row) + "\n")

@@ -151,7 +151,6 @@ def estimate_eop(
     same window, normalized by ``cal``.
     """
     w = snap_window_to_periods(w, trial.spec.frequency, trial.force.sample_rate)
-    check_aligned(trial.force, trial.velocity)
     force, velocity = trial.force.slice(w), trial.velocity.slice(w)
     denominator = trapz_inner(velocity, velocity)
     if denominator <= VELOCITY_ENERGY_THRESHOLD:

@@ -50,12 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import (
-    MIN_SAMPLES_PER_PERIOD,
     ActivationProfile,
     LimbParams,
     PerturbationSpec,
     activation_series,
     analytic_eop,
+    check_step_rate,
 )
 from .errors import ConfigError, IntegrationError, InvalidComparisonError
 from .gmp import GmpMap, lookup
@@ -210,9 +210,7 @@ def run_interconnection(
     """
     if not MIN_COSIM_RATE_HZ <= rate < math.inf:
         raise IntegrationError(f"co-simulation rate must be finite and >= {MIN_COSIM_RATE_HZ:g} Hz, got {rate}")
-    if rate < MIN_SAMPLES_PER_PERIOD * perturbation.frequency:
-        raise IntegrationError(f"rate {rate} Hz too low for {perturbation.frequency} Hz perturbation: need "
-                               f">= {MIN_SAMPLES_PER_PERIOD * perturbation.frequency} Hz (integration step too large)")
+    check_step_rate(rate, perturbation.frequency)
     if duration != perturbation.duration:
         raise IntegrationError(
             f"co-simulation duration {duration} s differs from the perturbation's {perturbation.duration} s"

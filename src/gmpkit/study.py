@@ -11,7 +11,6 @@ Owns the on-disk layout of a run:
       analysis/eop_estimates.csv            one row per estimated cell
       analysis/gmp_<subject>.json           per-subject GMP maps, grid frequencies lowest Hz first
       analysis/gmp_median.json              cohort median map
-      analysis/spider_<subject>.csv         one row per spoke, one xi column per test; also spider_median.csv
       analysis/summary.json                 trial counts, complete maps, warnings
       stats/report.json                     statistical report: KS groups, contrasts, slopes
       stabilize/summary.json                the scenario and each run's verdict and energies
@@ -30,8 +29,8 @@ stage that fails leaves none of its outputs and no staging dir.
 
 The protocol's tests and their order (LR, LS, HR, HS: low or high
 frequency, relaxed or stiff co-activation) come from ``biomech.TESTS``,
-and so do the test codes in trial names, the stats groups and contrasts,
-and the spider columns.
+and so do the test codes in trial names and the stats groups and
+contrasts.
 
 Everything is deterministic for a fixed (config, seed): per-trial random
 streams are derived from the identity of the trial, not from execution
@@ -93,7 +92,7 @@ from .config import EmgConfig, ScenarioConfig, StudyConfig, config_from_sections
 from .emg import MVC_DURATION_S, MVC_RISE_S, MvcCalibration, estimate_mvc, synthesize_emg
 from .errors import (ConfigError, DataError, DegenerateSampleError, IncompleteMapError, MapRangeError,
                      SingularFitError, json_field, read_json, write_json)
-from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json, save_spider_csv
+from .gmp import GmpMap, build_map, fit_trend, load_map_json, lookup, median_map, save_map_json
 from .passivity import EopEstimate, estimate_eop, estimates_from_csv, estimates_to_csv
 from .signals import SampledSignal, Window, write_csv
 from .stabilizer import ForceFieldSpec, dissipation_savings, run_interconnection
@@ -471,10 +470,8 @@ def analyze_study(out_dir, config: StudyConfig) -> AnalysisResult:
         estimates_to_csv(estimates, analysis_dir / "eop_estimates.csv")
         for subject_id, gmp_map in maps.items():
             save_map_json(gmp_map, analysis_dir / f"gmp_{subject_id}.json")
-            save_spider_csv(gmp_map, analysis_dir / f"spider_{subject_id}.csv")
         if median is not None:
             save_map_json(median, analysis_dir / "gmp_median.json")
-            save_spider_csv(median, analysis_dir / "spider_median.csv")
         write_json(analysis_dir / "summary.json", {
             "n_expected": n_expected, "n_missing": n_missing,
             "complete_maps": sorted(m.subject_id for m in complete_maps), "warnings": warnings})

@@ -15,6 +15,7 @@ from gmpkit.biomech import (
     _axis_kinematics,
     _ramp_envelope,
     analytic_eop,
+    check_step_rate,
     load_trial_csv,
     make_cohort,
     perturbation_direction,
@@ -235,8 +236,12 @@ def test_axis_kinematics_are_shared_and_read_only():
 
 
 def test_rate_too_low_raises_integration_error():
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError) as refused:
         run(LimbParams(), frequency=3.0, rate=50.0)
+    with pytest.raises(IntegrationError) as rule:
+        check_step_rate(50.0, 3.0)
+    assert str(refused.value) == str(rule.value)
+    check_step_rate(60.0, 3.0)  # 20 samples per period is enough
 
 
 def test_simulated_force_and_velocity_are_whole_codes():

@@ -125,7 +125,6 @@ def test_full_pipeline_and_outputs(tmp_path):
         "analysis/eop_estimates.csv",
         "analysis/gmp_S1.json",
         "analysis/gmp_median.json",
-        "analysis/spider_S1.csv",
         "stats/report.json",
         "stabilize/summary.json",
         "stabilize/baseline_trajectory.csv",
@@ -310,12 +309,12 @@ def test_failed_reanalysis_removes_stale_median(tmp_path):
     )
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
-    median_files = [out / "analysis" / "gmp_median.json", out / "analysis" / "spider_median.csv"]
-    assert all(p.exists() for p in median_files)
+    median = out / "analysis" / "gmp_median.json"
+    assert median.exists()
     for victim in ("S1_LR_d0.trial", "S1_LS_d5.trial"):  # 2 of 16 trials
         (out / "trials" / victim).unlink()
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_ANALYSIS
-    assert not any(p.exists() for p in median_files)
+    assert not median.exists()
 
 
 def test_all_refuses_single_subject_before_simulating(tmp_path, capsys):

@@ -350,7 +350,7 @@ def test_manifest_without_drawn_values_analyzes_the_same(simulated, tmp_path, ca
         assert "Traceback" not in capsys.readouterr().err
         outputs[name] = {p.relative_to(out): p.read_bytes() for stage in ("analysis", "stats")
                          for p in sorted((out / stage).rglob("*")) if p.is_file()}
-    assert len(outputs["untouched"]) == 9  # estimates, 3 maps, 3 spiders, summary, report
+    assert len(outputs["untouched"]) == 6  # estimates, 3 maps, summary, report
     assert outputs["stripped"] == outputs["untouched"]
 
 
@@ -656,7 +656,7 @@ def disk_full(*args, **kwargs):
 @pytest.mark.parametrize(
     "command, writer, left",
     [
-        ("analyze", "save_spider_csv", ["manifest.json", "mvc", "trials"]),
+        ("analyze", "save_map_json", ["manifest.json", "mvc", "trials"]),
         # the analysis built from the replaced trials goes too
         ("simulate", "save_trial_csv", []),
         ("stabilize", "write_csv", ["analysis", "manifest.json", "mvc", "trials"]),

@@ -1,12 +1,10 @@
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmpkit.biomech import perturbation_direction
 from gmpkit.errors import IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from gmpkit.gmp import (
     build_map,
@@ -15,7 +13,6 @@ from gmpkit.gmp import (
     lookup,
     median_map,
     save_map_json,
-    save_spider_csv,
 )
 from gmpkit.passivity import EopEstimate
 
@@ -255,24 +252,3 @@ def test_map_json_round_trip(tmp_path):
     assert list(back.frequencies.items()) == list(gmp_map.frequencies.items())
     assert back.cells == gmp_map.cells  # every cell under its own label
     assert lookup(back, 2, 0.3, 2.0) == pytest.approx(lookup(gmp_map, 2, 0.3, 2.0))
-
-
-def test_spider_csv_layout(tmp_path):
-    gmp_map = build_map(full_grid(simple_xi), "S1")
-    path = tmp_path / "spider.csv"
-    save_spider_csv(gmp_map, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "direction_deg,xi_LR,xi_LS,xi_HR,xi_HS"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == gmp_map.cells[(0, "relaxed", "low")].xi
-    assert float(first[2]) == gmp_map.cells[(0, "stiff", "low")].xi
-    assert float(first[3]) == gmp_map.cells[(0, "relaxed", "high")].xi
-    assert float(first[4]) == gmp_map.cells[(0, "stiff", "high")].xi
-    degrees = [int(line.split(",")[0]) for line in lines[1:]]
-    assert degrees == [0, 45, 90, 135, 180, 225, 270, 315]
-    # each row's angle is its spoke's
-    for direction, deg in enumerate(degrees):
-        np.testing.assert_allclose(perturbation_direction(direction),
-                                   [math.cos(math.radians(deg)), math.sin(math.radians(deg))], atol=1e-15)

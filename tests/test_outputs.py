@@ -13,14 +13,28 @@ from gmpkit.signals import read_csv
 from test_cli import TINY, write_config
 
 
-def layout_patterns() -> dict[str, re.Pattern]:
-    """Each path of the layout block in ``study``'s docstring, as a pattern over output paths."""
+def layout_paths() -> list[str]:
+    """Each path of the layout block in ``study``'s docstring."""
     doc = study.__doc__
     block = doc[doc.index("    out/\n"):].split("\n\n")[0]
     paths = re.findall(r"^ {6}(\S+)", block, re.M)
     assert paths, "no layout block under 'out/' in the study docstring"
-    return {path: re.compile("[^/]+".join(map(re.escape, re.split(r"<\w+>", path))))
-            for path in paths}
+    return paths
+
+
+def unmatched(files: list[str], paths: list[str]) -> tuple[list[str], list[str]]:
+    """The files that no documented path matches, and the paths that match no file.
+
+    A ``<name>`` in a path stands for any text within one path segment.
+    """
+    patterns = {path: re.compile("[^/]+".join(map(re.escape, re.split(r"<\w+>", path)))) for path in paths}
+    return ([f for f in files if not any(p.fullmatch(f) for p in patterns.values())],
+            [path for path, p in patterns.items() if not any(map(p.fullmatch, files))])
+
+
+def output_files(out) -> list[str]:
+    """Every file under ``out``, by its path relative to ``out``."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
 
 
 def run_all(tmp_path, text):
@@ -41,10 +55,7 @@ def run_all(tmp_path, text):
 
 def test_layout_block_names_every_output_and_nothing_else(tmp_path):
     out, _, _ = run_all(tmp_path, TINY)
-    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-    patterns = layout_patterns()
-    assert [f for f in files if not any(p.fullmatch(f) for p in patterns.values())] == []
-    assert [path for path, p in patterns.items() if not any(map(p.fullmatch, files))] == []
+    assert unmatched(output_files(out), layout_paths()) == ([], [])
 
 
 def running_sum(*steps: np.ndarray) -> np.ndarray:

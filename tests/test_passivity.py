@@ -104,6 +104,19 @@ def test_estimate_eop_homogeneous_in_velocity():
     assert b.xi == pytest.approx(a.xi, rel=2e-4)
 
 
+@pytest.mark.parametrize("misalign, message", [
+    (lambda v: replace(v, start_time=v.start_time + 1.0 / v.sample_rate), "start times differ"),  # one sample late
+    (lambda v: replace(v, sample_rate=v.sample_rate * (1.0 + 1e-10)), "sample rates differ"),
+    (lambda v: replace(v, data=v.data[:-1]), "lengths differ"),
+    (lambda v: replace(v, channels=v.channels[:1], data=v.data[:, :1]), "channel counts differ"),
+], ids=["start", "rate", "length", "channels"])
+def test_trial_with_misaligned_velocity_is_refused_when_built(misalign, message):
+    """A trial's force and velocity share one time base: a record without it cannot be built, let alone estimated."""
+    trial = kv_trial()
+    with pytest.raises(AlignmentError, match=message):
+        replace(trial, velocity=misalign(trial.velocity))
+
+
 def test_estimate_eop_degenerate_trial():
     with pytest.raises(DegenerateTrialError):
         estimate_eop(kv_trial(amplitude=0.0), Window(5.0, 10.0), CAL, *EMG_SETTINGS)

@@ -8,9 +8,10 @@ import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from gmpkit import study
+from gmpkit import cli, study
 from gmpkit.config import default_config, load_config
-from test_cli import subcommand_flags
+from test_cli import subcommand_flags, write_config
+from test_outputs import output_files, unmatched
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -83,3 +84,11 @@ def test_file_formats_name_the_manifest_schema_and_keys(tmp_path):
     manifest = study.simulate_study(config, tmp_path)
     keys = [*manifest, *manifest["streams"]["emg"], *manifest["subjects"][0]]
     assert [key for key in keys if f"`{key}`" not in section] == []
+
+
+def test_file_formats_name_every_output_and_nothing_else(tmp_path):
+    """Each bullet of the section opens with the path of the files it documents: ``* **Name** (`path`...``."""
+    documented = re.findall(r"^\* \*\*[^*]+\*\* \(`([^`]+)`", file_formats(), re.M)
+    path, out = write_config(tmp_path)
+    assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
+    assert unmatched(output_files(out), documented) == ([], [])

@@ -332,7 +332,7 @@ def test_first_order_recurrence_leaves_inputs_alone():
         first_order_recurrence(np.ones(3), np.ones(4))
 
 
-def test_butter_bandpass_zpk_rejects_bad_band():
+def test_bandpass_magnitude_rejects_bad_band():
     for order, band in ((0, (20.0, 450.0)), (4, (450.0, 20.0)), (4, (20.0, 1100.0))):
         with pytest.raises(ValueError):
             _bandpass_magnitude(order, band, 2148.0, 6480)

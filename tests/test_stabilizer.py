@@ -10,6 +10,7 @@ from gmpkit.biomech import (
     PerturbationSpec,
     activation_series,
     analytic_eop,
+    check_step_rate,
     make_cohort,
 )
 from gmpkit.errors import ConfigError, IntegrationError, InvalidComparisonError, MapRangeError
@@ -217,8 +218,11 @@ def test_step_rule_is_the_trials():
     # a trial needs MIN_SAMPLES_PER_PERIOD samples per period; so does the co-simulation
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
     for hz in (51.0, 400.0):
-        with pytest.raises(IntegrationError, match="integration step too large"):
+        with pytest.raises(IntegrationError, match="integration step too large") as refused:
             run(field, perturbation=dataclasses.replace(SHORT_PERT, frequency=hz, duration=0.5))
+        with pytest.raises(IntegrationError) as rule:
+            check_step_rate(1000.0, hz)
+        assert str(refused.value) == str(rule.value)
     assert run(field, perturbation=dataclasses.replace(SHORT_PERT, frequency=50.0, duration=0.5)).times.size == 501
 
 
