@@ -173,6 +173,10 @@ class StudyConfig:
                             ("frequency_hz", s.frequency_hz)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"stabilizer.{name} must be finite and > 0, got {value}")
+        # run_interconnection's round(duration * rate) + 1 samples; the trajectory's rate needs two
+        if round(s.duration_s * self.rates.robot_hz) < 1:
+            raise ConfigError(f"stabilizer.duration_s = {s.duration_s} is shorter than one step of "
+                              f"rates.robot_hz = {self.rates.robot_hz:g}")
         # the co-simulation's step rule is the trials'
         if self.rates.robot_hz < MIN_SAMPLES_PER_PERIOD * s.frequency_hz:
             raise ConfigError(f"stabilizer.frequency_hz = {s.frequency_hz} exceeds rates.robot_hz / "

@@ -309,13 +309,15 @@ def _fast_fft_length(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> np.ndarray:
-    """The magnitude response |H| of a digital Butterworth band-pass on the rfft grid of length ``nfft``; read-only.
+def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> tuple[np.ndarray, float]:
+    """The magnitude response |H| of a digital Butterworth band-pass on the rfft grid of length ``nfft``, read-only,
+    and its power, the sum of |H|^2 over the bins.
 
     The closed form of the bilinear design, any order >= 1: with ``W = tan(pi f / rate)`` at a
     frequency f, and ``W_lo``, ``W_hi`` at the band edges, ``|H| = 1 / sqrt(1 + x^(2 order))``
     where ``x = (W^2 - W_lo W_hi) / ((W_hi - W_lo) W)``. The DC and Nyquist bins are exactly
-    zero, where the filter's zeros sit.
+    zero, where the filter's zeros sit. The power is computed here, once per cached grid: above
+    about 10,000 bins, OpenBLAS runs the dot product on a second thread, which then spins.
     """
     low, high = band
     if order < 1 or not 0 < low < high < rate / 2.0:
@@ -326,7 +328,7 @@ def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft
     magnitude = np.zeros(nfft // 2 + 1)
     magnitude[1:len(w) + 1] = 1.0 / np.sqrt(1.0 + ((w * w - w_lo * w_hi) / ((w_hi - w_lo) * w)) ** (2 * order))
     magnitude.flags.writeable = False
-    return magnitude
+    return magnitude, float(magnitude @ magnitude)
 
 
 def bandpass_noise(rng: np.random.Generator, rows: int, n: int, order: int, band: tuple[float, float],
@@ -341,8 +343,7 @@ def bandpass_noise(rng: np.random.Generator, rows: int, n: int, order: int, band
     Nyquist is left to carry the noise, as for one or two samples.
     """
     nfft = _fast_fft_length(n)
-    magnitude = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
-    power = float(magnitude @ magnitude)
+    magnitude, power = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
     if not power > 0:
         raise ValueError(f"{n} samples at {rate} Hz have no frequency bin inside the band {band}")
     spectrum = np.empty((rows, len(magnitude)), dtype=complex)

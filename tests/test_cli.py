@@ -368,6 +368,8 @@ def test_stabilize_refuses_frequency_outside_map(tmp_path):
     ("duration_s", "nan"), ("duration_s", "0"), ("frequency_hz", "0"), ("activation", "2"),
     ("spring_delay_s", "nan"), ("amplitude_m", "nan"), ("safety_factor", "nan"),
     ("field_damping", "nan"), ("seed", "-3"), ("frequency_hz", "400"),
+    # one sample at 1 kHz: the trajectory has no step to take its rate from
+    ("duration_s", "0.0004"),
 ])
 def test_stabilize_refuses_bad_scenario_values(tmp_path, capsys, key, value):
     path, out = write_config(tmp_path, f"[stabilizer]\n{key} = {value}\n")

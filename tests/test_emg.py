@@ -66,7 +66,7 @@ def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAN
     n_out = round(activation.duration * rate) + 1
     t_out = activation.start_time + np.arange(n_out) / rate
     nfft = _fast_fft_length(n_out)
-    magnitude = _bandpass_magnitude(order, band, rate, nfft)
+    magnitude, _ = _bandpass_magnitude(order, band, rate, nfft)
     spectrum = np.array([rng.standard_normal(2 * len(magnitude)).view(complex) for _ in mvc_rms])
     inner = magnitude[1:(nfft + 1) // 2]
     scale = nfft / (2 * np.sqrt(np.sum(inner ** 2)))

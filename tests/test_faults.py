@@ -1,9 +1,12 @@
 """Fault injection: damaged or partial study inputs end in typed errors.
 
-Each test damages a copy of one small simulated study and runs
-``gmpkit analyze`` in-process, or damages a GMP map JSON and runs
-``gmpkit stabilize --map`` on it, so an exception that escaped the CLI's
-typed error handling would fail the test.
+Each test damages a copy of one small study, or a GMP map JSON, and runs
+the stage that reads it in-process, so an exception that escaped the CLI's
+typed error handling would fail the test. The damage sweep at the end takes
+every file of the ``study.py`` layout block that a stage reads, empties,
+halves, cuts, extends, bit-flips, replaces or deletes it (hypothesis picks
+the file, the bit and the bytes, the same on every run), and checks the
+stage's exit code and outputs; the cases before it pin particular defects.
 """
 
 import io
@@ -12,13 +15,14 @@ import math
 import re
 import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gmpkit import cli, study as study_module
-from gmpkit.biomech import load_samples, load_trial_csv, stored_samples
+from gmpkit.biomech import TESTS, load_samples, load_trial_csv, stored_samples
 from gmpkit.config import load_config
 from gmpkit.emg import EMG_LSB_MV
 from gmpkit.errors import DataError
@@ -26,6 +30,7 @@ from gmpkit.gmp import build_map, save_map_json
 from gmpkit.passivity import EopEstimate
 from gmpkit.study import SCHEMA_VERSION, _read_manifest, load_manifest, mvc_files, trial_file, trial_plan
 from test_biomech import trial_codes
+from test_outputs import layout_paths, layout_pattern, output_files
 
 STUDY = """
 [cohort]
@@ -35,30 +40,42 @@ seed = 31
 [protocol]
 duration_s = 3.0
 analysis_window_s = 2.0
+
+[stabilizer]
+duration_s = 1.0
 """
+
+
+def config_for(out):
+    """The path of a config of ``STUDY`` whose output dir is ``out``, written next to it."""
+    path = out.parent / "study.ini"
+    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    return path
+
+
+def copy_study(source, root):
+    """A copy of the study ``source`` at ``root / "out"``, and the path of a config that points at it."""
+    out = root / "out"
+    shutil.copytree(source, out)
+    return out, config_for(out)
 
 
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
-    root = tmp_path_factory.mktemp("faults")
-    path = root / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {root / 'out'}\n")
-    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-    return root / "out"
+    out = tmp_path_factory.mktemp("faults") / "out"
+    assert cli.main(["simulate", "--config", str(config_for(out))]) == cli.EXIT_OK
+    return out
 
 
 @pytest.fixture
 def study(simulated, tmp_path):
     """A fresh copy of the simulated study and a config that points at it."""
-    out = tmp_path / "out"
-    shutil.copytree(simulated, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
-    return out, path
+    return copy_study(simulated, tmp_path)
 
 
-def analyze(path, capsys):
-    code = cli.main(["analyze", "--config", str(path)])
+def gmpkit(command, path, capsys, *args):
+    """``gmpkit <command>`` in-process on the config at ``path``: its exit code and stderr, which holds no traceback."""
+    code = cli.main([command, "--config", str(path), *args])
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return code, err
@@ -91,25 +108,12 @@ def npy_bytes(array):
     return buffer.getvalue()
 
 
-def test_truncated_trial_is_one_warning(study, capsys):
-    out, path = study
-    truncate(out / "trials" / "S1_LR_d0.trial")
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_OK
-    assert "unreadable trial S1_LR_d0" in err
-    summary = json.loads((out / "analysis" / "summary.json").read_text())
-    assert summary["n_missing"] == 1
-    assert summary["complete_maps"] == ["S2"]
-
-
 def test_missing_trial_warning_does_not_depend_on_the_output_dir(simulated, tmp_path, capsys):
     summaries = []
     for out in (tmp_path / "a" / "out", tmp_path / "another" / "place"):
         shutil.copytree(simulated, out)
         (out / "trials" / "S1_LR_d0.trial").unlink()
-        path = out.parent / "study.ini"
-        path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
-        assert analyze(path, capsys)[0] == cli.EXIT_OK
+        assert gmpkit("analyze", config_for(out), capsys)[0] == cli.EXIT_OK
         summaries.append((out / "analysis" / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert json.loads(summaries[0])["warnings"] == [
@@ -128,7 +132,7 @@ def test_damage_above_budget_fails_analysis(study, capsys):
         victim.unlink()
     for victim in trials[4:7]:
         truncate(victim)
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert "7/64 trials missing or unreadable" in err
 
@@ -137,7 +141,7 @@ def test_subject_without_high_frequency_trials_has_an_incomplete_map(study, caps
     out, path = study
     for victim in (out / "trials").glob("S1_H?_d?.trial"):
         victim.unlink()
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS  # 16 of 64 trials missing, above the budget
     assert "map S1 missing 16 cells" in err
     summary = json.loads((out / "analysis" / "summary.json").read_text())
@@ -176,34 +180,24 @@ def test_damaged_mvc_recording_is_a_data_error(study, capsys, damage, named, rea
     files = mvc_files("S2")
     paths = [out / rel for rel in files]
     damage(out, files)
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert all(str(paths[i]) in err for i in named)
     assert reason in err
     assert not (out / "analysis").exists()
 
 
-def test_schema_1_manifest_is_a_typed_error(study, capsys):
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 1
-    del manifest["streams"], manifest["tests"]
-    for subject in manifest["subjects"]:
+def schema_1(doc, config):
+    """Each trial as one CSV, with no streams or tests table."""
+    del doc["streams"], doc["tests"]
+    for subject in doc["subjects"]:
         subject["trials"] = [{"trial_id": t, "csv": f"trials/{t}.csv"} for t in subject["trials"]]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert "schema version 1" in err
 
 
-def test_schema_2_manifest_is_a_typed_error(study, capsys):
-    """Schema 2 listed each trial's cell and files; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    config = load_config(path)
-    tests = manifest.pop("tests")
-    manifest["schema_version"] = 2
-    for subject in manifest["subjects"]:
+def schema_2(doc, config):
+    """Each trial's cell and files listed."""
+    del doc["tests"]
+    for subject in doc["subjects"]:
         subject["trials"] = [
             {"trial_id": trial_id, "test": test["code"], "direction": spec.direction_index,
              "activation_label": test["activation_label"], "frequency_label": test["frequency_label"],
@@ -211,123 +205,83 @@ def test_schema_2_manifest_is_a_typed_error(study, capsys):
              "robot_file": f"trials/{trial_id}.zlib", "emg_file": f"trials/{trial_id}_emg.npy"}
             for _, trial_id, test, spec in trial_plan(config, subject["subject_id"])
         ]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert "schema version 2 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_3_manifest_is_a_typed_error(study, capsys):
-    """Schema 3 stored float64 EMG and listed the MVC files; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 3
-    for stream in manifest["streams"].values():
+def schema_3(doc, config):
+    """float64 EMG, and the MVC files listed."""
+    for stream in doc["streams"].values():
         del stream["dtype"]
-    for subject in manifest["subjects"]:
+    for subject in doc["subjects"]:
         subject["mvc_recordings"] = mvc_files(subject["subject_id"])
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert "schema version 3 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_4_manifest_is_a_typed_error(study, capsys):
-    """Schema 4 stored float64 force and velocity, the cohort seed twice and the MVC levels; it is refused."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 4
-    manifest["seed"] = manifest["config"]["cohort"]["seed"]
-    manifest["streams"]["robot"]["dtype"] = "<f8"
-    for subject in manifest["subjects"]:
+def schema_4(doc, config):
+    """float64 force and velocity, the cohort seed twice and the MVC levels."""
+    doc["seed"] = doc["config"]["cohort"]["seed"]
+    doc["streams"]["robot"]["dtype"] = "<f8"
+    for subject in doc["subjects"]:
         subject["mvc_rms"] = subject["mvc_rms_true"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert "schema version 4 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_5_manifest_is_a_typed_error(study, capsys):
-    """Schema 5 stored the EMG as float32 mV, with no code step; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 5
-    manifest["streams"]["robot"]["dtype"] = manifest["streams"]["emg"]["dtype"] = "<f4"
-    for stream in manifest["streams"].values():
+def schema_5(doc, config):
+    """The EMG as float32 mV, with no code step."""
+    doc["streams"]["robot"]["dtype"] = doc["streams"]["emg"]["dtype"] = "<f4"
+    for stream in doc["streams"].values():
         del stream["lsb"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert f"manifest {out / 'manifest.json'}: schema version 5 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_6_manifest_is_a_typed_error(study, capsys):
-    """Schema 6 stored force and velocity as float32, and the EMG code step as lsb_mv; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 6
-    robot, emg = manifest["streams"]["robot"], manifest["streams"]["emg"]
+def schema_6(doc, config):
+    """Force and velocity as float32, and the EMG code step as lsb_mv."""
+    robot, emg = doc["streams"]["robot"], doc["streams"]["emg"]
     robot["dtype"] = "<f4"
     del robot["lsb"]
     emg["lsb_mv"] = emg.pop("lsb")[0]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert f"manifest {out / 'manifest.json'}: schema version 6 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_7_manifest_is_a_typed_error(study, capsys):
-    """Schema 7 recorded a test_order per subject, which the trials did not run in; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 7
-    for subject in manifest["subjects"]:
+def schema_7(doc, config):
+    """A test_order per subject, which the trials did not run in."""
+    for subject in doc["subjects"]:
         subject["test_order"] = ["HS", "LR", "HR", "LS"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert f"manifest {out / 'manifest.json'}: schema version 7 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_8_manifest_is_a_typed_error(study, capsys):
-    """Schema 8 stored every array as an (n, 4) .npy, the robot stream raw; it is refused, not read."""
-    out, path = study
-    manifest = load_manifest(out)
-    manifest["schema_version"] = 8
-    for stream in manifest["streams"].values():
+def schema_8(doc, config):
+    """Every array as an (n, 4) .npy, the robot stream raw."""
+    for stream in doc["streams"].values():
         del stream["layout"], stream["encoding"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_ANALYSIS
-    assert f"manifest {out / 'manifest.json'}: schema version 8 is not supported" in err
-    assert "re-run simulate" in err
-    assert not (out / "analysis").exists()
 
 
-def test_schema_9_manifest_is_a_typed_error(study, capsys):
-    """Schema 9 stored each trial as a robot file and an EMG .npy, with no CRC-32; it is refused, not read."""
+def schema_9(doc, config):
+    """Each trial as a robot file and an EMG .npy, with no CRC-32."""
+    doc["streams"]["emg"]["encoding"] = "npy"
+    for subject in doc["subjects"]:
+        del subject["crc32"]
+
+
+@pytest.mark.parametrize(
+    "version, edit, message",
+    [
+        (1, schema_1, "schema version 1"),
+        (2, schema_2, "schema version 2 is not supported"),
+        (3, schema_3, "schema version 3 is not supported"),
+        (4, schema_4, "schema version 4 is not supported"),
+        (5, schema_5, "manifest {manifest}: schema version 5 is not supported"),
+        (6, schema_6, "manifest {manifest}: schema version 6 is not supported"),
+        (7, schema_7, "manifest {manifest}: schema version 7 is not supported"),
+        (8, schema_8, "manifest {manifest}: schema version 8 is not supported"),
+        (9, schema_9, "manifest {manifest}: schema version 9 is not supported"),
+    ],
+    ids=[f"schema-{version}" for version in range(1, 10)],
+)
+def test_retired_schema_manifest_is_a_typed_error(study, capsys, version, edit, message):
+    """A manifest of each retired schema, rebuilt from this one by ``edit``, is refused, not read."""
     out, path = study
     manifest = load_manifest(out)
-    manifest["schema_version"] = 9
-    manifest["streams"]["emg"]["encoding"] = "npy"
-    for subject in manifest["subjects"]:
-        del subject["crc32"]
+    manifest["schema_version"] = version
+    edit(manifest, load_config(path))
     (out / "manifest.json").write_text(json.dumps(manifest))
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS
-    assert f"manifest {out / 'manifest.json'}: schema version 9 is not supported" in err
+    assert message.format(manifest=out / "manifest.json") in err
     assert "re-run simulate" in err
     assert not (out / "analysis").exists()
 
@@ -336,18 +290,14 @@ def test_manifest_without_drawn_values_analyzes_the_same(simulated, tmp_path, ca
     """analyze reads no subject's params or mvc_rms_true, so a manifest without them gives the same outputs."""
     outputs = {}
     for name in ("untouched", "stripped"):
-        out = tmp_path / name
-        shutil.copytree(simulated, out)
+        out, path = copy_study(simulated, tmp_path / name)
         if name == "stripped":
             manifest = load_manifest(out)
             for subject in manifest["subjects"]:
                 del subject["params"], subject["mvc_rms_true"]
             (out / "manifest.json").write_text(json.dumps(manifest))
-        path = tmp_path / f"{name}.ini"
-        path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
-        assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
-        assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
-        assert "Traceback" not in capsys.readouterr().err
+        assert gmpkit("analyze", path, capsys)[0] == cli.EXIT_OK
+        assert gmpkit("stats", path, capsys)[0] == cli.EXIT_OK
         outputs[name] = {p.relative_to(out): p.read_bytes() for stage in ("analysis", "stats")
                          for p in sorted((out / stage).rglob("*")) if p.is_file()}
     assert len(outputs["untouched"]) == 6  # estimates, 3 maps, summary, report
@@ -357,7 +307,7 @@ def test_manifest_without_drawn_values_analyzes_the_same(simulated, tmp_path, ca
 def test_torn_manifest_is_a_data_error(study, capsys):
     out, path = study
     truncate(out / "manifest.json")
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert f"cannot read manifest {out / 'manifest.json'}" in err
 
@@ -480,7 +430,7 @@ def test_wrong_shaped_manifest_is_a_data_error(study, capsys, edit, reason):
     out, path = study
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_ANALYSIS
     assert f"manifest {manifest_path}: " in err
     assert reason in err
@@ -519,7 +469,7 @@ def test_every_manifest_leaf_is_checked(study, capsys):
         node[key] = changed = value + "x" if isinstance(value, str) else value + 1
         manifest_path.write_text(json.dumps(doc))
         node[key] = value
-        code, err = analyze(path, capsys)
+        code, err = gmpkit("analyze", path, capsys)
         assert code == cli.EXIT_ANALYSIS, leaf
         assert f"manifest {manifest_path}: {leaf} is {changed!r}, where simulate writes {value!r}" in err, leaf
     assert not (out / "analysis").exists()
@@ -527,10 +477,7 @@ def test_every_manifest_leaf_is_checked(study, capsys):
 
 @pytest.fixture(scope="module")
 def analyzed(simulated, tmp_path_factory):
-    out = tmp_path_factory.mktemp("analyzed") / "out"
-    shutil.copytree(simulated, out)
-    path = out.parent / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    out, path = copy_study(simulated, tmp_path_factory.mktemp("analyzed"))
     assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_OK
     return out
 
@@ -580,35 +527,13 @@ def set_fields(**values):
          "xi-inf", "duplicate-row"],
 )
 def test_damaged_estimates_csv_is_a_data_error(analyzed, tmp_path, capsys, damage, reason):
-    out = tmp_path / "out"
-    shutil.copytree(analyzed, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    out, path = copy_study(analyzed, tmp_path)
     csv_path = out / "analysis" / "eop_estimates.csv"
     damage(csv_path)
-    code = cli.main(["stats", "--config", str(path)])
-    err = capsys.readouterr().err
+    code, err = gmpkit("stats", path, capsys)
     assert code == cli.EXIT_ANALYSIS
-    assert "Traceback" not in err
     assert str(csv_path) in err
     assert re.search(reason, err)
-    assert not (out / "stats").exists()
-
-
-def test_damaged_estimates_csv_removes_the_previous_stats(analyzed, tmp_path, capsys):
-    """stats removes its old outputs before it reads the CSV, so a refused CSV leaves no stale report."""
-    out = tmp_path / "out"
-    shutil.copytree(analyzed, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
-    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
-    assert (out / "stats" / "report.json").exists()
-    csv_path = out / "analysis" / "eop_estimates.csv"
-    csv_path.write_bytes(csv_path.read_bytes()[:200])
-    capsys.readouterr()
-    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_ANALYSIS
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and str(csv_path) in err
     assert not (out / "stats").exists()
 
 
@@ -616,10 +541,8 @@ def test_rerun_with_fewer_subjects_leaves_no_stale_file(tmp_path, capsys):
     """Each stage replaces its outputs whole, so no file of the third subject outlives the 3-subject run."""
     out, path = tmp_path / "out", tmp_path / "study.ini"
     for subjects in (3, 2):
-        path.write_text(STUDY.replace("subjects = 2", f"subjects = {subjects}")
-                        + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {out}\n")
-        assert cli.main(["all", "--config", str(path)]) == cli.EXIT_OK
-    assert "Traceback" not in capsys.readouterr().err
+        path.write_text(STUDY.replace("subjects = 2", f"subjects = {subjects}") + f"\n[output]\ndir = {out}\n")
+        assert gmpkit("all", path, capsys)[0] == cli.EXIT_OK
     assert [p.name for p in out.rglob("*") if "S3" in p.name] == []
     assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "stabilize", "stats",
                                                      "trials"]
@@ -627,25 +550,18 @@ def test_rerun_with_fewer_subjects_leaves_no_stale_file(tmp_path, capsys):
 
 def test_failed_analysis_leaves_no_analysis_for_stats(analyzed, tmp_path, capsys):
     """A refused manifest removes the previous analysis/, so stats has nothing stale to report on."""
-    out = tmp_path / "out"
-    shutil.copytree(analyzed, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    out, path = copy_study(analyzed, tmp_path)
     (out / "manifest.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
-    assert analyze(path, capsys)[0] == cli.EXIT_ANALYSIS
-    assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_IO
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "eop_estimates.csv" in err
+    assert gmpkit("analyze", path, capsys)[0] == cli.EXIT_ANALYSIS
+    code, err = gmpkit("stats", path, capsys)
+    assert code == cli.EXIT_IO and "eop_estimates.csv" in err
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mvc", "trials"]
 
 
 def test_analysis_removes_the_report_built_from_the_one_it_replaces(analyzed, tmp_path, capsys):
-    out = tmp_path / "out"
-    shutil.copytree(analyzed, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[output]\ndir = {out}\n")
+    out, path = copy_study(analyzed, tmp_path)
     assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
-    assert analyze(path, capsys)[0] == cli.EXIT_OK
+    assert gmpkit("analyze", path, capsys)[0] == cli.EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "trials"]
 
 
@@ -665,16 +581,12 @@ def disk_full(*args, **kwargs):
 def test_stage_failing_midway_leaves_none_of_its_outputs(analyzed, tmp_path, capsys, monkeypatch, command,
                                                           writer, left):
     """A stage that fails after it has written some outputs leaves none of them, old or new, and no staging dir."""
-    out = tmp_path / "out"
-    shutil.copytree(analyzed, out)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {out}\n")
+    out, path = copy_study(analyzed, tmp_path)
     if command == "stabilize":
         assert cli.main(["stabilize", "--config", str(path)]) == cli.EXIT_OK
     monkeypatch.setattr(study_module, writer, disk_full)
-    assert cli.main([command, "--config", str(path)]) == cli.EXIT_IO
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "No space left on device" in err
+    code, err = gmpkit(command, path, capsys)
+    assert code == cli.EXIT_IO and "No space left on device" in err
     assert sorted(p.name for p in out.iterdir()) == left
 
 
@@ -809,36 +721,25 @@ def test_every_bit_flip_of_a_robot_file_is_refused_or_changes_nothing(simulated,
     assert refused > 0.9 * 8 * len(blob)
 
 
+def estimate_rows(out):
+    return (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+
+
 def analyzed_study(study, capsys):
     """The study analyzed, with its stats; returns the rows of its ``eop_estimates.csv``."""
     out, path = study
-    assert analyze(path, capsys)[0] == cli.EXIT_OK
+    assert gmpkit("analyze", path, capsys)[0] == cli.EXIT_OK
     assert cli.main(["stats", "--config", str(path)]) == cli.EXIT_OK
-    return (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
+    return estimate_rows(out)
 
 
 def assert_trials_skipped(out, before, cells):
     """analysis/ holds the rows of ``before`` but those of ``cells``, and the stats built on the old one are gone."""
-    after = (out / "analysis" / "eop_estimates.csv").read_text().splitlines()
-    assert after == [row for row in before if not row.startswith(cells)]
+    assert estimate_rows(out) == [row for row in before if not row.startswith(cells)]
     assert sorted(p.name for p in out.iterdir()) == ["analysis", "manifest.json", "mvc", "trials"]
 
 
 CRC_MISMATCH = "the file's bytes do not match the manifest's CRC-32"
-
-
-def test_flipped_robot_file_is_that_trials_warning(study, capsys):
-    """A bit flipped inside a trial's zlib stream skips that trial with a warning; the others read as before."""
-    out, path = study
-    before = analyzed_study(study, capsys)
-    victim = out / "trials" / "S1_LR_d0.trial"
-    blob = bytearray(victim.read_bytes())
-    blob[len(robot_stream(trial_codes(victim)[0])) // 2] ^= 0x10
-    victim.write_bytes(blob)
-    code, err = analyze(path, capsys)
-    assert code == cli.EXIT_OK
-    assert f"unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: {CRC_MISMATCH}" in err
-    assert_trials_skipped(out, before, "S1,0,relaxed,low,")
 
 
 def test_swapped_trial_files_are_two_warnings(study, capsys):
@@ -849,7 +750,7 @@ def test_swapped_trial_files_are_two_warnings(study, capsys):
     blobs = first.read_bytes(), second.read_bytes()
     first.write_bytes(blobs[1])
     second.write_bytes(blobs[0])
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_OK
     for trial_id in ("S1_LR_d0", "S1_HS_d0"):
         assert f"unreadable trial {trial_id}: trials/{trial_id}.trial: {CRC_MISMATCH}" in err
@@ -872,7 +773,7 @@ def test_one_row_robot_stream_is_refused(simulated, study, tmp_path, capsys):
     shifted = load_first_trial(simulated, tmp_path / "one_row.trial", zlib.crc32(blob))
     assert np.array_equal(shifted.force.data[:, 1], (robot[1] - robot[0, -1]).astype("<i2") * 2.0 ** -6)
     victim.write_bytes(blob)
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_OK
     assert f"unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: {CRC_MISMATCH}" in err
     assert_trials_skipped(out, before, "S1,0,relaxed,low,")
@@ -884,14 +785,14 @@ def test_trial_file_with_a_megabyte_appended_is_that_trials_warning(study, capsy
     before = analyzed_study(study, capsys)
     with open(out / "trials" / "S1_LR_d0.trial", "ab") as fh:
         fh.write(bytes(2 ** 20))
-    code, err = analyze(path, capsys)
+    code, err = gmpkit("analyze", path, capsys)
     assert code == cli.EXIT_OK
     assert "unreadable trial S1_LR_d0: trials/S1_LR_d0.trial: longer than the " in err
     assert_trials_skipped(out, before, "S1,0,relaxed,low,")
 
 
 @pytest.mark.parametrize("part", ["robot", "emg", "mvc"])
-@settings(max_examples=10, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_one_flipped_bit_is_refused(study, capsys, part, data):
     """One bit flipped anywhere in a trial file, in its zlib stream or in its EMG, is that trial's warning;
@@ -906,7 +807,7 @@ def test_one_flipped_bit_is_refused(study, capsys, part, data):
     flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
     (out / rel).write_bytes(flipped)
     try:
-        code, err = analyze(path, capsys)
+        code, err = gmpkit("analyze", path, capsys)
         if part == "mvc":
             assert code == cli.EXIT_ANALYSIS
             assert f"{out / rel}: {CRC_MISMATCH}" in err
@@ -974,12 +875,102 @@ def test_damaged_map_json_is_a_data_error(tmp_path, capsys, damage, reason):
     ]
     save_map_json(build_map(cells, "MAP"), map_path)
     damage(map_path)
-    path = tmp_path / "study.ini"
-    path.write_text(STUDY + f"\n[stabilizer]\nduration_s = 1.0\n\n[output]\ndir = {tmp_path / 'out'}\n")
-    code = cli.main(["stabilize", "--config", str(path), "--map", str(map_path)])
-    err = capsys.readouterr().err
+    code, err = gmpkit("stabilize", config_for(tmp_path / "out"), capsys, "--map", str(map_path))
     assert code == cli.EXIT_ANALYSIS
-    assert "Traceback" not in err
     assert str(map_path) in err
     assert reason in err
     assert not (tmp_path / "out").exists()
+
+
+# -- the damage sweep: every stored file, damaged each way, read by its stage --------------
+
+READ_OR_REFUSED = (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_ANALYSIS)
+# the stage that reads each entry of the study.py layout block, and the exits it may end in on a damaged file;
+# the estimates CSV and the maps carry no CRC-32, so a changed value in them may be read as found
+READERS = {
+    "manifest.json": ("analyze", READ_OR_REFUSED),
+    "mvc/<subject>_rep<k>.emg": ("analyze", (cli.EXIT_ANALYSIS,)),
+    "trials/<subject>_<test>_d<i>.trial": ("analyze", (cli.EXIT_OK,)),
+    "analysis/eop_estimates.csv": ("stats", READ_OR_REFUSED),
+    # a grid that no longer holds the scenario's frequency is a refused scenario, exit 2
+    "analysis/gmp_<subject>.json": ("stabilize", (cli.EXIT_CONFIG, *READ_OR_REFUSED)),
+    "analysis/gmp_median.json": ("stabilize", (cli.EXIT_CONFIG, *READ_OR_REFUSED)),
+}
+# a new entry of the layout block goes in READERS or here
+READ_BY_NO_STAGE = ["analysis/summary.json", "stats/report.json", "stabilize/summary.json",
+                    "stabilize/<run>_trajectory.csv"]
+# the outputs a stage replaces, which it leaves none of when it fails
+REPLACES = {"analyze": ["analysis", "stats"], "stats": ["stats"], "stabilize": ["stabilize"]}
+
+
+def flip_bit(blob, data):
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    return bytes(flipped)
+
+
+# each maps a file's bytes to the damaged bytes, or to None for a deleted file
+DAMAGES = {
+    "emptied": lambda blob, data: b"",
+    "halved": lambda blob, data: blob[:len(blob) // 2],
+    "last-byte-cut": lambda blob, data: blob[:-1],
+    "byte-appended": lambda blob, data: blob + data.draw(st.binary(min_size=1, max_size=1)),
+    "bit-flipped": flip_bit,
+    "64-random-bytes": lambda blob, data: data.draw(st.binary(min_size=64, max_size=64)),
+    "deleted": lambda blob, data: None,
+}
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A study that ``gmpkit all`` has run through every stage."""
+    out = tmp_path_factory.mktemp("finished") / "out"
+    assert cli.main(["all", "--config", str(config_for(out))]) == cli.EXIT_OK
+    return out
+
+
+def cell(trial_id):
+    """The start of the estimates row of a trial's cell: ``S1,0,relaxed,low,`` for ``S1_LR_d0``."""
+    subject, code, direction = trial_id.split("_")
+    _, activation, frequency = next(test for test in TESTS if test[0] == code)
+    return f"{subject},{direction.removeprefix('d')},{activation},{frequency},"
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("entry", [entry for entry in layout_paths() if entry not in READ_BY_NO_STAGE],
+                         ids=lambda entry: re.sub("[<>]", "", entry))
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_stored_file_is_a_warning_or_a_typed_error(finished, tmp_path, capsys, entry, damage, data):
+    """One file of a finished study, damaged, then read by its stage: never a traceback, never an unwarned change.
+
+    A damaged trial is that trial's warning, and analyze goes on without it;
+    an MVC recording is exit 4. Whenever analyze exits 0, its estimates are
+    the undamaged study's but the rows of the trials it warns about. A stage
+    that fails names the file, and leaves none of its outputs.
+    """
+    assert entry in READERS, f"{entry}: name the stage that reads it in READERS, or list it in READ_BY_NO_STAGE"
+    stage, exits = READERS[entry]
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+    out, path = copy_study(finished, tmp_path)
+    rel = data.draw(st.sampled_from([f for f in output_files(out) if layout_pattern(entry).fullmatch(f)]))
+    damaged = DAMAGES[damage]((out / rel).read_bytes(), data)
+    if damaged is None:
+        (out / rel).unlink()
+    else:
+        (out / rel).write_bytes(damaged)
+
+    code, err = gmpkit(stage, path, capsys, *(["--map", str(out / rel)] if stage == "stabilize" else []))
+    assert code in exits
+    if code != cli.EXIT_OK:
+        assert str(out / rel) in err
+        assert [name for name in (*REPLACES[stage], ".gmpkit-staging") if (out / name).exists()] == []
+    elif stage == "analyze":
+        warned = re.findall(r"unreadable trial (\w+)", err)
+        summary = json.loads((out / "analysis" / "summary.json").read_text())
+        assert summary["n_missing"] == len(warned)
+        assert estimate_rows(out) == [row for row in estimate_rows(finished)
+                                      if not row.startswith(tuple(map(cell, warned)))]
+        if entry.startswith("trials/"):
+            assert warned == [Path(rel).stem]
+            assert summary["complete_maps"] == [s for s in ("S1", "S2") if not rel.startswith(f"trials/{s}_")]

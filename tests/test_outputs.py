@@ -22,12 +22,14 @@ def layout_paths() -> list[str]:
     return paths
 
 
-def unmatched(files: list[str], paths: list[str]) -> tuple[list[str], list[str]]:
-    """The files that no documented path matches, and the paths that match no file.
+def layout_pattern(path: str) -> re.Pattern:
+    """The files a documented path names: a ``<name>`` in it stands for any text within one path segment."""
+    return re.compile("[^/]+".join(map(re.escape, re.split(r"<\w+>", path))))
 
-    A ``<name>`` in a path stands for any text within one path segment.
-    """
-    patterns = {path: re.compile("[^/]+".join(map(re.escape, re.split(r"<\w+>", path)))) for path in paths}
+
+def unmatched(files: list[str], paths: list[str]) -> tuple[list[str], list[str]]:
+    """The files that no documented path matches, and the paths that match no file (see ``layout_pattern``)."""
+    patterns = {path: layout_pattern(path) for path in paths}
     return ([f for f in files if not any(p.fullmatch(f) for p in patterns.values())],
             [path for path, p in patterns.items() if not any(map(p.fullmatch, files))])
 

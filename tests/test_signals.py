@@ -346,11 +346,23 @@ def test_bandpass_magnitude_matches_scipy(order, band, rate, n):
     grid = np.arange(nfft // 2 + 1) * rate / nfft
     _, expected = sps.freqz_zpk(*sps.butter(order, band, btype="bandpass", fs=rate, output="zpk"),
                                 worN=grid, fs=rate)
-    actual = _bandpass_magnitude(order, band, rate, nfft)
+    actual, _ = _bandpass_magnitude(order, band, rate, nfft)
     np.testing.assert_allclose(actual, np.abs(expected), rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     # the filter's zeros sit at DC and Nyquist, where the magnitude is exactly zero
     assert actual[0] == 0.0 and (nfft % 2 or actual[-1] == 0.0)
     assert not actual.flags.writeable
+
+
+def test_bandpass_noise_computes_the_band_power_once_per_shape():
+    """The power is cached with the magnitude: on 10 s of EMG (10,801 bins), OpenBLAS runs
+    ``magnitude @ magnitude`` on a second thread, so it must not run per call."""
+    _bandpass_magnitude.cache_clear()
+    for seed in (0, 1):
+        bandpass_noise(np.random.default_rng(seed), 2, 21481, 4, (20.0, 450.0), 2148.0)
+    info = _bandpass_magnitude.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    magnitude, power = _bandpass_magnitude(4, (20.0, 450.0), 2148.0, _fast_fft_length(21481))
+    assert power == float(magnitude @ magnitude)
 
 
 @pytest.mark.parametrize("n", [1, 2])
