@@ -12,17 +12,19 @@ are the ``[emg]`` settings, taken from the caller; their config defaults,
 The raw EMG is Gaussian noise with the spectrum of white noise through a
 4th-order Butterworth band-pass (20-450 Hz), computed with numpy alone:
 the filter's magnitude response, in closed form, shapes complex normals
-drawn on an rfft grid, which one inverse FFT turns into unit-variance
-noise (:func:`signals.bandpass_noise`).
+drawn by Box-Muller on an rfft grid in single precision, which one float32
+inverse FFT turns into unit-variance noise (:func:`signals.bandpass_noise`).
 
 The EMG is digitized as a 16-bit surface-EMG system does it: each sample
 is a whole number of codes of ``EMG_LSB_MV`` (2^-11 mV, 0.49 uV), rounded
 to the nearest code and saturated at the int16 rails, -16 mV and just
-under +16 mV (:func:`round_to_codes`). The synthesized array stays
-float64 mV on that grid, and the trial store keeps the codes as int16.
-The step is a power of two, so a code times it and a value divided by it
-are exact in float64: a stored and reloaded trial is bit-identical to the
-simulated one.
+under +16 mV (:func:`round_to_codes`). float32 is enough for that: its
+24-bit significand keeps 8 bits below a code at full scale, and every
+int16 code is exact in it. The codes are computed in float32; the
+synthesized array is float64 mV on that grid, written once from them, and
+the trial store keeps the codes as int16. The step is a power of two, so
+a code times it and a value divided by it are exact in float64: a stored
+and reloaded trial is bit-identical to the simulated one.
 """
 
 from __future__ import annotations
@@ -97,14 +99,16 @@ def synthesize_emg(
     at any rate; it is interpolated onto the output grid. A single
     activation channel drives all EMG channels (co-activation).
 
-    The noise's spectrum is drawn channel after channel from one stream
-    and transformed back in one batched inverse FFT
-    (:func:`signals.bandpass_noise`), whose rows the signal keeps. The
-    samples are float64 mV on the digitizer's grid: each channel's
-    ``drive * mvc_rms * noise``, in codes, is rounded once to a whole code
-    and saturated at the rails (:func:`round_to_codes`), as the trial store
-    keeps it. The signal's ``(n, channels)`` samples are the transposed
-    view of those rows, channel-major as the trial store lays them out.
+    The noise is drawn as one float32 spectrum for all channels and
+    transformed back in one batched float32 inverse FFT
+    (:func:`signals.bandpass_noise`). Each channel's
+    ``drive * mvc_rms * noise``, in codes, is scaled in float32, rounded
+    once to a whole code and saturated at the rails (:func:`round_to_codes`),
+    as the trial store keeps it. The codes times ``EMG_LSB_MV`` are then
+    written once into a float64 ``(channels, n)`` buffer: the signal's
+    ``(n, channels)`` samples are float64 mV on the digitizer's grid, the
+    transposed view of that buffer, channel-major as the trial store lays
+    them out.
     """
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed_seq)
@@ -113,21 +117,20 @@ def synthesize_emg(
     t_out = activation.start_time + np.arange(n_out) / rate
     t_act = activation.times()
 
-    buffer = bandpass_noise(rng, n_channels, n_out, BAND_ORDER, BAND_HZ, rate)
-    noise = buffer[:, :n_out]
+    codes = bandpass_noise(rng, n_channels, n_out, BAND_ORDER, BAND_HZ, rate)[:, :n_out]
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
-    for ch, row in enumerate(noise):
+    for ch, row in enumerate(codes):
         # drive * mvc_rms * noise in codes; dividing by the power-of-two step is exact
-        row *= drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)
-    round_to_codes(noise)
-    noise *= EMG_LSB_MV
-    noise += 0.0  # a zero code reads back as +0.0, so -0.0 goes
-    buffer.flags.writeable = False  # the signal takes the rows over without a copy
+        row *= (drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)).astype(np.float32)
+    round_to_codes(codes)
+    codes += 0.0  # a zero code reads back as +0.0, so -0.0 goes
+    data = np.multiply(codes, EMG_LSB_MV, dtype=np.float64)  # exact: a whole code times a power of two
+    data.flags.writeable = False  # the signal takes the rows over without a copy
     return SampledSignal(
         sample_rate=rate,
         start_time=activation.start_time,
         channels=channel_labels(n_channels),
-        data=buffer[:, :n_out].T,  # a view made after the freeze, so it is read-only too
+        data=data.T,  # a view made after the freeze, so it is read-only too
     )
 
 

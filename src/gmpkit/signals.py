@@ -5,7 +5,8 @@ trapezoidal quadrature of inner products, sliding-window RMS, the CSV
 interchange format, and two filter kernels in plain numpy: a first-order
 linear recurrence (the Maxwell branch and the AR(1) activation noise) and
 Gaussian noise with a Butterworth band-pass's spectrum (the EMG noise),
-drawn on an rfft grid and taken back to time in one inverse FFT.
+drawn in single precision on an rfft grid by Box-Muller and taken back to
+time in one float32 inverse FFT.
 
 Conventions
 -----------
@@ -309,15 +310,17 @@ def _fast_fft_length(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> tuple[np.ndarray, float]:
-    """The magnitude response |H| of a digital Butterworth band-pass on the rfft grid of length ``nfft``, read-only,
-    and its power, the sum of |H|^2 over the bins.
+def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """The magnitude response |H| of a digital Butterworth band-pass on the rfft grid of length ``nfft``, and
+    the noise's spectral shape: |H| scaled for unit-variance samples, in float32. Both are read-only.
 
     The closed form of the bilinear design, any order >= 1: with ``W = tan(pi f / rate)`` at a
     frequency f, and ``W_lo``, ``W_hi`` at the band edges, ``|H| = 1 / sqrt(1 + x^(2 order))``
     where ``x = (W^2 - W_lo W_hi) / ((W_hi - W_lo) W)``. The DC and Nyquist bins are exactly
-    zero, where the filter's zeros sit. The power is computed here, once per cached grid: above
-    about 10,000 bins, OpenBLAS runs the dot product on a second thread, which then spins.
+    zero, where the filter's zeros sit. The band power, the sum of |H|^2 over the bins, is a
+    correctly rounded ``math.fsum``: no BLAS call, so no thread count can change its last bit.
+    Raises ValueError when no bin between DC and Nyquist is left to carry the noise, as on a grid
+    of one or two points.
     """
     low, high = band
     if order < 1 or not 0 < low < high < rate / 2.0:
@@ -328,29 +331,43 @@ def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft
     magnitude = np.zeros(nfft // 2 + 1)
     magnitude[1:len(w) + 1] = 1.0 / np.sqrt(1.0 + ((w * w - w_lo * w_hi) / ((w_hi - w_lo) * w)) ** (2 * order))
     magnitude.flags.writeable = False
-    return magnitude, float(magnitude @ magnitude)
+    power = math.fsum(magnitude * magnitude)
+    if not power > 0:
+        raise ValueError(f"an rfft grid of {nfft} points at {rate} Hz has no frequency bin inside the band {band}")
+    # E|X_k|^2 = 2 |H_k|^2 s^2 for a complex normal X_k of scale s, and a sample's variance
+    # is 4 s^2 sum_k |H_k|^2 / nfft^2
+    shape = (magnitude * (nfft / (2.0 * math.sqrt(power)))).astype(np.float32)
+    shape.flags.writeable = False
+    return magnitude, shape
 
 
 def bandpass_noise(rng: np.random.Generator, rows: int, n: int, order: int, band: tuple[float, float],
                    rate: float) -> np.ndarray:
     """``rows`` channels of unit-variance Gaussian noise through a Butterworth band-pass, drawn as a spectrum.
 
-    Returns a float64 ``(rows, nfft)`` array, ``nfft = _fast_fft_length(n)``, whose first ``n``
-    samples per row are the noise. Complex standard normals are drawn row after row straight into
-    the rfft grid, shaped by the filter's magnitude and scaled in closed form (Parseval) so that
-    each sample has unit variance, then transformed back by one ``irfft``. The noise is circular
-    and stationary: it has no start-up transient. Raises ValueError when no bin between DC and
-    Nyquist is left to carry the noise, as for one or two samples.
+    Returns a float32 ``(rows, nfft)`` array, ``nfft = _fast_fft_length(n)``, whose first ``n``
+    samples per row are the noise. Each bin of one complex64 rfft grid is a complex normal drawn
+    by Box-Muller from two float32 uniforms, ``u1`` for every bin of every row and then ``u2``:
+    radius ``sqrt(-2 log1p(-u1))`` times the filter's magnitude, scaled in closed form (Parseval)
+    so that each sample has unit variance, at phase ``2 pi u2``. One float32 ``irfft`` takes the
+    rows back to time; float32's 24-bit significand leaves 8 bits below a 16-bit code. The noise
+    is circular and stationary: it has no start-up transient. Raises ValueError when no bin
+    between DC and Nyquist is left to carry the noise, as for one or two samples.
     """
     nfft = _fast_fft_length(n)
-    magnitude, power = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
-    if not power > 0:
-        raise ValueError(f"{n} samples at {rate} Hz have no frequency bin inside the band {band}")
-    spectrum = np.empty((rows, len(magnitude)), dtype=complex)
-    for row in spectrum:
-        rng.standard_normal(out=row.view(np.float64))
-    # E|X_k|^2 = 2 |H_k|^2 s^2, and a sample's variance is 4 s^2 sum_k |H_k|^2 / nfft^2
-    spectrum *= magnitude * (nfft / (2.0 * math.sqrt(power)))
+    _, shape = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
+    radius, phase = rng.random((2, rows, len(shape)), dtype=np.float32)
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # finite, since u1 < 1
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    radius *= shape
+    phase *= 2.0 * math.pi  # a Python float: the product stays float32
+    spectrum = np.empty(radius.shape, dtype=np.complex64)
+    np.cos(phase, out=spectrum.real)
+    spectrum.real *= radius
+    np.sin(phase, out=spectrum.imag)
+    spectrum.imag *= radius
     return np.fft.irfft(spectrum, nfft)
 
 

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,7 @@ from gmpkit.emg import (
 )
 from gmpkit.biomech import save_samples, trial_streams
 from gmpkit.errors import DegenerateSampleError, WindowRangeError
-from gmpkit.signals import SampledSignal, Window, _bandpass_magnitude, _fast_fft_length, rms
+from gmpkit.signals import SampledSignal, Window, _bandpass_magnitude, _fast_fft_length, bandpass_noise, rms
 
 
 def activation_signal(level, duration=5.0, rate=1000.0):
@@ -53,13 +58,15 @@ def test_output_rate_and_channel_count():
 
 
 def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAND_HZ, order=4):
-    """synthesize_emg in plain, copying steps: a shaped spectrum, one inverse FFT, codes.
+    """synthesize_emg in plain, copying steps: a float32 Box-Muller spectrum, one float32 inverse FFT, codes.
 
-    Each channel's complex standard normals are drawn in turn from one stream
-    on the rfft grid of the smallest fast FFT length that holds the samples,
-    multiplied by the band-pass magnitude scaled for unit variance
-    (Parseval over the bins strictly between DC and Nyquist), and
-    transformed back. The modulated noise is rounded to the nearest code,
+    On the rfft grid of the smallest fast FFT length that holds the samples,
+    the band-pass magnitude is scaled for unit variance (Parseval over the
+    bins strictly between DC and Nyquist) and cast to float32. One stream
+    gives float32 uniforms: u1 for every bin of every channel, then u2. Each
+    bin is the magnitude times the radius sqrt(-2 log1p(-u1)) at the phase
+    2 pi u2, and the spectrum is transformed back in float32. The modulated
+    noise is scaled to codes in float32, rounded to the nearest code,
     saturated at the int16 rails and decoded, as a stored array reads back.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -67,15 +74,23 @@ def _reference_synthesize_emg(activation, mvc_rms, seed, rate=EMG_RATE, band=BAN
     t_out = activation.start_time + np.arange(n_out) / rate
     nfft = _fast_fft_length(n_out)
     magnitude, _ = _bandpass_magnitude(order, band, rate, nfft)
-    spectrum = np.array([rng.standard_normal(2 * len(magnitude)).view(complex) for _ in mvc_rms])
     inner = magnitude[1:(nfft + 1) // 2]
-    scale = nfft / (2 * np.sqrt(np.sum(inner ** 2)))
-    noise = np.fft.irfft(spectrum * (magnitude * scale), nfft)[:, :n_out]
+    shape = (magnitude * (nfft / (2 * math.sqrt(math.fsum(inner ** 2))))).astype(np.float32)
+    u1, u2 = rng.random((2, len(mvc_rms), len(magnitude)), dtype=np.float32)
+    radius = np.sqrt(np.float32(-2.0) * np.log1p(-u1)) * shape
+    phase = np.float32(2 * math.pi) * u2
+    spectrum = np.empty(radius.shape, dtype=np.complex64)
+    spectrum.real = radius * np.cos(phase)
+    spectrum.imag = radius * np.sin(phase)
+    noise = np.fft.irfft(spectrum, nfft)[:, :n_out]
+    assert noise.dtype == np.float32
     drives = [np.interp(t_out, activation.times(), col) for col in activation.data.T]
     out = np.empty((n_out, len(mvc_rms)))
     for ch in range(len(mvc_rms)):
-        out[:, ch] = drives[min(ch, len(drives) - 1)] * mvc_rms[ch] * noise[ch]
-    return np.clip(np.rint(out / EMG_LSB_MV), -2 ** 15, 2 ** 15 - 1).astype(np.int16) * EMG_LSB_MV
+        to_codes = (drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)).astype(np.float32)
+        codes = np.clip(np.rint(noise[ch] * to_codes), -2 ** 15, 2 ** 15 - 1)
+        out[:, ch] = codes.astype(np.int16) * EMG_LSB_MV
+    return out
 
 
 def noisy_activation(duration, n_channels=1, rate=1000.0):
@@ -91,9 +106,9 @@ def test_synthesis_matches_reference_bytes(duration, rate):
     emg = synthesize_emg(noisy_activation(duration), mvc, seed=11, rate=rate)
     expected = _reference_synthesize_emg(noisy_activation(duration), mvc, 11, rate=rate)
     assert emg.data.tobytes() == expected.tobytes()
-    # one read-only row per channel, no longer than the inverse FFT it came from
+    # one read-only float64 row per channel, exactly as long as the samples
     assert not emg.data.flags.writeable
-    assert emg.data.strides == (8, 8 * _fast_fft_length(emg.n_samples))
+    assert emg.data.strides == (8, 8 * emg.n_samples)
 
 
 @pytest.mark.parametrize("n_activations, mvc", [(1, (1.7,)), (2, (1.6, 1.1, 1.8, 1.3)), (2, (1.6,))])
@@ -149,6 +164,53 @@ def test_synthesized_emg_has_unit_variance_in_expectation():
         synthesize_emg(activation_signal(1.0, duration=1.0), (1.0,) * 4, seed=seed, rate=EMG_RATE).data.var(axis=0)
         for seed in range(200)])
     np.testing.assert_allclose(variances.mean(axis=0), 1.0, rtol=0.01)
+
+
+def test_box_muller_noise_is_unit_normal_float32_and_whole_codes():
+    """Over several fixed seeds: the bins of a 10 s, 4-row ``bandpass_noise`` (2148 Hz, 21,481
+    samples), divided by the float32 spectral shape, have standard normal real and imaginary
+    parts; the rows are float32 of unit variance; and the EMG is whole codes.
+
+    The bins are read back with a float64 ``rfft`` of the rows, over the 6,271 bins where the
+    shape is above a tenth of its peak, so the float32 rounding of the rows stays far below a
+    bin's spread. A single 10 s row's variance has a spread of about 1.4% (measured over 800
+    rows), so 2% bounds the mean over the 20 rows, whose spread is about 0.3%, and 7% (five
+    spreads) bounds each row.
+    """
+    from scipy import stats
+
+    n = round(10.0 * EMG_RATE) + 1
+    nfft = _fast_fft_length(n)
+    _, shape = _bandpass_magnitude(4, BAND_HZ, EMG_RATE, nfft)
+    passband = shape > 0.1 * shape.max()
+    variances = []
+    for seed in range(5):
+        noise = bandpass_noise(np.random.default_rng(seed), 4, n, 4, BAND_HZ, EMG_RATE)
+        assert noise.dtype == np.float32 and noise.shape == (4, nfft)
+        bins = np.fft.rfft(noise.astype(np.float64), axis=1)[:, passband] / shape[passband]
+        for part in (bins.real, bins.imag):
+            assert stats.kstest(part.ravel(), "norm").pvalue > 1e-3
+        variances.extend(noise[:, :n].astype(np.float64).var(axis=1))
+        emg = synthesize_emg(noisy_activation(2.0), (1.6, 1.1, 1.8, 1.3), seed=seed, rate=EMG_RATE)
+        codes = emg.data / EMG_LSB_MV
+        assert np.array_equal(codes, np.rint(codes))
+    assert np.mean(variances) == pytest.approx(1.0, abs=0.02)
+    np.testing.assert_allclose(variances, 1.0, atol=0.07)
+
+
+def test_long_emg_does_not_depend_on_the_blas_thread_count():
+    """A 30 s EMG (64,441 samples, 32,401 rfft bins) has the same bytes under one and two
+    OpenBLAS threads: the band power is a fixed-order sum, not a BLAS dot product."""
+    code = ("import hashlib, numpy as np; from gmpkit.emg import synthesize_emg; "
+            "from gmpkit.signals import SampledSignal; "
+            "a = SampledSignal(1000.0, 0.0, ('a',), np.full(30001, 0.4)); "
+            "print(hashlib.sha256(synthesize_emg(a, (1.6, 1.1, 1.8, 1.3), 3, 2148.0).data.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_synthesized_emg_is_zero_mean():

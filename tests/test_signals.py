@@ -354,15 +354,18 @@ def test_bandpass_magnitude_matches_scipy(order, band, rate, n):
 
 
 def test_bandpass_noise_computes_the_band_power_once_per_shape():
-    """The power is cached with the magnitude: on 10 s of EMG (10,801 bins), OpenBLAS runs
-    ``magnitude @ magnitude`` on a second thread, so it must not run per call."""
+    """The band power and the float32 spectral shape are cached with the magnitude, once per grid;
+    the power is a fixed-order ``math.fsum``, with no BLAS call."""
     _bandpass_magnitude.cache_clear()
     for seed in (0, 1):
         bandpass_noise(np.random.default_rng(seed), 2, 21481, 4, (20.0, 450.0), 2148.0)
     info = _bandpass_magnitude.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    magnitude, power = _bandpass_magnitude(4, (20.0, 450.0), 2148.0, _fast_fft_length(21481))
-    assert power == float(magnitude @ magnitude)
+    nfft = _fast_fft_length(21481)
+    magnitude, shape = _bandpass_magnitude(4, (20.0, 450.0), 2148.0, nfft)
+    scale = nfft / (2.0 * math.sqrt(math.fsum(magnitude * magnitude)))
+    assert shape.dtype == np.float32 and not shape.flags.writeable
+    assert shape.tobytes() == (magnitude * scale).astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
