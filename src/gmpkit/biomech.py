@@ -305,15 +305,16 @@ def simulate_trial(
     is one first-order recurrence, evaluated by the doubling scan of
     :func:`signals.first_order_recurrence` rather than a per-sample loop.
     The integration runs in float64; only the recorded force and velocity
-    are rounded, to whole int16 codes of ``ROBOT_LSB``, as the trial store
-    keeps them (and as :func:`emg.synthesize_emg` rounds the EMG), so a
-    stored trial reads back bit for bit. A recorded sample beyond a rail of
-    its codes (+/-512 N, +/-8 m/s) raises IntegrationError naming the
-    channel, its peak and the rails: clipping it would bias the estimate.
-    ``seed`` may be an int or a numpy SeedSequence. The
-    trial's grid cell is named by ``activation_label`` and
-    ``frequency_label``, which the caller's protocol assigns; nothing here
-    infers them from the target or the frequency.
+    are rounded, to whole int16 codes of ``ROBOT_LSB``, in one channel-major
+    ``(4, n)`` array as the trial store keeps them (and as
+    :func:`emg.synthesize_emg` keeps the EMG), so a stored trial reads back
+    bit for bit. A recorded sample beyond a rail of its codes (+/-512 N,
+    +/-8 m/s) raises IntegrationError naming the channel, its peak and the
+    rails: clipping it would bias the estimate. ``seed`` may be an int or a
+    numpy SeedSequence. The trial's grid cell is named by
+    ``activation_label`` and ``frequency_label``, which the caller's
+    protocol assigns; nothing here infers them from the target or the
+    frequency.
     """
     check_step_rate(rate, spec.frequency)
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -340,31 +341,27 @@ def simulate_trial(
     if not np.all(np.isfinite(f_ax)):
         raise IntegrationError("non-finite force trajectory; unstable parameterization")
 
-    # The recorded fx, fy, vx, vy: each the float64 projection onto the
-    # direction in codes of its step (a power of two, so folding it into the
-    # weight is exact), rounded to whole codes in place, as the trial store
-    # keeps them. Read-only, so the signals share the array.
+    # Rows fx, fy, vx, vy: each the float64 projection onto the direction in
+    # codes of its step (a power of two, so folding it into the weight is
+    # exact), rounded to whole codes, checked against the rails and scaled
+    # back. Read-only, so the signals are views of its rows.
     dx, dy = perturbation_direction(spec.direction_index)
-    recorded = np.empty((n_samples, len(ROBOT_CHANNELS)))
-    for column, axis, weight, step in zip(recorded.T, (f_ax, f_ax, v_ax, v_ax), (dx, dy, dx, dy), ROBOT_LSB):
-        np.multiply(axis, weight / step, out=column)
-    np.rint(recorded, out=recorded)
     low, high = emg_module.CODE_RAILS
-    # one reduction over the whole array; the per-channel ones (numpy reduces
-    # a column of an (n, 4) array slowly) only to word the refusal
-    if recorded.min() < low or recorded.max() > high:
-        for name, unit, step, column in zip(ROBOT_CHANNELS, ("N", "N", "m/s", "m/s"), ROBOT_LSB, recorded.T):
-            least, most = column.min(), column.max()
-            if least < low or most > high:
-                raise IntegrationError(
-                    f"recorded {name} reaches {(least if least < low else most) * step:g} {unit}, beyond the "
-                    f"rails of its 16-bit codes, {low * step:g} to {high * step:g} {unit}")
-    for column, step in zip(recorded.T, ROBOT_LSB):
-        column *= step
+    recorded = np.empty((len(ROBOT_CHANNELS), n_samples))
+    for row, axis, weight, step, name, unit in zip(recorded, (f_ax, f_ax, v_ax, v_ax), (dx, dy, dx, dy), ROBOT_LSB,
+                                                   ROBOT_CHANNELS, ("N", "N", "m/s", "m/s")):
+        np.multiply(axis, weight / step, out=row)
+        np.rint(row, out=row)
+        least, most = row.min(), row.max()
+        if least < low or most > high:
+            raise IntegrationError(
+                f"recorded {name} reaches {(least if least < low else most) * step:g} {unit}, beyond the "
+                f"rails of its 16-bit codes, {low * step:g} to {high * step:g} {unit}")
+        row *= step
     recorded += 0.0  # a zero code reads back as +0.0, so -0.0 goes
     recorded.flags.writeable = False
-    force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], recorded[:, :2])
-    velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], recorded[:, 2:])
+    force = SampledSignal(rate, 0.0, ROBOT_CHANNELS[:2], recorded[:2].T)
+    velocity = SampledSignal(rate, 0.0, ROBOT_CHANNELS[2:], recorded[2:].T)
 
     activation_signal = SampledSignal(rate, 0.0, ("a",), a)
     emg = emg_module.synthesize_emg(activation_signal, mvc_rms, emg_seq, rate=emg_rate)

@@ -55,6 +55,16 @@ class MapCell:
     mean_pct_mvc: float   # fraction of MVC
 
 
+def _check_grid_frequencies(source: str, hz_values) -> list[float]:
+    """``hz_values`` sorted; DataError naming ``source`` unless each is finite and > 0 and no two are one grid
+    point (a map's JSON holds no non-finite number)."""
+    grid_freqs = sorted(hz_values)
+    if not all(0 < hz < math.inf for hz in grid_freqs) or any(math.isclose(lower, higher, rel_tol=_HZ_REL_TOL)
+                                                  for lower, higher in zip(grid_freqs, grid_freqs[1:])):
+        raise DataError(f"{source}: grid frequencies must be distinct and > 0, got {grid_freqs}")
+    return grid_freqs
+
+
 @dataclass(frozen=True)
 class GmpMap:
     """A subject's cells, and its frequency grid in grid order: by Hz, with the leading ``FREQUENCY_LABELS``."""
@@ -64,6 +74,7 @@ class GmpMap:
     frequencies: dict[str, float]   # frequency label -> Hz, lowest Hz first
 
     def __post_init__(self) -> None:
+        _check_grid_frequencies(f"map {self.subject_id!r}", self.frequencies.values())
         frequencies = dict(sorted(self.frequencies.items(), key=lambda item: item[1]))
         if tuple(frequencies) != FREQUENCY_LABELS[:len(frequencies)]:
             raise MapConflictError(f"map {self.subject_id!r}: labels by Hz {frequencies} are not in grid order")
@@ -155,7 +166,7 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
 
     Interpolates in %MVC along each measured frequency row (clamped at the
     row's node range), then linearly in frequency between the two rows.
-    Frequencies outside the measured grid are refused.
+    Frequencies outside the measured grid, and NaN, are refused.
     """
     if not 0 <= direction_index < N_DIRECTIONS:
         raise ValueError(f"direction_index out of range: {direction_index}")
@@ -164,7 +175,7 @@ def lookup(gmp_map: GmpMap, direction_index: int, pct_mvc: float, frequency: flo
     rows = list(gmp_map.frequencies.items())  # (label, Hz), in grid order
     (low, f0), (high, f1) = rows[0], rows[-1]
     tol = _HZ_REL_TOL * max(1.0, abs(f1))
-    if frequency < f0 - tol or frequency > f1 + tol:
+    if not f0 - tol <= frequency <= f1 + tol:
         raise MapRangeError(
             f"frequency {frequency} Hz outside map grid [{f0}, {f1}] Hz"
         )
@@ -252,15 +263,12 @@ def load_map_json(path) -> GmpMap:
     directions = json_field(source, grid, "directions", int)
     if directions != N_DIRECTIONS:
         raise DataError(f"{source}: unsupported direction count {directions}")
-    grid_freqs = sorted(json_value(source, "a grid frequency", f, float)
-                        for f in json_field(source, grid, "frequencies", list))
+    grid_freqs = [json_value(source, "a grid frequency", f, float)
+                  for f in json_field(source, grid, "frequencies", list)]
     if not 1 <= len(grid_freqs) <= len(FREQUENCY_LABELS):
         raise DataError(f"{source}: need 1 to {len(FREQUENCY_LABELS)} grid frequencies, "
                         f"got {len(grid_freqs)}")
-    if any(not hz > 0 for hz in grid_freqs) or any(
-        math.isclose(lower, higher, rel_tol=_HZ_REL_TOL) for lower, higher in zip(grid_freqs, grid_freqs[1:])
-    ):
-        raise DataError(f"{source}: grid frequencies must be distinct and > 0, got {grid_freqs}")
+    grid_freqs = _check_grid_frequencies(source, grid_freqs)
     frequencies = dict(zip(FREQUENCY_LABELS, grid_freqs))
     cells: dict[CellKey, MapCell] = {}
     for cell in json_field(source, doc, "cells", list):

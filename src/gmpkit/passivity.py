@@ -84,6 +84,8 @@ class EopEstimate:
             raise ValueError(f"denominator must be > 0, got {self.denominator}")
         if not math.isclose(self.xi, self.numerator / self.denominator, rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError("xi inconsistent with numerator/denominator")
+        if self.frequency_hz is not None and not 0 < self.frequency_hz < math.inf:
+            raise ValueError(f"frequency_hz must be finite and > 0, got {self.frequency_hz}")
 
 
 def energy_ledger(u: SampledSignal, y: SampledSignal) -> EnergyLedger:

@@ -34,15 +34,12 @@ buffers. The field force, the per-step energy terms and the three ledgers
 (W, field energy, injected energy) are derived from those after the loop
 with numpy, in the loop's operand order; ``np.add.accumulate`` from a
 leading 0.0 adds strictly left to right as the loop did, so the ledgers are
-bit-identical to running sums. The excitation (``math.sin``, since
-``np.sin`` may differ from the C library in the last bit) and the Maxwell
-denominators depend only on the scenario, so the with-map and without-map
-runs of one scenario share them through a small cache.
+bit-identical to running sums. The excitation and the Maxwell denominators
+depend only on the scenario and are computed with numpy before the loop.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -137,7 +134,6 @@ class SavingsReport:
     joules_saved: float   # without-map minus with-map
 
 
-@functools.lru_cache(maxsize=2)
 def _scenario_drive(
     limb: LimbParams,
     perturbation: PerturbationSpec,
@@ -148,39 +144,27 @@ def _scenario_drive(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample times, excitation force and shifted Maxwell denominators.
 
-    These depend on the scenario but not on the field or the map, so the
-    with-map and without-map runs of one scenario share them (the last two
-    drives stay cached). ``denom_next[n]`` is the denominator of step n + 1,
-    with a spare ``1.0`` for the step after the last sample. The arrays are
-    read-only, since every cached caller sees them.
+    These depend on the scenario but not on the field or the map.
+    ``denom_next[n]`` is the denominator of step n + 1, with a spare ``1.0``
+    for the step after the last sample.
     """
     omega = 2.0 * math.pi * perturbation.frequency
     g = limb.direction_gains[perturbation.direction_index]
 
     # excitation force amplitude producing ~the requested displacement amplitude
-    b_nominal = analytic_eop(
-        limb, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency
-    )
+    b_nominal = analytic_eop(limb, perturbation.direction_index, act.target_pct_mvc, perturbation.frequency)
     reactance = limb.stiffness - limb.mass * omega * omega
     f0 = perturbation.amplitude * math.hypot(reactance, b_nominal * omega)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
     a_series = activation_series(act, n_samples, h, rng)
-    b_m_series = np.maximum(
-        g * (limb.maxwell_damping_base + limb.maxwell_damping_gain * a_series), 1e-12
-    )
+    b_m_series = np.maximum(g * (limb.maxwell_damping_base + limb.maxwell_damping_gain * a_series), 1e-12)
 
-    # In the step formulas' operand order, so every sample is bit-identical
-    # to evaluating it in place (math.sin, as np.sin may differ in the last
-    # bit).
+    # in the step formulas' operand order
     times = np.arange(n_samples) * h
-    sin = math.sin
-    f0, omega = float(f0), float(omega)
-    f_exc = np.array([f0 * sin(omega * t) for t in times.tolist()])
+    f_exc = float(f0) * np.sin(float(omega) * times)
     denom_next = np.ones(n_samples)
     denom_next[:-1] = 1.0 + float(h * limb.maxwell_stiffness) / b_m_series[1:]
-    for arr in (times, f_exc, denom_next):
-        arr.flags.writeable = False
     return times, f_exc, denom_next
 
 

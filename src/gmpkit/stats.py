@@ -40,6 +40,13 @@ EXACT_MAX_N = 12
 SIDEDNESS = ("two-sided", "greater")
 
 
+def _check_finite(name: str, values) -> None:
+    """ValueError naming the index of the first non-finite value of ``values``."""
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"{name}[{i}] is not finite: {v}")
+
+
 @dataclass(frozen=True)
 class PairedSample:
     """Two equal-length sequences of paired observations."""
@@ -55,9 +62,7 @@ class PairedSample:
         if len(a) < 5:
             raise ValueError(f"paired sample needs n >= 5, got {len(a)}")
         for side, values in (("a", a), ("b", b)):
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ValueError(f"paired sample {side}[{i}] is not finite: {v}")
+            _check_finite(f"paired sample {side}", values)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -203,9 +208,11 @@ def ks_normality(x: Sequence[float]) -> TestResult:
     """KS test of normality with mean/std estimated from the sample.
 
     The returned p-value uses the plain asymptotic Kolmogorov distribution
-    and is therefore conservative (parameter estimation shrinks D).
+    and is therefore conservative (parameter estimation shrinks D). It
+    refuses a non-finite value, which has no place on the normal CDF.
     """
     xs = np.asarray(x, dtype=float)
+    _check_finite("sample", xs)
     n = len(xs)
     if n < 5:
         raise DegenerateSampleError(f"need n >= 5, got {n}")
@@ -225,10 +232,11 @@ def ks_normality(x: Sequence[float]) -> TestResult:
 
 
 def box_summary(x: Sequence[float]) -> BoxSummary:
-    """Quartiles by linear interpolation, whiskers at the 1.5*IQR fences."""
+    """Quartiles by linear interpolation, whiskers at the 1.5*IQR fences; refuses a non-finite value."""
     xs = np.asarray(x, dtype=float)
     if len(xs) == 0:
         raise DegenerateSampleError("empty sample")
+    _check_finite("sample", xs)
     q1, med, q3 = (float(v) for v in np.percentile(xs, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr

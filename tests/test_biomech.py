@@ -340,6 +340,11 @@ def test_trial_csv_round_trip(tmp_path):
         assert loaded.data.tobytes() == simulated.data.tobytes()  # bit-exact
         assert not loaded.data.flags.writeable
         assert loaded.data.T.base is not None and loaded.data.T.base.flags.c_contiguous  # views of the rows
+    # force and velocity, simulated or loaded, are views of the rows of one read-only (4, n) array
+    for record in (trial, back):
+        rows = record.force.data.T.base
+        assert rows is record.velocity.data.T.base
+        assert rows.shape == (4, record.force.n_samples) and rows.flags.c_contiguous and not rows.flags.writeable
     assert back.force.sample_rate == back.velocity.sample_rate == 1000.0
     assert back.emg.sample_rate == EMG_RATE
     for loaded, simulated in ((back.force, trial.force), (back.velocity, trial.velocity),

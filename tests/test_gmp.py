@@ -1,11 +1,13 @@
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmpkit.errors import IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
+from gmpkit.errors import DataError, IncompleteMapError, MapConflictError, MapRangeError, SingularFitError
 from gmpkit.gmp import (
     build_map,
     fit_trend,
@@ -78,6 +80,19 @@ def test_build_refuses_labels_against_hz_order():
         build_map(swapped, "S1")
     with pytest.raises(MapConflictError):
         build_map([], "S1", frequencies={"high": 1.0})
+
+
+@pytest.mark.parametrize("frequencies, got", [
+    ({"low": -1.0}, "[-1.0]"),
+    ({"low": 0.0, "high": 3.0}, "[0.0, 3.0]"),
+    ({"low": math.nan}, "[nan]"),
+    ({"low": 1.0, "high": math.inf}, "[1.0, inf]"),
+    ({"low": 1.0, "high": 1.0 + 1e-12}, "[1.0, 1.000000000001]"),
+], ids=["negative", "zero", "nan", "inf", "repeat"])
+def test_map_refuses_the_grid_frequencies_its_json_refuses(frequencies, got):
+    # the rule load_map_json applies, so a map that builds also loads back
+    with pytest.raises(DataError, match=rf"map 'S1': grid frequencies must be distinct and > 0, got {re.escape(got)}"):
+        build_map([], "S1", frequencies=frequencies)
 
 
 def test_map_holds_frequencies_in_grid_order():
@@ -160,6 +175,8 @@ def test_lookup_refuses_frequency_outside_grid():
         lookup(gmp_map, 0, 0.2, 5.0)
     with pytest.raises(MapRangeError):
         lookup(gmp_map, 0, 0.2, 0.5)
+    with pytest.raises(MapRangeError, match="frequency nan Hz outside map grid"):
+        lookup(gmp_map, 0, 0.2, math.nan)
 
 
 def test_lookup_validates_arguments():

@@ -171,3 +171,7 @@ def test_eop_estimate_validation():
             fields = {**dict(xi=1.0, mean_pct_mvc=0.1, numerator=1.0, denominator=1.0), field: value}
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 EopEstimate("S1", 0, "relaxed", "low", **fields)
+    for hz in (math.nan, math.inf, -1.0, 0.0):  # a map grid point must be finite and > 0; None is no Hz
+        with pytest.raises(ValueError, match="frequency_hz must be finite and > 0"):
+            EopEstimate("S1", 0, "relaxed", "low", 1.0, 0.1, 1.0, 1.0, frequency_hz=hz)
+    assert EopEstimate("S1", 0, "relaxed", "low", 1.0, 0.1, 1.0, 1.0, frequency_hz=None).frequency_hz is None

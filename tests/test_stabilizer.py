@@ -22,7 +22,6 @@ from gmpkit.stabilizer import (
     VELOCITY_DEADBAND,
     ForceFieldSpec,
     InterconnectionResult,
-    _scenario_drive,
     dissipation_savings,
     run_interconnection,
 )
@@ -424,20 +423,12 @@ def test_loop_bit_identical_to_reference(case):
     assert_bit_identical(_reference_interconnection(**kwargs), run_interconnection(**kwargs))
 
 
-def test_scenario_drive_is_shared_and_read_only():
+def test_with_map_run_does_not_depend_on_its_baseline():
     kwargs = reference_kwargs(dict(field=DELAYED_SPRING))
     with_map = dict(kwargs, gmp_map=constant_map(2.7))
-    _scenario_drive.cache_clear()
+    alone = run_interconnection(**with_map)
     run_interconnection(**kwargs)
-    first = run_interconnection(**with_map)
-    assert _scenario_drive.cache_info().hits == 1   # the with-map run reused the drive
-    _scenario_drive.cache_clear()
-    again = run_interconnection(**with_map)
-    assert _scenario_drive.cache_info().misses == 1
-    assert_bit_identical(first, again)
-    drive = _scenario_drive(LIMB, REFERENCE_PERT, ACT, 3001, 1e-3, 3)
-    assert len(drive) == 3 and not any(array.flags.writeable for array in drive)
-    assert not first.times.flags.writeable
+    assert_bit_identical(alone, run_interconnection(**with_map))
 
 
 def test_reference_cases_reach_early_stop_and_long_delay():

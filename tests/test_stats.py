@@ -205,6 +205,13 @@ def test_ks_normality_degenerate():
         ks_normality([1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ks_normality_refuses_non_finite_values(bad):
+    # an infinite value would give statistic nan and p 0.0: a "significant" departure, from no usable data
+    with pytest.raises(ValueError, match=r"sample\[4\] is not finite"):
+        ks_normality([1.0, 2.0, 3.0, 4.0, bad, 6.0])
+
+
 def test_significance_marks():
     strong = wilcoxon_signed_rank(
         PairedSample(tuple(range(1, 41)), tuple([0] * 40)), "two-sided"
@@ -233,6 +240,12 @@ def test_box_summary_flags_outlier():
     assert box.q3 == 4.0
     assert box.outliers == (100.0,)
     assert box.whisker_high == 4.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_box_summary_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match=r"sample\[2\] is not finite"):
+        box_summary([1.0, 2.0, bad])
 
 
 @given(st.permutations([1.0, 2.5, 3.0, 7.0, 11.0, 4.2, -3.0]))
