@@ -229,20 +229,35 @@ def activation_series(
 ) -> np.ndarray:
     """Activation trajectory: exact exponential lag plus AR(1) noise.
 
-    The lag solution is evaluated in closed form (not stepped), and the
-    multiplicative noise is an AR(1) process with ~0.2 s correlation time
-    (unit stationary variance, started at zero, evaluated by
-    :func:`signals.first_order_recurrence`), so the series is
+    The lag solution is evaluated in closed form (not stepped), once per
+    grid (:func:`_lag_shape`), and the multiplicative noise is an AR(1)
+    process with ~0.2 s correlation time (unit stationary variance, started
+    at zero, evaluated by :func:`signals.first_order_recurrence` with its
+    constant coefficient as a scalar), so the series is
     step-size-consistent and replayable. A zero target draws no noise.
+    Returns a new array, which the noise scales in place.
     """
-    t = np.arange(n_samples) * dt
-    mean = act.target_pct_mvc * (1.0 - np.exp(-t / _RISE_TIME_S))
+    mean = act.target_pct_mvc * _lag_shape(n_samples, dt)
     if act.target_pct_mvc > 0:
         rho = math.exp(-dt / _NOISE_CORR_TIME)
         eps = rng.standard_normal(n_samples)
-        w = first_order_recurrence(np.full(n_samples, rho), math.sqrt(1.0 - rho * rho) * eps)
-        mean = mean * (1.0 + _TRACKING_NOISE * w)
-    return np.clip(mean, 0.0, 1.0)
+        w = first_order_recurrence(rho, math.sqrt(1.0 - rho * rho) * eps)
+        w *= _TRACKING_NOISE
+        w += 1.0
+        mean *= w
+    return np.clip(mean, 0.0, 1.0, out=mean)
+
+
+@lru_cache(maxsize=4)
+def _lag_shape(n_samples: int, dt: float) -> np.ndarray:
+    """The activation's unit lag ``1 - exp(-t / _RISE_TIME_S)`` on ``n_samples`` steps of ``dt``.
+
+    Every trial on one grid shares it; it is read-only, since every cached
+    caller sees it.
+    """
+    lag = 1.0 - np.exp(-(np.arange(n_samples) * dt) / _RISE_TIME_S)
+    lag.flags.writeable = False
+    return lag
 
 
 def _ramp_envelope(t: np.ndarray, frequency: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

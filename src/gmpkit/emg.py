@@ -30,6 +30,7 @@ and reloaded trial is bit-identical to the simulated one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +85,21 @@ def round_to_codes(codes: np.ndarray) -> np.ndarray:
     return np.clip(codes, *CODE_RAILS, out=codes)
 
 
+@lru_cache(maxsize=4)
+def _time_grids(start_time: float, n_act: int, act_rate: float, n_out: int,
+                rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times of the EMG grid and of its activation signal, as :func:`synthesize_emg` reads them.
+
+    They depend on the grids alone, so all trials of one protocol share
+    them. The arrays are read-only, since every cached caller sees them.
+    """
+    t_out = start_time + np.arange(n_out) / rate
+    t_act = start_time + np.arange(n_act) / act_rate
+    for array in (t_out, t_act):
+        array.flags.writeable = False
+    return t_out, t_act
+
+
 def synthesize_emg(
     activation: SampledSignal,
     mvc_rms: Sequence[float],
@@ -96,13 +112,15 @@ def synthesize_emg(
     4th-order Butterworth band-pass, 20-450 Hz) amplitude-modulated by the
     activation trajectory, so the windowed RMS equals
     ``activation * mvc_rms`` in expectation. The activation signal may be
-    at any rate; it is interpolated onto the output grid. A single
+    at any rate; it is interpolated onto the output grid, whose times and
+    the activation's are cached per grid (:func:`_time_grids`). A single
     activation channel drives all EMG channels (co-activation).
 
     The noise is drawn as one float32 spectrum for all channels and
     transformed back in one batched float32 inverse FFT
     (:func:`signals.bandpass_noise`). Each channel's
-    ``drive * mvc_rms * noise``, in codes, is scaled in float32, rounded
+    ``drive * mvc_rms * noise``, in codes, is scaled in float32 (the drive
+    product through one float64 and one float32 scratch row), rounded
     once to a whole code and saturated at the rails (:func:`round_to_codes`),
     as the trial store keeps it. The codes times ``EMG_LSB_MV`` are then
     written once into a float64 ``(channels, n)`` buffer: the signal's
@@ -114,14 +132,16 @@ def synthesize_emg(
     rng = np.random.default_rng(seed_seq)
     n_channels = len(mvc_rms)
     n_out = round(activation.duration * rate) + 1
-    t_out = activation.start_time + np.arange(n_out) / rate
-    t_act = activation.times()
+    t_out, t_act = _time_grids(activation.start_time, activation.n_samples, activation.sample_rate, n_out, rate)
 
     codes = bandpass_noise(rng, n_channels, n_out, BAND_ORDER, BAND_HZ, rate)[:, :n_out]
     drives = [np.interp(t_out, t_act, col) for col in activation.data.T]
+    scaled, scaled32 = np.empty(n_out), np.empty(n_out, dtype=np.float32)
     for ch, row in enumerate(codes):
         # drive * mvc_rms * noise in codes; dividing by the power-of-two step is exact
-        row *= (drives[min(ch, len(drives) - 1)] * (mvc_rms[ch] / EMG_LSB_MV)).astype(np.float32)
+        np.multiply(drives[min(ch, len(drives) - 1)], mvc_rms[ch] / EMG_LSB_MV, out=scaled)
+        np.copyto(scaled32, scaled, casting="same_kind")
+        row *= scaled32
     round_to_codes(codes)
     codes += 0.0  # a zero code reads back as +0.0, so -0.0 goes
     data = np.multiply(codes, EMG_LSB_MV, dtype=np.float64)  # exact: a whole code times a power of two

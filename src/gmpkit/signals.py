@@ -26,6 +26,7 @@ read-only), so they are safe to share between threads.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -282,16 +283,27 @@ def first_order_recurrence(a, b) -> np.ndarray:
     vectorized passes replace the n-step Python loop. Every partial product
     of ``a`` stays within [0, 1] when 0 <= a <= 1, so the scan is as
     stable as the loop; it only sums the terms in another order.
+
+    A scalar ``a`` is a constant coefficient, as in an AR(1) filter. Every
+    coefficient that a pass reads is then the same product, so the scan
+    carries that one scalar, squared after each pass, in place of an
+    array; the result has the bits of ``np.full(len(b), a)``. Neither
+    input is written to.
     """
-    a = np.array(a, dtype=float)
     y = np.array(b, dtype=float)
-    if a.ndim != 1 or a.shape != y.shape:
-        raise ValueError(f"a and b must be 1-D of one length, got {a.shape} and {y.shape}")
+    constant = np.ndim(a) == 0
+    a = float(a) if constant else np.array(a, dtype=float)
+    if y.ndim != 1 or not (constant or a.shape == y.shape):
+        raise ValueError(f"a and b must be 1-D of one length, got {np.shape(a)} and {y.shape}")
     n = len(y)
     stride = 1
     while stride < n:
-        y[stride:] += a[stride:] * y[:-stride]
-        a[stride:] = a[stride:] * a[:-stride]
+        y[stride:] += (a if constant else a[stride:]) * y[:-stride]
+        if 2 * stride < n:  # only a later pass reads the coefficients
+            if constant:
+                a = a * a
+            else:
+                a[stride:] = a[stride:] * a[:-stride]
         stride *= 2
     return y
 
@@ -341,29 +353,54 @@ def _bandpass_magnitude(order: int, band: tuple[float, float], rate: float, nfft
     return magnitude, shape
 
 
+_scratch = threading.local()
+
+
+def _spectrum_scratch(rows: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's float32 ``(2, rows, bins)`` uniforms and complex64 ``(rows, bins)`` spectrum.
+
+    Each thread keeps one flat buffer of each, grown to the largest shape
+    it has drawn; a smaller shape is a view of the buffer's front. Drawing
+    a trial's noise into the same memory every time, in place of about
+    1 MB of fresh temporaries per call, keeps glibc from trimming the heap
+    and faulting the pages back in on the next trial. A buffer that moved
+    whenever the record length changed (an MVC recording between trials)
+    put the trims back on about a third of start-up layouts. Neither array
+    is ever handed to a caller.
+    """
+    size = rows * bins
+    held = getattr(_scratch, "buffers", None)
+    if held is None or held[1].size < size:
+        held = _scratch.buffers = (np.empty(2 * size, dtype=np.float32), np.empty(size, dtype=np.complex64))
+    return held[0][:2 * size].reshape(2, rows, bins), held[1][:size].reshape(rows, bins)
+
+
 def bandpass_noise(rng: np.random.Generator, rows: int, n: int, order: int, band: tuple[float, float],
                    rate: float) -> np.ndarray:
     """``rows`` channels of unit-variance Gaussian noise through a Butterworth band-pass, drawn as a spectrum.
 
     Returns a float32 ``(rows, nfft)`` array, ``nfft = _fast_fft_length(n)``, whose first ``n``
-    samples per row are the noise. Each bin of one complex64 rfft grid is a complex normal drawn
-    by Box-Muller from two float32 uniforms, ``u1`` for every bin of every row and then ``u2``:
-    radius ``sqrt(-2 log1p(-u1))`` times the filter's magnitude, scaled in closed form (Parseval)
-    so that each sample has unit variance, at phase ``2 pi u2``. One float32 ``irfft`` takes the
-    rows back to time; float32's 24-bit significand leaves 8 bits below a 16-bit code. The noise
-    is circular and stationary: it has no start-up transient. Raises ValueError when no bin
-    between DC and Nyquist is left to carry the noise, as for one or two samples.
+    samples per row are the noise; the array is new, and the caller owns it. Each bin of one
+    complex64 rfft grid is a complex normal drawn by Box-Muller from two float32 uniforms, ``u1``
+    for every bin of every row and then ``u2``: radius ``sqrt(-2 log1p(-u1))`` times the filter's
+    magnitude, scaled in closed form (Parseval) so that each sample has unit variance, at phase
+    ``2 pi u2``. The uniforms and the spectrum live in the calling thread's scratch
+    (:func:`_spectrum_scratch`). One float32 ``irfft`` takes the rows back to time; float32's
+    24-bit significand leaves 8 bits below a 16-bit code. The noise is circular and stationary: it
+    has no start-up transient. Raises ValueError when no bin between DC and Nyquist is left to
+    carry the noise, as for one or two samples.
     """
     nfft = _fast_fft_length(n)
     _, shape = _bandpass_magnitude(order, (float(band[0]), float(band[1])), float(rate), nfft)
-    radius, phase = rng.random((2, rows, len(shape)), dtype=np.float32)
+    uniforms, spectrum = _spectrum_scratch(rows, len(shape))
+    rng.random(dtype=np.float32, out=uniforms)
+    radius, phase = uniforms
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)  # finite, since u1 < 1
     radius *= -2.0
     np.sqrt(radius, out=radius)
     radius *= shape
     phase *= 2.0 * math.pi  # a Python float: the product stays float32
-    spectrum = np.empty(radius.shape, dtype=np.complex64)
     np.cos(phase, out=spectrum.real)
     spectrum.real *= radius
     np.sin(phase, out=spectrum.imag)

@@ -191,7 +191,12 @@ def run_interconnection(
 
     With a map, the controller credits xi_hat = safety_factor * lookup(...)
     at the perturbation frequency and the scenario's activation level.
+    A ``safety_factor`` outside [0, 1], NaN included, is a ConfigError, as
+    in ``config.validate``: a NaN budget would disable the controller and
+    still report a bounded run.
     """
+    if not 0 <= safety_factor <= 1:
+        raise ConfigError(f"safety_factor must be within [0, 1], got {safety_factor}")
     if not MIN_COSIM_RATE_HZ <= rate < math.inf:
         raise IntegrationError(f"co-simulation rate must be finite and >= {MIN_COSIM_RATE_HZ:g} Hz, got {rate}")
     check_step_rate(rate, perturbation.frequency)

@@ -178,8 +178,11 @@ def ks_statistic(x: Sequence[float], cdf: Callable[[float], float]) -> float:
 
     Evaluated at both corners of every ECDF step: the supremum over the
     whole line is attained at a sample point from one side or the other.
+    A non-finite value has no place on the ECDF and is refused.
     """
-    xs = np.sort(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    _check_finite("sample", xs)
+    xs = np.sort(xs)
     n = len(xs)
     if n == 0:
         raise DegenerateSampleError("empty sample")

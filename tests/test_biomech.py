@@ -13,6 +13,7 @@ from gmpkit.biomech import (
     LimbParams,
     PerturbationSpec,
     _axis_kinematics,
+    _lag_shape,
     _ramp_envelope,
     analytic_eop,
     check_step_rate,
@@ -215,6 +216,18 @@ def test_ramp_boundary_cases_are_what_they_claim():
     t = np.arange(10001) * (1.0 / 1000.0)
     assert t[2000] == 1.0 / 0.5 and t[250] == 1.0 / 4.0
     assert np.all(_ramp_envelope(t, 0.05)[0] < 1.0)
+
+
+def test_lag_shape_is_shared_and_read_only():
+    _lag_shape.cache_clear()
+    run(LimbParams(), direction=0, activation=0.1)
+    run(LimbParams(), direction=2, activation=0.4, seed=1)
+    info = _lag_shape.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    lag = _lag_shape(10001, 1.0 / 1000.0)
+    assert not lag.flags.writeable
+    t = np.arange(10001) * (1.0 / 1000.0)
+    assert lag.tobytes() == (1.0 - np.exp(-t / 0.5)).tobytes()
 
 
 def test_axis_kinematics_are_shared_and_read_only():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gmpkit.emg import (
     RMS_STRIDE_S,
     RMS_WINDOW_S,
     MvcCalibration,
+    _time_grids,
     estimate_mvc,
     pct_mvc,
     synthesize_emg,
@@ -109,6 +111,39 @@ def test_synthesis_matches_reference_bytes(duration, rate):
     # one read-only float64 row per channel, exactly as long as the samples
     assert not emg.data.flags.writeable
     assert emg.data.strides == (8, 8 * emg.n_samples)
+
+
+def test_synthesis_in_threads_matches_serial_bits():
+    # each thread draws into its own spectrum scratch, which the lengths grow and then reuse in part;
+    # four threads switching often would expose a scratch shared between them
+    mvc = (1.6, 1.1, 1.8, 1.3)
+    jobs = [(seed, (1.0, 3.0, 10.0)[seed % 3]) for seed in range(48)]
+
+    def synthesize(job):
+        seed, duration = job
+        return synthesize_emg(noisy_activation(duration), mvc, seed=seed, rate=EMG_RATE).data.tobytes()
+
+    serial = [synthesize(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(synthesize, jobs, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_time_grids_are_shared_and_read_only():
+    activation = noisy_activation(3.0)
+    synthesize_emg(activation, (1.6,), seed=0, rate=EMG_RATE)
+    n_out = round(activation.duration * EMG_RATE) + 1
+    key = (activation.start_time, activation.n_samples, activation.sample_rate, n_out, EMG_RATE)
+    hits = _time_grids.cache_info().hits
+    t_out, t_act = _time_grids(*key)
+    assert _time_grids.cache_info().hits == hits + 1
+    assert not t_out.flags.writeable and not t_act.flags.writeable
+    assert t_out.tobytes() == (np.arange(n_out) / EMG_RATE).tobytes()
+    assert t_act.tobytes() == activation.times().tobytes()
 
 
 @pytest.mark.parametrize("n_activations, mvc", [(1, (1.7,)), (2, (1.6, 1.1, 1.8, 1.3)), (2, (1.6,))])

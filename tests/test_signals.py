@@ -328,8 +328,25 @@ def test_first_order_recurrence_leaves_inputs_alone():
     first_order_recurrence(a, b)
     np.testing.assert_array_equal(a, 0.5)
     np.testing.assert_array_equal(b, 1.0)
+    first_order_recurrence(0.5, b)
+    np.testing.assert_array_equal(b, 1.0)
     with pytest.raises(ValueError):
         first_order_recurrence(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        first_order_recurrence(0.5, np.ones((2, 2)))
+
+
+_SCAN_LENGTHS = [1, 2, 3] + [2 ** k + d for k in (4, 10, 13) for d in (-1, 0, 1)] + [10001, 21481]
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.5, 0.995, 1.0])
+@pytest.mark.parametrize("n", _SCAN_LENGTHS)
+def test_first_order_recurrence_scalar_coefficient_matches_array_bits(n, rho):
+    # a constant coefficient carried as one scalar, squared after each pass, is every
+    # coefficient that the array scan reads, so the two give the same bits
+    b = np.random.default_rng(n).standard_normal(n)
+    expected = first_order_recurrence(np.full(n, rho), b)
+    assert first_order_recurrence(rho, b).tobytes() == expected.tobytes()
 
 
 def test_bandpass_magnitude_rejects_bad_band():
@@ -366,6 +383,16 @@ def test_bandpass_noise_computes_the_band_power_once_per_shape():
     scale = nfft / (2.0 * math.sqrt(math.fsum(magnitude * magnitude)))
     assert shape.dtype == np.float32 and not shape.flags.writeable
     assert shape.tobytes() == (magnitude * scale).astype(np.float32).tobytes()
+
+
+def test_bandpass_noise_returns_a_new_array_each_call():
+    # the spectrum scratch is reused, but never handed out
+    first = bandpass_noise(np.random.default_rng(0), 4, 2148, 4, (20.0, 450.0), 2148.0)
+    kept = first.copy()
+    second = bandpass_noise(np.random.default_rng(1), 4, 2148, 4, (20.0, 450.0), 2148.0)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])

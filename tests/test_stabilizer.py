@@ -213,6 +213,22 @@ def test_rate_precondition():
             run_interconnection(LIMB, field, PERT, ACT, None, duration, 1000.0, 3, DEFAULT_SAFETY_FACTOR)
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0, 1.5], ids=["nan", "inf", "-1", "1.5"])
+def test_safety_factor_outside_unit_interval_is_refused(factor):
+    # config.validate's rule: a NaN budget would disable the controller and still read "bounded"
+    field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
+    for gmp_map in (None, constant_map(5.0)):
+        with pytest.raises(ConfigError, match=r"safety_factor must be within \[0, 1\]"):
+            run(field, gmp_map, safety_factor=factor, perturbation=SHORT_PERT)
+
+
+@pytest.mark.parametrize("factor", [0.0, 1.0])
+def test_safety_factor_at_the_bounds_runs(factor):
+    field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)
+    result = run(field, constant_map(5.0), safety_factor=factor, perturbation=SHORT_PERT)
+    assert result.verdict == "bounded" and result.budget_rate == 5.0 * factor
+
+
 def test_step_rule_is_the_trials():
     # a trial needs MIN_SAMPLES_PER_PERIOD samples per period; so does the co-simulation
     field = ForceFieldSpec(kind="negative-damping", b_f=-5.0)

@@ -183,6 +183,13 @@ def test_ks_statistic_bounds():
         assert 0.0 <= d <= 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ks_statistic_refuses_non_finite_values(bad):
+    # a NaN would sort last and give D nan: no statistic at all, reported as one
+    with pytest.raises(ValueError, match=r"sample\[1\] is not finite"):
+        ks_statistic([1.0, bad, 2.0], stats._normal_cdf)
+
+
 def test_kolmogorov_sf_matches_scipy():
     for t in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
         assert kolmogorov_sf(t) == pytest.approx(float(special.kolmogorov(t)), abs=1e-12)
